@@ -7,6 +7,7 @@ reruns with identical inputs produce byte-identical artifacts.
 """
 
 import csv
+import io
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from .scene import (
     save_pool,
     write_atomic,
 )
-from .traffic import build_track_paths
+from .traffic import build_track_paths, detection_arrays
 
 DOMAIN_ERRORS = (
     PoolFormatError,
@@ -178,7 +179,7 @@ def _label_stats(snippets, cfg):
     total_frames = 0
     for s in snippets:
         total_frames += s.num_frames
-        for t in build_track_paths(s, cfg.roi_radius):
+        for t in build_track_paths(detection_arrays(s, cfg.roi_radius)):
             motion = "static" if t.is_static(cfg.static_speed) else "dynamic"
             n_in = int(np.count_nonzero(t.in_roi))
             key = (t.label, motion)
@@ -187,6 +188,27 @@ def _label_stats(snippets, cfg):
     for (label, motion), n in sorted(counts.items()):
         stats.setdefault(label, {})[motion] = n / total_frames if total_frames else 0.0
     return stats
+
+
+def _write_csv(path, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    write_atomic(path, buf.getvalue())
+
+
+def _histogram_rows(names, matrix):
+    yield ["feature", "bin", "lo", "hi", "count"]
+    for i, name in enumerate(names):
+        col = matrix[:, i] if len(matrix) else np.zeros(0)
+        if len(col) == 0:
+            continue
+        lo, hi = float(np.min(col)), float(np.max(col))
+        if hi <= lo:
+            yield [name, 0, repr(lo), repr(hi), len(col)]
+            continue
+        counts, edges = np.histogram(col, bins=HISTOGRAM_BINS, range=(lo, hi))
+        for b, c in enumerate(counts):
+            yield [name, b, repr(float(edges[b])), repr(float(edges[b + 1])), int(c)]
 
 
 @cli.command()
@@ -243,26 +265,9 @@ def report(pool_path, result_path, out_dir, config_path):
     os.makedirs(out_dir, exist_ok=True)
     write_atomic(os.path.join(out_dir, "summary.json"), canonical_dumps(summary) + "\n")
 
-    with open(os.path.join(out_dir, "features.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snippet_id"] + names)
-        for s, row in zip(snippets, matrix):
-            writer.writerow([s.snippet_id] + [repr(float(v)) for v in row])
-
-    with open(os.path.join(out_dir, "histograms.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "bin", "lo", "hi", "count"])
-        for i, name in enumerate(names):
-            col = matrix[:, i] if len(matrix) else np.zeros(0)
-            if len(col) == 0:
-                continue
-            lo, hi = float(np.min(col)), float(np.max(col))
-            if hi <= lo:
-                writer.writerow([name, 0, repr(lo), repr(hi), len(col)])
-                continue
-            counts, edges = np.histogram(col, bins=HISTOGRAM_BINS, range=(lo, hi))
-            for b, c in enumerate(counts):
-                writer.writerow([name, b, repr(float(edges[b])), repr(float(edges[b + 1])), int(c)])
+    feature_rows = [[s.snippet_id] + [repr(float(v)) for v in row] for s, row in zip(snippets, matrix)]
+    _write_csv(os.path.join(out_dir, "features.csv"), [["snippet_id"] + names] + feature_rows)
+    _write_csv(os.path.join(out_dir, "histograms.csv"), _histogram_rows(names, matrix))
     click.echo(f"report for {len(snippets)} snippet(s) written to {out_dir}")
 
 

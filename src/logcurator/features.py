@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, traffic
 from .infra import infra_features
 from .scene import MapIndex, SceneMap, Snippet, SnippetPool, canonical_dumps, write_atomic
-from .sdv import sdv_features
-from .traffic import traffic_features
+from .sdv import ego_step_speeds, sdv_features
+from .traffic import Detections, traffic_features
 
 SNIPPET_FEATURES = (
     ("curve_mean", "1/m + 1/m^2"),
@@ -105,9 +105,6 @@ class FeatureBundle:
     snippet_stats: NormalizationStats
     frame_stats: NormalizationStats
 
-    def vector(self, snippet_id: str) -> np.ndarray:
-        return self.matrix[self.ids.index(snippet_id)]
-
 
 def fit_normalization(matrix: np.ndarray, mode: str = "zscore") -> NormalizationStats:
     """Column-wise population z-score stats; 'none' yields the identity."""
@@ -145,55 +142,34 @@ def _ego_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
     n = len(ego)
     if n < 2:
         return np.zeros(n)
-    step = np.linalg.norm(np.diff(ego, axis=0), axis=1) / np.diff(ts)
+    step = ego_step_speeds(ego, ts)
     return np.concatenate([step, step[-1:]])
 
 
 def assemble_frame_vectors(
-    s: Snippet, m: SceneMap, roi_radius: float = 75.0, index: MapIndex | None = None
+    s: Snippet, m: SceneMap, det: Detections, index: MapIndex | None = None
 ) -> list:
-    """Per-frame descriptors used by the diversity distance."""
+    """Per-frame descriptors used by the diversity distance; `det` holds the
+    snippet's detections, gated by `traffic.detection_arrays`."""
     if index is None:
         index = MapIndex(m)
     ego = s.ego_xy()
-    curv = _ego_instant_curvature(ego, s.ego_headings())
-    speeds = _ego_speeds(ego, s.timestamps())
     in_inter = np.zeros(len(ego), dtype=bool)
     for poly in index.intersection_polys:
         in_inter |= geometry.points_in_polygon(ego, poly)
-    r2 = roi_radius * roi_radius
-    out = []
-    for k, frame in enumerate(s.frames):
-        counts = {"vehicle": 0, "pedestrian": 0, "bicyclist": 0}
-        for det in frame.detections:
-            dx = det.center[0] - ego[k, 0]
-            dy = det.center[1] - ego[k, 1]
-            if dx * dx + dy * dy <= r2:
-                counts[det.label] += 1
-        total = sum(counts.values())
-        if total:
-            term = 1.0
-            for c in counts.values():
-                term *= 1.0 + c
-            term /= total
-        else:
-            term = 0.0
-        values = np.array(
-            [
-                float(total),
-                float(counts["vehicle"]),
-                float(counts["pedestrian"]),
-                float(counts["bicyclist"]),
-                term,
-                curv[k],
-                speeds[k],
-                1.0 if in_inter[k] else 0.0,
-                frame.geo[0],
-                frame.geo[1],
-            ]
-        )
-        out.append(FrameFeature(s.snippet_id, frame.index, values))
-    return out
+    counts, term = traffic.class_counts(det)  # columns follow DETECTION_CLASSES
+    mat = np.column_stack(
+        [
+            counts.sum(axis=1),
+            counts,
+            term,
+            _ego_instant_curvature(ego, s.ego_headings()),
+            _ego_speeds(ego, s.timestamps()),
+            in_inter,
+            np.array([f.geo for f in s.frames], dtype=float),
+        ]
+    )
+    return [FrameFeature(s.snippet_id, f.index, row) for f, row in zip(s.frames, mat)]
 
 
 def frame_matrix(frame_features: list) -> np.ndarray:
@@ -202,11 +178,18 @@ def frame_matrix(frame_features: list) -> np.ndarray:
     return np.stack([f.values for f in frame_features])
 
 
-def assemble_snippet_vector(s: Snippet, m: SceneMap, config, index: MapIndex | None = None) -> FeatureVector:
+def compute_snippet_features(s: Snippet, m: SceneMap, config, index: MapIndex | None = None):
+    """(FeatureVector, frame matrix) for one snippet.
+
+    The snippet's detections are read and gated once; the traffic, SDV and
+    frame measures all reduce over that one set of arrays and tracks.
+    """
     if index is None:
         index = MapIndex(m)
+    det = traffic.detection_arrays(s, config.roi_radius)
+    tracks = traffic.build_track_paths(det)
     inf = infra_features(s, m, config.roi_radius, config.resample_points, index=index)
-    tra = traffic_features(s, config.roi_radius, config.resample_points, config.static_speed)
+    tra = traffic_features(det, tracks, config.resample_points, config.static_speed)
     sdv = sdv_features(
         s,
         m,
@@ -222,6 +205,7 @@ def assemble_snippet_vector(s: Snippet, m: SceneMap, config, index: MapIndex | N
         nudge_min_bound_frames=config.nudge_min_bound_frames,
         static_speed=config.static_speed,
         index=index,
+        tracks=tracks,
     )
     values = np.array(
         [
@@ -255,16 +239,8 @@ def assemble_snippet_vector(s: Snippet, m: SceneMap, config, index: MapIndex | N
             sdv.nudges,
         ]
     )
-    return FeatureVector(s.snippet_id, values, sdv.valid)
-
-
-def compute_snippet_features(s: Snippet, m: SceneMap, config, index: MapIndex | None = None):
-    """(FeatureVector, frame matrix) for one snippet."""
-    if index is None:
-        index = MapIndex(m)
-    vec = assemble_snippet_vector(s, m, config, index=index)
-    frames = assemble_frame_vectors(s, m, config.roi_radius, index=index)
-    return vec, frame_matrix(frames)
+    vec = FeatureVector(s.snippet_id, values, sdv.valid)
+    return vec, frame_matrix(assemble_frame_vectors(s, m, det, index=index))
 
 
 _WORKER_STATE: dict = {}
@@ -383,19 +359,24 @@ def write_features(directory: str, bundle: FeatureBundle) -> None:
 
 
 def read_features(directory: str) -> FeatureBundle:
+    """Load a feature store; any missing, unparseable or inconsistent file
+    raises PoolFormatError naming it."""
     from .scene import PoolFormatError
 
-    def rows(name):
+    def load(name, parse):
         path = os.path.join(directory, name)
         try:
             with open(path) as fh:
-                return [json.loads(ln) for ln in fh.read().splitlines() if ln.strip()]
+                return parse(fh.read())
         except OSError as exc:
             raise PoolFormatError(f"cannot read feature file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise PoolFormatError(f"feature file {path} is not valid JSON: {exc}") from exc
 
-    srows = rows("snippet_features.jsonl")
+    def jsonl(text):
+        return [json.loads(ln) for ln in text.splitlines() if ln.strip()]
+
+    srows = load("snippet_features.jsonl", jsonl)
     if not srows or srows[0].get("kind") != "snippet_features_header":
         raise PoolFormatError("snippet_features.jsonl must start with its header")
     if tuple(srows[0].get("names", ())) != SNIPPET_FEATURE_NAMES:
@@ -408,13 +389,27 @@ def read_features(directory: str) -> FeatureBundle:
     )
     valid = np.array([bool(r["valid"]) for r in srows[1:]], dtype=bool)
 
-    frows = rows("frame_features.jsonl")
+    frows = load("frame_features.jsonl", jsonl)
     if not frows or frows[0].get("kind") != "frame_features_header":
         raise PoolFormatError("frame_features.jsonl must start with its header")
-    frame_mats = {r["snippet_id"]: np.array(r["values"], dtype=float) for r in frows[1:]}
+    frame_path = os.path.join(directory, "frame_features.jsonl")
+    frame_ids = [r["snippet_id"] for r in frows[1:]]
+    if sorted(frame_ids) != sorted(ids):
+        missing = sorted(set(ids) - set(frame_ids))
+        raise PoolFormatError(
+            f"feature file {frame_path} does not hold exactly one row per snippet"
+            + (f"; missing {', '.join(missing)}" if missing else "")
+        )
+    frame_mats = {}
+    for r in frows[1:]:
+        if any(len(row) != FRAME_DIM for row in r["values"]):
+            raise PoolFormatError(
+                f"feature file {frame_path}: frames of {r['snippet_id']} "
+                f"must have {FRAME_DIM} values each"
+            )
+        frame_mats[r["snippet_id"]] = np.array(r["values"], dtype=float).reshape(-1, FRAME_DIM)
 
-    with open(os.path.join(directory, "normalization.json")) as fh:
-        nobj = json.load(fh)
+    nobj = load("normalization.json", json.loads)
     return FeatureBundle(
         ids,
         matrix,

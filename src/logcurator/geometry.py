@@ -298,13 +298,3 @@ def project_points_to_polyline(points: np.ndarray, poly_points: np.ndarray, cuml
     dist = np.sqrt(dist2[rows, j])
     arc = cumlen[j] + t[rows, j] * seg_len[j]
     return dist, arc
-
-
-def point_polyline_distance(point, poly_points: np.ndarray) -> float:
-    dist, _ = project_points_to_polyline(np.asarray(point, dtype=float)[None, :], poly_points)
-    return float(dist[0])
-
-
-def min_distance_to_polyline(points: np.ndarray, poly_points: np.ndarray) -> float:
-    dist, _ = project_points_to_polyline(points, poly_points)
-    return float(np.min(dist))

@@ -9,7 +9,7 @@ load/save round trip reproduces the file byte for byte.
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

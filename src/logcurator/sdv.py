@@ -5,7 +5,9 @@ snippet whose match distance exceeds the gate on more than the allowed
 fraction of frames is flagged invalid (unrankable) but still scored, so the
 caller decides what to exclude. Conflict lanes are non-traversed vehicle
 lanes properly crossing a traversed one; reachability walks the lane
-successor graph by along-lane distance.
+successor graph by along-lane distance. Interactions and nudges use every
+observation of every track; the ROI flag on a track is never read, so
+gated and ungated tracks give the same values.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import geometry
 from .scene import MapIndex, SceneMap, Snippet
-from .traffic import STATIC_SPEED, build_track_paths
+from .traffic import STATIC_SPEED, build_track_paths, detection_arrays
 
 MAP_MATCH_GATE = 3.0
 MAP_MATCH_MIN_FRAC = 0.9
@@ -97,16 +99,17 @@ def sdv_path_complexity(s: Snippet, K: int = 100) -> float:
     return geometry.curve_complexity(path, K)
 
 
+def ego_step_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(T-1,) ego speeds over each step, from pose displacements."""
+    return np.linalg.norm(np.diff(ego, axis=0), axis=1) / np.diff(ts)
+
+
 def sdv_speed_variance(s: Snippet) -> float:
-    """Population variance of per-step ego speeds from pose displacements."""
+    """Population variance of per-step ego speeds."""
     ego = s.ego_xy()
-    ts = s.timestamps()
     if len(ego) < 2:
         return 0.0
-    dt = np.diff(ts)
-    step = np.linalg.norm(np.diff(ego, axis=0), axis=1)
-    speeds = step / dt
-    return float(np.var(speeds))
+    return float(np.var(ego_step_speeds(ego, s.timestamps())))
 
 
 def route_events(
@@ -199,7 +202,7 @@ def interactions(
     if match is None:
         match = match_route(s, index, gate)
     if tracks is None:
-        tracks = build_track_paths(s)
+        tracks = build_track_paths(detection_arrays(s))
     ego_path = geometry.dedupe_points(s.ego_xy())
 
     near_static = 0
@@ -273,7 +276,7 @@ def detect_nudges(
     if match is None:
         match = match_route(s, index)
     if tracks is None:
-        tracks = build_track_paths(s)
+        tracks = build_track_paths(detection_arrays(s))
     n = len(match.assignments)
     if n == 0:
         return 0
@@ -332,11 +335,13 @@ def sdv_features(
     nudge_min_bound_frames: int = 10,
     static_speed: float = STATIC_SPEED,
     index: MapIndex | None = None,
+    tracks: list | None = None,
 ) -> SdvFeatures:
     if index is None:
         index = MapIndex(m)
+    if tracks is None:
+        tracks = build_track_paths(detection_arrays(s))
     match = match_route(s, index, gate, min_frac)
-    tracks = build_track_paths(s)
     lane_changes, turns, controls = route_events(
         s, m, lane_change_min_frames, gate, index=index, match=match
     )

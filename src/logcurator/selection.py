@@ -9,7 +9,8 @@ frames) anything selected. Every argmax breaks ties by ascending snippet_id.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -52,6 +53,10 @@ class CurationConfig:
     dissimilarity: str = "directed"
 
 
+# the config file schema: every CurationConfig field, typed by its annotation
+CONFIG_FIELDS = {f.name: f.type for f in fields(CurationConfig)}
+
+
 def resolve_weights(spec) -> np.ndarray:
     """Accept either a full-length list or a {feature_name: weight} map."""
     if isinstance(spec, dict):
@@ -69,9 +74,29 @@ def resolve_weights(spec) -> np.ndarray:
     return w
 
 
+def _scalar(key: str, value, kind: type):
+    """Check one scalar config value against its CurationConfig field type."""
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"config field {key!r} must be a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+        return int(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"config field {key!r} must be finite, got {value!r}")
+    return float(value)
+
+
 def config_from_obj(obj) -> CurationConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(obj) - CONFIG_FIELDS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {', '.join(map(repr, unknown))}")
     tasks = []
     names = set()
     for t in obj.get("tasks", []):
@@ -84,36 +109,13 @@ def config_from_obj(obj) -> CurationConfig:
         if name in names:
             raise ConfigError(f"duplicate task name {name!r}")
         names.add(name)
-        if not isinstance(budget, int) or budget < 0:
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
             raise ConfigError(f"task {name!r} budget must be a non-negative integer")
         tasks.append(TaskConfig(name, weights, budget))
-    cfg = CurationConfig(tasks=tuple(tasks))
-    scalars = {
-        "k_div": int,
-        "seed": int,
-        "roi_radius": float,
-        "near_dist": float,
-        "horizon": float,
-        "resample_points": int,
-        "static_speed": float,
-        "map_match_gate": float,
-        "map_match_min_frac": float,
-        "lane_change_min_frames": int,
-        "ego_width": float,
-        "lane_width_fallback": float,
-        "nudge_object_dist": float,
-        "nudge_min_bound_frames": int,
-        "normalization": str,
-        "dissimilarity": str,
+    updates = {
+        key: _scalar(key, value, CONFIG_FIELDS[key]) for key, value in obj.items() if key != "tasks"
     }
-    updates = {}
-    for key, cast in scalars.items():
-        if key in obj:
-            try:
-                updates[key] = cast(obj[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config field {key!r}: {exc}") from exc
-    cfg = replace(cfg, **updates)
+    cfg = replace(CurationConfig(tasks=tuple(tasks)), **updates)
     if cfg.k_div < 0:
         raise ConfigError("k_div must be >= 0")
     if cfg.seed < 0:
@@ -141,37 +143,12 @@ def load_config(path: str) -> CurationConfig:
 
 
 def config_to_obj(cfg: CurationConfig):
-    return {
-        "tasks": [
-            {"name": t.name, "weights": [float(v) for v in t.weights], "budget": t.budget}
-            for t in cfg.tasks
-        ],
-        "k_div": cfg.k_div,
-        "seed": cfg.seed,
-        "roi_radius": cfg.roi_radius,
-        "near_dist": cfg.near_dist,
-        "horizon": cfg.horizon,
-        "resample_points": cfg.resample_points,
-        "static_speed": cfg.static_speed,
-        "map_match_gate": cfg.map_match_gate,
-        "map_match_min_frac": cfg.map_match_min_frac,
-        "lane_change_min_frames": cfg.lane_change_min_frames,
-        "ego_width": cfg.ego_width,
-        "lane_width_fallback": cfg.lane_width_fallback,
-        "nudge_object_dist": cfg.nudge_object_dist,
-        "nudge_min_bound_frames": cfg.nudge_min_bound_frames,
-        "normalization": cfg.normalization,
-        "dissimilarity": cfg.dissimilarity,
-    }
-
-
-def score(values: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted sum of raw (unnormalized) snippet features."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.shape != w.shape:
-        raise ValueError(f"shape mismatch: values {v.shape} vs weights {w.shape}")
-    return float(v @ w)
+    obj = {name: getattr(cfg, name) for name in CONFIG_FIELDS}
+    obj["tasks"] = [
+        {"name": t.name, "weights": [float(v) for v in t.weights], "budget": t.budget}
+        for t in cfg.tasks
+    ]
+    return obj
 
 
 def _directed_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,6 +5,10 @@ track takes part in path and speed terms when at least one of its
 observations is inside the gate. Motion class (static vs dynamic) uses the
 mean of the reported speed field over the whole snippet with a 0.5 m/s
 threshold. All variances are population variances.
+
+`detection_arrays` is the one pass over a snippet's detections and the one
+place the gate is applied; every measure here is a reduction over its flat
+arrays or over the tracks `build_track_paths` groups from them.
 """
 
 from dataclasses import dataclass
@@ -12,9 +16,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .scene import Snippet
+from .scene import DETECTION_CLASSES, Snippet
 
 STATIC_SPEED = 0.5
+_LABEL_CODE = {label: i for i, label in enumerate(DETECTION_CLASSES)}
+
+
+@dataclass(frozen=True, slots=True)
+class Detections:
+    """Every detection of one snippet as flat arrays, in frame then
+    detection order."""
+
+    num_frames: int
+    track_ids: tuple  # sorted distinct track ids
+    frame: np.ndarray  # (D,) frame offset within the snippet
+    track: np.ndarray  # (D,) index into track_ids
+    label: np.ndarray  # (D,) index into DETECTION_CLASSES
+    center: np.ndarray  # (D, 2)
+    speed: np.ndarray  # (D,)
+    in_roi: np.ndarray  # (D,) bool
+    dist: np.ndarray  # (D,) distance to that frame's ego position
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,98 +66,92 @@ class TrafficFeatures:
     speed_div: float
 
 
-def build_track_paths(s: Snippet, roi_radius: float | None = None) -> list:
-    """Group detections by track, ordered by track_id."""
-    ego = s.ego_xy()
-    obs: dict[str, list] = {}
-    for k, frame in enumerate(s.frames):
-        for det in frame.detections:
-            inside = True
-            if roi_radius is not None:
-                dx = det.center[0] - ego[k, 0]
-                dy = det.center[1] - ego[k, 1]
-                inside = dx * dx + dy * dy <= roi_radius * roi_radius
-            obs.setdefault(det.track_id, []).append((k, det.center, det.speed, det.label, inside))
-    tracks = []
-    for tid in sorted(obs):
-        rows = obs[tid]
-        tracks.append(
-            TrackPath(
-                track_id=tid,
-                label=rows[0][3],
-                frames=np.array([r[0] for r in rows], dtype=int),
-                positions=np.array([r[1] for r in rows], dtype=float),
-                speeds=np.array([r[2] for r in rows], dtype=float),
-                in_roi=np.array([r[4] for r in rows], dtype=bool),
-            )
+def detection_arrays(s: Snippet, roi_radius: float | None = None) -> Detections:
+    """Flatten the snippet's detections; `roi_radius=None` puts every
+    detection in the gate."""
+    dets = [det for frame in s.frames for det in frame.detections]
+    frame = np.array([k for k, f in enumerate(s.frames) for _ in f.detections], dtype=int)
+    track_ids = tuple(sorted({det.track_id for det in dets}))
+    code = {tid: i for i, tid in enumerate(track_ids)}
+    center = np.array([det.center for det in dets], dtype=float).reshape(-1, 2)
+    delta = center - s.ego_xy().reshape(-1, 2)[frame]
+    d2 = delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1]
+    if roi_radius is None:
+        in_roi = np.ones(len(dets), dtype=bool)
+    else:
+        in_roi = d2 <= roi_radius * roi_radius
+    return Detections(
+        num_frames=s.num_frames,
+        track_ids=track_ids,
+        frame=frame,
+        track=np.array([code[det.track_id] for det in dets], dtype=int),
+        label=np.array([_LABEL_CODE[det.label] for det in dets], dtype=int),
+        center=center,
+        speed=np.array([det.speed for det in dets], dtype=float),
+        in_roi=in_roi,
+        dist=np.sqrt(d2),
+    )
+
+
+def build_track_paths(det: Detections) -> list:
+    """Group detections by track, ordered by track_id; each track keeps its
+    observations in frame order and the label of its first one."""
+    order = np.argsort(det.track, kind="stable")
+    splits = np.flatnonzero(np.diff(det.track[order])) + 1
+    return [
+        TrackPath(
+            track_id=tid,
+            label=DETECTION_CLASSES[det.label[rows[0]]],
+            frames=det.frame[rows],
+            positions=det.center[rows],
+            speeds=det.speed[rows],
+            in_roi=det.in_roi[rows],
         )
-    return tracks
+        for tid, rows in zip(det.track_ids, np.split(order, splits))
+    ]
 
 
 def _roi_tracks(tracks: list) -> list:
     return [t for t in tracks if bool(np.any(t.in_roi))]
 
 
-def crowdedness(
-    s: Snippet, roi_radius: float | None = None, static_speed: float = STATIC_SPEED
-) -> tuple:
+def crowdedness(det: Detections, tracks: list, static_speed: float = STATIC_SPEED) -> tuple:
     """Mean per-frame count of in-gate actors, split (static, dynamic)."""
-    tracks = build_track_paths(s, roi_radius)
-    static = {t.track_id for t in tracks if t.is_static(static_speed)}
-    n = s.num_frames
-    static_counts = np.zeros(n)
-    dynamic_counts = np.zeros(n)
-    for t in tracks:
-        for k, inside in zip(t.frames, t.in_roi):
-            if not inside:
-                continue
-            if t.track_id in static:
-                static_counts[k] += 1
-            else:
-                dynamic_counts[k] += 1
-    return float(np.mean(static_counts)), float(np.mean(dynamic_counts))
+    static = np.array([t.is_static(static_speed) for t in tracks], dtype=bool)[det.track]
+    static_frames = det.frame[det.in_roi & static]
+    dynamic_frames = det.frame[det.in_roi & ~static]
+    return (
+        float(np.mean(np.bincount(static_frames, minlength=det.num_frames))),
+        float(np.mean(np.bincount(dynamic_frames, minlength=det.num_frames))),
+    )
 
 
-def class_diversity(s: Snippet, roi_radius: float | None = None) -> float:
-    """Per-frame product of (1 + per-class count) scaled by 1/|detections|,
-    averaged over frames; frames with no in-gate detections contribute 0."""
-    ego = s.ego_xy()
-    r2 = None if roi_radius is None else roi_radius * roi_radius
+def class_counts(det: Detections) -> tuple:
+    """Per-frame in-gate counts by DETECTION_CLASSES, (T, classes), and the
+    class term: the product of (1 + count) over classes divided by the
+    frame's in-gate count, 0 for frames with none in gate."""
+    n_cls = len(DETECTION_CLASSES)
+    cells = det.frame[det.in_roi] * n_cls + det.label[det.in_roi]
+    counts = np.bincount(cells, minlength=det.num_frames * n_cls).reshape(-1, n_cls)
+    total = counts.sum(axis=1)
+    term = np.zeros(det.num_frames)
+    np.divide(np.prod(1.0 + counts, axis=1), total, out=term, where=total > 0)
+    return counts, term
+
+
+def class_diversity(det: Detections) -> float:
+    """Class term averaged over frames; frames with no in-gate detections
+    contribute 0."""
     total = 0.0
-    for k, frame in enumerate(s.frames):
-        counts: dict[str, int] = {}
-        n_in = 0
-        for det in frame.detections:
-            if r2 is not None:
-                dx = det.center[0] - ego[k, 0]
-                dy = det.center[1] - ego[k, 1]
-                if dx * dx + dy * dy > r2:
-                    continue
-            n_in += 1
-            counts[det.label] = counts.get(det.label, 0) + 1
-        if n_in == 0:
-            continue
-        term = 1.0
-        for c in counts.values():
-            term *= 1.0 + c
-        total += term / n_in
-    return total / s.num_frames if s.num_frames else 0.0
+    for term in class_counts(det)[1].tolist():  # frame order; np.sum would regroup
+        total += term
+    return total / det.num_frames if det.num_frames else 0.0
 
 
-def spatial_variance(s: Snippet, roi_radius: float | None = None) -> float:
+def spatial_variance(det: Detections) -> float:
     """Population variance of ego-to-actor distances, pooled over all
     (frame, detection) pairs in gate; fewer than 2 samples score 0."""
-    ego = s.ego_xy()
-    r2 = None if roi_radius is None else roi_radius * roi_radius
-    dists = []
-    for k, frame in enumerate(s.frames):
-        for det in frame.detections:
-            dx = det.center[0] - ego[k, 0]
-            dy = det.center[1] - ego[k, 1]
-            d2 = dx * dx + dy * dy
-            if r2 is not None and d2 > r2:
-                continue
-            dists.append(np.sqrt(d2))
+    dists = det.dist[det.in_roi]
     if len(dists) < 2:
         return 0.0
     return float(np.var(dists))
@@ -154,10 +169,10 @@ def actor_path_complexity(tracks: list, K: int = 100) -> tuple:
     return float(np.mean(values)), float(np.max(values))
 
 
-def speed_diversity(s: Snippet, roi_radius: float | None = None) -> float:
+def speed_diversity(tracks: list) -> float:
     """Variance of per-track mean speeds plus the sum of within-track
-    speed variances."""
-    tracks = _roi_tracks(build_track_paths(s, roi_radius))
+    speed variances, over tracks seen in gate at least once."""
+    tracks = _roi_tracks(tracks)
     if not tracks:
         return 0.0
     means = np.array([t.mean_speed for t in tracks])
@@ -166,24 +181,17 @@ def speed_diversity(s: Snippet, roi_radius: float | None = None) -> float:
 
 
 def traffic_features(
-    s: Snippet,
-    roi_radius: float = 75.0,
-    K: int = 100,
-    static_speed: float = STATIC_SPEED,
+    det: Detections, tracks: list, K: int = 100, static_speed: float = STATIC_SPEED
 ) -> TrafficFeatures:
-    tracks = build_track_paths(s, roi_radius)
-    in_roi = _roi_tracks(tracks)
-    static_mean, dynamic_mean = crowdedness(s, roi_radius, static_speed)
-    path_mean, path_max = actor_path_complexity(in_roi, K)
-    means = np.array([t.mean_speed for t in in_roi]) if in_roi else np.zeros(0)
-    inner = sum(float(np.var(t.speeds)) for t in in_roi)
-    speed_div = (float(np.var(means)) + inner) if in_roi else 0.0
+    """All traffic measures from one snippet's detections and their tracks."""
+    static_mean, dynamic_mean = crowdedness(det, tracks, static_speed)
+    path_mean, path_max = actor_path_complexity(_roi_tracks(tracks), K)
     return TrafficFeatures(
         crowd_static=static_mean,
         crowd_dynamic=dynamic_mean,
-        class_div=class_diversity(s, roi_radius),
-        dist_var=spatial_variance(s, roi_radius),
+        class_div=class_diversity(det),
+        dist_var=spatial_variance(det),
         actor_path_mean=path_mean,
         actor_path_max=path_max,
-        speed_div=speed_div,
+        speed_div=speed_diversity(tracks),
     )

@@ -51,7 +51,13 @@ from logcurator.synthgen import (
     generate_pool,
     synth_forecasts,
 )
-from logcurator.traffic import class_diversity, crowdedness, speed_diversity
+from logcurator.traffic import (
+    build_track_paths,
+    class_diversity,
+    crowdedness,
+    detection_arrays,
+    speed_diversity,
+)
 
 import support
 
@@ -197,7 +203,8 @@ def test_02_hand_computed_measure_oracles():
     ]
     per_frame = [tuple(movers[:3] if k % 2 == 0 else movers) for k in range(60)]
     s_crowd = support.drive([(1.0 * k, 0.0) for k in range(60)], detections=per_frame)
-    static, dynamic = crowdedness(s_crowd)
+    det_crowd = detection_arrays(s_crowd)
+    static, dynamic = crowdedness(det_crowd, build_track_paths(det_crowd))
     assert static == 0.0
     assert abs(dynamic - 4.0) <= 1e-12
 
@@ -210,13 +217,13 @@ def test_02_hand_computed_measure_oracles():
     s_mixed = support.drive(
         [(0.1 * k, 0.0) for k in range(60)], detections=support.constant_detections(mixed, 60)
     )
-    assert abs(class_diversity(s_mixed) - 2.0) <= 1e-12
+    assert abs(class_diversity(detection_arrays(s_mixed)) - 2.0) <= 1e-12
 
     cars = tuple(support.make_detection(f"c{i}", "vehicle", (2.0 * i, 5.0)) for i in range(3))
     s_cars = support.drive(
         [(0.1 * k, 0.0) for k in range(60)], detections=support.constant_detections(cars, 60)
     )
-    assert abs(class_diversity(s_cars) - 4.0 / 3.0) <= 1e-12
+    assert abs(class_diversity(detection_arrays(s_cars)) - 4.0 / 3.0) <= 1e-12
 
     # speed spread: steady tracks at 5 and 7 leave only the unit variance of
     # their means; one track sweeping 0, 2, 4 leaves only its inner 8/3
@@ -227,13 +234,13 @@ def test_02_hand_computed_measure_oracles():
     s_two = support.drive(
         [(0.1 * k, 0.0) for k in range(10)], detections=support.constant_detections(steady, 10)
     )
-    assert abs(speed_diversity(s_two) - 1.0) <= 1e-12
+    assert abs(speed_diversity(build_track_paths(detection_arrays(s_two))) - 1.0) <= 1e-12
 
     ramp = [
         (support.make_detection("a", "vehicle", (5.0, 3.0), speed=2.0 * k),) for k in range(3)
     ]
     s_ramp = support.drive([(0.1 * k, 0.0) for k in range(3)], detections=ramp)
-    assert abs(speed_diversity(s_ramp) - 8.0 / 3.0) <= 1e-12
+    assert abs(speed_diversity(build_track_paths(detection_arrays(s_ramp))) - 8.0 / 3.0) <= 1e-12
 
     unit = ForecastEntry("a", 1, (0.0, 0.0), (1.0, 0.0, 1.0))
     assert abs(entry_entropy(unit) - math.log(2.0 * math.pi * math.e)) <= 1e-9

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from logcurator import features
+from logcurator import cli, features
 from logcurator.cli import main
 from logcurator.scene import load_pool
 from logcurator.selection import CurationConfig, validate_result_obj
@@ -189,6 +190,37 @@ class TestCurate:
         assert code == 2
         assert "does not cover the pool" in err
 
+    def damaged_store_error(self, capsys, workspace, tmp_path, damage):
+        feats = str(tmp_path / "feats")
+        assert run(capsys, "score", workspace["pool"], "--out", feats)[0] == 0
+        damage(feats)
+        code, _, err = run(
+            capsys, "curate", workspace["pool"], "--config", workspace["config"],
+            "--out", str(tmp_path / "r.json"), "--features", feats,
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        return err
+
+    def test_store_without_normalization_is_a_domain_error(self, capsys, workspace, tmp_path):
+        def drop_normalization(feats):
+            os.remove(os.path.join(feats, "normalization.json"))
+
+        err = self.damaged_store_error(capsys, workspace, tmp_path, drop_normalization)
+        assert "normalization.json" in err
+
+    def test_store_missing_a_frame_row_is_a_domain_error(self, capsys, workspace, tmp_path):
+        def drop_last_frame_row(feats):
+            path = os.path.join(feats, "frame_features.jsonl")
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines[:-1]) + "\n")
+
+        err = self.damaged_store_error(capsys, workspace, tmp_path, drop_last_frame_row)
+        assert "frame_features.jsonl" in err
+        assert "s0003" in err
+
     def test_config_flag_is_required(self, capsys, workspace, tmp_path):
         code, _, err = run(
             capsys, "curate", workspace["pool"], "--out", str(tmp_path / "r.json")
@@ -302,6 +334,33 @@ class TestReport:
         assert len(lines) == 1 + len(summary["selected"])
         assert os.path.exists(os.path.join(out_dir, "histograms.csv"))
 
+    # recorded from the report writer that opened each CSV directly
+    REPORT_DIGESTS = {
+        "features.csv": "2cafc64d6d903964f24d7aa567c328f5e186bb7e0d3c805a6c170f624cb857df",
+        "histograms.csv": "9cd6d311eb42eb292f2c40c718306b6c014281011ef5a852801c6abedbb515f2",
+        "summary.json": "92ce5b68997570b9ad1a6b63f25f0df68b4e4be62422a57a146ab561b5f0e15c",
+    }
+
+    def test_every_output_is_written_atomically(
+        self, capsys, workspace, tmp_path, result_path, monkeypatch
+    ):
+        written = []
+        real_write = cli.write_atomic
+
+        def recording(path, text):
+            written.append(os.path.basename(path))
+            real_write(path, text)
+
+        monkeypatch.setattr(cli, "write_atomic", recording)
+        out_dir = tmp_path / "report"
+        assert run(capsys, "report", workspace["pool"], result_path, "--out-dir", str(out_dir))[0] == 0
+        assert sorted(written) == sorted(self.REPORT_DIGESTS)
+        got = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out_dir))
+        }
+        assert got == self.REPORT_DIGESTS
+
     def test_reported_means_match_direct_scoring(self, capsys, workspace, tmp_path, result_path):
         out_dir = str(tmp_path / "report")
         assert run(capsys, "report", workspace["pool"], result_path, "--out-dir", out_dir)[0] == 0
@@ -311,7 +370,7 @@ class TestReport:
         cfg = CurationConfig()
         by_id = {s.snippet_id: s for s in pool.snippets}
         rows = [
-            features.assemble_snippet_vector(by_id[sid], pool.scene_map, cfg).values
+            features.compute_snippet_features(by_id[sid], pool.scene_map, cfg)[0].values
             for sid in summary["selected"]
         ]
         want = np.mean(np.stack(rows), axis=0)

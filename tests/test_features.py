@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logcurator import features
+from logcurator import features, traffic
 from logcurator.scene import PoolFormatError, SceneMap, TrafficControl
 from logcurator.selection import CurationConfig
 
@@ -22,9 +22,17 @@ def cruise(snippet_id="s0", log_id="log0", n=60, detections=None, geo=None):
     return drive(pts, snippet_id=snippet_id, log_id=log_id, detections=detections, geo=geo)
 
 
+def snippet_vector(s, m):
+    return features.compute_snippet_features(s, m, CFG)[0]
+
+
+def frame_vectors(s, roi_radius=CFG.roi_radius):
+    return features.assemble_frame_vectors(s, lane_map(), traffic.detection_arrays(s, roi_radius))
+
+
 class TestSnippetVector:
     def test_quiet_drive_scores_zero(self):
-        vec = features.assemble_snippet_vector(cruise(), lane_map(), CFG)
+        vec = snippet_vector(cruise(), lane_map())
         assert vec.valid
         assert vec.values.shape == (features.SNIPPET_DIM,)
         assert np.max(np.abs(vec.values)) < 1e-12
@@ -41,7 +49,7 @@ class TestSnippetVector:
             lanes=(straight_lane(),),
             traffic_controls=(TrafficControl("stop_sign", (5.0, 2.0), ("lane0",)),),
         )
-        vec = features.assemble_snippet_vector(cruise(), m, CFG)
+        vec = snippet_vector(cruise(), m)
         assert vec.values[SIDX["signs"]] == 1.0
         assert vec.values[SIDX["controls_on_route"]] == 1.0
         rest = np.delete(vec.values, [SIDX["signs"], SIDX["controls_on_route"]])
@@ -54,21 +62,21 @@ class TestSnippetVector:
             make_detection("p1", "pedestrian", (-8.0, 6.0)),
         ]
         s = cruise(detections=constant_detections(dets, 60))
-        vec = features.assemble_snippet_vector(s, lane_map(), CFG)
+        vec = snippet_vector(s, lane_map())
         assert vec.values[SIDX["class_div"]] == pytest.approx(2.0, abs=1e-12)
         assert vec.values[SIDX["crowd_static"]] == 3.0
         assert vec.values[SIDX["crowd_dynamic"]] == 0.0
 
     def test_off_lane_drive_is_invalid(self):
         s = drive([(-30.0 + 0.5 * k, 50.0) for k in range(60)])
-        vec = features.assemble_snippet_vector(s, lane_map(), CFG)
+        vec = snippet_vector(s, lane_map())
         assert not vec.valid
 
 
 class TestFrameVectors:
     def test_geo_passes_through_verbatim(self):
         geo = (37.7749, -122.4194)
-        out = features.assemble_frame_vectors(cruise(geo=[geo] * 60), lane_map())
+        out = frame_vectors(cruise(geo=[geo] * 60))
         assert len(out) == 60
         for k, fv in enumerate(out):
             assert fv.frame_index == k
@@ -77,7 +85,7 @@ class TestFrameVectors:
 
     def test_steady_scene_rows_repeat(self):
         dets = constant_detections([make_detection("v1", "vehicle", (0.0, 6.0), 3.0)], 60)
-        mat = features.frame_matrix(features.assemble_frame_vectors(cruise(detections=dets), lane_map()))
+        mat = features.frame_matrix(frame_vectors(cruise(detections=dets)))
         assert mat.shape == (60, features.FRAME_DIM)
         assert np.max(np.abs(mat - mat[0])) < 1e-9
 
@@ -91,7 +99,7 @@ class TestFrameVectors:
             ),
         ]
         s = drive([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], detections=per_frame)
-        mat = features.frame_matrix(features.assemble_frame_vectors(s, lane_map()))
+        mat = features.frame_matrix(frame_vectors(s))
         assert mat[:, FIDX["det_total"]].tolist() == [0.0, 1.0, 2.0]
         assert mat[:, FIDX["det_vehicle"]].tolist() == [0.0, 1.0, 1.0]
         assert mat[:, FIDX["det_pedestrian"]].tolist() == [0.0, 0.0, 1.0]
@@ -100,9 +108,7 @@ class TestFrameVectors:
 
     def test_roi_excludes_far_detections(self):
         dets = constant_detections([make_detection("v1", "vehicle", (500.0, 0.0))], 60)
-        mat = features.frame_matrix(
-            features.assemble_frame_vectors(cruise(detections=dets), lane_map(), roi_radius=75.0)
-        )
+        mat = features.frame_matrix(frame_vectors(cruise(detections=dets), roi_radius=75.0))
         assert np.all(mat[:, FIDX["det_total"]] == 0.0)
 
 
@@ -157,16 +163,15 @@ class TestScorePool:
     def test_rows_sorted_by_snippet_id(self):
         bundle = features.score_pool(self.make_pool(), CFG)
         assert bundle.ids == ["s_busy", "s_quiet"]
-        direct = features.assemble_snippet_vector(
-            cruise("s_quiet", "log0"), lane_map(), CFG
-        )
-        assert np.array_equal(bundle.vector("s_quiet"), direct.values)
+        direct = snippet_vector(cruise("s_quiet", "log0"), lane_map())
+        assert np.array_equal(bundle.matrix[bundle.ids.index("s_quiet")], direct.values)
 
     def test_two_value_column_zscores_exactly(self):
         bundle = features.score_pool(self.make_pool(), CFG)
         col = SIDX["class_div"]
         norm = {
-            sid: bundle.snippet_stats.apply(bundle.vector(sid)) for sid in bundle.ids
+            sid: bundle.snippet_stats.apply(bundle.matrix[bundle.ids.index(sid)])
+            for sid in bundle.ids
         }
         assert norm["s_quiet"][col] == -1.0
         assert norm["s_busy"][col] == 1.0
@@ -177,7 +182,7 @@ class TestScorePool:
         assert bundle.snippet_stats.flagged == tuple(range(features.SNIPPET_DIM))
         for sid in bundle.ids:
             assert np.array_equal(
-                bundle.snippet_stats.apply(bundle.vector(sid)),
+                bundle.snippet_stats.apply(bundle.matrix[bundle.ids.index(sid)]),
                 np.zeros(features.SNIPPET_DIM),
             )
 

@@ -229,24 +229,30 @@ class TestSegmentsIntersect:
         assert geometry.segments_intersect((0, 0), (4, 0), (2, 0), (6, 0))
 
 
+def point_distance(point, poly):
+    dist, _ = geometry.project_points_to_polyline(np.array([point], dtype=float), poly)
+    return float(dist[0])
+
+
 class TestPointDistances:
     def test_point_on_path(self):
         seg = np.array([(-10.0, 0.0), (10.0, 0.0)])
-        assert geometry.point_polyline_distance((3.0, 0.0), seg) == pytest.approx(0.0)
+        assert point_distance((3.0, 0.0), seg) == pytest.approx(0.0)
 
     def test_perpendicular_foot(self):
         seg = np.array([(-10.0, 0.0), (10.0, 0.0)])
-        assert geometry.point_polyline_distance((0.0, 5.0), seg) == pytest.approx(5.0)
+        assert point_distance((0.0, 5.0), seg) == pytest.approx(5.0)
 
     def test_beyond_endpoint(self):
         seg = np.array([(-10.0, 0.0), (10.0, 0.0)])
-        value = geometry.point_polyline_distance((15.0, 5.0), seg)
+        value = point_distance((15.0, 5.0), seg)
         assert value == pytest.approx(np.sqrt(50.0))
 
     def test_min_distance_over_batch(self):
         seg = np.array([(0.0, 0.0), (10.0, 0.0)])
         pts = np.array([(5.0, 7.0), (2.0, 3.0), (20.0, 0.0)])
-        assert geometry.min_distance_to_polyline(pts, seg) == pytest.approx(3.0)
+        dist, _ = geometry.project_points_to_polyline(pts, seg)
+        assert float(np.min(dist)) == pytest.approx(3.0)
 
     def test_projection_arc_position(self):
         corner = np.array([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)])

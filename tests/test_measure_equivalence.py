@@ -1,0 +1,122 @@
+"""The array-based traffic and frame measures against their loop references.
+
+Every comparison is exact (`==`): the measures must keep the float order of
+the per-detection loops, not merely approximate them.
+"""
+
+import numpy as np
+import pytest
+
+import reference_measures as ref
+from logcurator import features, sdv, synthgen, traffic
+from logcurator.scene import DETECTION_CLASSES
+from logcurator.selection import CurationConfig
+
+from support import drive, make_detection
+
+# 75 m keeps every synthetic actor; 15 m drops some and 5 m nearly all
+RADII = (None, 75.0, 15.0, 5.0)
+
+
+def synth_pool(template, plan, seed):
+    spec = synthgen.default_spec(
+        template, plan, seed=seed, n_snippets=4, num_frames=30, jitter=True, bicycle_every=2
+    )
+    return synthgen.generate_pool(spec)[0]
+
+
+POOLS = [(t, "cruise") for t in synthgen.TEMPLATES] + [("four_way_intersection", "turn")]
+
+
+def random_snippet(rng, n_frames=12, n_tracks=7):
+    """Tracks with ids out of sorted order, gaps, mixed classes and speeds."""
+    ids = [f"t{int(i)}" for i in rng.permutation(40)[:n_tracks]]
+    labels = {tid: DETECTION_CLASSES[int(rng.integers(3))] for tid in ids}
+    per_frame = []
+    for _ in range(n_frames):
+        present = [tid for tid in ids if rng.random() < 0.6]
+        rng.shuffle(present)
+        per_frame.append(
+            tuple(
+                make_detection(
+                    tid,
+                    labels[tid],
+                    tuple(rng.normal(scale=8.0, size=2)),
+                    float(rng.choice([0.0, 0.1, rng.uniform(0.0, 12.0)])),
+                )
+                for tid in present
+            )
+        )
+    ego = np.cumsum(rng.normal(scale=0.7, size=(n_frames, 2)), axis=0)
+    return drive(ego, detections=per_frame)
+
+
+def assert_matches_reference(s, m, roi_radius):
+    det = traffic.detection_arrays(s, roi_radius)
+    tracks = traffic.build_track_paths(det)
+
+    rows = ref.track_rows(s, roi_radius)
+    assert [t.track_id for t in tracks] == list(rows)
+    for t, obs in zip(tracks, rows.values()):
+        assert t.label == obs[0][3]
+        assert t.frames.tolist() == [r[0] for r in obs]
+        assert t.positions.tolist() == [list(r[1]) for r in obs]
+        assert t.speeds.tolist() == [r[2] for r in obs]
+        assert t.in_roi.tolist() == [r[4] for r in obs]
+
+    assert traffic.crowdedness(det, tracks) == ref.crowdedness(s, roi_radius)
+    assert traffic.class_diversity(det) == ref.class_diversity(s, roi_radius)
+    assert traffic.spatial_variance(det) == ref.spatial_variance(s, roi_radius)
+    assert traffic.speed_diversity(tracks) == ref.speed_diversity(s, roi_radius)
+
+    mat = features.frame_matrix(features.assemble_frame_vectors(s, m, det))
+    assert np.array_equal(mat[:, :5], ref.frame_class_columns(s, roi_radius))
+    return det
+
+
+@pytest.mark.parametrize("template,plan", POOLS)
+@pytest.mark.parametrize("roi_radius", RADII)
+def test_synth_pools_match_loop_reference(template, plan, roi_radius):
+    pool = synth_pool(template, plan, seed=len(template) + len(plan))
+    kept = dropped = 0
+    for s in pool.snippets:
+        det = assert_matches_reference(s, pool.scene_map, roi_radius)
+        kept += int(np.count_nonzero(det.in_roi))
+        dropped += int(np.count_nonzero(~det.in_roi))
+    assert dropped > 0 if roi_radius in (5.0, 15.0) else dropped == 0
+    if roi_radius != 5.0:
+        assert kept > 0
+
+
+@pytest.mark.parametrize("roi_radius", RADII)
+def test_random_snippets_match_loop_reference(roi_radius):
+    rng = np.random.default_rng(17)
+    m = synth_pool("straight_road", "cruise", 0).scene_map
+    for _ in range(25):
+        assert_matches_reference(random_snippet(rng), m, roi_radius)
+
+
+def test_empty_snippet_matches_loop_reference():
+    s = drive([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    assert_matches_reference(s, synth_pool("straight_road", "cruise", 0).scene_map, 75.0)
+
+
+def test_scoring_builds_tracks_once(monkeypatch):
+    pool = synth_pool("four_way_intersection", "turn", seed=3)
+    calls = {"detection_arrays": 0, "build_track_paths": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrapped_arrays = counted("detection_arrays", traffic.detection_arrays)
+    wrapped_tracks = counted("build_track_paths", traffic.build_track_paths)
+    monkeypatch.setattr(traffic, "detection_arrays", wrapped_arrays)
+    monkeypatch.setattr(sdv, "detection_arrays", wrapped_arrays)
+    monkeypatch.setattr(traffic, "build_track_paths", wrapped_tracks)
+    monkeypatch.setattr(sdv, "build_track_paths", wrapped_tracks)
+    features.compute_snippet_features(pool.snippets[0], pool.scene_map, CurationConfig())
+    assert calls == {"detection_arrays": 1, "build_track_paths": 1}

@@ -16,7 +16,6 @@ from logcurator.selection import (
     overlap_adjacency,
     resolve_weights,
     result_to_obj,
-    score,
     select_challenging,
     select_diverse,
     validate_result_obj,
@@ -52,21 +51,34 @@ def snippet_row(snippet_id, log_id, first=0, n=3):
     )
 
 
+def pick_value(values, weights):
+    """Audit value of a one-snippet, one-task challenging phase."""
+    task = TaskConfig("t", np.asarray(weights, dtype=float), 1)
+    _, audit = select_challenging(["s0"], np.array([values]), np.array([True]), [task], {"s0": set()})
+    return audit[0].value
+
+
 class TestScore:
     def test_zero_weights_score_zero(self):
-        assert score(np.array([5.0, -2.0, 9.0]), np.zeros(3)) == 0.0
+        assert pick_value([5.0, -2.0, 9.0], np.zeros(3)) == 0.0
 
     def test_basis_weight_reads_one_slot(self):
-        v = np.array([5.0, -2.0, 9.0])
-        e1 = np.array([0.0, 1.0, 0.0])
-        assert score(v, e1) == -2.0
+        assert pick_value([5.0, -2.0, 9.0], [0.0, 1.0, 0.0]) == -2.0
 
     def test_weighted_sum(self):
-        assert score(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, 1.0])) == 3.5
+        assert pick_value([1.0, 2.0, 3.0], [0.5, 0.0, 1.0]) == 3.5
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            score(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+    def test_audit_values_are_row_dot_weights(self):
+        rng = np.random.default_rng(3)
+        ids = [f"s{i:02d}" for i in range(12)]
+        matrix = rng.normal(size=(12, SNIPPET_DIM))
+        tasks = [TaskConfig(f"t{j}", rng.normal(size=SNIPPET_DIM), 3) for j in range(2)]
+        weights = {t.name: t.weights for t in tasks}
+        adjacency = {sid: set() for sid in ids}
+        _, audit = select_challenging(ids, matrix, np.ones(12, dtype=bool), tasks, adjacency)
+        assert len(audit) == 6
+        for e in audit:
+            assert e.value == float(matrix[ids.index(e.snippet_id)] @ weights[e.task])
 
 
 class TestWeightsAndConfig:
@@ -97,6 +109,12 @@ class TestWeightsAndConfig:
         assert cfg.k_div == 0
         assert cfg.normalization == "zscore"
         assert cfg.dissimilarity == "directed"
+
+    def test_scalars_take_their_field_types(self):
+        cfg = config_from_obj({"k_div": 3.0, "roi_radius": 50, "normalization": "none"})
+        assert cfg.k_div == 3 and type(cfg.k_div) is int
+        assert cfg.roi_radius == 50.0 and type(cfg.roi_radius) is float
+        assert cfg.normalization == "none"
 
     def test_round_trip_preserves_config(self):
         obj = {
@@ -131,6 +149,13 @@ class TestWeightsAndConfig:
             ({"resample_points": 2}, "resample_points"),
             ({"normalization": "minmax"}, "normalization"),
             ({"dissimilarity": "hausdorff"}, "dissimilarity"),
+            ({"k_div": 2.7}, "'k_div' must be an integer"),
+            ({"tasks": [{"name": "t", "weights": {}, "budget": True}]}, "budget"),
+            ({"horizon": float("nan")}, "'horizon' must be finite"),
+            ({"kdiv": 3}, "unknown config field.*'kdiv'"),
+            ({"seed": True}, "'seed' must be a number"),
+            ({"roi_radius": "75"}, "'roi_radius' must be a number"),
+            ({"normalization": 1}, "'normalization' must be a string"),
         ],
     )
     def test_malformed_configs_rejected(self, obj, msg):

@@ -31,7 +31,7 @@ def quiet_spec(**overrides):
 
 def measure(pool, snippet_id):
     s = next(x for x in pool.snippets if x.snippet_id == snippet_id)
-    vec = features.assemble_snippet_vector(s, pool.scene_map, CurationConfig())
+    vec, _ = features.compute_snippet_features(s, pool.scene_map, CurationConfig())
     return vec, dict(zip(features.SNIPPET_FEATURE_NAMES, vec.values))
 
 

@@ -18,25 +18,46 @@ def snippet_with(det_lists, sid="s0"):
     return drive(ego, sid, detections=det_lists)
 
 
+def tracks_of(s):
+    return traffic.build_track_paths(traffic.detection_arrays(s))
+
+
+def crowdedness(s, roi_radius=None):
+    det = traffic.detection_arrays(s, roi_radius)
+    return traffic.crowdedness(det, traffic.build_track_paths(det))
+
+
+def class_diversity(s):
+    return traffic.class_diversity(traffic.detection_arrays(s))
+
+
+def spatial_variance(s):
+    return traffic.spatial_variance(traffic.detection_arrays(s))
+
+
+def speed_diversity(s):
+    return traffic.speed_diversity(tracks_of(s))
+
+
 class TestCrowdedness:
     def test_two_frame_mean(self):
         f0 = tuple(make_detection(f"t{i}", VEH, (float(i), 2.0), 2.0) for i in range(3))
         f1 = tuple(make_detection(f"t{i}", VEH, (float(i), 2.0), 2.0) for i in range(5))
-        out = traffic.crowdedness(snippet_with([f0, f1]))
+        out = crowdedness(snippet_with([f0, f1]))
         assert out == (0.0, 4.0)
 
     def test_empty_scene(self):
-        assert traffic.crowdedness(snippet_with([(), ()])) == (0.0, 0.0)
+        assert crowdedness(snippet_with([(), ()])) == (0.0, 0.0)
 
     def test_slow_actor_counts_static(self):
         dets = constant_detections(
             [make_detection("t0", VEH, (3.0, 0.0), 0.4)], 2
         )
-        assert traffic.crowdedness(snippet_with(dets)) == (1.0, 0.0)
+        assert crowdedness(snippet_with(dets)) == (1.0, 0.0)
 
     def test_threshold_is_strict(self):
         dets = constant_detections([make_detection("t0", VEH, (3.0, 0.0), 0.5)], 2)
-        assert traffic.crowdedness(snippet_with(dets)) == (0.0, 1.0)
+        assert crowdedness(snippet_with(dets)) == (0.0, 1.0)
 
     def test_split_uses_track_mean_speed(self):
         # instantaneous speeds straddle 0.5 but the mean is 0.45: static
@@ -44,21 +65,21 @@ class TestCrowdedness:
             (make_detection("t0", VEH, (3.0, 0.0), 0.8),),
             (make_detection("t0", VEH, (3.1, 0.0), 0.1),),
         ]
-        assert traffic.crowdedness(snippet_with(frames)) == (1.0, 0.0)
+        assert crowdedness(snippet_with(frames)) == (1.0, 0.0)
 
     def test_duplicating_frames_keeps_means(self):
         f0 = tuple(make_detection(f"t{i}", VEH, (float(i), 2.0), 2.0) for i in range(3))
         f1 = tuple(make_detection(f"t{i}", VEH, (float(i), 2.0), 2.0) for i in range(5))
-        once = traffic.crowdedness(snippet_with([f0, f1]))
-        doubled = traffic.crowdedness(snippet_with([f0, f0, f1, f1]))
+        once = crowdedness(snippet_with([f0, f1]))
+        doubled = crowdedness(snippet_with([f0, f0, f1, f1]))
         assert once == doubled
 
     def test_roi_excludes_far_actors(self):
         near = make_detection("t0", VEH, (10.0, 0.0), 3.0)
         far = make_detection("t1", VEH, (200.0, 0.0), 3.0)
         s = snippet_with(constant_detections([near, far], 2))
-        assert traffic.crowdedness(s, roi_radius=75.0) == (0.0, 1.0)
-        assert traffic.crowdedness(s, roi_radius=None) == (0.0, 2.0)
+        assert crowdedness(s, roi_radius=75.0) == (0.0, 1.0)
+        assert crowdedness(s, roi_radius=None) == (0.0, 2.0)
 
     def test_split_sums_to_total_presence(self):
         frames = [
@@ -69,7 +90,7 @@ class TestCrowdedness:
             (make_detection("fast", VEH, (6.4, 0.0), 4.0),),
         ]
         s = snippet_with(frames)
-        static, dynamic = traffic.crowdedness(s)
+        static, dynamic = crowdedness(s)
         assert static + dynamic == pytest.approx(1.5, abs=0)
 
 
@@ -80,12 +101,12 @@ class TestClassDiversity:
             make_detection("b", VEH, (2.0, 0.0)),
             make_detection("c", PED, (3.0, 0.0)),
         )
-        out = traffic.class_diversity(snippet_with([dets]))
+        out = class_diversity(snippet_with([dets]))
         assert out == pytest.approx(2.0, abs=1e-12)
 
     def test_single_class_frame(self):
         dets = tuple(make_detection(f"t{i}", VEH, (float(i), 0.0)) for i in range(3))
-        out = traffic.class_diversity(snippet_with([dets]))
+        out = class_diversity(snippet_with([dets]))
         assert out == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_empty_frame_contributes_zero(self):
@@ -94,14 +115,14 @@ class TestClassDiversity:
             make_detection("b", VEH, (2.0, 0.0)),
             make_detection("c", PED, (3.0, 0.0)),
         )
-        out = traffic.class_diversity(snippet_with([dets, ()]))
+        out = class_diversity(snippet_with([dets, ()]))
         assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_new_class_raises_term(self):
         vehicles = tuple(make_detection(f"t{i}", VEH, (float(i), 0.0)) for i in range(3))
         with_ped = vehicles + (make_detection("p", PED, (5.0, 0.0)),)
-        low = traffic.class_diversity(snippet_with([vehicles]))
-        high = traffic.class_diversity(snippet_with([with_ped]))
+        low = class_diversity(snippet_with([vehicles]))
+        high = class_diversity(snippet_with([with_ped]))
         assert high == pytest.approx(2.0, abs=1e-12)
         assert high > low
 
@@ -111,8 +132,8 @@ class TestClassDiversity:
             make_detection("b", PED, (2.0, 0.0)),
             make_detection("c", "bicyclist", (3.0, 0.0)),
         ]
-        out1 = traffic.class_diversity(snippet_with([tuple(dets)]))
-        out2 = traffic.class_diversity(snippet_with([tuple(reversed(dets))]))
+        out1 = class_diversity(snippet_with([tuple(dets)]))
+        out2 = class_diversity(snippet_with([tuple(reversed(dets))]))
         assert out1 == out2
 
 
@@ -122,26 +143,26 @@ class TestSpatialVariance:
             make_detection("a", VEH, (10.0, 0.0)),
             make_detection("b", VEH, (0.0, 10.0)),
         )
-        assert traffic.spatial_variance(snippet_with([dets])) == 0.0
+        assert spatial_variance(snippet_with([dets])) == 0.0
 
     def test_two_distances(self):
         dets = (
             make_detection("a", VEH, (5.0, 0.0)),
             make_detection("b", VEH, (15.0, 0.0)),
         )
-        assert traffic.spatial_variance(snippet_with([dets])) == pytest.approx(
+        assert spatial_variance(snippet_with([dets])) == pytest.approx(
             25.0, abs=1e-9
         )
 
     def test_no_actors(self):
-        assert traffic.spatial_variance(snippet_with([(), ()])) == 0.0
+        assert spatial_variance(snippet_with([(), ()])) == 0.0
 
     def test_pooled_over_frames(self):
         frames = [
             (make_detection("a", VEH, (5.0, 0.0)),),
             (make_detection("a", VEH, (15.0, 0.0)),),
         ]
-        assert traffic.spatial_variance(snippet_with(frames)) == pytest.approx(
+        assert spatial_variance(snippet_with(frames)) == pytest.approx(
             25.0, abs=1e-9
         )
 
@@ -152,7 +173,7 @@ class TestActorPaths:
         frames = [
             (make_detection("t0", VEH, p, 3.0),) for p in positions
         ]
-        tracks = traffic.build_track_paths(snippet_with(frames))
+        tracks = tracks_of(snippet_with(frames))
         assert traffic.actor_path_complexity(tracks) == (0.0, 0.0)
 
     def test_circle_track_mean_and_max(self):
@@ -165,14 +186,14 @@ class TestActorPaths:
             )
             for k in range(100)
         ]
-        tracks = traffic.build_track_paths(snippet_with(frames))
+        tracks = tracks_of(snippet_with(frames))
         mean, peak = traffic.actor_path_complexity(tracks)
         assert peak == pytest.approx(0.05, abs=2e-3)
         assert mean == pytest.approx(0.025, abs=2e-3)
 
     def test_stationary_actor_skipped(self):
         frames = constant_detections([make_detection("t0", VEH, (5.0, 5.0), 0.0)], 10)
-        tracks = traffic.build_track_paths(snippet_with(frames))
+        tracks = tracks_of(snippet_with(frames))
         assert traffic.actor_path_complexity(tracks) == (0.0, 0.0)
 
     def test_two_point_track_skipped(self):
@@ -180,7 +201,7 @@ class TestActorPaths:
             (make_detection("t0", VEH, (0.0, 2.0), 1.0),),
             (make_detection("t0", VEH, (1.0, 2.0), 1.0),),
         ]
-        tracks = traffic.build_track_paths(snippet_with(frames))
+        tracks = tracks_of(snippet_with(frames))
         assert traffic.actor_path_complexity(tracks) == (0.0, 0.0)
 
 
@@ -193,22 +214,22 @@ class TestSpeedDiversity:
             ],
             3,
         )
-        out = traffic.speed_diversity(snippet_with(frames))
+        out = speed_diversity(snippet_with(frames))
         assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_single_varying_actor(self):
         frames = [
             (make_detection("a", VEH, (3.0, 0.0), v),) for v in (0.0, 2.0, 4.0)
         ]
-        out = traffic.speed_diversity(snippet_with(frames))
+        out = speed_diversity(snippet_with(frames))
         assert out == pytest.approx(8.0 / 3.0, abs=1e-12)
 
     def test_single_constant_actor(self):
         frames = constant_detections([make_detection("a", VEH, (3.0, 0.0), 2.0)], 4)
-        assert traffic.speed_diversity(snippet_with(frames)) == 0.0
+        assert speed_diversity(snippet_with(frames)) == 0.0
 
     def test_no_actors(self):
-        assert traffic.speed_diversity(snippet_with([(), ()])) == 0.0
+        assert speed_diversity(snippet_with([(), ()])) == 0.0
 
     def test_relabel_and_reverse_invariance(self):
         speeds_a = (1.0, 2.0, 3.0)
@@ -222,7 +243,7 @@ class TestSpeedDiversity:
                 )
                 for k in order
             ]
-            return traffic.speed_diversity(snippet_with(frames))
+            return speed_diversity(snippet_with(frames))
 
         base = build(("a", "b"), (0, 1, 2))
         assert build(("x9", "q2"), (0, 1, 2)) == base
@@ -238,9 +259,10 @@ def test_traffic_features_bundles_consistently():
         4,
     )
     s = snippet_with(frames)
-    out = traffic.traffic_features(s)
+    det = traffic.detection_arrays(s, 75.0)
+    out = traffic.traffic_features(det, traffic.build_track_paths(det))
     assert out.crowd_static == 1.0
     assert out.crowd_dynamic == 1.0
     assert out.class_div == pytest.approx(2.0, abs=1e-12)
-    assert out.speed_div == pytest.approx(traffic.speed_diversity(s), abs=0)
-    assert out.dist_var == pytest.approx(traffic.spatial_variance(s), abs=0)
+    assert out.speed_div == pytest.approx(speed_diversity(s), abs=0)
+    assert out.dist_var == pytest.approx(spatial_variance(s), abs=0)
