@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import canonical_dumps
-from .selection import AuditEntry, CurationResult
+from .selection import AuditEntry, CurationResult, take_pick
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
 
@@ -111,15 +111,13 @@ def load_forecasts(path: str) -> dict:
 def _walk(order, adjacency, k, audit_maker):
     picked = []
     audit = []
-    blocked = set()
+    alive = set(order)
     for sid in order:
         if len(picked) >= k:
             break
-        if sid in blocked:
+        if sid not in alive:
             continue
-        eliminated = tuple(sorted(adjacency.get(sid, set()) - blocked - {sid}))
-        blocked.add(sid)
-        blocked |= adjacency.get(sid, set())
+        eliminated = take_pick(sid, alive, adjacency)
         audit.append(audit_maker(len(picked), sid, eliminated))
         picked.append(sid)
     return picked, audit

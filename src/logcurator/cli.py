@@ -174,13 +174,13 @@ def baseline(pool_path, method, k, seed, forecasts_path, out_path):
         click.echo(f"warning: {warning}", err=True)
 
 
-def _label_stats(snippets, cfg):
+def _label_stats(snippets, track_sets, static_speed):
     counts = {}
     total_frames = 0
-    for s in snippets:
+    for s, tracks in zip(snippets, track_sets):
         total_frames += s.num_frames
-        for t in build_track_paths(detection_arrays(s, cfg.roi_radius)):
-            motion = "static" if t.is_static(cfg.static_speed) else "dynamic"
+        for t in tracks:
+            motion = "static" if t.is_static(static_speed) else "dynamic"
             n_in = int(np.count_nonzero(t.in_roi))
             key = (t.label, motion)
             counts[key] = counts.get(key, 0) + n_in
@@ -239,9 +239,13 @@ def report(pool_path, result_path, out_dir, config_path):
 
     index = MapIndex(pool.scene_map)
     rows = []
+    track_sets = []
     for s in snippets:
-        vec, _ = features.compute_snippet_features(s, pool.scene_map, cfg, index=index)
+        det = detection_arrays(s, cfg.roi_radius)
+        tracks = build_track_paths(det)
+        vec, _ = features.compute_snippet_features(s, pool.scene_map, cfg, index, det, tracks)
         rows.append(vec.values)
+        track_sets.append(tracks)
     matrix = np.stack(rows) if rows else np.zeros((0, features.SNIPPET_DIM))
 
     names = [name for name, _ in features.SNIPPET_FEATURES]
@@ -250,7 +254,7 @@ def report(pool_path, result_path, out_dir, config_path):
         "kind": "curation_report",
         "method": obj["method"],
         "selected": sorted(chosen),
-        "label_stats": _label_stats(snippets, cfg),
+        "label_stats": _label_stats(snippets, track_sets, cfg.static_speed),
         "features": [
             {
                 "name": names[i],

@@ -178,17 +178,30 @@ def frame_matrix(frame_features: list) -> np.ndarray:
     return np.stack([f.values for f in frame_features])
 
 
-def compute_snippet_features(s: Snippet, m: SceneMap, config, index: MapIndex | None = None):
+def compute_snippet_features(
+    s: Snippet,
+    m: SceneMap,
+    config,
+    index: MapIndex | None = None,
+    det: Detections | None = None,
+    tracks: list | None = None,
+):
     """(FeatureVector, frame matrix) for one snippet.
 
     The snippet's detections are read and gated once; the traffic, SDV and
-    frame measures all reduce over that one set of arrays and tracks.
+    frame measures all reduce over that one set of arrays and tracks, and
+    the ROI lane gate and the route match over one ego-to-lane table.
+    A caller that already holds the detection arrays (gated at
+    `config.roi_radius`) and their tracks passes them as `det` and `tracks`.
     """
     if index is None:
         index = MapIndex(m)
-    det = traffic.detection_arrays(s, config.roi_radius)
-    tracks = traffic.build_track_paths(det)
-    inf = infra_features(s, m, config.roi_radius, config.resample_points, index=index)
+    if det is None:
+        det = traffic.detection_arrays(s, config.roi_radius)
+    if tracks is None:
+        tracks = traffic.build_track_paths(det)
+    ego_table = index.project_to_lanes(s.ego_xy(), range(len(index.lane_pts)))
+    inf = infra_features(s, m, config.roi_radius, config.resample_points, index, ego_table)
     tra = traffic_features(det, tracks, config.resample_points, config.static_speed)
     sdv = sdv_features(
         s,
@@ -206,6 +219,7 @@ def compute_snippet_features(s: Snippet, m: SceneMap, config, index: MapIndex | 
         static_speed=config.static_speed,
         index=index,
         tracks=tracks,
+        ego_table=ego_table,
     )
     values = np.array(
         [
@@ -376,18 +390,31 @@ def read_features(directory: str) -> FeatureBundle:
     def jsonl(text):
         return [json.loads(ln) for ln in text.splitlines() if ln.strip()]
 
+    snippet_path = os.path.join(directory, "snippet_features.jsonl")
+
+    def snippet_row(row, r):
+        """(snippet_id, valid, values) of one snippet row, checked."""
+        sid = r.get("snippet_id") if isinstance(r, dict) else None
+        where = f"feature file {snippet_path} row {row}, snippet {sid!r}"
+        if not isinstance(sid, str) or not isinstance(r.get("valid"), bool):
+            raise PoolFormatError(f"{where}: needs a string snippet_id and a boolean valid")
+        try:
+            values = np.array(r["values"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            values = None
+        if values is None or values.shape != (SNIPPET_DIM,) or not np.all(np.isfinite(values)):
+            raise PoolFormatError(f"{where}: values must be {SNIPPET_DIM} finite numbers")
+        return sid, r["valid"], values
+
     srows = load("snippet_features.jsonl", jsonl)
     if not srows or srows[0].get("kind") != "snippet_features_header":
         raise PoolFormatError("snippet_features.jsonl must start with its header")
     if tuple(srows[0].get("names", ())) != SNIPPET_FEATURE_NAMES:
         raise PoolFormatError("snippet feature schema does not match this build")
-    ids = [r["snippet_id"] for r in srows[1:]]
-    matrix = (
-        np.array([r["values"] for r in srows[1:]], dtype=float)
-        if len(srows) > 1
-        else np.zeros((0, SNIPPET_DIM))
-    )
-    valid = np.array([bool(r["valid"]) for r in srows[1:]], dtype=bool)
+    rows = [snippet_row(row, r) for row, r in enumerate(srows[1:], start=2)]
+    ids = [sid for sid, _, _ in rows]
+    matrix = np.stack([values for _, _, values in rows]) if rows else np.zeros((0, SNIPPET_DIM))
+    valid = np.array([ok for _, ok, _ in rows], dtype=bool)
 
     frows = load("frame_features.jsonl", jsonl)
     if not frows or frows[0].get("kind") != "frame_features_header":

@@ -31,16 +31,6 @@ class InfraFeatures:
     height_var: float
 
 
-def _included_lanes(index: MapIndex, ego: np.ndarray, radius: float) -> np.ndarray:
-    mask = np.zeros(len(index.lane_pts), dtype=bool)
-    for i, pts in enumerate(index.lane_pts):
-        if len(pts) == 0:
-            continue
-        dist, _ = geometry.project_points_to_polyline(ego, pts, index.lane_cumlen[i])
-        mask[i] = bool(np.min(dist) <= radius)
-    return mask
-
-
 def _polygon_in_roi(poly: np.ndarray, ego: np.ndarray, radius: float) -> bool:
     if np.any(geometry.points_in_polygon(ego, poly)):
         return True
@@ -55,11 +45,15 @@ def infra_features(
     roi_radius: float = 75.0,
     K: int = 100,
     index: MapIndex | None = None,
+    ego_table: tuple | None = None,
 ) -> InfraFeatures:
+    """`ego_table`: `index.project_to_lanes(ego, every lane)`, built if None."""
     if index is None:
         index = MapIndex(m)
     ego = s.ego_xy()
-    lane_in = _included_lanes(index, ego, roi_radius)
+    if ego_table is None:
+        ego_table = index.project_to_lanes(ego, range(len(index.lane_pts)))
+    lane_in = np.min(ego_table[0], axis=1) <= roi_radius
     vehicle_in = lane_in & ~index.lane_is_bike
     bike_in = lane_in & index.lane_is_bike
     curves = index.lane_curve_complexity(K)

@@ -586,8 +586,13 @@ class MapIndex:
         w = self.scene_map.lanes[index].width
         return fallback if w is None else w
 
-    def points_to_lane(self, points: np.ndarray, index: int):
-        """Distance and arc position of each point against one lane."""
-        return geometry.project_points_to_polyline(
-            points, self.lane_pts[index], self.lane_cumlen[index]
-        )
+    def project_to_lanes(self, points: np.ndarray, lanes) -> tuple:
+        """(len(lanes), N) distance and arc-position tables of every point
+        against every listed lane: the only projection onto lane centerlines."""
+        dist = np.empty((len(lanes), len(points)))
+        arc = np.empty_like(dist)
+        for row, li in enumerate(lanes):
+            dist[row], arc[row] = geometry.project_points_to_polyline(
+                points, self.lane_pts[li], self.lane_cumlen[li]
+            )
+        return dist, arc

@@ -49,12 +49,21 @@ class SdvFeatures:
     valid: bool
 
 
+def nearest_lane(dist: np.ndarray, arc: np.ndarray, lanes) -> tuple:
+    """(lane, lateral, arc) of the nearest listed lane per point, first on ties."""
+    best = np.argmin(dist, axis=0)
+    cols = np.arange(dist.shape[1])
+    return np.array(lanes, dtype=int)[best], dist[best, cols], arc[best, cols]
+
+
 def match_route(
     s: Snippet,
     index: MapIndex,
     gate: float = MAP_MATCH_GATE,
     min_frac: float = MAP_MATCH_MIN_FRAC,
+    ego_table: tuple | None = None,
 ) -> RouteMatch:
+    """Nearest vehicle lane per ego pose; `ego_table` as in `infra_features`."""
     ego = s.ego_xy()
     n = len(ego)
     veh = index.vehicle_indices
@@ -68,15 +77,10 @@ def match_route(
             (),
             (),
         )
-    dists = np.empty((len(veh), n))
-    arcs = np.empty((len(veh), n))
-    for row, li in enumerate(veh):
-        dists[row], arcs[row] = index.points_to_lane(ego, li)
-    best = np.argmin(dists, axis=0)
-    rows = np.arange(n)
-    lateral = dists[best, rows]
-    arc = arcs[best, rows]
-    assignments = np.array(veh, dtype=int)[best]
+    if ego_table is None:
+        ego_table = index.project_to_lanes(ego, range(len(index.lane_pts)))
+    dist, arc = ego_table
+    assignments, lateral, arc = nearest_lane(dist[veh], arc[veh], veh)
     frac = float(np.mean(lateral <= gate))
     runs = []
     start = 0
@@ -221,7 +225,7 @@ def interactions(
     for t in vehicles:
         for li in conflict:
             half = 0.5 * index.lane_width(li, lane_width_fallback)
-            dist, _ = index.points_to_lane(t.positions, li)
+            dist, _ = index.project_to_lanes(t.positions, [li])
             if float(np.min(dist)) <= half:
                 traversing.add(t.track_id)
                 break
@@ -233,15 +237,8 @@ def interactions(
         for t in vehicles:
             if t.track_id in traversing:
                 continue
-            dists = np.empty((len(veh_lanes), len(t.positions)))
-            arcs = np.empty_like(dists)
-            for row, li in enumerate(veh_lanes):
-                dists[row], arcs[row] = index.points_to_lane(t.positions, li)
-            best = np.argmin(dists, axis=0)
-            cols = np.arange(len(t.positions))
-            lat = dists[best, cols]
-            arc = arcs[best, cols]
-            lanes = np.array(veh_lanes, dtype=int)[best]
+            dist, arc = index.project_to_lanes(t.positions, veh_lanes)
+            lanes, lat, arc = nearest_lane(dist, arc, veh_lanes)
             ok = lat <= gate
             dist_to_entry = np.where(
                 np.isfinite(reach[lanes]), np.maximum(reach[lanes] - arc, 0.0), np.inf
@@ -336,12 +333,13 @@ def sdv_features(
     static_speed: float = STATIC_SPEED,
     index: MapIndex | None = None,
     tracks: list | None = None,
+    ego_table: tuple | None = None,
 ) -> SdvFeatures:
     if index is None:
         index = MapIndex(m)
     if tracks is None:
         tracks = build_track_paths(detection_arrays(s))
-    match = match_route(s, index, gate, min_frac)
+    match = match_route(s, index, gate, min_frac, ego_table=ego_table)
     lane_changes, turns, controls = route_events(
         s, m, lane_change_min_frames, gate, index=index, match=match
     )

@@ -97,9 +97,12 @@ def config_from_obj(obj) -> CurationConfig:
     unknown = sorted(set(obj) - CONFIG_FIELDS.keys())
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(map(repr, unknown))}")
+    task_objs = obj.get("tasks", [])
+    if not isinstance(task_objs, list) or not all(isinstance(t, dict) for t in task_objs):
+        raise ConfigError(f"config field 'tasks' must be a list of objects, got {task_objs!r}")
     tasks = []
     names = set()
-    for t in obj.get("tasks", []):
+    for t in task_objs:
         try:
             name = str(t["name"])
             budget = t["budget"]
@@ -276,6 +279,15 @@ def overlap_adjacency(snippets) -> dict:
     return adj
 
 
+def take_pick(pick, alive: set, adjacency) -> tuple:
+    """The one non-overlap rule: discard `pick` from `alive`, then remove
+    and return (sorted) the still-alive snippets that overlap it."""
+    alive.discard(pick)
+    eliminated = tuple(sorted(alive & adjacency.get(pick, set())))
+    alive.difference_update(eliminated)
+    return eliminated
+
+
 def select_challenging(ids, matrix, valid, tasks, adjacency):
     """Greedy round-robin task picks; returns (per-task id lists, audit)."""
     alive = {sid for sid, ok in zip(ids, valid) if ok}
@@ -293,9 +305,7 @@ def select_challenging(ids, matrix, valid, tasks, adjacency):
             scores = np.array([matrix[index_of[sid]] @ t.weights for sid in cand])
             best = int(np.argmax(scores))
             pick = cand[best]
-            alive.discard(pick)
-            eliminated = tuple(sorted(alive & adjacency[pick]))
-            alive -= adjacency[pick]
+            eliminated = take_pick(pick, alive, adjacency)
             picked[t.name].append(pick)
             remaining[t.name] -= 1
             audit.append(
@@ -344,9 +354,7 @@ def select_diverse(ids, frame_mats, valid, selected, k_div, adjacency, directed,
             pick = cand[best]
             value = float(dists[best])
             is_seed = False
-        alive.discard(pick)
-        eliminated = tuple(sorted(alive & adjacency[pick]))
-        alive -= adjacency[pick]
+        eliminated = take_pick(pick, alive, adjacency)
         mindist.pop(pick, None)
         for sid in list(mindist):
             if sid not in alive:

@@ -1,13 +1,18 @@
-"""Per-detection loop versions of the traffic and frame-count measures.
+"""Loop versions of the traffic, frame-count and lane-projection measures.
 
-These walk `Snippet.frames[*].detections` directly, one measure at a time,
-exactly as the measures were first written. The library computes the same
-values as reductions over one set of flat detection arrays; the equivalence
-tests compare the two bit for bit.
+The traffic and frame measures walk `Snippet.frames[*].detections` directly,
+one measure at a time, exactly as they were first written. The lane measures
+project each point set onto one lane centerline at a time: the ROI lane
+gate and the ego route match each project the ego onto every lane, and the
+reachability check projects each vehicle track onto every vehicle lane. The
+library computes the same values as reductions over one set of flat
+detection arrays and one lane-projection table per point set; the
+equivalence tests compare the two bit for bit.
 """
 
 import numpy as np
 
+from logcurator import geometry, sdv
 from logcurator.traffic import STATIC_SPEED
 
 FRAME_CLASSES = ("vehicle", "pedestrian", "bicyclist")
@@ -125,3 +130,103 @@ def frame_class_columns(s, roi_radius=None):
             term = 0.0
         out.append([float(total)] + [float(counts[c]) for c in FRAME_CLASSES] + [term])
     return np.array(out, dtype=float).reshape(-1, 5)
+
+
+def included_lanes(index, ego, radius):
+    """ROI lane mask: lanes with some ego pose within `radius`."""
+    mask = np.zeros(len(index.lane_pts), dtype=bool)
+    for i, pts in enumerate(index.lane_pts):
+        if len(pts) == 0:
+            continue
+        dist, _ = geometry.project_points_to_polyline(ego, pts, index.lane_cumlen[i])
+        mask[i] = bool(np.min(dist) <= radius)
+    return mask
+
+
+def _nearest_vehicle_lane(index, points):
+    veh = index.vehicle_indices
+    dists = np.empty((len(veh), len(points)))
+    arcs = np.empty_like(dists)
+    for row, li in enumerate(veh):
+        dists[row], arcs[row] = geometry.project_points_to_polyline(
+            points, index.lane_pts[li], index.lane_cumlen[li]
+        )
+    best = np.argmin(dists, axis=0)
+    cols = np.arange(len(points))
+    return np.array(veh, dtype=int)[best], dists[best, cols], arcs[best, cols]
+
+
+def match_route(s, index, gate=sdv.MAP_MATCH_GATE, min_frac=sdv.MAP_MATCH_MIN_FRAC):
+    ego = s.ego_xy()
+    n = len(ego)
+    if not index.vehicle_indices:
+        return sdv.RouteMatch(
+            np.full(n, -1, dtype=int), np.full(n, np.inf), np.zeros(n), 0.0, False, (), ()
+        )
+    assignments, lateral, arc = _nearest_vehicle_lane(index, ego)
+    frac = float(np.mean(lateral <= gate))
+    runs = []
+    start = 0
+    for t in range(1, n + 1):
+        if t == n or assignments[t] != assignments[start]:
+            runs.append((int(assignments[start]), start, t))
+            start = t
+    traversed = []
+    for lane_idx, _, _ in runs:
+        if lane_idx not in traversed:
+            traversed.append(lane_idx)
+    return sdv.RouteMatch(
+        assignments, lateral, arc, frac, frac >= min_frac, tuple(runs), tuple(traversed)
+    )
+
+
+def interactions(
+    s,
+    index,
+    tracks,
+    near_dist=10.0,
+    horizon=5.0,
+    gate=sdv.MAP_MATCH_GATE,
+    lane_width_fallback=3.6,
+    static_speed=STATIC_SPEED,
+):
+    """(near_static, near_dynamic, conflict_traversals, conflict_reachable)."""
+    match = match_route(s, index, gate)
+    ego_path = geometry.dedupe_points(s.ego_xy())
+    near_static = 0
+    near_dynamic = 0
+    for t in tracks:
+        dist, _ = geometry.project_points_to_polyline(t.positions, ego_path)
+        if float(np.min(dist)) < near_dist:
+            if t.is_static(static_speed):
+                near_static += 1
+            else:
+                near_dynamic += 1
+
+    conflict = sdv._conflict_lanes(index, match.traversed)
+    traversing = set()
+    vehicles = [t for t in tracks if t.label == "vehicle"]
+    for t in vehicles:
+        for li in conflict:
+            half = 0.5 * index.lane_width(li, lane_width_fallback)
+            dist, _ = geometry.project_points_to_polyline(
+                t.positions, index.lane_pts[li], index.lane_cumlen[li]
+            )
+            if float(np.min(dist)) <= half:
+                traversing.add(t.track_id)
+                break
+
+    reachable = 0
+    if conflict and index.vehicle_indices:
+        reach = sdv._entry_distances(index, conflict)
+        for t in vehicles:
+            if t.track_id in traversing:
+                continue
+            lanes, lat, arc = _nearest_vehicle_lane(index, t.positions)
+            ok = lat <= gate
+            dist_to_entry = np.where(
+                np.isfinite(reach[lanes]), np.maximum(reach[lanes] - arc, 0.0), np.inf
+            )
+            if bool(np.any(ok & (t.speeds * horizon >= dist_to_entry))):
+                reachable += 1
+    return near_static, near_dynamic, len(traversing), reachable

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from logcurator import cli, features
+from logcurator import cli, features, sdv, traffic
 from logcurator.cli import main
 from logcurator.scene import load_pool
 from logcurator.selection import CurationConfig, validate_result_obj
@@ -221,6 +221,32 @@ class TestCurate:
         assert "frame_features.jsonl" in err
         assert "s0003" in err
 
+    @pytest.mark.parametrize(
+        "damage,named",
+        [
+            (lambda row: row.pop("values"), "s0003"),
+            (lambda row: row["values"].pop(), "s0003"),
+            (lambda row: row["values"].__setitem__(0, float("nan")), "s0003"),
+            (lambda row: row.pop("valid"), "s0003"),
+            (lambda row: row.pop("snippet_id"), "row 5"),
+        ],
+        ids=["no_values", "short_values", "nan_value", "no_valid", "no_snippet_id"],
+    )
+    def test_bad_snippet_row_is_a_domain_error(self, capsys, workspace, tmp_path, damage, named):
+        def damage_last_snippet_row(feats):
+            path = os.path.join(feats, "snippet_features.jsonl")
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            row = json.loads(lines[-1])
+            damage(row)
+            lines[-1] = json.dumps(row)
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+
+        err = self.damaged_store_error(capsys, workspace, tmp_path, damage_last_snippet_row)
+        assert "snippet_features.jsonl" in err
+        assert named in err
+
     def test_config_flag_is_required(self, capsys, workspace, tmp_path):
         code, _, err = run(
             capsys, "curate", workspace["pool"], "--out", str(tmp_path / "r.json")
@@ -238,6 +264,18 @@ class TestCurate:
         )
         assert code == 2
         assert "unknown feature name" in err
+
+    def test_non_object_task_is_a_domain_error(self, capsys, workspace, tmp_path):
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as fh:
+            json.dump({"tasks": [3]}, fh)
+        code, _, err = run(
+            capsys, "curate", workspace["pool"], "--config", bad,
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert "'tasks' must be a list of objects" in err
 
     def test_over_budget_warns_on_stderr_but_succeeds(self, capsys, workspace, tmp_path):
         greedy = str(tmp_path / "greedy.json")
@@ -360,6 +398,29 @@ class TestReport:
             for name in sorted(os.listdir(out_dir))
         }
         assert got == self.REPORT_DIGESTS
+
+    def test_detections_are_read_once_per_selected_snippet(
+        self, capsys, workspace, tmp_path, result_path, monkeypatch
+    ):
+        calls = {"detection_arrays": 0, "build_track_paths": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapped = counted(name, getattr(traffic, name))
+            for module in (traffic, sdv, cli):
+                monkeypatch.setattr(module, name, wrapped)
+        out_dir = str(tmp_path / "report")
+        assert run(capsys, "report", workspace["pool"], result_path, "--out-dir", out_dir)[0] == 0
+        with open(result_path) as fh:
+            n_selected = len(json.load(fh)["selected"])
+        assert n_selected > 0
+        assert calls == {"detection_arrays": n_selected, "build_track_paths": n_selected}
 
     def test_reported_means_match_direct_scoring(self, capsys, workspace, tmp_path, result_path):
         out_dir = str(tmp_path / "report")

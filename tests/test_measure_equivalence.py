@@ -1,15 +1,17 @@
-"""The array-based traffic and frame measures against their loop references.
+"""The array-based traffic, frame and lane measures against their loop references.
 
 Every comparison is exact (`==`): the measures must keep the float order of
-the per-detection loops, not merely approximate them.
+the per-detection and per-lane loops, not merely approximate them.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import reference_measures as ref
-from logcurator import features, sdv, synthgen, traffic
-from logcurator.scene import DETECTION_CLASSES
+from logcurator import features, geometry, sdv, synthgen, traffic
+from logcurator.scene import DETECTION_CLASSES, MapIndex
 from logcurator.selection import CurationConfig
 
 from support import drive, make_detection
@@ -120,3 +122,60 @@ def test_scoring_builds_tracks_once(monkeypatch):
     monkeypatch.setattr(sdv, "build_track_paths", wrapped_tracks)
     features.compute_snippet_features(pool.snippets[0], pool.scene_map, CurationConfig())
     assert calls == {"detection_arrays": 1, "build_track_paths": 1}
+
+
+def assert_lanes_match_reference(s, index, roi_radius):
+    """Lane mask, route match and interactions against the per-lane loops;
+    returns the interactions tuple."""
+    ego = s.ego_xy()
+    table = index.project_to_lanes(ego, range(len(index.lane_pts)))
+    if roi_radius is not None:
+        # the ROI lane gate of infra_features
+        mask = np.min(table[0], axis=1) <= roi_radius
+        assert np.array_equal(mask, ref.included_lanes(index, ego, roi_radius))
+
+    want = ref.match_route(s, index)
+    for match in (sdv.match_route(s, index), sdv.match_route(s, index, ego_table=table)):
+        for f in fields(sdv.RouteMatch):
+            got, exp = getattr(match, f.name), getattr(want, f.name)
+            if isinstance(exp, np.ndarray):
+                assert got.dtype == exp.dtype and got.tolist() == exp.tolist(), f.name
+            else:
+                assert got == exp, f.name
+
+    tracks = traffic.build_track_paths(traffic.detection_arrays(s, roi_radius))
+    got = sdv.interactions(s, index.scene_map, index=index, tracks=tracks)
+    assert got == ref.interactions(s, index, tracks)
+    return got
+
+
+@pytest.mark.parametrize("roi_radius", RADII)
+def test_lane_projections_match_loop_reference(roi_radius):
+    totals = np.zeros(4, dtype=int)
+    for template, plan in POOLS:
+        pool = synth_pool(template, plan, seed=len(template) + len(plan))
+        index = MapIndex(pool.scene_map)
+        for s in pool.snippets:
+            totals += assert_lanes_match_reference(s, index, roi_radius)
+    # every interaction count, the traversal and reachability loops included, is hit
+    assert np.all(totals > 0)
+
+
+def test_scoring_projects_the_ego_onto_each_lane_once(monkeypatch):
+    pool = synth_pool("four_way_intersection", "turn", seed=3)
+    s = pool.snippets[0]
+    index = MapIndex(pool.scene_map)
+    ego = s.ego_xy()
+    hits = [0] * len(index.lane_pts)
+    real = geometry.project_points_to_polyline
+
+    def counting(points, poly, cumlen=None):
+        for i, pts in enumerate(index.lane_pts):
+            if poly is pts and np.array_equal(points, ego):
+                hits[i] += 1
+        return real(points, poly, cumlen)
+
+    monkeypatch.setattr(geometry, "project_points_to_polyline", counting)
+    features.compute_snippet_features(s, pool.scene_map, CurationConfig(), index=index)
+    assert len(hits) > len(index.vehicle_indices) > 0
+    assert hits == [1] * len(index.lane_pts)

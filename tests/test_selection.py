@@ -156,6 +156,9 @@ class TestWeightsAndConfig:
             ({"seed": True}, "'seed' must be a number"),
             ({"roi_radius": "75"}, "'roi_radius' must be a number"),
             ({"normalization": 1}, "'normalization' must be a string"),
+            ({"tasks": [3]}, "'tasks' must be a list of objects"),
+            ({"tasks": {"a": 1}}, "'tasks' must be a list of objects"),
+            ({"tasks": 3}, "'tasks' must be a list of objects"),
         ],
     )
     def test_malformed_configs_rejected(self, obj, msg):

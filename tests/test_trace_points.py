@@ -1,0 +1,52 @@
+"""The functions the per-layer profiler wraps stay on the command path.
+
+`perfbench/tracer.py` times a layer by replacing a module attribute, such as
+`sdv.match_route`, with a wrapper. A refactor that stops calling a function
+through that name would make its layer read zero without any error, so each
+wrapped name must be entered by the command that reports it.
+"""
+
+import json
+
+from logcurator import cli, geometry, sdv, selection
+
+SCORE_POINTS = (
+    (sdv, "match_route"),
+    (sdv, "interactions"),
+    (geometry, "project_points_to_polyline"),
+)
+CURATE_POINTS = ((selection, "select_challenging"), (selection, "overlap_adjacency"))
+
+
+def test_traced_functions_are_entered(tmp_path, monkeypatch):
+    monkeypatch.delenv("CURATOR_JOBS", raising=False)
+    pool = str(tmp_path / "pool.jsonl")
+    synth = ["synth", "--snippets", "3", "--frames", "40", "--seed", "3", "--jitter"]
+    assert cli.main(synth + ["--out", pool]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"tasks": [{"name": "busy", "weights": {"crowd_dynamic": 1.0}, "budget": 1}]})
+    )
+
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in SCORE_POINTS + CURATE_POINTS:
+        key = f"{module.__name__}.{name}"
+        calls[key] = 0
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+
+    feats = str(tmp_path / "feats")
+    assert cli.main(["score", pool, "--out", feats]) == 0
+    for module, name in SCORE_POINTS:
+        assert calls[f"{module.__name__}.{name}"] > 0, name
+    out = str(tmp_path / "result.json")
+    assert cli.main(["curate", pool, "--config", str(config), "--out", out, "--features", feats]) == 0
+    for module, name in CURATE_POINTS:
+        assert calls[f"{module.__name__}.{name}"] > 0, name
