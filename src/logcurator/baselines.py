@@ -77,17 +77,20 @@ def load_forecasts(path: str) -> dict:
         header = json.loads(rows[0])
     except json.JSONDecodeError as exc:
         raise ForecastError(f"forecast header is not valid JSON: {exc}") from exc
-    if header.get("kind") != "forecast_header":
+    if not isinstance(header, dict) or header.get("kind") != "forecast_header":
         raise ForecastError("first record must be the forecast header")
-    horizon = int(header.get("horizon", 0))
+    try:
+        horizon = int(header.get("horizon", 0))
+    except (TypeError, ValueError) as exc:
+        raise ForecastError(f"forecast file {path} line 1: malformed horizon: {exc}") from exc
     frames_by_snippet: dict[str, dict] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         try:
             obj = json.loads(row)
         except json.JSONDecodeError as exc:
-            raise ForecastError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if obj.get("kind") != "forecast":
-            raise ForecastError(f"line {lineno}: expected a forecast record")
+            raise ForecastError(f"forecast file {path} line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict) or obj.get("kind") != "forecast":
+            raise ForecastError(f"forecast file {path} line {lineno}: expected a forecast record")
         try:
             sid = str(obj["snippet_id"])
             frame_index = int(obj["frame_index"])
@@ -98,7 +101,9 @@ def load_forecasts(path: str) -> dict:
                 cov=(float(obj["cov"][0]), float(obj["cov"][1]), float(obj["cov"][2])),
             )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ForecastError(f"line {lineno}: malformed forecast record: {exc}") from exc
+            raise ForecastError(
+                f"forecast file {path} line {lineno}: malformed forecast record: {exc}"
+            ) from exc
         frames_by_snippet.setdefault(sid, {}).setdefault(frame_index, []).append(entry)
     return {
         sid: GaussianForecast(

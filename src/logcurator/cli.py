@@ -25,7 +25,6 @@ from .scene import (
     save_pool,
     write_atomic,
 )
-from .traffic import build_track_paths, detection_arrays
 
 DOMAIN_ERRORS = (
     PoolFormatError,
@@ -174,12 +173,12 @@ def baseline(pool_path, method, k, seed, forecasts_path, out_path):
         click.echo(f"warning: {warning}", err=True)
 
 
-def _label_stats(snippets, track_sets, static_speed):
+def _label_stats(records, static_speed):
     counts = {}
     total_frames = 0
-    for s, tracks in zip(snippets, track_sets):
-        total_frames += s.num_frames
-        for t in tracks:
+    for rec in records:
+        total_frames += rec.det.num_frames
+        for t in rec.tracks:
             motion = "static" if t.is_static(static_speed) else "dynamic"
             n_in = int(np.count_nonzero(t.in_roi))
             key = (t.label, motion)
@@ -238,14 +237,8 @@ def report(pool_path, result_path, out_dir, config_path):
     snippets = [by_id[sid] for sid in sorted(chosen)]
 
     index = MapIndex(pool.scene_map)
-    rows = []
-    track_sets = []
-    for s in snippets:
-        det = detection_arrays(s, cfg.roi_radius)
-        tracks = build_track_paths(det)
-        vec, _ = features.compute_snippet_features(s, pool.scene_map, cfg, index, det, tracks)
-        rows.append(vec.values)
-        track_sets.append(tracks)
+    records = [features.snippet_arrays(s, index, cfg) for s in snippets]
+    rows = [features.compute_snippet_features(rec, index, cfg)[0].values for rec in records]
     matrix = np.stack(rows) if rows else np.zeros((0, features.SNIPPET_DIM))
 
     names = [name for name, _ in features.SNIPPET_FEATURES]
@@ -254,7 +247,7 @@ def report(pool_path, result_path, out_dir, config_path):
         "kind": "curation_report",
         "method": obj["method"],
         "selected": sorted(chosen),
-        "label_stats": _label_stats(snippets, track_sets, cfg.static_speed),
+        "label_stats": _label_stats(records, cfg.static_speed),
         "features": [
             {
                 "name": names[i],

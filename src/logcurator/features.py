@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, traffic
+from . import geometry, sdv, traffic
 from .infra import infra_features
 from .scene import MapIndex, SceneMap, Snippet, SnippetPool, canonical_dumps, write_atomic
-from .sdv import ego_step_speeds, sdv_features
+from .sdv import RouteMatch, ego_step_speeds, sdv_features
 from .traffic import Detections, traffic_features
 
 SNIPPET_FEATURES = (
@@ -84,6 +84,23 @@ class FrameFeature:
 
 
 @dataclass(frozen=True, slots=True)
+class SnippetArrays:
+    """One snippet as every measure reads it, built once by `snippet_arrays`."""
+
+    snippet_id: str
+    frame_index: tuple  # (T,) frame index within the log
+    geo: np.ndarray  # (T, 2) lat, lon
+    ego: np.ndarray  # (T, 2) ego xy
+    headings: np.ndarray  # (T,)
+    timestamps: np.ndarray  # (T,)
+    ego_path: geometry.Path  # ego xy without exactly repeated poses
+    det: Detections  # gated at config.roi_radius
+    tracks: list  # build_track_paths(det)
+    ego_table: tuple  # index.project_to_lanes(ego, every lane)
+    match: RouteMatch
+
+
+@dataclass(frozen=True, slots=True)
 class NormalizationStats:
     mean: np.ndarray
     std: np.ndarray
@@ -106,7 +123,7 @@ class FeatureBundle:
     frame_stats: NormalizationStats
 
 
-def fit_normalization(matrix: np.ndarray, mode: str = "zscore") -> NormalizationStats:
+def fit_normalization(matrix: np.ndarray, mode: str) -> NormalizationStats:
     """Column-wise population z-score stats; 'none' yields the identity."""
     dim = matrix.shape[1] if matrix.ndim == 2 else 0
     if mode == "none" or len(matrix) == 0:
@@ -146,30 +163,47 @@ def _ego_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.concatenate([step, step[-1:]])
 
 
-def assemble_frame_vectors(
-    s: Snippet, m: SceneMap, det: Detections, index: MapIndex | None = None
-) -> list:
-    """Per-frame descriptors used by the diversity distance; `det` holds the
-    snippet's detections, gated by `traffic.detection_arrays`."""
-    if index is None:
-        index = MapIndex(m)
+def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
+    """Read one snippet once: its ego arrays, its detections gated at
+    `config.roi_radius` and their tracks, the ego-to-lane table and the
+    route match."""
     ego = s.ego_xy()
+    det = traffic.detection_arrays(s, config.roi_radius)
+    ego_table = index.project_to_lanes(ego, range(len(index.lane_pts)))
+    return SnippetArrays(
+        snippet_id=s.snippet_id,
+        frame_index=tuple(f.index for f in s.frames),
+        geo=np.array([f.geo for f in s.frames], dtype=float),
+        ego=ego,
+        headings=s.ego_headings(),
+        timestamps=s.timestamps(),
+        ego_path=geometry.Path.from_points(ego),
+        det=det,
+        tracks=traffic.build_track_paths(det),
+        ego_table=ego_table,
+        match=sdv.match_route(ego_table, index, config),
+    )
+
+
+def assemble_frame_vectors(rec: SnippetArrays, index: MapIndex) -> list:
+    """Per-frame descriptors used by the diversity distance."""
+    ego = rec.ego
     in_inter = np.zeros(len(ego), dtype=bool)
     for poly in index.intersection_polys:
         in_inter |= geometry.points_in_polygon(ego, poly)
-    counts, term = traffic.class_counts(det)  # columns follow DETECTION_CLASSES
+    counts, term = traffic.class_counts(rec.det)  # columns follow DETECTION_CLASSES
     mat = np.column_stack(
         [
             counts.sum(axis=1),
             counts,
             term,
-            _ego_instant_curvature(ego, s.ego_headings()),
-            _ego_speeds(ego, s.timestamps()),
+            _ego_instant_curvature(ego, rec.headings),
+            _ego_speeds(ego, rec.timestamps),
             in_inter,
-            np.array([f.geo for f in s.frames], dtype=float),
+            rec.geo,
         ]
     )
-    return [FrameFeature(s.snippet_id, f.index, row) for f, row in zip(s.frames, mat)]
+    return [FrameFeature(rec.snippet_id, k, row) for k, row in zip(rec.frame_index, mat)]
 
 
 def frame_matrix(frame_features: list) -> np.ndarray:
@@ -178,49 +212,12 @@ def frame_matrix(frame_features: list) -> np.ndarray:
     return np.stack([f.values for f in frame_features])
 
 
-def compute_snippet_features(
-    s: Snippet,
-    m: SceneMap,
-    config,
-    index: MapIndex | None = None,
-    det: Detections | None = None,
-    tracks: list | None = None,
-):
-    """(FeatureVector, frame matrix) for one snippet.
-
-    The snippet's detections are read and gated once; the traffic, SDV and
-    frame measures all reduce over that one set of arrays and tracks, and
-    the ROI lane gate and the route match over one ego-to-lane table.
-    A caller that already holds the detection arrays (gated at
-    `config.roi_radius`) and their tracks passes them as `det` and `tracks`.
-    """
-    if index is None:
-        index = MapIndex(m)
-    if det is None:
-        det = traffic.detection_arrays(s, config.roi_radius)
-    if tracks is None:
-        tracks = traffic.build_track_paths(det)
-    ego_table = index.project_to_lanes(s.ego_xy(), range(len(index.lane_pts)))
-    inf = infra_features(s, m, config.roi_radius, config.resample_points, index, ego_table)
-    tra = traffic_features(det, tracks, config.resample_points, config.static_speed)
-    sdv = sdv_features(
-        s,
-        m,
-        K=config.resample_points,
-        near_dist=config.near_dist,
-        horizon=config.horizon,
-        gate=config.map_match_gate,
-        min_frac=config.map_match_min_frac,
-        lane_change_min_frames=config.lane_change_min_frames,
-        ego_width=config.ego_width,
-        lane_width_fallback=config.lane_width_fallback,
-        nudge_object_dist=config.nudge_object_dist,
-        nudge_min_bound_frames=config.nudge_min_bound_frames,
-        static_speed=config.static_speed,
-        index=index,
-        tracks=tracks,
-        ego_table=ego_table,
-    )
+def compute_snippet_features(rec: SnippetArrays, index: MapIndex, config):
+    """(FeatureVector, frame matrix) for one snippet; the infra, traffic, SDV
+    and frame measures all read the one record `snippet_arrays` built."""
+    inf = infra_features(rec, index, config)
+    tra = traffic_features(rec, config)
+    ego = sdv_features(rec, index, config)
     values = np.array(
         [
             inf.curve_mean,
@@ -241,35 +238,33 @@ def compute_snippet_features(
             tra.actor_path_mean,
             tra.actor_path_max,
             tra.speed_div,
-            sdv.sdv_path,
-            sdv.sdv_speed_var,
-            sdv.lane_changes,
-            sdv.turns,
-            sdv.controls_on_route,
-            sdv.near_path_static,
-            sdv.near_path_dynamic,
-            sdv.conflict_traversals,
-            sdv.conflict_reachable,
-            sdv.nudges,
+            ego.sdv_path,
+            ego.sdv_speed_var,
+            ego.lane_changes,
+            ego.turns,
+            ego.controls_on_route,
+            ego.near_path_static,
+            ego.near_path_dynamic,
+            ego.conflict_traversals,
+            ego.conflict_reachable,
+            ego.nudges,
         ]
     )
-    vec = FeatureVector(s.snippet_id, values, sdv.valid)
-    return vec, frame_matrix(assemble_frame_vectors(s, m, det, index=index))
+    vec = FeatureVector(rec.snippet_id, values, ego.valid)
+    return vec, frame_matrix(assemble_frame_vectors(rec, index))
 
 
 _WORKER_STATE: dict = {}
 
 
 def _init_worker(scene_map: SceneMap, config) -> None:
-    _WORKER_STATE["map"] = scene_map
     _WORKER_STATE["index"] = MapIndex(scene_map)
     _WORKER_STATE["config"] = config
 
 
 def _worker_compute(s: Snippet):
-    return compute_snippet_features(
-        s, _WORKER_STATE["map"], _WORKER_STATE["config"], index=_WORKER_STATE["index"]
-    )
+    index, config = _WORKER_STATE["index"], _WORKER_STATE["config"]
+    return compute_snippet_features(snippet_arrays(s, index, config), index, config)
 
 
 def score_pool(pool: SnippetPool, config, jobs: int = 1) -> FeatureBundle:
@@ -277,7 +272,10 @@ def score_pool(pool: SnippetPool, config, jobs: int = 1) -> FeatureBundle:
     ordered = sorted(pool.snippets, key=lambda s: s.snippet_id)
     if jobs <= 1:
         index = MapIndex(pool.scene_map)
-        results = [compute_snippet_features(s, pool.scene_map, config, index=index) for s in ordered]
+        results = [
+            compute_snippet_features(snippet_arrays(s, index, config), index, config)
+            for s in ordered
+        ]
     else:
         chunk = max(1, len(ordered) // (jobs * 4))
         with ProcessPoolExecutor(
@@ -306,14 +304,6 @@ def _stats_to_obj(stats: NormalizationStats):
         "std": [float(v) for v in stats.std],
         "flagged": [int(i) for i in stats.flagged],
     }
-
-
-def _stats_from_obj(obj) -> NormalizationStats:
-    return NormalizationStats(
-        np.asarray(obj["mean"], dtype=float),
-        np.asarray(obj["std"], dtype=float),
-        tuple(int(i) for i in obj["flagged"]),
-    )
 
 
 def write_features(directory: str, bundle: FeatureBundle) -> None:
@@ -381,7 +371,7 @@ def read_features(directory: str) -> FeatureBundle:
         path = os.path.join(directory, name)
         try:
             with open(path) as fh:
-                return parse(fh.read())
+                return path, parse(fh.read())
         except OSError as exc:
             raise PoolFormatError(f"cannot read feature file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -390,61 +380,76 @@ def read_features(directory: str) -> FeatureBundle:
     def jsonl(text):
         return [json.loads(ln) for ln in text.splitlines() if ln.strip()]
 
-    snippet_path = os.path.join(directory, "snippet_features.jsonl")
-
-    def snippet_row(row, r):
-        """(snippet_id, valid, values) of one snippet row, checked."""
-        sid = r.get("snippet_id") if isinstance(r, dict) else None
-        where = f"feature file {snippet_path} row {row}, snippet {sid!r}"
-        if not isinstance(sid, str) or not isinstance(r.get("valid"), bool):
-            raise PoolFormatError(f"{where}: needs a string snippet_id and a boolean valid")
+    def finite(value, shape, problem):
+        """`value` as a nonempty finite float array of `shape` (None: any
+        length); raises PoolFormatError(problem) when it is not one."""
         try:
-            values = np.array(r["values"], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            values = None
-        if values is None or values.shape != (SNIPPET_DIM,) or not np.all(np.isfinite(values)):
-            raise PoolFormatError(f"{where}: values must be {SNIPPET_DIM} finite numbers")
-        return sid, r["valid"], values
+            arr = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            arr = np.zeros(0)
+        fits = arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))
+        if not (fits and arr.size and np.all(np.isfinite(arr))):
+            raise PoolFormatError(problem)
+        return arr
 
-    srows = load("snippet_features.jsonl", jsonl)
-    if not srows or srows[0].get("kind") != "snippet_features_header":
-        raise PoolFormatError("snippet_features.jsonl must start with its header")
-    if tuple(srows[0].get("names", ())) != SNIPPET_FEATURE_NAMES:
-        raise PoolFormatError("snippet feature schema does not match this build")
-    rows = [snippet_row(row, r) for row, r in enumerate(srows[1:], start=2)]
-    ids = [sid for sid, _, _ in rows]
-    matrix = np.stack([values for _, _, values in rows]) if rows else np.zeros((0, SNIPPET_DIM))
-    valid = np.array([ok for _, ok, _ in rows], dtype=bool)
+    def rows_of(name, names, shape):
+        """[(where, row object, values)] of a feature file's rows, each an
+        object of its kind with a string snippet_id and finite values of
+        `shape`."""
+        path, rows = load(name, jsonl)
+        kind = name.removesuffix(".jsonl")
+        head = rows[0] if rows else None
+        if not isinstance(head, dict) or head.get("kind") != f"{kind}_header":
+            raise PoolFormatError(f"{name} must start with its header")
+        if head.get("names") != list(names):
+            raise PoolFormatError(f"feature file {path}: schema does not match this build")
+        out = []
+        for row, r in enumerate(rows[1:], start=2):
+            sid = r.get("snippet_id") if isinstance(r, dict) else None
+            where = f"feature file {path} row {row}, snippet {sid!r}"
+            if not isinstance(sid, str) or r.get("kind") != kind:
+                raise PoolFormatError(f"{where}: needs kind {kind!r} and a string snippet_id")
+            problem = f"{where}: values must be finite numbers, {shape[-1]} per row"
+            out.append((where, r, finite(r.get("values"), shape, problem)))
+        return out
 
-    frows = load("frame_features.jsonl", jsonl)
-    if not frows or frows[0].get("kind") != "frame_features_header":
-        raise PoolFormatError("frame_features.jsonl must start with its header")
-    frame_path = os.path.join(directory, "frame_features.jsonl")
-    frame_ids = [r["snippet_id"] for r in frows[1:]]
-    if sorted(frame_ids) != sorted(ids):
-        missing = sorted(set(ids) - set(frame_ids))
+    srows = rows_of("snippet_features.jsonl", SNIPPET_FEATURE_NAMES, (SNIPPET_DIM,))
+    for where, r, _ in srows:
+        if not isinstance(r.get("valid"), bool):
+            raise PoolFormatError(f"{where}: needs a boolean valid")
+    ids = [r["snippet_id"] for _, r, _ in srows]
+    matrix = np.stack([v for _, _, v in srows]) if srows else np.zeros((0, SNIPPET_DIM))
+    valid = np.array([r["valid"] for _, r, _ in srows], dtype=bool)
+
+    frows = rows_of("frame_features.jsonl", FRAME_FEATURE_NAMES, (None, FRAME_DIM))
+    frame_mats = {r["snippet_id"]: v for _, r, v in frows}
+    if sorted(r["snippet_id"] for _, r, _ in frows) != sorted(ids):
+        missing = sorted(set(ids) - set(frame_mats))
         raise PoolFormatError(
-            f"feature file {frame_path} does not hold exactly one row per snippet"
-            + (f"; missing {', '.join(missing)}" if missing else "")
+            f"feature file {os.path.join(directory, 'frame_features.jsonl')} does not hold "
+            "exactly one row per snippet" + (f"; missing {', '.join(missing)}" if missing else "")
         )
-    frame_mats = {}
-    for r in frows[1:]:
-        if any(len(row) != FRAME_DIM for row in r["values"]):
-            raise PoolFormatError(
-                f"feature file {frame_path}: frames of {r['snippet_id']} "
-                f"must have {FRAME_DIM} values each"
-            )
-        frame_mats[r["snippet_id"]] = np.array(r["values"], dtype=float).reshape(-1, FRAME_DIM)
 
-    nobj = load("normalization.json", json.loads)
-    return FeatureBundle(
-        ids,
-        matrix,
-        valid,
-        frame_mats,
-        _stats_from_obj(nobj["snippet"]),
-        _stats_from_obj(nobj["frame"]),
-    )
+    norm_path, nobj = load("normalization.json", json.loads)
+
+    def stats(key, width):
+        obj = nobj.get(key) if isinstance(nobj, dict) else None
+        obj = obj if isinstance(obj, dict) else {}
+        problem = (
+            f"feature file {norm_path}: {key!r} needs {width} finite mean and std values "
+            "and a list of integer flagged dimensions"
+        )
+        mean = finite(obj.get("mean"), (width,), problem)
+        std = finite(obj.get("std"), (width,), problem)
+        flagged = obj.get("flagged")
+        if not isinstance(flagged, list) or any(
+            type(i) is not int or not 0 <= i < width for i in flagged
+        ):
+            raise PoolFormatError(problem)
+        return NormalizationStats(mean, std, tuple(flagged))
+
+    snippet_stats, frame_stats = stats("snippet", SNIPPET_DIM), stats("frame", FRAME_DIM)
+    return FeatureBundle(ids, matrix, valid, frame_mats, snippet_stats, frame_stats)
 
 
 def schema_description():

@@ -9,11 +9,15 @@ count.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry
-from .scene import MapIndex, SceneMap, Snippet
+from .scene import MapIndex
+
+if TYPE_CHECKING:
+    from .features import SnippetArrays
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,24 +43,14 @@ def _polygon_in_roi(poly: np.ndarray, ego: np.ndarray, radius: float) -> bool:
     return bool(np.min(dist) <= radius)
 
 
-def infra_features(
-    s: Snippet,
-    m: SceneMap,
-    roi_radius: float = 75.0,
-    K: int = 100,
-    index: MapIndex | None = None,
-    ego_table: tuple | None = None,
-) -> InfraFeatures:
-    """`ego_table`: `index.project_to_lanes(ego, every lane)`, built if None."""
-    if index is None:
-        index = MapIndex(m)
-    ego = s.ego_xy()
-    if ego_table is None:
-        ego_table = index.project_to_lanes(ego, range(len(index.lane_pts)))
-    lane_in = np.min(ego_table[0], axis=1) <= roi_radius
+def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> InfraFeatures:
+    m = index.scene_map
+    ego = rec.ego
+    roi_radius = config.roi_radius
+    lane_in = np.min(rec.ego_table[0], axis=1) <= roi_radius
     vehicle_in = lane_in & ~index.lane_is_bike
     bike_in = lane_in & index.lane_is_bike
-    curves = index.lane_curve_complexity(K)
+    curves = index.lane_curve_complexity(config.resample_points)
 
     curve_mean = float(np.mean(curves[vehicle_in])) if np.any(vehicle_in) else 0.0
     bike_curve = float(np.mean(curves[bike_in])) if np.any(bike_in) else 0.0

@@ -292,6 +292,8 @@ def _lane_to_obj(lane: Lane):
 
 
 def map_from_obj(obj) -> SceneMap:
+    if not isinstance(obj, dict):
+        raise PoolFormatError("map must be a JSON object")
     try:
         lanes = tuple(_lane_from_obj(o) for o in obj.get("lanes", []))
         intersections = tuple(
@@ -443,7 +445,10 @@ def load_map(path: str) -> SceneMap:
         raise PoolFormatError(f"cannot read map file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PoolFormatError(f"map file {path} is not valid JSON: {exc}") from exc
-    m = map_from_obj(obj)
+    try:
+        m = map_from_obj(obj)
+    except (TypeError, ValueError) as exc:  # PoolFormatError included
+        raise PoolFormatError(f"map file {path}: {exc}") from exc
     report = validate_map(m)
     if not report.ok:
         raise PoolValidationError(report.findings)
@@ -481,15 +486,17 @@ def load_pool(path: str) -> SnippetPool:
         header = json.loads(rows[0])
     except json.JSONDecodeError as exc:
         raise PoolFormatError(f"pool header is not valid JSON: {exc}") from exc
-    if header.get("kind") != "pool_header":
+    if not isinstance(header, dict) or header.get("kind") != "pool_header":
         raise PoolFormatError("first record must be the pool header")
     if header.get("schema_version") != SCHEMA_VERSION:
         raise PoolFormatError(f"unsupported schema_version {header.get('schema_version')!r}")
     try:
-        map_name = header["map_path"]
+        map_name = str(header["map_path"])
         snippet_length = int(header["snippet_length"])
     except KeyError as exc:
-        raise PoolFormatError(f"pool header missing field {exc}") from exc
+        raise PoolFormatError(f"pool file {path} line 1: header missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PoolFormatError(f"pool file {path} line 1: malformed header field: {exc}") from exc
     map_path = os.path.join(os.path.dirname(os.path.abspath(path)), map_name)
     scene_map = load_map(map_path)
 
@@ -498,10 +505,13 @@ def load_pool(path: str) -> SnippetPool:
         try:
             obj = json.loads(row)
         except json.JSONDecodeError as exc:
-            raise PoolFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if obj.get("kind") != "snippet":
-            raise PoolFormatError(f"line {lineno}: expected a snippet record")
-        snippets.append(_snippet_from_obj(obj))
+            raise PoolFormatError(f"pool file {path} line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict) or obj.get("kind") != "snippet":
+            raise PoolFormatError(f"pool file {path} line {lineno}: expected a snippet record")
+        try:
+            snippets.append(_snippet_from_obj(obj))
+        except (TypeError, ValueError) as exc:  # PoolFormatError included
+            raise PoolFormatError(f"pool file {path} line {lineno}: {exc}") from exc
 
     findings = []
     seen = set()

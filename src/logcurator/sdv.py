@@ -11,12 +11,15 @@ gated and ungated tracks give the same values.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry
-from .scene import MapIndex, SceneMap, Snippet
-from .traffic import STATIC_SPEED, build_track_paths, detection_arrays
+from .scene import MapIndex
+
+if TYPE_CHECKING:
+    from .features import SnippetArrays
 
 MAP_MATCH_GATE = 3.0
 MAP_MATCH_MIN_FRAC = 0.9
@@ -56,16 +59,11 @@ def nearest_lane(dist: np.ndarray, arc: np.ndarray, lanes) -> tuple:
     return np.array(lanes, dtype=int)[best], dist[best, cols], arc[best, cols]
 
 
-def match_route(
-    s: Snippet,
-    index: MapIndex,
-    gate: float = MAP_MATCH_GATE,
-    min_frac: float = MAP_MATCH_MIN_FRAC,
-    ego_table: tuple | None = None,
-) -> RouteMatch:
-    """Nearest vehicle lane per ego pose; `ego_table` as in `infra_features`."""
-    ego = s.ego_xy()
-    n = len(ego)
+def match_route(ego_table: tuple, index: MapIndex, config) -> RouteMatch:
+    """Nearest vehicle lane per ego pose, read from the ego-to-every-lane
+    table `index.project_to_lanes(ego, every lane)`."""
+    dist, arc = ego_table
+    n = dist.shape[1]
     veh = index.vehicle_indices
     if not veh:
         return RouteMatch(
@@ -77,11 +75,8 @@ def match_route(
             (),
             (),
         )
-    if ego_table is None:
-        ego_table = index.project_to_lanes(ego, range(len(index.lane_pts)))
-    dist, arc = ego_table
     assignments, lateral, arc = nearest_lane(dist[veh], arc[veh], veh)
-    frac = float(np.mean(lateral <= gate))
+    frac = float(np.mean(lateral <= config.map_match_gate))
     runs = []
     start = 0
     for t in range(1, n + 1):
@@ -92,15 +87,16 @@ def match_route(
     for lane_idx, _, _ in runs:
         if lane_idx not in traversed:
             traversed.append(lane_idx)
-    return RouteMatch(assignments, lateral, arc, frac, frac >= min_frac, tuple(runs), tuple(traversed))
+    valid = frac >= config.map_match_min_frac
+    return RouteMatch(assignments, lateral, arc, frac, valid, tuple(runs), tuple(traversed))
 
 
-def sdv_path_complexity(s: Snippet, K: int = 100) -> float:
+def sdv_path_complexity(rec: "SnippetArrays", config) -> float:
     """Curve complexity of the ego trajectory; near-stationary egos score 0."""
-    path = geometry.Path.from_points(s.ego_xy())
+    path = rec.ego_path
     if len(path.points) < 2 or path.length < 1.0:
         return 0.0
-    return geometry.curve_complexity(path, K)
+    return geometry.curve_complexity(path, config.resample_points)
 
 
 def ego_step_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -108,40 +104,31 @@ def ego_step_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.diff(ego, axis=0), axis=1) / np.diff(ts)
 
 
-def sdv_speed_variance(s: Snippet) -> float:
+def sdv_speed_variance(rec: "SnippetArrays") -> float:
     """Population variance of per-step ego speeds."""
-    ego = s.ego_xy()
-    if len(ego) < 2:
+    if len(rec.ego) < 2:
         return 0.0
-    return float(np.var(ego_step_speeds(ego, s.timestamps())))
+    return float(np.var(ego_step_speeds(rec.ego, rec.timestamps)))
 
 
-def route_events(
-    s: Snippet,
-    m: SceneMap,
-    min_frames: int = 10,
-    gate: float = MAP_MATCH_GATE,
-    index: MapIndex | None = None,
-    match: RouteMatch | None = None,
-) -> tuple:
+def route_events(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
     """(lane_changes, turns, controls_on_route) along the matched route.
 
     A lane change is a transition into the previous lane's left or right
-    neighbor held for at least min_frames; turns count maximal runs on lanes
-    tagged left or right; controls count distinct controls governing any
-    traversed lane.
+    neighbor held for at least `config.lane_change_min_frames`; turns count
+    maximal runs on lanes tagged left or right; controls count distinct
+    controls governing any traversed lane.
     """
-    if index is None:
-        index = MapIndex(m)
-    if match is None:
-        match = match_route(s, index, gate)
+    m = index.scene_map
+    match = rec.match
     lane_changes = 0
     for (a, _, _), (b, sb, eb) in zip(match.runs, match.runs[1:]):
         if a < 0 or b < 0:
             continue
         b_id = index.lane_ids[b]
         lane_a = m.lanes[a]
-        if (lane_a.left_neighbor == b_id or lane_a.right_neighbor == b_id) and eb - sb >= min_frames:
+        neighbors = (lane_a.left_neighbor, lane_a.right_neighbor)
+        if b_id in neighbors and eb - sb >= config.lane_change_min_frames:
             lane_changes += 1
     turns = sum(
         1 for (li, _, _) in match.runs if li >= 0 and m.lanes[li].turn in ("left", "right")
@@ -188,33 +175,16 @@ def _entry_distances(index: MapIndex, conflict: list, cap: float = REACH_CAP) ->
     return reach
 
 
-def interactions(
-    s: Snippet,
-    m: SceneMap,
-    near_dist: float = 10.0,
-    horizon: float = 5.0,
-    gate: float = MAP_MATCH_GATE,
-    lane_width_fallback: float = 3.6,
-    static_speed: float = STATIC_SPEED,
-    index: MapIndex | None = None,
-    match: RouteMatch | None = None,
-    tracks: list | None = None,
-) -> tuple:
+def interactions(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
     """(near_static, near_dynamic, conflict_traversals, conflict_reachable)."""
-    if index is None:
-        index = MapIndex(m)
-    if match is None:
-        match = match_route(s, index, gate)
-    if tracks is None:
-        tracks = build_track_paths(detection_arrays(s))
-    ego_path = geometry.dedupe_points(s.ego_xy())
-
+    match, tracks = rec.match, rec.tracks
+    path = rec.ego_path
     near_static = 0
     near_dynamic = 0
     for t in tracks:
-        dist, _ = geometry.project_points_to_polyline(t.positions, ego_path)
-        if float(np.min(dist)) < near_dist:
-            if t.is_static(static_speed):
+        dist, _ = geometry.project_points_to_polyline(t.positions, path.points, path.arclength)
+        if float(np.min(dist)) < config.near_dist:
+            if t.is_static(config.static_speed):
                 near_static += 1
             else:
                 near_dynamic += 1
@@ -224,7 +194,7 @@ def interactions(
     vehicles = [t for t in tracks if t.label == "vehicle"]
     for t in vehicles:
         for li in conflict:
-            half = 0.5 * index.lane_width(li, lane_width_fallback)
+            half = 0.5 * index.lane_width(li, config.lane_width_fallback)
             dist, _ = index.project_to_lanes(t.positions, [li])
             if float(np.min(dist)) <= half:
                 traversing.add(t.track_id)
@@ -239,53 +209,40 @@ def interactions(
                 continue
             dist, arc = index.project_to_lanes(t.positions, veh_lanes)
             lanes, lat, arc = nearest_lane(dist, arc, veh_lanes)
-            ok = lat <= gate
+            ok = lat <= config.map_match_gate
             dist_to_entry = np.where(
                 np.isfinite(reach[lanes]), np.maximum(reach[lanes] - arc, 0.0), np.inf
             )
-            if bool(np.any(ok & (t.speeds * horizon >= dist_to_entry))):
+            if bool(np.any(ok & (t.speeds * config.horizon >= dist_to_entry))):
                 reachable += 1
 
     return near_static, near_dynamic, len(traversing), reachable
 
 
-def detect_nudges(
-    s: Snippet,
-    m: SceneMap,
-    ego_width: float = 2.0,
-    lane_width_fallback: float = 3.6,
-    object_dist: float = 5.0,
-    min_bound_frames: int = 10,
-    index: MapIndex | None = None,
-    match: RouteMatch | None = None,
-    tracks: list | None = None,
-) -> int:
+def detect_nudges(rec: "SnippetArrays", index: MapIndex, config) -> int:
     """Count lateral in-lane excursions around a nearby object.
 
     An excursion is a maximal run of frames whose lateral offset exceeds the
     assigned lane's half width minus half the ego width, with the assignment
-    unchanged, bounded on both sides by min_bound_frames of in-lane driving
-    on the same lane, and with some detection within object_dist of the ego
-    path during the run.
+    unchanged, bounded on both sides by `config.nudge_min_bound_frames` of
+    in-lane driving on the same lane, and with some detection within
+    `config.nudge_object_dist` of the ego path during the run.
     """
-    if index is None:
-        index = MapIndex(m)
-    if match is None:
-        match = match_route(s, index)
-    if tracks is None:
-        tracks = build_track_paths(detection_arrays(s))
+    match = rec.match
     n = len(match.assignments)
     if n == 0:
         return 0
-    half_ego = 0.5 * ego_width
+    half_ego = 0.5 * config.ego_width
+    fallback = config.lane_width_fallback
     thresh = np.array(
         [
-            0.5 * index.lane_width(li, lane_width_fallback) - half_ego if li >= 0 else np.inf
+            0.5 * index.lane_width(li, fallback) - half_ego if li >= 0 else np.inf
             for li in match.assignments
         ]
     )
     exceed = match.lateral > thresh
-    ego_path = geometry.dedupe_points(s.ego_xy())
+    min_bound_frames = config.nudge_min_bound_frames
+    path = rec.ego_path
 
     count = 0
     t = 0
@@ -306,69 +263,25 @@ def detect_nudges(
             continue
         if np.any(exceed[end:post]) or np.any(match.assignments[end:post] != lane):
             continue
-        for tr in tracks:
+        for tr in rec.tracks:
             sel = (tr.frames >= start) & (tr.frames < end)
             if not np.any(sel):
                 continue
-            dist, _ = geometry.project_points_to_polyline(tr.positions[sel], ego_path)
-            if float(np.min(dist)) <= object_dist:
+            dist, _ = geometry.project_points_to_polyline(
+                tr.positions[sel], path.points, path.arclength
+            )
+            if float(np.min(dist)) <= config.nudge_object_dist:
                 count += 1
                 break
     return count
 
 
-def sdv_features(
-    s: Snippet,
-    m: SceneMap,
-    K: int = 100,
-    near_dist: float = 10.0,
-    horizon: float = 5.0,
-    gate: float = MAP_MATCH_GATE,
-    min_frac: float = MAP_MATCH_MIN_FRAC,
-    lane_change_min_frames: int = 10,
-    ego_width: float = 2.0,
-    lane_width_fallback: float = 3.6,
-    nudge_object_dist: float = 5.0,
-    nudge_min_bound_frames: int = 10,
-    static_speed: float = STATIC_SPEED,
-    index: MapIndex | None = None,
-    tracks: list | None = None,
-    ego_table: tuple | None = None,
-) -> SdvFeatures:
-    if index is None:
-        index = MapIndex(m)
-    if tracks is None:
-        tracks = build_track_paths(detection_arrays(s))
-    match = match_route(s, index, gate, min_frac, ego_table=ego_table)
-    lane_changes, turns, controls = route_events(
-        s, m, lane_change_min_frames, gate, index=index, match=match
-    )
-    near_s, near_d, conf_trav, conf_reach = interactions(
-        s,
-        m,
-        near_dist,
-        horizon,
-        gate,
-        lane_width_fallback,
-        static_speed,
-        index=index,
-        match=match,
-        tracks=tracks,
-    )
-    nudges = detect_nudges(
-        s,
-        m,
-        ego_width,
-        lane_width_fallback,
-        nudge_object_dist,
-        nudge_min_bound_frames,
-        index=index,
-        match=match,
-        tracks=tracks,
-    )
+def sdv_features(rec: "SnippetArrays", index: MapIndex, config) -> SdvFeatures:
+    lane_changes, turns, controls = route_events(rec, index, config)
+    near_s, near_d, conf_trav, conf_reach = interactions(rec, index, config)
     return SdvFeatures(
-        sdv_path=sdv_path_complexity(s, K),
-        sdv_speed_var=sdv_speed_variance(s),
+        sdv_path=sdv_path_complexity(rec, config),
+        sdv_speed_var=sdv_speed_variance(rec),
         lane_changes=float(lane_changes),
         turns=float(turns),
         controls_on_route=float(controls),
@@ -376,6 +289,6 @@ def sdv_features(
         near_path_dynamic=float(near_d),
         conflict_traversals=float(conf_trav),
         conflict_reachable=float(conf_reach),
-        nudges=float(nudges),
-        valid=match.valid,
+        nudges=float(detect_nudges(rec, index, config)),
+        valid=rec.match.valid,
     )

@@ -10,12 +10,15 @@ frames) anything selected. Every argmax breaks ties by ascending snippet_id.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .features import SNIPPET_DIM, SNIPPET_FEATURE_NAMES, FeatureBundle
 from .scene import SnippetPool, snippets_overlap
+from .sdv import MAP_MATCH_GATE, MAP_MATCH_MIN_FRAC
+from .traffic import STATIC_SPEED
 
 NORMALIZATION_MODES = ("zscore", "none")
 DISSIMILARITY_MODES = ("directed", "symmetric")
@@ -41,9 +44,9 @@ class CurationConfig:
     near_dist: float = 10.0
     horizon: float = 5.0
     resample_points: int = 100
-    static_speed: float = 0.5
-    map_match_gate: float = 3.0
-    map_match_min_frac: float = 0.9
+    static_speed: float = STATIC_SPEED
+    map_match_gate: float = MAP_MATCH_GATE
+    map_match_min_frac: float = MAP_MATCH_MIN_FRAC
     lane_change_min_frames: int = 10
     ego_width: float = 2.0
     lane_width_fallback: float = 3.6
@@ -55,6 +58,26 @@ class CurationConfig:
 
 # the config file schema: every CurationConfig field, typed by its annotation
 CONFIG_FIELDS = {f.name: f.type for f in fields(CurationConfig)}
+NON_NEGATIVE_FIELDS = (
+    "k_div",
+    "seed",
+    "near_dist",
+    "horizon",
+    "static_speed",
+    "ego_width",
+    "nudge_object_dist",
+    "lane_change_min_frames",
+    "nudge_min_bound_frames",
+)
+POSITIVE_FIELDS = ("roi_radius", "map_match_gate", "lane_width_fallback")
+
+
+def _weight(feature: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"weight of feature {feature!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"weight of feature {feature!r} must be finite, got {value!r}")
+    return float(value)
 
 
 def resolve_weights(spec) -> np.ndarray:
@@ -64,14 +87,11 @@ def resolve_weights(spec) -> np.ndarray:
         for name, value in spec.items():
             if name not in SNIPPET_FEATURE_NAMES:
                 raise ConfigError(f"unknown feature name in weights: {name!r}")
-            w[SNIPPET_FEATURE_NAMES.index(name)] = float(value)
-    else:
-        w = np.asarray(spec, dtype=float)
-        if w.shape != (SNIPPET_DIM,):
-            raise ConfigError(f"weights must have {SNIPPET_DIM} entries, got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ConfigError("weights must be finite")
-    return w
+            w[SNIPPET_FEATURE_NAMES.index(name)] = _weight(name, value)
+        return w
+    if not isinstance(spec, (list, tuple, np.ndarray)) or len(spec) != SNIPPET_DIM:
+        raise ConfigError(f"weights must be an object or have {SNIPPET_DIM} entries, got {spec!r}")
+    return np.array([_weight(name, v) for name, v in zip(SNIPPET_FEATURE_NAMES, spec)])
 
 
 def _scalar(key: str, value, kind: type):
@@ -106,9 +126,13 @@ def config_from_obj(obj) -> CurationConfig:
         try:
             name = str(t["name"])
             budget = t["budget"]
-            weights = resolve_weights(t["weights"])
+            spec = t["weights"]
         except KeyError as exc:
             raise ConfigError(f"task missing field {exc}") from exc
+        try:
+            weights = resolve_weights(spec)
+        except ConfigError as exc:
+            raise ConfigError(f"task {name!r}: {exc}") from exc
         if name in names:
             raise ConfigError(f"duplicate task name {name!r}")
         names.add(name)
@@ -119,12 +143,14 @@ def config_from_obj(obj) -> CurationConfig:
         key: _scalar(key, value, CONFIG_FIELDS[key]) for key, value in obj.items() if key != "tasks"
     }
     cfg = replace(CurationConfig(tasks=tuple(tasks)), **updates)
-    if cfg.k_div < 0:
-        raise ConfigError("k_div must be >= 0")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if not cfg.roi_radius > 0:
-        raise ConfigError("roi_radius must be positive")
+    for key in NON_NEGATIVE_FIELDS:
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)!r}")
+    for key in POSITIVE_FIELDS:
+        if not getattr(cfg, key) > 0:
+            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)!r}")
+    if not 0.0 <= cfg.map_match_min_frac <= 1.0:
+        raise ConfigError(f"map_match_min_frac must be in [0, 1], got {cfg.map_match_min_frac!r}")
     if cfg.resample_points < 3:
         raise ConfigError("resample_points must be >= 3")
     if cfg.normalization not in NORMALIZATION_MODES:

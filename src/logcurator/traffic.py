@@ -3,8 +3,9 @@
 Detections are gated per frame by distance to that frame's ego position; a
 track takes part in path and speed terms when at least one of its
 observations is inside the gate. Motion class (static vs dynamic) uses the
-mean of the reported speed field over the whole snippet with a 0.5 m/s
-threshold. All variances are population variances.
+mean of the reported speed field over the whole snippet against the
+config's `static_speed` (STATIC_SPEED, 0.5 m/s, by default). All variances
+are population variances.
 
 `detection_arrays` is the one pass over a snippet's detections and the one
 place the gate is applied; every measure here is a reduction over its flat
@@ -12,11 +13,15 @@ arrays or over the tracks `build_track_paths` groups from them.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry
 from .scene import DETECTION_CLASSES, Snippet
+
+if TYPE_CHECKING:
+    from .features import SnippetArrays
 
 STATIC_SPEED = 0.5
 _LABEL_CODE = {label: i for i, label in enumerate(DETECTION_CLASSES)}
@@ -51,7 +56,7 @@ class TrackPath:
     def mean_speed(self) -> float:
         return float(np.mean(self.speeds))
 
-    def is_static(self, threshold: float = STATIC_SPEED) -> bool:
+    def is_static(self, threshold: float) -> bool:
         return self.mean_speed < threshold
 
 
@@ -115,7 +120,7 @@ def _roi_tracks(tracks: list) -> list:
     return [t for t in tracks if bool(np.any(t.in_roi))]
 
 
-def crowdedness(det: Detections, tracks: list, static_speed: float = STATIC_SPEED) -> tuple:
+def crowdedness(det: Detections, tracks: list, static_speed: float) -> tuple:
     """Mean per-frame count of in-gate actors, split (static, dynamic)."""
     static = np.array([t.is_static(static_speed) for t in tracks], dtype=bool)[det.track]
     static_frames = det.frame[det.in_roi & static]
@@ -157,7 +162,7 @@ def spatial_variance(det: Detections) -> float:
     return float(np.var(dists))
 
 
-def actor_path_complexity(tracks: list, K: int = 100) -> tuple:
+def actor_path_complexity(tracks: list, K: int) -> tuple:
     """(mean, max) curve complexity over tracks with >= 3 distinct positions."""
     values = []
     for t in tracks:
@@ -180,12 +185,11 @@ def speed_diversity(tracks: list) -> float:
     return float(np.var(means)) + inner
 
 
-def traffic_features(
-    det: Detections, tracks: list, K: int = 100, static_speed: float = STATIC_SPEED
-) -> TrafficFeatures:
+def traffic_features(rec: "SnippetArrays", config) -> TrafficFeatures:
     """All traffic measures from one snippet's detections and their tracks."""
-    static_mean, dynamic_mean = crowdedness(det, tracks, static_speed)
-    path_mean, path_max = actor_path_complexity(_roi_tracks(tracks), K)
+    det, tracks = rec.det, rec.tracks
+    static_mean, dynamic_mean = crowdedness(det, tracks, config.static_speed)
+    path_mean, path_max = actor_path_complexity(_roi_tracks(tracks), config.resample_points)
     return TrafficFeatures(
         crowd_static=static_mean,
         crowd_dynamic=dynamic_mean,

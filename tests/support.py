@@ -2,16 +2,19 @@
 
 import numpy as np
 
+from logcurator import features
 from logcurator.scene import (
     Detection,
     Frame,
     Intersection,
     Lane,
+    MapIndex,
     SceneMap,
     Snippet,
     SnippetPool,
     TrafficControl,
 )
+from logcurator.selection import CurationConfig
 
 DT = 0.1
 GEO = (37.0, -122.0)
@@ -163,3 +166,11 @@ def pool_of(snippets, scene_map=None, snippet_length=None):
         scene_map=scene_map if scene_map is not None else SceneMap(),
         snippet_length=snippet_length,
     )
+
+
+def measure_args(s, m=None, **config):
+    """(record, MapIndex, config) of one snippet on map `m` (empty if None),
+    scored under the default config with the given fields changed."""
+    cfg = CurationConfig(**config)
+    index = MapIndex(SceneMap() if m is None else m)
+    return features.snippet_arrays(s, index, cfg), index, cfg

@@ -52,6 +52,7 @@ from logcurator.synthgen import (
     synth_forecasts,
 )
 from logcurator.traffic import (
+    STATIC_SPEED,
     build_track_paths,
     class_diversity,
     crowdedness,
@@ -204,7 +205,7 @@ def test_02_hand_computed_measure_oracles():
     per_frame = [tuple(movers[:3] if k % 2 == 0 else movers) for k in range(60)]
     s_crowd = support.drive([(1.0 * k, 0.0) for k in range(60)], detections=per_frame)
     det_crowd = detection_arrays(s_crowd)
-    static, dynamic = crowdedness(det_crowd, build_track_paths(det_crowd))
+    static, dynamic = crowdedness(det_crowd, build_track_paths(det_crowd), STATIC_SPEED)
     assert static == 0.0
     assert abs(dynamic - 4.0) <= 1e-12
 

@@ -1,20 +1,37 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from logcurator import cli, features, sdv, traffic
+from logcurator import cli, features, traffic
 from logcurator.cli import main
 from logcurator.scene import load_pool
-from logcurator.selection import CurationConfig, validate_result_obj
+from logcurator.selection import validate_result_obj
+
+from support import measure_args
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+NAN = float("nan")
+
+
+def damage_line(path, lineno, damage):
+    """Apply `damage` to the JSON value on line `lineno` (1-based) of `path`."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    obj = json.loads(lines[lineno - 1])
+    damage(obj)
+    lines[lineno - 1] = json.dumps(obj)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 CONFIG = {
@@ -109,6 +126,28 @@ class TestScore:
         assert "scored 4 snippet(s) (4 rankable)" in stdout
         bundle = features.read_features(out_dir)
         assert len(bundle.ids) == 4
+
+    @pytest.mark.parametrize(
+        "lineno,damage",
+        [
+            (3, lambda s: s["frames"][2]["detections"][0].__setitem__("speed", "fast")),
+            (3, lambda s: s["frames"][2].__setitem__("timestamp", "t")),
+            (1, lambda header: header.__setitem__("snippet_length", "x")),
+            (3, lambda s: s["frames"][2]["detections"].__setitem__(0, 3)),
+        ],
+        ids=["detection_speed", "frame_timestamp", "header_snippet_length", "detection_not_object"],
+    )
+    def test_malformed_pool_field_is_a_domain_error(
+        self, capsys, workspace, tmp_path, lineno, damage
+    ):
+        pool = str(tmp_path / "pool.jsonl")
+        shutil.copy(workspace["pool"], pool)
+        shutil.copy(os.path.join(workspace["root"], "scene.map.json"), tmp_path)
+        damage_line(pool, lineno, damage)
+        code, _, err = run(capsys, "score", pool, "--out", str(tmp_path / "feats"))
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"{pool} line {lineno}" in err
 
     def test_missing_pool_is_a_domain_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -234,17 +273,43 @@ class TestCurate:
     )
     def test_bad_snippet_row_is_a_domain_error(self, capsys, workspace, tmp_path, damage, named):
         def damage_last_snippet_row(feats):
-            path = os.path.join(feats, "snippet_features.jsonl")
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-            row = json.loads(lines[-1])
-            damage(row)
-            lines[-1] = json.dumps(row)
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            damage_line(os.path.join(feats, "snippet_features.jsonl"), 5, damage)
 
         err = self.damaged_store_error(capsys, workspace, tmp_path, damage_last_snippet_row)
         assert "snippet_features.jsonl" in err
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "name,lineno,damage,named",
+        [
+            ("frame_features.jsonl", 5, lambda row: row.pop("values"), "s0003"),
+            ("frame_features.jsonl", 5, lambda row: row["values"][7].__setitem__(2, NAN), "s0003"),
+            ("frame_features.jsonl", 5, lambda row: row["values"][7].pop(), "s0003"),
+            ("frame_features.jsonl", 5, lambda row: row.pop("snippet_id"), "row 5"),
+            ("normalization.json", 1, lambda obj: obj.pop("snippet"), "'snippet'"),
+            ("normalization.json", 1, lambda obj: obj["frame"]["std"].pop(), "'frame'"),
+            ("normalization.json", 1, lambda obj: obj["snippet"]["mean"].__setitem__(0, NAN), "'snippet'"),
+            ("normalization.json", 1, lambda obj: obj["frame"].update(flagged=[1.5]), "'frame'"),
+        ],
+        ids=[
+            "frame_no_values",
+            "frame_nan_value",
+            "frame_short_row",
+            "frame_no_snippet_id",
+            "no_snippet_stats",
+            "short_frame_std",
+            "nan_snippet_mean",
+            "non_integer_flagged",
+        ],
+    )
+    def test_bad_frame_row_or_stats_is_a_domain_error(
+        self, capsys, workspace, tmp_path, name, lineno, damage, named
+    ):
+        def damage_store(feats):
+            damage_line(os.path.join(feats, name), lineno, damage)
+
+        err = self.damaged_store_error(capsys, workspace, tmp_path, damage_store)
+        assert name in err
         assert named in err
 
     def test_config_flag_is_required(self, capsys, workspace, tmp_path):
@@ -332,6 +397,18 @@ class TestBaseline:
         assert code == 1
         assert "budget" in err
 
+    def test_malformed_forecast_horizon_is_a_domain_error(self, capsys, workspace, tmp_path):
+        forecasts = str(tmp_path / "forecasts.jsonl")
+        shutil.copy(workspace["forecasts"], forecasts)
+        damage_line(forecasts, 1, lambda header: header.__setitem__("horizon", "x"))
+        code, _, err = run(
+            capsys, "baseline", workspace["pool"], "--method", "entropy",
+            "-k", "1", "--forecasts", forecasts, "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"{forecasts} line 1" in err
+
     def test_forecast_coverage_gap_is_a_domain_error(self, capsys, workspace, tmp_path):
         header_only = str(tmp_path / "empty_forecasts.jsonl")
         with open(header_only, "w") as fh:
@@ -413,8 +490,7 @@ class TestReport:
 
         for name in calls:
             wrapped = counted(name, getattr(traffic, name))
-            for module in (traffic, sdv, cli):
-                monkeypatch.setattr(module, name, wrapped)
+            monkeypatch.setattr(traffic, name, wrapped)
         out_dir = str(tmp_path / "report")
         assert run(capsys, "report", workspace["pool"], result_path, "--out-dir", out_dir)[0] == 0
         with open(result_path) as fh:
@@ -428,10 +504,9 @@ class TestReport:
         with open(os.path.join(out_dir, "summary.json")) as fh:
             summary = json.load(fh)
         pool = load_pool(workspace["pool"])
-        cfg = CurationConfig()
         by_id = {s.snippet_id: s for s in pool.snippets}
         rows = [
-            features.compute_snippet_features(by_id[sid], pool.scene_map, cfg)[0].values
+            features.compute_snippet_features(*measure_args(by_id[sid], pool.scene_map))[0].values
             for sid in summary["selected"]
         ]
         want = np.mean(np.stack(rows), axis=0)

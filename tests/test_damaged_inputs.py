@@ -1,0 +1,149 @@
+"""Damaged feature stores, configs and pools through `cli.main`.
+
+Each example takes a small valid workspace, damages one field that the
+reader needs (drops it, or sets it to a string, NaN, a list or null) and
+runs the command that reads it. The command must exit 2, the domain-error
+code, with no exception escaping and no traceback on stderr.
+"""
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import tempfile
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from logcurator import cli
+
+CONFIG = {
+    "tasks": [{"name": "busy", "weights": {"crowd_dynamic": 1.0, "class_div": 0.5}, "budget": 1}],
+    "k_div": 1,
+    "seed": 0,
+    "roi_radius": 75.0,
+    "near_dist": 10.0,
+    "horizon": 5.0,
+    "map_match_gate": 3.0,
+    "map_match_min_frac": 0.9,
+    "lane_width_fallback": 3.6,
+    "normalization": "zscore",
+}
+DROP = "drop"
+VALUES = {"string": "x", "nan": float("nan"), "list": [[]], "null": None}
+SET = tuple(VALUES)
+ANY = (DROP,) + SET
+
+# (file, line, key path, damages that make the field invalid). Free-form
+# strings (ids, task names) accept any value str() gives, so they are only
+# dropped; optional config fields fall back to defaults, so they are only set.
+SNIPPET_FIELDS = [(key,) for key in ("kind", "snippet_id", "valid", "values")] + [("values", 3)]
+FRAME_FIELDS = [(key,) for key in ("kind", "snippet_id", "values")] + [("values", 0, 5)]
+TARGETS = (
+    [("config.json", 0, (key,), SET) for key in CONFIG]
+    + [("config.json", 0, ("tasks", 0, key), ANY) for key in ("weights", "budget")]
+    + [
+        ("config.json", 0, ("tasks", 0, "name"), (DROP,)),
+        ("config.json", 0, ("tasks", 0, "weights", "crowd_dynamic"), SET),
+    ]
+    + [("feats/snippet_features.jsonl", 0, (key,), ANY) for key in ("kind", "names")]
+    + [("feats/snippet_features.jsonl", 2, path, ANY) for path in SNIPPET_FIELDS]
+    + [("feats/frame_features.jsonl", 0, (key,), ANY) for key in ("kind", "names")]
+    + [("feats/frame_features.jsonl", 2, path, ANY) for path in FRAME_FIELDS]
+    + [
+        ("feats/normalization.json", 0, path, ANY)
+        for part in ("snippet", "frame")
+        for path in [(part,), (part, "mean"), (part, "std"), (part, "flagged"), (part, "std", 1)]
+    ]
+    + [
+        ("pool.jsonl", 0, (key,), ANY)
+        for key in ("kind", "schema_version", "map_path", "snippet_length")
+    ]
+    + [("pool.jsonl", 1, (key,), (DROP,)) for key in ("snippet_id", "log_id")]
+    + [("pool.jsonl", 1, (key,), ANY) for key in ("kind", "frame_range", "frames")]
+    + [
+        ("pool.jsonl", 1, ("frames", 4, key), ANY)
+        for key in ("index", "timestamp", "ego_pose", "geo", "detections")
+    ]
+    + [("pool.jsonl", 1, ("frames", 4, "detections", 0), SET)]
+    + [
+        ("pool.jsonl", 1, ("frames", 4, "detections", 0, key), ANY)
+        for key in ("class", "center", "yaw", "size", "speed")
+    ]
+    + [("pool.jsonl", 1, ("frames", 4, "detections", 0, "track_id"), (DROP,))]
+)
+
+
+@st.composite
+def damages(draw):
+    name, line, path, kinds = draw(st.sampled_from(TARGETS))
+    return name, line, path, draw(st.sampled_from(kinds))
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("damaged")
+    pool = str(root / "pool.jsonl")
+    synth = ["synth", "--snippets", "3", "--frames", "20", "--seed", "3", "--jitter"]
+    assert cli.main(synth + ["--out", pool]) == 0
+    (root / "config.json").write_text(json.dumps(CONFIG))
+    assert cli.main(["score", pool, "--out", str(root / "feats")]) == 0
+    return str(root)
+
+
+def damage_file(path, line, key_path, kind):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    obj = json.loads(lines[line])
+    *parents, last = key_path
+    target = obj
+    for key in parents:
+        target = target[key]
+    if kind == DROP:
+        target.pop(last)
+    else:
+        target[last] = VALUES[kind]
+    lines[line] = json.dumps(obj)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def command(root, name):
+    pool = os.path.join(root, "pool.jsonl")
+    if name == "pool.jsonl":
+        return ["score", pool, "--out", os.path.join(root, "feats2")]
+    config = os.path.join(root, "config.json")
+    out, feats = os.path.join(root, "r.json"), os.path.join(root, "feats")
+    return ["curate", pool, "--config", config, "--out", out, "--features", feats]
+
+
+def test_undamaged_workspace_runs(base):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        for name in ("pool.jsonl", "config.json"):
+            assert cli.main(command(root, name)) == 0
+
+
+# the cases that each ended in a traceback before these inputs were checked
+@example(damage=("config.json", 0, ("tasks", 0, "weights", "crowd_dynamic"), "string"))
+@example(damage=("feats/frame_features.jsonl", 2, ("values",), DROP))
+@example(damage=("feats/frame_features.jsonl", 2, ("values", 0, 5), "nan"))
+@example(damage=("feats/normalization.json", 0, ("snippet",), DROP))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "detections", 0, "speed"), "string"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "timestamp"), "string"))
+@example(damage=("pool.jsonl", 0, ("snippet_length",), "string"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "detections", 0), "nan"))
+@settings(max_examples=300)
+@given(damage=damages())
+def test_damaged_input_is_a_domain_error(base, damage):
+    name, line, key_path, kind = damage
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        damage_file(os.path.join(root, name), line, key_path, kind)
+        code = cli.main(command(root, name))
+    assert code == 2, (damage, err.getvalue())
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()

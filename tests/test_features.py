@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from logcurator import features, traffic
+from logcurator import features
 from logcurator.scene import PoolFormatError, SceneMap, TrafficControl
 from logcurator.selection import CurationConfig
 
-from support import constant_detections, drive, make_detection, pool_of, straight_lane
+from support import constant_detections, drive, make_detection, measure_args, pool_of, straight_lane
 
 CFG = CurationConfig()
 
@@ -23,11 +23,12 @@ def cruise(snippet_id="s0", log_id="log0", n=60, detections=None, geo=None):
 
 
 def snippet_vector(s, m):
-    return features.compute_snippet_features(s, m, CFG)[0]
+    return features.compute_snippet_features(*measure_args(s, m))[0]
 
 
 def frame_vectors(s, roi_radius=CFG.roi_radius):
-    return features.assemble_frame_vectors(s, lane_map(), traffic.detection_arrays(s, roi_radius))
+    rec, index, _ = measure_args(s, lane_map(), roi_radius=roi_radius)
+    return features.assemble_frame_vectors(rec, index)
 
 
 class TestSnippetVector:
@@ -124,13 +125,13 @@ class TestNormalization:
             features.fit_normalization(np.zeros((2, 2)), mode="minmax")
 
     def test_two_value_column_maps_to_unit_scores(self):
-        stats = features.fit_normalization(np.array([[0.0], [2.0]]))
+        stats = features.fit_normalization(np.array([[0.0], [2.0]]), mode="zscore")
         assert stats.apply(np.array([0.0]))[0] == -1.0
         assert stats.apply(np.array([2.0]))[0] == 1.0
 
     def test_constant_columns_flagged_and_uncentered_scale(self):
         mat = np.tile(np.array([5.0, -3.0, 0.0]), (4, 1))
-        stats = features.fit_normalization(mat)
+        stats = features.fit_normalization(mat, mode="zscore")
         assert stats.flagged == (0, 1, 2)
         assert np.array_equal(stats.apply(mat[0]), np.zeros(3))
         # flagged dims subtract the mean but keep raw scale
@@ -140,7 +141,7 @@ class TestNormalization:
         rng = np.random.default_rng(7)
         mat = rng.normal(size=(40, 5)) * np.array([1.0, 10.0, 0.1, 100.0, 1.0])
         mat[:, 2] = 9.0
-        stats = features.fit_normalization(mat)
+        stats = features.fit_normalization(mat, mode="zscore")
         z = np.stack([stats.apply(row) for row in mat])
         live = [i for i in range(5) if i not in stats.flagged]
         assert stats.flagged == (2,)

@@ -14,7 +14,7 @@ from logcurator import features, geometry, sdv, synthgen, traffic
 from logcurator.scene import DETECTION_CLASSES, MapIndex
 from logcurator.selection import CurationConfig
 
-from support import drive, make_detection
+from support import drive, make_detection, measure_args
 
 # 75 m keeps every synthetic actor; 15 m drops some and 5 m nearly all
 RADII = (None, 75.0, 15.0, 5.0)
@@ -54,8 +54,10 @@ def random_snippet(rng, n_frames=12, n_tracks=7):
 
 
 def assert_matches_reference(s, m, roi_radius):
-    det = traffic.detection_arrays(s, roi_radius)
-    tracks = traffic.build_track_paths(det)
+    # a roi_radius of None keeps every detection in the gate
+    index = MapIndex(m)
+    rec = features.snippet_arrays(s, index, CurationConfig(roi_radius=roi_radius))
+    det, tracks = rec.det, rec.tracks
 
     rows = ref.track_rows(s, roi_radius)
     assert [t.track_id for t in tracks] == list(rows)
@@ -66,12 +68,12 @@ def assert_matches_reference(s, m, roi_radius):
         assert t.speeds.tolist() == [r[2] for r in obs]
         assert t.in_roi.tolist() == [r[4] for r in obs]
 
-    assert traffic.crowdedness(det, tracks) == ref.crowdedness(s, roi_radius)
+    assert traffic.crowdedness(det, tracks, traffic.STATIC_SPEED) == ref.crowdedness(s, roi_radius)
     assert traffic.class_diversity(det) == ref.class_diversity(s, roi_radius)
     assert traffic.spatial_variance(det) == ref.spatial_variance(s, roi_radius)
     assert traffic.speed_diversity(tracks) == ref.speed_diversity(s, roi_radius)
 
-    mat = features.frame_matrix(features.assemble_frame_vectors(s, m, det))
+    mat = features.frame_matrix(features.assemble_frame_vectors(rec, index))
     assert np.array_equal(mat[:, :5], ref.frame_class_columns(s, roi_radius))
     return det
 
@@ -117,35 +119,31 @@ def test_scoring_builds_tracks_once(monkeypatch):
     wrapped_arrays = counted("detection_arrays", traffic.detection_arrays)
     wrapped_tracks = counted("build_track_paths", traffic.build_track_paths)
     monkeypatch.setattr(traffic, "detection_arrays", wrapped_arrays)
-    monkeypatch.setattr(sdv, "detection_arrays", wrapped_arrays)
     monkeypatch.setattr(traffic, "build_track_paths", wrapped_tracks)
-    monkeypatch.setattr(sdv, "build_track_paths", wrapped_tracks)
-    features.compute_snippet_features(pool.snippets[0], pool.scene_map, CurationConfig())
+    features.compute_snippet_features(*measure_args(pool.snippets[0], pool.scene_map))
     assert calls == {"detection_arrays": 1, "build_track_paths": 1}
 
 
 def assert_lanes_match_reference(s, index, roi_radius):
     """Lane mask, route match and interactions against the per-lane loops;
     returns the interactions tuple."""
-    ego = s.ego_xy()
-    table = index.project_to_lanes(ego, range(len(index.lane_pts)))
+    config = CurationConfig(roi_radius=roi_radius)
+    rec = features.snippet_arrays(s, index, config)
     if roi_radius is not None:
         # the ROI lane gate of infra_features
-        mask = np.min(table[0], axis=1) <= roi_radius
-        assert np.array_equal(mask, ref.included_lanes(index, ego, roi_radius))
+        mask = np.min(rec.ego_table[0], axis=1) <= roi_radius
+        assert np.array_equal(mask, ref.included_lanes(index, s.ego_xy(), roi_radius))
 
     want = ref.match_route(s, index)
-    for match in (sdv.match_route(s, index), sdv.match_route(s, index, ego_table=table)):
-        for f in fields(sdv.RouteMatch):
-            got, exp = getattr(match, f.name), getattr(want, f.name)
-            if isinstance(exp, np.ndarray):
-                assert got.dtype == exp.dtype and got.tolist() == exp.tolist(), f.name
-            else:
-                assert got == exp, f.name
+    for f in fields(sdv.RouteMatch):
+        got, exp = getattr(rec.match, f.name), getattr(want, f.name)
+        if isinstance(exp, np.ndarray):
+            assert got.dtype == exp.dtype and got.tolist() == exp.tolist(), f.name
+        else:
+            assert got == exp, f.name
 
-    tracks = traffic.build_track_paths(traffic.detection_arrays(s, roi_radius))
-    got = sdv.interactions(s, index.scene_map, index=index, tracks=tracks)
-    assert got == ref.interactions(s, index, tracks)
+    got = sdv.interactions(rec, index, config)
+    assert got == ref.interactions(s, index, rec.tracks)
     return got
 
 
@@ -176,6 +174,7 @@ def test_scoring_projects_the_ego_onto_each_lane_once(monkeypatch):
         return real(points, poly, cumlen)
 
     monkeypatch.setattr(geometry, "project_points_to_polyline", counting)
-    features.compute_snippet_features(s, pool.scene_map, CurationConfig(), index=index)
+    config = CurationConfig()
+    features.compute_snippet_features(features.snippet_arrays(s, index, config), index, config)
     assert len(hits) > len(index.vehicle_indices) > 0
     assert hits == [1] * len(index.lane_pts)

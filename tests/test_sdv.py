@@ -10,6 +10,7 @@ from support import (
     constant_detections,
     drive,
     make_detection,
+    measure_args,
     straight_lane,
     vertical_lane,
 )
@@ -17,6 +18,15 @@ from support import (
 
 def straight_drive(n=60, speed=5.0, y=0.0, x0=-30.0):
     return drive([(x0 + speed * DT * k, y) for k in range(n)])
+
+
+def path_complexity(s):
+    rec, _, cfg = measure_args(s)
+    return sdv.sdv_path_complexity(rec, cfg)
+
+
+def speed_variance(s):
+    return sdv.sdv_speed_variance(measure_args(s)[0])
 
 
 def two_lane_map():
@@ -28,60 +38,60 @@ def two_lane_map():
 class TestPathAndSpeed:
     def test_constant_straight_drive(self):
         s = straight_drive()
-        assert sdv.sdv_path_complexity(s) == 0.0
-        assert sdv.sdv_speed_variance(s) == pytest.approx(0.0, abs=1e-18)
+        assert path_complexity(s) == 0.0
+        assert speed_variance(s) == pytest.approx(0.0, abs=1e-18)
 
     def test_quarter_arc_radius_20(self):
         # 100 equal arcs put every resample station on a vertex, so the
         # measured curvature is not polluted by chord flattening
         pts = arc_points(20.0, 100, center=(0.0, 20.0), start=-np.pi / 2)
         s = drive(pts)
-        assert sdv.sdv_path_complexity(s) == pytest.approx(0.05, abs=2e-3)
+        assert path_complexity(s) == pytest.approx(0.05, abs=2e-3)
         # equal-angle stations give equal chords, hence constant speed
-        assert sdv.sdv_speed_variance(s) < 1e-12
+        assert speed_variance(s) < 1e-12
 
     def test_uniform_speed_ramp(self):
         v = 10.0 * np.arange(249) / 248.0
         x = np.concatenate([[0.0], np.cumsum(v * DT)])
         s = drive(np.column_stack([x, np.zeros(250)]))
-        assert sdv.sdv_path_complexity(s) == 0.0
+        assert path_complexity(s) == 0.0
         # population variance of a uniform 0..10 grid with 249 samples
         expected = 100.0 * 250.0 / (12.0 * 248.0)
-        assert sdv.sdv_speed_variance(s) == pytest.approx(expected, rel=1e-9)
+        assert speed_variance(s) == pytest.approx(expected, rel=1e-9)
 
     def test_near_stationary_scores_zero(self):
         s = drive([(0.0, 0.0), (0.2, 0.0), (0.4, 0.0)])
-        assert sdv.sdv_path_complexity(s) == 0.0
+        assert path_complexity(s) == 0.0
 
     def test_rigid_motion_invariance(self):
         pts = arc_points(30.0, 80, start=0.3, sweep=1.1)
-        ref = sdv.sdv_path_complexity(drive(pts))
+        ref = path_complexity(drive(pts))
         c, s_ = np.cos(1.2), np.sin(1.2)
         moved = pts @ np.array([[c, s_], [-s_, c]]) + np.array([40.0, -7.0])
-        assert abs(sdv.sdv_path_complexity(drive(moved)) - ref) < 1e-9
+        assert abs(path_complexity(drive(moved)) - ref) < 1e-9
 
 
 class TestRouteEvents:
     def test_single_straight_lane(self):
         m = SceneMap(lanes=(straight_lane(),))
-        assert sdv.route_events(straight_drive(), m) == (0, 0, 0)
+        assert sdv.route_events(*measure_args(straight_drive(), m)) == (0, 0, 0)
 
     def test_sustained_lane_change(self):
         ys = [0.0] * 30 + [3.6] * 30
         s = drive([(-30.0 + 0.5 * k, ys[k]) for k in range(60)])
-        assert sdv.route_events(s, two_lane_map()) == (1, 0, 0)
+        assert sdv.route_events(*measure_args(s, two_lane_map())) == (1, 0, 0)
 
     def test_short_final_dip_ignored(self):
         ys = [0.0] * 55 + [3.6] * 5
         s = drive([(-30.0 + 0.5 * k, ys[k]) for k in range(60)])
-        assert sdv.route_events(s, two_lane_map()) == (0, 0, 0)
+        assert sdv.route_events(*measure_args(s, two_lane_map())) == (0, 0, 0)
 
     def test_unrelated_lanes_not_a_change(self):
         # same transition geometry but the lanes are not declared neighbors
         m = SceneMap(lanes=(straight_lane("l0", y=0.0), straight_lane("l1", y=3.6)))
         ys = [0.0] * 30 + [3.6] * 30
         s = drive([(-30.0 + 0.5 * k, ys[k]) for k in range(60)])
-        assert sdv.route_events(s, m) == (0, 0, 0)
+        assert sdv.route_events(*measure_args(s, m)) == (0, 0, 0)
 
     def test_turn_lane_with_light(self):
         arc = arc_points(20.0, 100, center=(0.0, 20.0), start=-np.pi / 2)
@@ -91,26 +101,26 @@ class TestRouteEvents:
             traffic_controls=(TrafficControl("traffic_light", (2.0, 2.0), ("turnL",)),),
         )
         ego = drive(arc_points(20.0, 60, center=(0.0, 20.0), start=-np.pi / 2))
-        assert sdv.route_events(ego, m) == (0, 1, 1)
+        assert sdv.route_events(*measure_args(ego, m)) == (0, 1, 1)
 
     def test_control_on_untraversed_lane_ignored(self):
         m = SceneMap(
             lanes=(straight_lane("l0"), straight_lane("l9", y=40.0)),
             traffic_controls=(TrafficControl("stop_sign", (0.0, 40.0), ("l9",)),),
         )
-        assert sdv.route_events(straight_drive(), m) == (0, 0, 0)
+        assert sdv.route_events(*measure_args(straight_drive(), m)) == (0, 0, 0)
 
 
 class TestInteractions:
     def test_empty_scene(self):
         m = SceneMap(lanes=(straight_lane(),))
-        assert sdv.interactions(straight_drive(), m) == (0, 0, 0, 0)
+        assert sdv.interactions(*measure_args(straight_drive(), m)) == (0, 0, 0, 0)
 
     def test_parked_car_near_path(self):
         m = SceneMap(lanes=(straight_lane(),))
         dets = constant_detections([make_detection("p1", "vehicle", (5.0, 2.0), 0.0)], 60)
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
-        assert sdv.interactions(s, m, near_dist=5.0) == (1, 0, 0, 0)
+        assert sdv.interactions(*measure_args(s, m, near_dist=5.0)) == (1, 0, 0, 0)
 
     def test_walker_crossing_is_dynamic(self):
         m = SceneMap(lanes=(straight_lane(),))
@@ -119,7 +129,7 @@ class TestInteractions:
             for k in range(60)
         ]
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
-        near_s, near_d, _, _ = sdv.interactions(s, m)
+        near_s, near_d, _, _ = sdv.interactions(*measure_args(s, m))
         assert (near_s, near_d) == (0, 1)
 
     def test_near_dist_monotone(self):
@@ -134,7 +144,7 @@ class TestInteractions:
         )
         s = drive([(-30.0 + 0.5 * k, 0.0) for k in range(60)], detections=dets)
         counts = [
-            sum(sdv.interactions(s, m, near_dist=r)[:2]) for r in (1.0, 5.0, 10.0, 20.0, 40.0)
+            sum(sdv.interactions(*measure_args(s, m, near_dist=r))[:2]) for r in (1.0, 5.0, 10.0, 20.0, 40.0)
         ]
         assert counts == sorted(counts)
         assert counts[0] == 0 and counts[-1] == 4
@@ -151,7 +161,7 @@ class TestInteractions:
             for k in range(60)
         ]
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
-        near_s, near_d, trav, reach = sdv.interactions(s, self.conflict_map())
+        near_s, near_d, trav, reach = sdv.interactions(*measure_args(s, self.conflict_map()))
         assert trav == 1
         assert near_d == 1
         assert reach == 0
@@ -163,14 +173,14 @@ class TestInteractions:
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
         m = self.conflict_map()
         # 20 m of feeder lane remain ahead of the waiting car
-        assert sdv.interactions(s, m, horizon=1.0)[3] == 0
-        assert sdv.interactions(s, m, horizon=5.0)[3] == 1
+        assert sdv.interactions(*measure_args(s, m, horizon=1.0))[3] == 0
+        assert sdv.interactions(*measure_args(s, m, horizon=5.0))[3] == 1
 
     def test_no_conflict_without_crossing_lanes(self):
         m = SceneMap(lanes=(straight_lane("a"), straight_lane("b", y=3.6)))
         dets = constant_detections([make_detection("v", "vehicle", (5.0, 3.6), 4.0)], 60)
         s = drive([(-30.0 + 0.5 * k, 0.0) for k in range(60)], detections=dets)
-        assert sdv.interactions(s, m)[2:] == (0, 0)
+        assert sdv.interactions(*measure_args(s, m))[2:] == (0, 0)
 
 
 class TestNudges:
@@ -180,43 +190,43 @@ class TestNudges:
 
     def test_centered_driving(self):
         m = SceneMap(lanes=(straight_lane(),))
-        assert sdv.detect_nudges(straight_drive(), m) == 0
+        assert sdv.detect_nudges(*measure_args(straight_drive(), m)) == 0
 
     def test_planted_excursion_around_parked_car(self):
         # lane half width 1.8 minus ego half width 1.0 leaves 0.8 m of slack
         m = SceneMap(lanes=(straight_lane(),))
         car = constant_detections([make_detection("blk", "vehicle", (0.0, 0.3), 0.0)], 60)
-        assert sdv.detect_nudges(self.excursion_drive(car), m) == 1
+        assert sdv.detect_nudges(*measure_args(self.excursion_drive(car), m)) == 1
 
     def test_excursion_without_object_ignored(self):
         m = SceneMap(lanes=(straight_lane(),))
-        assert sdv.detect_nudges(self.excursion_drive(), m) == 0
+        assert sdv.detect_nudges(*measure_args(self.excursion_drive(), m)) == 0
 
     def test_small_offset_stays_in_lane(self):
         m = SceneMap(lanes=(straight_lane(),))
         car = constant_detections([make_detection("blk", "vehicle", (0.0, 0.3), 0.0)], 60)
-        assert sdv.detect_nudges(self.excursion_drive(car, offset=0.5), m) == 0
+        assert sdv.detect_nudges(*measure_args(self.excursion_drive(car, offset=0.5), m)) == 0
 
     def test_unbounded_excursion_ignored(self):
         m = SceneMap(lanes=(straight_lane(),))
         car = constant_detections([make_detection("blk", "vehicle", (-28.0, 0.3), 0.0)], 60)
         ys = [1.2] * 10 + [0.0] * 50
         s = drive([(-30.0 + 1.0 * k, ys[k]) for k in range(60)], detections=car)
-        assert sdv.detect_nudges(s, m) == 0
+        assert sdv.detect_nudges(*measure_args(s, m)) == 0
 
     def test_lane_change_is_not_a_nudge(self):
         m = two_lane_map()
         car = constant_detections([make_detection("blk", "vehicle", (0.0, 0.3), 0.0)], 60)
         ys = [0.0] * 30 + [3.6] * 30
         s = drive([(-30.0 + 1.0 * k, ys[k]) for k in range(60)], detections=car)
-        assert sdv.detect_nudges(s, m) == 0
-        assert sdv.route_events(s, m)[0] == 1
+        assert sdv.detect_nudges(*measure_args(s, m)) == 0
+        assert sdv.route_events(*measure_args(s, m))[0] == 1
 
 
 class TestFeatureBundle:
     def test_quiet_scene_all_zero_and_valid(self):
         m = SceneMap(lanes=(straight_lane(),))
-        out = sdv.sdv_features(straight_drive(), m)
+        out = sdv.sdv_features(*measure_args(straight_drive(), m))
         assert out.valid
         assert out.sdv_path == 0.0
         assert out.lane_changes == 0.0
@@ -225,11 +235,11 @@ class TestFeatureBundle:
     def test_off_map_drive_flagged_invalid(self):
         m = SceneMap(lanes=(straight_lane(),))
         s = straight_drive(y=50.0)
-        out = sdv.sdv_features(s, m)
+        out = sdv.sdv_features(*measure_args(s, m))
         assert not out.valid
 
     def test_empty_map_flagged_invalid(self):
         # with no drivable lanes nothing can sit within the matching gate,
         # so the snippet must come back unrankable rather than zero-scored
-        out = sdv.sdv_features(straight_drive(), SceneMap())
+        out = sdv.sdv_features(*measure_args(straight_drive(), SceneMap()))
         assert not out.valid

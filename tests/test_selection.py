@@ -159,6 +159,30 @@ class TestWeightsAndConfig:
             ({"tasks": [3]}, "'tasks' must be a list of objects"),
             ({"tasks": {"a": 1}}, "'tasks' must be a list of objects"),
             ({"tasks": 3}, "'tasks' must be a list of objects"),
+            (
+                {"tasks": [{"name": "t", "weights": {"turns": "x"}, "budget": 1}]},
+                "task 't': weight of feature 'turns' must be a number",
+            ),
+            (
+                {"tasks": [{"name": "t", "weights": ["x"] * SNIPPET_DIM, "budget": 1}]},
+                "task 't': weight of feature 'curve_mean' must be a number",
+            ),
+            (
+                {"tasks": [{"name": "t", "weights": "x", "budget": 1}]},
+                "task 't': weights must be an object",
+            ),
+            ({"near_dist": -3}, "near_dist must be >= 0"),
+            ({"horizon": -5}, "horizon must be >= 0"),
+            ({"static_speed": -0.1}, "static_speed must be >= 0"),
+            ({"ego_width": -2.0}, "ego_width must be >= 0"),
+            ({"nudge_object_dist": -1.0}, "nudge_object_dist must be >= 0"),
+            ({"lane_change_min_frames": -1}, "lane_change_min_frames must be >= 0"),
+            ({"nudge_min_bound_frames": -1}, "nudge_min_bound_frames must be >= 0"),
+            ({"map_match_gate": -1}, "map_match_gate must be positive"),
+            ({"map_match_gate": 0}, "map_match_gate must be positive"),
+            ({"lane_width_fallback": 0}, "lane_width_fallback must be positive"),
+            ({"map_match_min_frac": 7}, r"map_match_min_frac must be in \[0, 1\]"),
+            ({"map_match_min_frac": -0.5}, r"map_match_min_frac must be in \[0, 1\]"),
         ],
     )
     def test_malformed_configs_rejected(self, obj, msg):

@@ -4,7 +4,6 @@ import pytest
 from logcurator import features
 from logcurator.baselines import snippet_entropy
 from logcurator.scene import load_pool, save_pool, snippets_overlap
-from logcurator.selection import CurationConfig
 from logcurator.synthgen import (
     OracleCard,
     ScenarioError,
@@ -14,6 +13,8 @@ from logcurator.synthgen import (
     synth_forecasts,
     validate_spec,
 )
+
+from support import measure_args
 
 
 def quiet_spec(**overrides):
@@ -31,7 +32,7 @@ def quiet_spec(**overrides):
 
 def measure(pool, snippet_id):
     s = next(x for x in pool.snippets if x.snippet_id == snippet_id)
-    vec, _ = features.compute_snippet_features(s, pool.scene_map, CurationConfig())
+    vec, _ = features.compute_snippet_features(*measure_args(s, pool.scene_map))
     return vec, dict(zip(features.SNIPPET_FEATURE_NAMES, vec.values))
 
 

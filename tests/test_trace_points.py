@@ -8,12 +8,18 @@ wrapped name must be entered by the command that reports it.
 
 import json
 
-from logcurator import cli, geometry, sdv, selection
+from logcurator import cli, features, geometry, sdv, selection, traffic
 
 SCORE_POINTS = (
     (sdv, "match_route"),
     (sdv, "interactions"),
     (geometry, "project_points_to_polyline"),
+    (features, "compute_snippet_features"),
+    (features, "infra_features"),
+    (features, "traffic_features"),
+    (features, "sdv_features"),
+    (features, "assemble_frame_vectors"),
+    (traffic, "build_track_paths"),
 )
 CURATE_POINTS = ((selection, "select_challenging"), (selection, "overlap_adjacency"))
 

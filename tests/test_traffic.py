@@ -3,7 +3,7 @@ import pytest
 
 from logcurator import traffic
 
-from support import arc_points, constant_detections, drive, make_detection
+from support import arc_points, constant_detections, drive, make_detection, measure_args
 
 VEH = "vehicle"
 PED = "pedestrian"
@@ -24,7 +24,7 @@ def tracks_of(s):
 
 def crowdedness(s, roi_radius=None):
     det = traffic.detection_arrays(s, roi_radius)
-    return traffic.crowdedness(det, traffic.build_track_paths(det))
+    return traffic.crowdedness(det, traffic.build_track_paths(det), traffic.STATIC_SPEED)
 
 
 def class_diversity(s):
@@ -174,7 +174,7 @@ class TestActorPaths:
             (make_detection("t0", VEH, p, 3.0),) for p in positions
         ]
         tracks = tracks_of(snippet_with(frames))
-        assert traffic.actor_path_complexity(tracks) == (0.0, 0.0)
+        assert traffic.actor_path_complexity(tracks, 100) == (0.0, 0.0)
 
     def test_circle_track_mean_and_max(self):
         arc = arc_points(20.0, 100)
@@ -187,14 +187,14 @@ class TestActorPaths:
             for k in range(100)
         ]
         tracks = tracks_of(snippet_with(frames))
-        mean, peak = traffic.actor_path_complexity(tracks)
+        mean, peak = traffic.actor_path_complexity(tracks, 100)
         assert peak == pytest.approx(0.05, abs=2e-3)
         assert mean == pytest.approx(0.025, abs=2e-3)
 
     def test_stationary_actor_skipped(self):
         frames = constant_detections([make_detection("t0", VEH, (5.0, 5.0), 0.0)], 10)
         tracks = tracks_of(snippet_with(frames))
-        assert traffic.actor_path_complexity(tracks) == (0.0, 0.0)
+        assert traffic.actor_path_complexity(tracks, 100) == (0.0, 0.0)
 
     def test_two_point_track_skipped(self):
         frames = [
@@ -202,7 +202,7 @@ class TestActorPaths:
             (make_detection("t0", VEH, (1.0, 2.0), 1.0),),
         ]
         tracks = tracks_of(snippet_with(frames))
-        assert traffic.actor_path_complexity(tracks) == (0.0, 0.0)
+        assert traffic.actor_path_complexity(tracks, 100) == (0.0, 0.0)
 
 
 class TestSpeedDiversity:
@@ -259,8 +259,8 @@ def test_traffic_features_bundles_consistently():
         4,
     )
     s = snippet_with(frames)
-    det = traffic.detection_arrays(s, 75.0)
-    out = traffic.traffic_features(det, traffic.build_track_paths(det))
+    rec, _, cfg = measure_args(s, roi_radius=75.0)
+    out = traffic.traffic_features(rec, cfg)
     assert out.crowd_static == 1.0
     assert out.crowd_dynamic == 1.0
     assert out.class_div == pytest.approx(2.0, abs=1e-12)
