@@ -123,6 +123,13 @@ def _bundle_for(pool, cfg, features_dir, jobs):
         raise selection.ConfigError(
             f"feature directory {features_dir} does not cover the pool snippet ids"
         )
+    for sid in bundle.ids:
+        if len(bundle.frame_mats[sid]) != pool.snippet_length:
+            raise PoolFormatError(
+                f"feature file {os.path.join(features_dir, 'frame_features.jsonl')}: snippet "
+                f"{sid!r} has {len(bundle.frame_mats[sid])} frame rows, the pool has "
+                f"{pool.snippet_length} frames per snippet"
+            )
     return bundle
 
 

@@ -96,7 +96,7 @@ class SnippetArrays:
     ego_path: geometry.Path  # ego xy without exactly repeated poses
     det: Detections  # gated at config.roi_radius
     tracks: list  # build_track_paths(det)
-    ego_table: tuple  # index.project_to_lanes(ego, every lane)
+    ego_table: tuple  # index.project_to_lanes(ego, index.segments)
     match: RouteMatch
 
 
@@ -169,7 +169,7 @@ def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
     route match."""
     ego = s.ego_xy()
     det = traffic.detection_arrays(s, config.roi_radius)
-    ego_table = index.project_to_lanes(ego, range(len(index.lane_pts)))
+    ego_table = index.project_to_lanes(ego, index.segments)
     return SnippetArrays(
         snippet_id=s.snippet_id,
         frame_index=tuple(f.index for f in s.frames),

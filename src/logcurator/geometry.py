@@ -269,32 +269,148 @@ def polygon_is_simple(polygon: np.ndarray) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class SegmentTable:
+    """The segments of one or more polylines in one flat table.
+
+    Polyline k owns the contiguous slice of segments that starts at
+    `starts[k]`; a single-point polyline is one zero-length segment.
+    """
+
+    x0: np.ndarray  # (S,) segment start
+    y0: np.ndarray
+    dx: np.ndarray  # (S,) segment direction, end minus start
+    dy: np.ndarray
+    len2: np.ndarray  # (S,) squared length, 1.0 where it is at most _EPS
+    length: np.ndarray  # (S,)
+    arc0: np.ndarray  # (S,) arc position of the segment start
+    starts: np.ndarray  # (P,) first segment of each polyline
+
+    @staticmethod
+    def from_polylines(polylines, cumlens) -> "SegmentTable":
+        """Table of the given polylines, in order; each cumulative arc length
+        may be None, and is then measured here."""
+        p0, p1, arc0 = [], [], []
+        for poly, cumlen in zip(polylines, cumlens):
+            pts = np.asarray(poly, dtype=float)
+            if len(pts) == 0:
+                raise ValueError("cannot project onto an empty polyline")
+            if len(pts) == 1:  # one zero-length segment at arc position 0
+                p0.append(pts)
+                p1.append(pts)
+                arc0.append(np.zeros(1))
+                continue
+            p0.append(pts[:-1])
+            p1.append(pts[1:])
+            arc0.append((cumulative_arclength(pts) if cumlen is None else cumlen)[:-1])
+        counts = np.array([len(a) for a in arc0], dtype=np.intp)
+        p0 = np.concatenate([np.zeros((0, 2)), *p0])
+        p1 = np.concatenate([np.zeros((0, 2)), *p1])
+        arc0 = np.concatenate([np.zeros(0), *arc0])
+        d = p1 - p0
+        dx, dy = d[:, 0].copy(), d[:, 1].copy()
+        len2 = dx * dx + dy * dy
+        return SegmentTable(
+            x0=p0[:, 0].copy(),
+            y0=p0[:, 1].copy(),
+            dx=dx,
+            dy=dy,
+            len2=np.where(len2 <= _EPS, 1.0, len2),
+            length=np.sqrt(len2),
+            arc0=np.asarray(arc0, dtype=float),
+            starts=np.cumsum(counts) - counts,
+        )
+
+    def take(self, polylines) -> "SegmentTable":
+        """Table of the listed polylines, in the listed order."""
+        which = np.asarray(polylines, dtype=np.intp)
+        counts = np.diff(np.append(self.starts, len(self.x0)))[which]
+        starts = np.cumsum(counts) - counts
+        cols = np.arange(int(counts.sum())) + np.repeat(self.starts[which] - starts, counts)
+        return SegmentTable(
+            self.x0[cols],
+            self.y0[cols],
+            self.dx[cols],
+            self.dy[cols],
+            self.len2[cols],
+            self.length[cols],
+            self.arc0[cols],
+            starts,
+        )
+
+
+# point x segment pairs per kernel pass: every (N, S) temporary of a pass
+# holds at most 2 MiB, however large the map
+BLOCK_PAIRS = 1 << 18
+
+
+def project_to_segments(points: np.ndarray, table: SegmentTable):
+    """(P, N) distance and arc-position tables of every point against every
+    polyline of the table: the one projection kernel.
+
+    Each point is projected onto each segment (foot parameter clipped to the
+    segment), and each polyline reports its nearest segment, the first one
+    on ties. Points go through in blocks of at most BLOCK_PAIRS point x
+    segment pairs (at least one point), so peak memory does not grow with
+    the number of points; a point's result does not depend on its block.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n_seg = len(table.x0)
+    if n_seg == 0:
+        return np.zeros((0, len(pts))), np.zeros((0, len(pts)))
+    step = max(1, BLOCK_PAIRS // n_seg)
+    parts = [_project_block(pts[lo : lo + step], table) for lo in range(0, max(len(pts), 1), step)]
+    return (
+        np.concatenate([dist for dist, _ in parts], axis=1),
+        np.concatenate([arc for _, arc in parts], axis=1),
+    )
+
+
+def _project_block(pts: np.ndarray, table: SegmentTable):
+    """project_to_segments of one block of points. Work runs on separate x
+    and y (N, S) arrays in place, in the float order every stored feature
+    depends on: rel·d, then /len2, clip, p0 + t·d, the difference to the
+    point and the sum of squares."""
+    n_seg = len(table.x0)
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    t = np.subtract(px, table.x0)
+    t *= table.dx
+    e = np.subtract(py, table.y0)
+    e *= table.dy
+    t += e
+    t /= table.len2
+    np.clip(t, 0.0, 1.0, out=t)
+    np.multiply(t, table.dx, out=e)
+    e += table.x0
+    np.subtract(px, e, out=e)
+    e *= e
+    f = t * table.dy
+    f += table.y0
+    np.subtract(py, f, out=f)
+    f *= f
+    e += f  # squared distance to each segment's foot
+    if len(table.starts) == 1:  # the same first minimum, in one pass
+        j = np.argmin(e, axis=1)[:, None]
+    else:
+        # first minimum per slice: of the segments that reach the slice
+        # minimum, keep the one farthest from the end of the table
+        low = np.minimum.reduceat(e, table.starts, axis=1)
+        hit = e == np.repeat(low, np.diff(np.append(table.starts, n_seg)), axis=1)
+        if np.isnan(low).any():
+            hit |= np.isnan(e)
+        from_end = np.arange(n_seg, 0, -1)
+        j = n_seg - np.maximum.reduceat(hit * from_end, table.starts, axis=1)
+    rows = np.arange(len(pts))[:, None]
+    dist = np.sqrt(e[rows, j])
+    arc = table.arc0[j] + t[rows, j] * table.length[j]
+    return dist.T, arc.T
+
+
 def project_points_to_polyline(points: np.ndarray, poly_points: np.ndarray, cumlen=None):
     """Distance from each point to a polyline plus the foot's arc position.
 
     Returns (dist, arc) arrays of shape (N,). A single-point polyline acts as
     a degenerate path: plain point distances, arc position 0.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    poly = np.asarray(poly_points, dtype=float)
-    if len(poly) == 0:
-        raise ValueError("cannot project onto an empty polyline")
-    if len(poly) == 1:
-        dist = np.linalg.norm(pts - poly[0], axis=1)
-        return dist, np.zeros(len(pts))
-    if cumlen is None:
-        cumlen = cumulative_arclength(poly)
-    p0 = poly[:-1]
-    d = poly[1:] - poly[:-1]
-    len2 = np.einsum("ij,ij->i", d, d)
-    len2 = np.where(len2 <= _EPS, 1.0, len2)
-    rel = pts[:, None, :] - p0[None, :, :]
-    t = np.clip(np.einsum("nsj,sj->ns", rel, d) / len2[None, :], 0.0, 1.0)
-    proj = p0[None, :, :] + t[:, :, None] * d[None, :, :]
-    dist2 = np.einsum("nsj,nsj->ns", pts[:, None, :] - proj, pts[:, None, :] - proj)
-    j = np.argmin(dist2, axis=1)
-    rows = np.arange(len(pts))
-    seg_len = np.sqrt(np.einsum("ij,ij->i", d, d))
-    dist = np.sqrt(dist2[rows, j])
-    arc = cumlen[j] + t[rows, j] * seg_len[j]
-    return dist, arc
+    dist, arc = project_to_segments(points, SegmentTable.from_polylines([poly_points], [cumlen]))
+    return dist[0], arc[0]

@@ -497,6 +497,8 @@ def load_pool(path: str) -> SnippetPool:
         raise PoolFormatError(f"pool file {path} line 1: header missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise PoolFormatError(f"pool file {path} line 1: malformed header field: {exc}") from exc
+    if snippet_length < 1:
+        raise PoolFormatError(f"pool file {path} line 1: snippet_length {snippet_length} is below 1")
     map_path = os.path.join(os.path.dirname(os.path.abspath(path)), map_name)
     scene_map = load_map(map_path)
 
@@ -512,6 +514,8 @@ def load_pool(path: str) -> SnippetPool:
             snippets.append(_snippet_from_obj(obj))
         except (TypeError, ValueError) as exc:  # PoolFormatError included
             raise PoolFormatError(f"pool file {path} line {lineno}: {exc}") from exc
+        if not snippets[-1].frames:
+            raise PoolFormatError(f"pool file {path} line {lineno}: snippet has no frames")
 
     findings = []
     seen = set()
@@ -547,8 +551,11 @@ class MapIndex:
             self.lane_pts.append(pts)
             self.lane_cumlen.append(geometry.cumulative_arclength(pts))
         self.lane_length = np.array([c[-1] for c in self.lane_cumlen])
+        # every lane's segments in lane order, and the vehicle lanes' in theirs
+        self.segments = geometry.SegmentTable.from_polylines(self.lane_pts, self.lane_cumlen)
         self.lane_is_bike = np.array([l.is_bike_lane for l in scene_map.lanes], dtype=bool)
         self.vehicle_indices = [i for i, b in enumerate(self.lane_is_bike) if not b]
+        self.vehicle_segments = self.segments.take(self.vehicle_indices)
         self.bike_indices = [i for i, b in enumerate(self.lane_is_bike) if b]
         self.successor_indices = [
             [self.id_to_index[s] for s in lane.successors if s in self.id_to_index]
@@ -596,13 +603,9 @@ class MapIndex:
         w = self.scene_map.lanes[index].width
         return fallback if w is None else w
 
-    def project_to_lanes(self, points: np.ndarray, lanes) -> tuple:
-        """(len(lanes), N) distance and arc-position tables of every point
-        against every listed lane: the only projection onto lane centerlines."""
-        dist = np.empty((len(lanes), len(points)))
-        arc = np.empty_like(dist)
-        for row, li in enumerate(lanes):
-            dist[row], arc[row] = geometry.project_points_to_polyline(
-                points, self.lane_pts[li], self.lane_cumlen[li]
-            )
-        return dist, arc
+    def project_to_lanes(self, points: np.ndarray, table: geometry.SegmentTable) -> tuple:
+        """(lanes, N) distance and arc-position tables of every point against
+        every lane of `table`: `segments`, `vehicle_segments` or a
+        `segments.take(lanes)`. The only projection onto lane centerlines,
+        one kernel call over the table's lane slices."""
+        return geometry.project_to_segments(points, table)

@@ -61,7 +61,7 @@ def nearest_lane(dist: np.ndarray, arc: np.ndarray, lanes) -> tuple:
 
 def match_route(ego_table: tuple, index: MapIndex, config) -> RouteMatch:
     """Nearest vehicle lane per ego pose, read from the ego-to-every-lane
-    table `index.project_to_lanes(ego, every lane)`."""
+    table `index.project_to_lanes(ego, index.segments)`."""
     dist, arc = ego_table
     n = dist.shape[1]
     veh = index.vehicle_indices
@@ -189,32 +189,31 @@ def interactions(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
             else:
                 near_dynamic += 1
 
-    conflict = _conflict_lanes(index, match.traversed)
+    conflict = _conflict_lanes(index, match.traversed)  # vehicle lanes only
+    if not conflict:
+        return near_static, near_dynamic, 0, 0
+    conflict_table = index.segments.take(conflict)
+    half = np.array([0.5 * index.lane_width(li, config.lane_width_fallback) for li in conflict])
     traversing = set()
     vehicles = [t for t in tracks if t.label == "vehicle"]
     for t in vehicles:
-        for li in conflict:
-            half = 0.5 * index.lane_width(li, config.lane_width_fallback)
-            dist, _ = index.project_to_lanes(t.positions, [li])
-            if float(np.min(dist)) <= half:
-                traversing.add(t.track_id)
-                break
+        dist, _ = index.project_to_lanes(t.positions, conflict_table)
+        if bool(np.any(np.min(dist, axis=1) <= half)):
+            traversing.add(t.track_id)
 
     reachable = 0
-    if conflict and index.vehicle_indices:
-        reach = _entry_distances(index, conflict)
-        veh_lanes = index.vehicle_indices
-        for t in vehicles:
-            if t.track_id in traversing:
-                continue
-            dist, arc = index.project_to_lanes(t.positions, veh_lanes)
-            lanes, lat, arc = nearest_lane(dist, arc, veh_lanes)
-            ok = lat <= config.map_match_gate
-            dist_to_entry = np.where(
-                np.isfinite(reach[lanes]), np.maximum(reach[lanes] - arc, 0.0), np.inf
-            )
-            if bool(np.any(ok & (t.speeds * config.horizon >= dist_to_entry))):
-                reachable += 1
+    reach = _entry_distances(index, conflict)
+    for t in vehicles:
+        if t.track_id in traversing:
+            continue
+        dist, arc = index.project_to_lanes(t.positions, index.vehicle_segments)
+        lanes, lat, arc = nearest_lane(dist, arc, index.vehicle_indices)
+        ok = lat <= config.map_match_gate
+        dist_to_entry = np.where(
+            np.isfinite(reach[lanes]), np.maximum(reach[lanes] - arc, 0.0), np.inf
+        )
+        if bool(np.any(ok & (t.speeds * config.horizon >= dist_to_entry))):
+            reachable += 1
 
     return near_static, near_dynamic, len(traversing), reachable
 

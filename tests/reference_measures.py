@@ -2,20 +2,59 @@
 
 The traffic and frame measures walk `Snippet.frames[*].detections` directly,
 one measure at a time, exactly as they were first written. The lane measures
-project each point set onto one lane centerline at a time: the ROI lane
-gate and the ego route match each project the ego onto every lane, and the
-reachability check projects each vehicle track onto every vehicle lane. The
-library computes the same values as reductions over one set of flat
-detection arrays and one lane-projection table per point set; the
-equivalence tests compare the two bit for bit.
+project each point set onto one lane centerline at a time, through the
+einsum `project_points_to_polyline` copied here: the ROI lane gate and the
+ego route match each project the ego onto every lane, the traversal check
+projects each vehicle track onto every conflict lane and the reachability
+check onto every vehicle lane. The library
+computes the same values as reductions over one set of flat detection arrays
+and one call of its segment-table kernel per point set; the equivalence
+tests compare the two bit for bit.
 """
 
 import numpy as np
 
 from logcurator import geometry, sdv
+from logcurator.geometry import cumulative_arclength
 from logcurator.traffic import STATIC_SPEED
 
 FRAME_CLASSES = ("vehicle", "pedestrian", "bicyclist")
+_EPS = 1e-12
+
+
+# The einsum projection the library used before its flat segment-table
+# kernel, kept verbatim as that kernel's oracle.
+
+
+def project_points_to_polyline(points: np.ndarray, poly_points: np.ndarray, cumlen=None):
+    """Distance from each point to a polyline plus the foot's arc position.
+
+    Returns (dist, arc) arrays of shape (N,). A single-point polyline acts as
+    a degenerate path: plain point distances, arc position 0.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    poly = np.asarray(poly_points, dtype=float)
+    if len(poly) == 0:
+        raise ValueError("cannot project onto an empty polyline")
+    if len(poly) == 1:
+        dist = np.linalg.norm(pts - poly[0], axis=1)
+        return dist, np.zeros(len(pts))
+    if cumlen is None:
+        cumlen = cumulative_arclength(poly)
+    p0 = poly[:-1]
+    d = poly[1:] - poly[:-1]
+    len2 = np.einsum("ij,ij->i", d, d)
+    len2 = np.where(len2 <= _EPS, 1.0, len2)
+    rel = pts[:, None, :] - p0[None, :, :]
+    t = np.clip(np.einsum("nsj,sj->ns", rel, d) / len2[None, :], 0.0, 1.0)
+    proj = p0[None, :, :] + t[:, :, None] * d[None, :, :]
+    dist2 = np.einsum("nsj,nsj->ns", pts[:, None, :] - proj, pts[:, None, :] - proj)
+    j = np.argmin(dist2, axis=1)
+    rows = np.arange(len(pts))
+    seg_len = np.sqrt(np.einsum("ij,ij->i", d, d))
+    dist = np.sqrt(dist2[rows, j])
+    arc = cumlen[j] + t[rows, j] * seg_len[j]
+    return dist, arc
 
 
 def _in_gate(det, ego_k, r2):
@@ -138,7 +177,7 @@ def included_lanes(index, ego, radius):
     for i, pts in enumerate(index.lane_pts):
         if len(pts) == 0:
             continue
-        dist, _ = geometry.project_points_to_polyline(ego, pts, index.lane_cumlen[i])
+        dist, _ = project_points_to_polyline(ego, pts, index.lane_cumlen[i])
         mask[i] = bool(np.min(dist) <= radius)
     return mask
 
@@ -148,7 +187,7 @@ def _nearest_vehicle_lane(index, points):
     dists = np.empty((len(veh), len(points)))
     arcs = np.empty_like(dists)
     for row, li in enumerate(veh):
-        dists[row], arcs[row] = geometry.project_points_to_polyline(
+        dists[row], arcs[row] = project_points_to_polyline(
             points, index.lane_pts[li], index.lane_cumlen[li]
         )
     best = np.argmin(dists, axis=0)
@@ -196,7 +235,7 @@ def interactions(
     near_static = 0
     near_dynamic = 0
     for t in tracks:
-        dist, _ = geometry.project_points_to_polyline(t.positions, ego_path)
+        dist, _ = project_points_to_polyline(t.positions, ego_path)
         if float(np.min(dist)) < near_dist:
             if t.is_static(static_speed):
                 near_static += 1
@@ -209,7 +248,7 @@ def interactions(
     for t in vehicles:
         for li in conflict:
             half = 0.5 * index.lane_width(li, lane_width_fallback)
-            dist, _ = geometry.project_points_to_polyline(
+            dist, _ = project_points_to_polyline(
                 t.positions, index.lane_pts[li], index.lane_cumlen[li]
             )
             if float(np.min(dist)) <= half:

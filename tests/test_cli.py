@@ -149,6 +149,25 @@ class TestScore:
         assert "Traceback" not in err
         assert f"{pool} line {lineno}" in err
 
+    @pytest.mark.parametrize(
+        "lineno,damage",
+        [
+            (1, lambda header: header.__setitem__("snippet_length", 0)),
+            (1, lambda header: header.__setitem__("snippet_length", -3)),
+            (3, lambda s: s.update(frames=[], frame_range=[5, 4])),
+        ],
+        ids=["header_length_zero", "header_length_negative", "snippet_without_frames"],
+    )
+    def test_frameless_pool_is_a_domain_error(self, capsys, workspace, tmp_path, lineno, damage):
+        pool = str(tmp_path / "pool.jsonl")
+        shutil.copy(workspace["pool"], pool)
+        shutil.copy(os.path.join(workspace["root"], "scene.map.json"), tmp_path)
+        damage_line(pool, lineno, damage)
+        code, _, err = run(capsys, "score", pool, "--out", str(tmp_path / "feats"))
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"{pool} line {lineno}" in err
+
     def test_missing_pool_is_a_domain_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "score", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "f")
@@ -259,6 +278,18 @@ class TestCurate:
         err = self.damaged_store_error(capsys, workspace, tmp_path, drop_last_frame_row)
         assert "frame_features.jsonl" in err
         assert "s0003" in err
+
+    def test_frame_row_shorter_than_the_pool_is_a_domain_error(self, capsys, workspace, tmp_path):
+        def cut_last_frame_row(feats):
+            damage_line(
+                os.path.join(feats, "frame_features.jsonl"),
+                5,
+                lambda row: row.__setitem__("values", row["values"][:1]),
+            )
+
+        err = self.damaged_store_error(capsys, workspace, tmp_path, cut_last_frame_row)
+        assert "frame_features.jsonl" in err
+        assert "'s0003' has 1 frame rows" in err
 
     @pytest.mark.parametrize(
         "damage,named",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference_measures as ref
-from logcurator import features, geometry, sdv, synthgen, traffic
+from logcurator import features, sdv, synthgen, traffic
 from logcurator.scene import DETECTION_CLASSES, MapIndex
 from logcurator.selection import CurationConfig
 
@@ -165,15 +165,21 @@ def test_scoring_projects_the_ego_onto_each_lane_once(monkeypatch):
     index = MapIndex(pool.scene_map)
     ego = s.ego_xy()
     hits = [0] * len(index.lane_pts)
-    real = geometry.project_points_to_polyline
+    # the lanes of each lane table of the index; an ego projection onto any
+    # other table fails the lookup
+    lanes_of = {
+        id(index.segments): range(len(hits)),
+        id(index.vehicle_segments): index.vehicle_indices,
+    }
+    real = MapIndex.project_to_lanes
 
-    def counting(points, poly, cumlen=None):
-        for i, pts in enumerate(index.lane_pts):
-            if poly is pts and np.array_equal(points, ego):
-                hits[i] += 1
-        return real(points, poly, cumlen)
+    def counting(self, points, table):
+        if np.array_equal(points, ego):
+            for li in lanes_of[id(table)]:
+                hits[li] += 1
+        return real(self, points, table)
 
-    monkeypatch.setattr(geometry, "project_points_to_polyline", counting)
+    monkeypatch.setattr(MapIndex, "project_to_lanes", counting)
     config = CurationConfig()
     features.compute_snippet_features(features.snippet_arrays(s, index, config), index, config)
     assert len(hits) > len(index.vehicle_indices) > 0
