@@ -3,8 +3,6 @@
 __version__ = "0.1.0"
 
 from .scene import (
-    Detection,
-    Frame,
     Lane,
     SceneMap,
     Snippet,
@@ -16,8 +14,6 @@ from .scene import (
 from .selection import CurationConfig, curate
 
 __all__ = [
-    "Detection",
-    "Frame",
     "Lane",
     "SceneMap",
     "Snippet",

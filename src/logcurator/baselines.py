@@ -6,12 +6,11 @@ The entropy ranker scores a snippet by summing, over every frame and every
 curation phases and emit the shared result schema.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import canonical_dumps
+from .scene import canonical_dumps, read_json, write_atomic
 from .selection import AuditEntry, CurationResult, take_pick
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
@@ -66,29 +65,15 @@ def snippet_entropy(forecast: GaussianForecast) -> float:
 
 def load_forecasts(path: str) -> dict:
     """Parse a forecast NDJSON file into {snippet_id: GaussianForecast}."""
-    try:
-        with open(path) as fh:
-            rows = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise ForecastError(f"cannot read forecast file {path}: {exc}") from exc
-    if not rows:
-        raise ForecastError(f"forecast file {path} is empty")
-    try:
-        header = json.loads(rows[0])
-    except json.JSONDecodeError as exc:
-        raise ForecastError(f"forecast header is not valid JSON: {exc}") from exc
+    header, rows = read_json(path, ForecastError, "forecast file", lines=True)
     if not isinstance(header, dict) or header.get("kind") != "forecast_header":
         raise ForecastError("first record must be the forecast header")
     try:
         horizon = int(header.get("horizon", 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ForecastError(f"forecast file {path} line 1: malformed horizon: {exc}") from exc
     frames_by_snippet: dict[str, dict] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        try:
-            obj = json.loads(row)
-        except json.JSONDecodeError as exc:
-            raise ForecastError(f"forecast file {path} line {lineno}: invalid JSON: {exc}") from exc
+    for lineno, obj in rows:
         if not isinstance(obj, dict) or obj.get("kind") != "forecast":
             raise ForecastError(f"forecast file {path} line {lineno}: expected a forecast record")
         try:
@@ -100,7 +85,7 @@ def load_forecasts(path: str) -> dict:
                 mu=(float(obj["mu"][0]), float(obj["mu"][1])),
                 cov=(float(obj["cov"][0]), float(obj["cov"][1]), float(obj["cov"][2])),
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ForecastError(
                 f"forecast file {path} line {lineno}: malformed forecast record: {exc}"
             ) from exc
@@ -174,8 +159,6 @@ def baseline_result(method: str, k: int, picked, audit, seed: int) -> CurationRe
 
 def write_forecasts(path: str, forecasts: dict, horizon: int) -> None:
     """Serialize forecasts in canonical NDJSON (deterministic record order)."""
-    from .scene import write_atomic
-
     lines = [
         canonical_dumps({"kind": "forecast_header", "schema_version": 1, "horizon": horizon})
     ]

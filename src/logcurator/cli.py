@@ -8,7 +8,6 @@ reruns with identical inputs produce byte-identical artifacts.
 
 import csv
 import io
-import json
 import os
 import sys
 
@@ -22,6 +21,7 @@ from .scene import (
     PoolValidationError,
     canonical_dumps,
     load_pool,
+    read_json,
     save_pool,
     write_atomic,
 )
@@ -226,13 +226,7 @@ def report(pool_path, result_path, out_dir, config_path):
     """Summarize a selection: features, label mix, and histograms."""
     cfg = selection.load_config(config_path) if config_path else selection.CurationConfig()
     pool = load_pool(pool_path)
-    try:
-        with open(result_path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise PoolFormatError(f"cannot read result {result_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PoolFormatError(f"result {result_path} is not valid JSON: {exc}") from exc
+    obj = read_json(result_path, PoolFormatError, "result")
     problems = selection.validate_result_obj(obj)
     if problems:
         raise PoolFormatError(f"result {result_path}: " + "; ".join(problems))

@@ -7,7 +7,6 @@ the order records appear in the pool file, and identical at any worker
 count.
 """
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +15,8 @@ import numpy as np
 
 from . import geometry, sdv, traffic
 from .infra import infra_features
-from .scene import MapIndex, SceneMap, Snippet, SnippetPool, canonical_dumps, write_atomic
+from .scene import MapIndex, PoolFormatError, SceneMap, Snippet, SnippetPool
+from .scene import canonical_dumps, read_json, write_atomic
 from .sdv import RouteMatch, ego_step_speeds, sdv_features
 from .traffic import Detections, traffic_features
 
@@ -87,12 +87,8 @@ class FrameFeature:
 class SnippetArrays:
     """One snippet as every measure reads it, built once by `snippet_arrays`."""
 
-    snippet_id: str
-    frame_index: tuple  # (T,) frame index within the log
-    geo: np.ndarray  # (T, 2) lat, lon
+    snippet: Snippet
     ego: np.ndarray  # (T, 2) ego xy
-    headings: np.ndarray  # (T,)
-    timestamps: np.ndarray  # (T,)
     ego_path: geometry.Path  # ego xy without exactly repeated poses
     det: Detections  # gated at config.roi_radius
     tracks: list  # build_track_paths(det)
@@ -167,16 +163,12 @@ def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
     """Read one snippet once: its ego arrays, its detections gated at
     `config.roi_radius` and their tracks, the ego-to-lane table and the
     route match."""
-    ego = s.ego_xy()
+    ego = np.ascontiguousarray(s.ego_pose[:, :2])
     det = traffic.detection_arrays(s, config.roi_radius)
     ego_table = index.project_to_lanes(ego, index.segments)
     return SnippetArrays(
-        snippet_id=s.snippet_id,
-        frame_index=tuple(f.index for f in s.frames),
-        geo=np.array([f.geo for f in s.frames], dtype=float),
+        snippet=s,
         ego=ego,
-        headings=s.ego_headings(),
-        timestamps=s.timestamps(),
         ego_path=geometry.Path.from_points(ego),
         det=det,
         tracks=traffic.build_track_paths(det),
@@ -187,7 +179,7 @@ def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
 
 def assemble_frame_vectors(rec: SnippetArrays, index: MapIndex) -> list:
     """Per-frame descriptors used by the diversity distance."""
-    ego = rec.ego
+    ego, s = rec.ego, rec.snippet
     in_inter = np.zeros(len(ego), dtype=bool)
     for poly in index.intersection_polys:
         in_inter |= geometry.points_in_polygon(ego, poly)
@@ -197,13 +189,13 @@ def assemble_frame_vectors(rec: SnippetArrays, index: MapIndex) -> list:
             counts.sum(axis=1),
             counts,
             term,
-            _ego_instant_curvature(ego, rec.headings),
-            _ego_speeds(ego, rec.timestamps),
+            _ego_instant_curvature(ego, s.ego_pose[:, 2]),
+            _ego_speeds(ego, s.timestamp),
             in_inter,
-            rec.geo,
+            s.geo,
         ]
     )
-    return [FrameFeature(rec.snippet_id, k, row) for k, row in zip(rec.frame_index, mat)]
+    return [FrameFeature(s.snippet_id, k, row) for k, row in zip(s.index.tolist(), mat)]
 
 
 def frame_matrix(frame_features: list) -> np.ndarray:
@@ -250,7 +242,7 @@ def compute_snippet_features(rec: SnippetArrays, index: MapIndex, config):
             ego.nudges,
         ]
     )
-    vec = FeatureVector(rec.snippet_id, values, ego.valid)
+    vec = FeatureVector(rec.snippet.snippet_id, values, ego.valid)
     return vec, frame_matrix(assemble_frame_vectors(rec, index))
 
 
@@ -365,27 +357,13 @@ def write_features(directory: str, bundle: FeatureBundle) -> None:
 def read_features(directory: str) -> FeatureBundle:
     """Load a feature store; any missing, unparseable or inconsistent file
     raises PoolFormatError naming it."""
-    from .scene import PoolFormatError
-
-    def load(name, parse):
-        path = os.path.join(directory, name)
-        try:
-            with open(path) as fh:
-                return path, parse(fh.read())
-        except OSError as exc:
-            raise PoolFormatError(f"cannot read feature file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise PoolFormatError(f"feature file {path} is not valid JSON: {exc}") from exc
-
-    def jsonl(text):
-        return [json.loads(ln) for ln in text.splitlines() if ln.strip()]
 
     def finite(value, shape, problem):
         """`value` as a nonempty finite float array of `shape` (None: any
         length); raises PoolFormatError(problem) when it is not one."""
         try:
             arr = np.array(value, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             arr = np.zeros(0)
         fits = arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))
         if not (fits and arr.size and np.all(np.isfinite(arr))):
@@ -396,15 +374,15 @@ def read_features(directory: str) -> FeatureBundle:
         """[(where, row object, values)] of a feature file's rows, each an
         object of its kind with a string snippet_id and finite values of
         `shape`."""
-        path, rows = load(name, jsonl)
+        path = os.path.join(directory, name)
+        head, rows = read_json(path, PoolFormatError, "feature file", lines=True)
         kind = name.removesuffix(".jsonl")
-        head = rows[0] if rows else None
         if not isinstance(head, dict) or head.get("kind") != f"{kind}_header":
             raise PoolFormatError(f"{name} must start with its header")
         if head.get("names") != list(names):
             raise PoolFormatError(f"feature file {path}: schema does not match this build")
         out = []
-        for row, r in enumerate(rows[1:], start=2):
+        for row, r in rows:
             sid = r.get("snippet_id") if isinstance(r, dict) else None
             where = f"feature file {path} row {row}, snippet {sid!r}"
             if not isinstance(sid, str) or r.get("kind") != kind:
@@ -430,7 +408,8 @@ def read_features(directory: str) -> FeatureBundle:
             "exactly one row per snippet" + (f"; missing {', '.join(missing)}" if missing else "")
         )
 
-    norm_path, nobj = load("normalization.json", json.loads)
+    norm_path = os.path.join(directory, "normalization.json")
+    nobj = read_json(norm_path, PoolFormatError, "feature file")
 
     def stats(key, width):
         obj = nobj.get(key) if isinstance(nobj, dict) else None

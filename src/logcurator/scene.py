@@ -7,9 +7,11 @@ load/save round trip reproduces the file byte for byte.
 """
 
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,11 +30,12 @@ class PoolFormatError(ValueError):
 class PoolValidationError(ValueError):
     """Raised when parsed content violates a domain invariant."""
 
-    def __init__(self, findings):
+    def __init__(self, findings, source=None):
         self.findings = list(findings)
         lines = "; ".join(str(f) for f in self.findings[:8])
         more = "" if len(self.findings) <= 8 else f" (+{len(self.findings) - 8} more)"
-        super().__init__(f"{len(self.findings)} validation finding(s): {lines}{more}")
+        where = "" if source is None else f"{source}: "
+        super().__init__(f"{where}{len(self.findings)} validation finding(s): {lines}{more}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,52 +58,43 @@ class ValidationReport:
         return not self.findings
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """One detected object in one frame.
-
-    `speed` is the reported scalar speed of the track at this frame; motion
-    classification (static vs dynamic) uses the mean of this field over the
-    snippet, not frame-to-frame displacement.
-    """
-
-    track_id: str
-    label: str
-    center: tuple
-    yaw: float
-    size: tuple
-    speed: float
+def _empty(*shape, dtype=float):
+    return field(default_factory=lambda: np.zeros((0, *shape), dtype=dtype))
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
-    index: int
-    timestamp: float
-    ego_pose: tuple  # (x, y, heading), heading in [-pi, pi)
-    geo: tuple  # (lat, lon) degrees
-    detections: tuple
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Snippet:
+    """One snippet as columns: T rows per frame, and D rows per detection in
+    frame then detection order. `det_speed` is the reported scalar speed of
+    the track at that frame; motion classification (static vs dynamic) uses
+    its mean over the snippet, not frame-to-frame displacement. The columns
+    default to empty: an overlap check needs only the ids and frame range."""
+
     snippet_id: str
     log_id: str
     frame_range: tuple  # inclusive (first, last) frame index within the log
-    frames: tuple
+    index: np.ndarray = _empty(dtype=int)  # (T,) frame index within the log
+    timestamp: np.ndarray = _empty()  # (T,)
+    ego_pose: np.ndarray = _empty(3)  # (T, 3) x, y, heading in [-pi, pi)
+    geo: np.ndarray = _empty(2)  # (T, 2) lat, lon degrees
+    track_ids: tuple = ()  # sorted distinct track ids
+    classes: tuple = DETECTION_CLASSES  # then any unknown class, sorted
+    det_frame: np.ndarray = _empty(dtype=int)  # (D,) frame offset within the snippet
+    det_track: np.ndarray = _empty(dtype=int)  # (D,) index into track_ids
+    det_label: np.ndarray = _empty(dtype=int)  # (D,) index into classes
+    det_center: np.ndarray = _empty(2)  # (D, 2)
+    det_yaw: np.ndarray = _empty()  # (D,)
+    det_size: np.ndarray = _empty(2)  # (D, 2)
+    det_speed: np.ndarray = _empty()  # (D,)
 
     @property
     def num_frames(self):
-        return len(self.frames)
+        return len(self.index)
 
-    def ego_xy(self):
-        """Ego positions as an (T, 2) array."""
-        return np.array([f.ego_pose[:2] for f in self.frames], dtype=float)
-
-    def ego_headings(self):
-        return np.array([f.ego_pose[2] for f in self.frames], dtype=float)
-
-    def timestamps(self):
-        return np.array([f.timestamp for f in self.frames], dtype=float)
+    def frame_starts(self) -> list:
+        """T + 1 row offsets: frame k's detections are rows
+        starts[k]:starts[k + 1] of the detection columns."""
+        return [0, *np.cumsum(np.bincount(self.det_frame, minlength=self.num_frames)).tolist()]
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,9 +139,6 @@ class SnippetPool:
     snippet_length: int
     map_name: str = "scene.map.json"
 
-    def by_id(self):
-        return {s.snippet_id: s for s in self.snippets}
-
 
 def snippets_overlap(a: Snippet, b: Snippet) -> bool:
     """True when two snippets share any frame of the same source log.
@@ -178,85 +169,151 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _parse(text: str, error, problem: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or nested too deep
+        raise error(f"{problem}: {exc}") from exc
+
+
+def read_json(path: str, error, what: str, lines: bool = False):
+    """The one reader of every input file: file `path` parsed as one JSON
+    value or, with `lines`, as NDJSON: then its header record and an
+    iterator of (line, record) over the other nonblank lines, numbered from
+    1 at the header. A file that cannot be read, is empty, or holds bytes
+    that are not UTF-8 or text that is not JSON (nested too deep included)
+    raises `error` naming `what`, the path and the line."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{what} {path} line {line} is not UTF-8 text: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not lines:
+        return _parse(text, error, f"{what} {path} is not valid JSON")
+    rows = [row for row in text.splitlines() if row.strip()]
+    if not rows:
+        raise error(f"{what} {path} is empty")
+    records = (
+        (n, _parse(row, error, f"{what} {path} line {n}: "
+                   + ("header is not valid JSON" if n == 1 else "invalid JSON")))
+        for n, row in enumerate(rows, start=1)
+    )
+    return next(records)[1], records
+
+
 def _pair(v, what):
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise PoolFormatError(f"{what} must be a 2-element array, got {v!r}")
     return (float(v[0]), float(v[1]))
 
 
-def _detection_from_obj(obj) -> Detection:
+def _fields(records, keys, what) -> tuple:
+    """The values of `keys` across `records`, one tuple per key."""
     try:
-        return Detection(
-            track_id=str(obj["track_id"]),
-            label=str(obj["class"]),
-            center=_pair(obj["center"], "detection center"),
-            yaw=float(obj["yaw"]),
-            size=_pair(obj["size"], "detection size"),
-            speed=float(obj["speed"]),
-        )
+        return tuple(zip(*map(itemgetter(*keys), records))) or ((),) * len(keys)
     except KeyError as exc:
-        raise PoolFormatError(f"detection missing field {exc}") from exc
+        raise PoolFormatError(f"{what} missing field {exc}") from exc
+    except TypeError as exc:
+        raise PoolFormatError(f"every {what} must be an object: {exc}") from exc
 
 
-def _detection_to_obj(d: Detection):
-    return {
-        "track_id": d.track_id,
-        "class": d.label,
-        "center": [d.center[0], d.center[1]],
-        "yaw": d.yaw,
-        "size": [d.size[0], d.size[1]],
-        "speed": d.speed,
-    }
-
-
-def _frame_from_obj(obj) -> Frame:
+def _column(values, what, width=None, dtype=float) -> np.ndarray:
+    """`values` as an array of shape (n,), or (n, width) when `width` is
+    given, converted as float() or int() would convert each one."""
+    shape = (len(values),) if width is None else (len(values), width)
+    kind = f"an array of {width} numbers" if width else "an integer" if dtype is int else "a number"
+    if not values:
+        return np.zeros(shape, dtype=dtype)
     try:
-        pose = obj["ego_pose"]
-        if not isinstance(pose, (list, tuple)) or len(pose) != 3:
-            raise PoolFormatError(f"ego_pose must have 3 elements, got {pose!r}")
-        return Frame(
-            index=int(obj["index"]),
-            timestamp=float(obj["timestamp"]),
-            ego_pose=(float(pose[0]), float(pose[1]), float(pose[2])),
-            geo=_pair(obj["geo"], "frame geo"),
-            detections=tuple(_detection_from_obj(d) for d in obj["detections"]),
-        )
-    except KeyError as exc:
-        raise PoolFormatError(f"frame missing field {exc}") from exc
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PoolFormatError(f"every {what} must be {kind}: {exc}") from exc
+    # numpy reads null as NaN where float() refuses it
+    if arr.shape != shape or (np.isnan(arr).any() and None in np.array(values, dtype=object)):
+        raise PoolFormatError(f"every {what} must be {kind}")
+    return arr
 
 
-def _frame_to_obj(f: Frame):
-    return {
-        "index": f.index,
-        "timestamp": f.timestamp,
-        "ego_pose": [f.ego_pose[0], f.ego_pose[1], f.ego_pose[2]],
-        "geo": [f.geo[0], f.geo[1]],
-        "detections": [_detection_to_obj(d) for d in f.detections],
-    }
-
-
-def _snippet_from_obj(obj) -> Snippet:
+def snippet_from_obj(obj) -> Snippet:
+    """The columns of one snippet record, as a pool line holds it."""
     try:
-        fr = obj["frame_range"]
-        if not isinstance(fr, (list, tuple)) or len(fr) != 2:
-            raise PoolFormatError(f"frame_range must have 2 elements, got {fr!r}")
-        return Snippet(
-            snippet_id=str(obj["snippet_id"]),
-            log_id=str(obj["log_id"]),
-            frame_range=(int(fr[0]), int(fr[1])),
-            frames=tuple(_frame_from_obj(f) for f in obj["frames"]),
-        )
+        sid, log_id = str(obj["snippet_id"]), str(obj["log_id"])
+        bounds, frames = obj["frame_range"], obj["frames"]
     except KeyError as exc:
         raise PoolFormatError(f"snippet missing field {exc}") from exc
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+        raise PoolFormatError(f"frame_range must have 2 elements, got {bounds!r}")
+    if not isinstance(frames, list) or not frames:
+        raise PoolFormatError("snippet has no frames: frames must be a nonempty array")
+    index, timestamp, pose, geo, per_frame = _fields(
+        frames, ("index", "timestamp", "ego_pose", "geo", "detections"), "frame"
+    )
+    if not all(isinstance(dets, list) for dets in per_frame):
+        raise PoolFormatError("every frame's detections must be an array")
+    tracks, labels, center, yaw, size, speed = _fields(
+        [d for dets in per_frame for d in dets],
+        ("track_id", "class", "center", "yaw", "size", "speed"),
+        "detection",
+    )
+    tracks, labels = list(map(str, tracks)), list(map(str, labels))
+    track_ids = tuple(sorted(set(tracks)))
+    classes = DETECTION_CLASSES + tuple(sorted(set(labels).difference(DETECTION_CLASSES)))
+
+    def codes(values, names):
+        lookup = {name: i for i, name in enumerate(names)}
+        return np.fromiter(map(lookup.__getitem__, values), dtype=int, count=len(values))
+
+    return Snippet(
+        snippet_id=sid,
+        log_id=log_id,
+        frame_range=tuple(_column(bounds, "frame_range bound", dtype=int).tolist()),
+        index=_column(index, "frame index", dtype=int),
+        timestamp=_column(timestamp, "frame timestamp"),
+        ego_pose=_column(pose, "frame ego_pose", 3),
+        geo=_column(geo, "frame geo", 2),
+        track_ids=track_ids,
+        classes=classes,
+        det_frame=np.repeat(np.arange(len(frames)), list(map(len, per_frame))),
+        det_track=codes(tracks, track_ids),
+        det_label=codes(labels, classes),
+        det_center=_column(center, "detection center", 2),
+        det_yaw=_column(yaw, "detection yaw"),
+        det_size=_column(size, "detection size", 2),
+        det_speed=_column(speed, "detection speed"),
+    )
 
 
-def _snippet_to_obj(s: Snippet):
+def snippet_to_obj(s: Snippet):
+    """The pool record of one snippet; `snippet_from_obj` reads it back."""
+    dets = [
+        {"track_id": t, "class": c, "center": xy, "yaw": yaw, "size": size, "speed": speed}
+        for t, c, xy, yaw, size, speed in zip(
+            [s.track_ids[i] for i in s.det_track.tolist()],
+            [s.classes[i] for i in s.det_label.tolist()],
+            s.det_center.tolist(),
+            s.det_yaw.tolist(),
+            s.det_size.tolist(),
+            s.det_speed.tolist(),
+        )
+    ]
+    starts = s.frame_starts()
+    frames = [
+        {"index": i, "timestamp": t, "ego_pose": pose, "geo": geo, "detections": dets[a:b]}
+        for i, t, pose, geo, a, b in zip(
+            s.index.tolist(), s.timestamp.tolist(), s.ego_pose.tolist(), s.geo.tolist(),
+            starts, starts[1:],
+        )
+    ]
     return {
         "kind": "snippet",
         "snippet_id": s.snippet_id,
         "log_id": s.log_id,
-        "frame_range": [s.frame_range[0], s.frame_range[1]],
-        "frames": [_frame_to_obj(f) for f in s.frames],
+        "frame_range": list(s.frame_range),
+        "frames": frames,
     }
 
 
@@ -278,7 +335,7 @@ def _lane_from_obj(obj) -> Lane:
 
 
 def _lane_to_obj(lane: Lane):
-    obj = {
+    return {
         "id": lane.lane_id,
         "centerline": [[p[0], p[1]] for p in lane.centerline],
         "successors": list(lane.successors),
@@ -288,7 +345,6 @@ def _lane_to_obj(lane: Lane):
         "turn": lane.turn,
         "width": lane.width,
     }
-    return obj
 
 
 def map_from_obj(obj) -> SceneMap:
@@ -347,11 +403,19 @@ def map_to_obj(m: SceneMap):
 
 def validate_map(m: SceneMap) -> ValidationReport:
     findings = []
+
+    def finite(what, values):
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            findings.append(Finding(None, "map.finite", f"{what} has a non-finite value"))
+
     ids = [l.lane_id for l in m.lanes]
     if len(set(ids)) != len(ids):
         findings.append(Finding(None, "map.lane_ids", "duplicate lane ids"))
     known = set(ids)
     for lane in m.lanes:
+        finite(f"lane {lane.lane_id} centerline", lane.centerline)
+        if lane.width is not None:
+            finite(f"lane {lane.lane_id} width", lane.width)
         if len(lane.centerline) < 2:
             findings.append(
                 Finding(None, "map.centerline", f"lane {lane.lane_id} has fewer than 2 points")
@@ -366,6 +430,7 @@ def validate_map(m: SceneMap) -> ValidationReport:
                     Finding(None, "map.reference", f"lane {lane.lane_id} references missing {ref!r}")
                 )
     for i, inter in enumerate(m.intersections):
+        finite(f"intersection {i}", inter.polygon)
         if len(inter.polygon) < 3:
             findings.append(Finding(None, "map.polygon", f"intersection {i} has <3 vertices"))
         elif not geometry.polygon_is_simple(np.asarray(inter.polygon, dtype=float)):
@@ -374,62 +439,76 @@ def validate_map(m: SceneMap) -> ValidationReport:
             findings.append(
                 Finding(None, "map.roads", f"intersection {i} incoming_roads != len(lanes_per_road)")
             )
-    for c in m.traffic_controls:
+    for j, c in enumerate(m.traffic_controls):
+        finite(f"control {j}", c.position)
         if c.kind not in CONTROL_KINDS:
             findings.append(Finding(None, "map.control", f"unknown control kind {c.kind!r}"))
         for ref in c.lane_ids:
             if ref not in known:
                 findings.append(Finding(None, "map.control", f"control references missing {ref!r}"))
     for j, poly in enumerate(m.crosswalks):
+        finite(f"crosswalk {j}", poly)
         if len(poly) < 3:
             findings.append(Finding(None, "map.crosswalk", f"crosswalk {j} has <3 vertices"))
         elif not geometry.polygon_is_simple(np.asarray(poly, dtype=float)):
             findings.append(Finding(None, "map.crosswalk", f"crosswalk {j} self-intersects"))
+    for j, sample in enumerate(m.height_samples):
+        finite(f"height sample {j}", sample)
     return ValidationReport(tuple(findings))
 
 
 def validate_snippet(s: Snippet, m: SceneMap) -> ValidationReport:
     """Check snippet-internal invariants; the map argument anchors referential
-    checks and is accepted even when no map-dependent rule applies yet."""
+    checks and is accepted even when no map-dependent rule applies yet.
+
+    Every rule is one predicate over a column; text is formatted only for
+    the rows it flags. Findings follow frame order; within a frame the frame
+    rules come first, then each detection's rules, in detection order."""
     del m
-    findings = []
-
-    def bad(rule, detail):
-        findings.append(Finding(s.snippet_id, rule, detail))
-
     first, last = s.frame_range
-    if last - first + 1 != len(s.frames):
-        bad("frame_range", f"range {s.frame_range} does not cover {len(s.frames)} frames")
-    prev_ts = None
-    track_label = {}
-    for k, f in enumerate(s.frames):
-        if f.index != first + k:
-            bad("frame_index", f"frame {k} has index {f.index}, expected {first + k}")
-        if prev_ts is not None and not f.timestamp > prev_ts:
-            bad("timestamps", f"frame {f.index} timestamp {f.timestamp} not increasing")
-        prev_ts = f.timestamp
-        if not (-np.pi <= f.ego_pose[2] < np.pi):
-            bad("heading", f"frame {f.index} heading {f.ego_pose[2]} outside [-pi, pi)")
-        if not (-90.0 <= f.geo[0] <= 90.0 and -180.0 <= f.geo[1] <= 180.0):
-            bad("geo", f"frame {f.index} geo {f.geo} out of range")
-        for v in (*f.ego_pose, *f.geo, f.timestamp):
-            if not np.isfinite(v):
-                bad("finite", f"frame {f.index} has non-finite value {v}")
-                break
-        for d in f.detections:
-            if d.label not in DETECTION_CLASSES:
-                bad("class", f"frame {f.index} track {d.track_id} class {d.label!r}")
-            if not (d.size[0] > 0 and d.size[1] > 0):
-                bad("size", f"frame {f.index} track {d.track_id} size {d.size}")
-            if not d.speed >= 0:
-                bad("speed", f"frame {f.index} track {d.track_id} speed {d.speed}")
-            if not np.all(np.isfinite([*d.center, d.yaw, *d.size, d.speed])):
-                bad("finite", f"frame {f.index} track {d.track_id} non-finite field")
-            seen = track_label.get(d.track_id)
-            if seen is None:
-                track_label[d.track_id] = d.label
-            elif seen != d.label:
-                bad("track_class", f"track {d.track_id} switches class {seen} -> {d.label}")
+    ts, heading, lat, lon = s.timestamp, s.ego_pose[:, 2], s.geo[:, 0], s.geo[:, 1]
+    frame_values = np.column_stack([s.ego_pose, s.geo, ts])
+    size, speed, label, track = s.det_size, s.det_speed, s.det_label, s.det_track
+    det_values = np.column_stack([s.det_center, s.det_yaw, size, speed])
+    first_label = label[np.unique(track, return_index=True)[1]]
+    index = s.index.tolist()
+
+    def at(j):
+        return f"frame {index[s.det_frame[j]]} track {s.track_ids[track[j]]}"
+
+    # (rule, flagged rows, text of a row, whether rows are detections)
+    rules = (
+        ("frame_index", s.index != first + np.arange(s.num_frames),
+         lambda k: f"frame {k} has index {index[k]}, expected {first + k}", False),
+        ("timestamps", np.append(False, ~(ts[1:] > ts[:-1])),
+         lambda k: f"frame {index[k]} timestamp {float(ts[k])} not increasing", False),
+        ("heading", ~((-np.pi <= heading) & (heading < np.pi)),
+         lambda k: f"frame {index[k]} heading {float(heading[k])} outside [-pi, pi)", False),
+        ("geo", ~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)),
+         lambda k: f"frame {index[k]} geo {tuple(s.geo[k].tolist())} out of range", False),
+        ("finite", ~np.all(np.isfinite(frame_values), axis=1),
+         lambda k: f"frame {index[k]} has non-finite value "
+         f"{next(v for v in frame_values[k].tolist() if not math.isfinite(v))}", False),
+        ("class", label >= len(DETECTION_CLASSES),
+         lambda j: f"{at(j)} class {s.classes[label[j]]!r}", True),
+        ("size", ~((size[:, 0] > 0) & (size[:, 1] > 0)),
+         lambda j: f"{at(j)} size {tuple(size[j].tolist())}", True),
+        ("speed", ~(speed >= 0), lambda j: f"{at(j)} speed {float(speed[j])}", True),
+        ("finite", ~np.all(np.isfinite(det_values), axis=1),
+         lambda j: f"{at(j)} non-finite field", True),
+        ("track_class", label != first_label[track],
+         lambda j: f"track {s.track_ids[track[j]]} switches class "
+         f"{s.classes[first_label[track[j]]]} -> {s.classes[label[j]]}", True),
+    )
+    flagged = sorted(
+        ((int(s.det_frame[row]), row, r) if per_det else (row, -1, r), r, row)
+        for r, (_, bad, _, per_det) in enumerate(rules)
+        for row in np.flatnonzero(bad).tolist()
+    )
+    findings = [Finding(s.snippet_id, rules[r][0], rules[r][2](row)) for _, r, row in flagged]
+    if last - first + 1 != s.num_frames:
+        detail = f"range {s.frame_range} does not cover {s.num_frames} frames"
+        findings.insert(0, Finding(s.snippet_id, "frame_range", detail))
     return ValidationReport(tuple(findings))
 
 
@@ -438,20 +517,14 @@ def save_map(m: SceneMap, path: str) -> None:
 
 
 def load_map(path: str) -> SceneMap:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise PoolFormatError(f"cannot read map file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PoolFormatError(f"map file {path} is not valid JSON: {exc}") from exc
+    obj = read_json(path, PoolFormatError, "map file")
     try:
         m = map_from_obj(obj)
-    except (TypeError, ValueError) as exc:  # PoolFormatError included
+    except (TypeError, ValueError, OverflowError) as exc:  # PoolFormatError included
         raise PoolFormatError(f"map file {path}: {exc}") from exc
     report = validate_map(m)
     if not report.ok:
-        raise PoolValidationError(report.findings)
+        raise PoolValidationError(report.findings, f"map file {path}")
     return m
 
 
@@ -467,25 +540,14 @@ def save_pool(pool: SnippetPool, path: str) -> None:
         "snippet_length": pool.snippet_length,
     }
     lines = [canonical_dumps(header)]
-    lines.extend(canonical_dumps(_snippet_to_obj(s)) for s in pool.snippets)
+    lines.extend(canonical_dumps(snippet_to_obj(s)) for s in pool.snippets)
     write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_pool(path: str) -> SnippetPool:
     """Parse and validate a pool file; raises on the first malformed record
     or, after a full pass, on any accumulated validation findings."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise PoolFormatError(f"cannot read pool file {path}: {exc}") from exc
-    rows = [ln for ln in lines if ln.strip()]
-    if not rows:
-        raise PoolFormatError(f"pool file {path} is empty")
-    try:
-        header = json.loads(rows[0])
-    except json.JSONDecodeError as exc:
-        raise PoolFormatError(f"pool header is not valid JSON: {exc}") from exc
+    header, rows = read_json(path, PoolFormatError, "pool file", lines=True)
     if not isinstance(header, dict) or header.get("kind") != "pool_header":
         raise PoolFormatError("first record must be the pool header")
     if header.get("schema_version") != SCHEMA_VERSION:
@@ -495,7 +557,7 @@ def load_pool(path: str) -> SnippetPool:
         snippet_length = int(header["snippet_length"])
     except KeyError as exc:
         raise PoolFormatError(f"pool file {path} line 1: header missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PoolFormatError(f"pool file {path} line 1: malformed header field: {exc}") from exc
     if snippet_length < 1:
         raise PoolFormatError(f"pool file {path} line 1: snippet_length {snippet_length} is below 1")
@@ -503,19 +565,13 @@ def load_pool(path: str) -> SnippetPool:
     scene_map = load_map(map_path)
 
     snippets = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        try:
-            obj = json.loads(row)
-        except json.JSONDecodeError as exc:
-            raise PoolFormatError(f"pool file {path} line {lineno}: invalid JSON: {exc}") from exc
+    for lineno, obj in rows:
         if not isinstance(obj, dict) or obj.get("kind") != "snippet":
             raise PoolFormatError(f"pool file {path} line {lineno}: expected a snippet record")
         try:
-            snippets.append(_snippet_from_obj(obj))
-        except (TypeError, ValueError) as exc:  # PoolFormatError included
+            snippets.append(snippet_from_obj(obj))
+        except PoolFormatError as exc:
             raise PoolFormatError(f"pool file {path} line {lineno}: {exc}") from exc
-        if not snippets[-1].frames:
-            raise PoolFormatError(f"pool file {path} line {lineno}: snippet has no frames")
 
     findings = []
     seen = set()
@@ -529,7 +585,7 @@ def load_pool(path: str) -> SnippetPool:
             )
         findings.extend(validate_snippet(s, scene_map).findings)
     if findings:
-        raise PoolValidationError(findings)
+        raise PoolValidationError(findings, f"pool file {path}")
     return SnippetPool(tuple(snippets), scene_map, snippet_length, map_name=map_name)
 
 
@@ -579,11 +635,9 @@ class MapIndex:
                 )
 
         self.intersection_polys = [np.asarray(i.polygon, dtype=float) for i in scene_map.intersections]
-        self.control_positions = (
-            np.array([c.position for c in scene_map.traffic_controls], dtype=float)
-            if scene_map.traffic_controls
-            else np.zeros((0, 2))
-        )
+        self.control_positions = np.array(
+            [c.position for c in scene_map.traffic_controls], dtype=float
+        ).reshape(-1, 2)
         hs = np.asarray(scene_map.height_samples, dtype=float).reshape(-1, 3)
         self.height_xy = hs[:, :2]
         self.height_z = hs[:, 2]

@@ -108,7 +108,7 @@ def sdv_speed_variance(rec: "SnippetArrays") -> float:
     """Population variance of per-step ego speeds."""
     if len(rec.ego) < 2:
         return 0.0
-    return float(np.var(ego_step_speeds(rec.ego, rec.timestamps)))
+    return float(np.var(ego_step_speeds(rec.ego, rec.snippet.timestamp)))
 
 
 def route_events(rec: "SnippetArrays", index: MapIndex, config) -> tuple:

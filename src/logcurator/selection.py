@@ -8,7 +8,6 @@ always means: rankable, not selected, and not overlapping (same log, shared
 frames) anything selected. Every argmax breaks ties by ascending snippet_id.
 """
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -16,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .features import SNIPPET_DIM, SNIPPET_FEATURE_NAMES, FeatureBundle
-from .scene import SnippetPool, snippets_overlap
+from .scene import SnippetPool, read_json, snippets_overlap
 from .sdv import MAP_MATCH_GATE, MAP_MATCH_MIN_FRAC
 from .traffic import STATIC_SPEED
 
@@ -72,26 +71,34 @@ NON_NEGATIVE_FIELDS = (
 POSITIVE_FIELDS = ("roi_radius", "map_match_gate", "lane_width_fallback")
 
 
-def _weight(feature: str, value) -> float:
+def _finite(what: str, value) -> float:
+    """`value` as a finite float; a bool, a non-number, an infinity, NaN or
+    an integer too large for a float raises ConfigError naming `what`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"weight of feature {feature!r} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"weight of feature {feature!r} must be finite, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return out
 
 
 def resolve_weights(spec) -> np.ndarray:
     """Accept either a full-length list or a {feature_name: weight} map."""
-    if isinstance(spec, dict):
-        w = np.zeros(SNIPPET_DIM)
-        for name, value in spec.items():
-            if name not in SNIPPET_FEATURE_NAMES:
-                raise ConfigError(f"unknown feature name in weights: {name!r}")
-            w[SNIPPET_FEATURE_NAMES.index(name)] = _weight(name, value)
-        return w
-    if not isinstance(spec, (list, tuple, np.ndarray)) or len(spec) != SNIPPET_DIM:
-        raise ConfigError(f"weights must be an object or have {SNIPPET_DIM} entries, got {spec!r}")
-    return np.array([_weight(name, v) for name, v in zip(SNIPPET_FEATURE_NAMES, spec)])
+    if not isinstance(spec, dict):
+        if not isinstance(spec, (list, tuple, np.ndarray)) or len(spec) != SNIPPET_DIM:
+            raise ConfigError(
+                f"weights must be an object or have {SNIPPET_DIM} entries, got {spec!r}"
+            )
+        spec = dict(zip(SNIPPET_FEATURE_NAMES, spec))
+    w = np.zeros(SNIPPET_DIM)
+    for name, value in spec.items():
+        if name not in SNIPPET_FEATURE_NAMES:
+            raise ConfigError(f"unknown feature name in weights: {name!r}")
+        w[SNIPPET_FEATURE_NAMES.index(name)] = _finite(f"weight of feature {name!r}", value)
+    return w
 
 
 def _scalar(key: str, value, kind: type):
@@ -100,15 +107,13 @@ def _scalar(key: str, value, kind: type):
         if not isinstance(value, str):
             raise ConfigError(f"config field {key!r} must be a string, got {value!r}")
         return value
+    if kind is not int:
+        return _finite(f"config field {key!r}", value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
-    if kind is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
-        return int(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"config field {key!r} must be finite, got {value!r}")
-    return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def config_from_obj(obj) -> CurationConfig:
@@ -161,14 +166,7 @@ def config_from_obj(obj) -> CurationConfig:
 
 
 def load_config(path: str) -> CurationConfig:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_obj(obj)
+    return config_from_obj(read_json(path, ConfigError, "config"))
 
 
 def config_to_obj(cfg: CurationConfig):

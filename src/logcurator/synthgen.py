@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import ForecastEntry, GaussianForecast
-from .scene import Detection, Frame, SceneMap, Snippet, SnippetPool, Lane, Intersection, TrafficControl
+from .scene import DETECTION_CLASSES, SceneMap, Snippet, SnippetPool, Lane, Intersection, TrafficControl
 
 TEMPLATES = ("straight_road", "curved_road", "four_way_intersection", "hilly")
 PLANS = ("cruise", "speed_ramp", "lane_change", "turn", "nudge")
@@ -548,38 +548,44 @@ class _Build:
 
     # --- emission ---------------------------------------------------------------
 
-    def frames(self, first: int, count: int):
-        spec = self.spec
-        lat0, lon0 = spec.geo_origin
+    def snippet(self, snippet_id: str, first: int, count: int) -> Snippet:
+        """Log frames first .. first + count - 1 as one snippet's columns;
+        every frame sees every actor, in actor order."""
+        lat0, lon0 = self.spec.geo_origin
         meters_per_deg = 111320.0
-        out = []
-        for i in range(first, first + count):
-            dets = []
-            for a in self.actors:
-                step = a.positions[min(i + 1, self.t_log - 1)] - a.positions[max(i - 1, 0)]
-                yaw = math.atan2(step[1], step[0]) if (step[0] or step[1]) else 0.0
-                dets.append(
-                    Detection(
-                        a.track_id,
-                        a.label,
-                        (float(a.positions[i, 0]), float(a.positions[i, 1])),
-                        float(_wrap(np.array([yaw]))[0]),
-                        a.size,
-                        float(a.speed_field[i]),
-                    )
-                )
-            lat = float(lat0 + self.ego[i, 1] / meters_per_deg)
-            lon = float(lon0 + self.ego[i, 0] / (meters_per_deg * math.cos(math.radians(lat0))))
-            out.append(
-                Frame(
-                    index=i,
-                    timestamp=float(self.times[i]),
-                    ego_pose=(float(self.ego[i, 0]), float(self.ego[i, 1]), float(self.headings[i])),
-                    geo=(lat, lon),
-                    detections=tuple(dets),
-                )
-            )
-        return out
+        frames = np.arange(first, first + count)
+        ego = self.ego[frames]
+        lat = lat0 + ego[:, 1] / meters_per_deg
+        lon = lon0 + ego[:, 0] / (meters_per_deg * math.cos(math.radians(lat0)))
+        later, earlier = np.minimum(frames + 1, self.t_log - 1), np.maximum(frames - 1, 0)
+        n = len(self.actors)
+        center, yaw, speed = np.zeros((count, n, 2)), np.zeros((count, n)), np.zeros((count, n))
+        for j, a in enumerate(self.actors):
+            center[:, j] = a.positions[frames]
+            step = a.positions[later] - a.positions[earlier]
+            yaw[:, j] = [math.atan2(dy, dx) if (dx or dy) else 0.0 for dx, dy in step.tolist()]
+            speed[:, j] = a.speed_field[frames]
+        track_ids = tuple(sorted({a.track_id for a in self.actors}))
+        tracks = np.array([track_ids.index(a.track_id) for a in self.actors], dtype=int)
+        labels = np.array([DETECTION_CLASSES.index(a.label) for a in self.actors], dtype=int)
+        sizes = np.array([a.size for a in self.actors], dtype=float).reshape(-1, 2)
+        return Snippet(
+            snippet_id=snippet_id,
+            log_id=self.log_id,
+            frame_range=(first, first + count - 1),
+            index=frames,
+            timestamp=self.times[frames],
+            ego_pose=np.column_stack([ego, self.headings[frames]]),
+            geo=np.column_stack([lat, lon]),
+            track_ids=track_ids,
+            det_frame=np.repeat(np.arange(count), n),
+            det_track=np.tile(tracks, count),
+            det_label=np.tile(labels, count),
+            det_center=center.reshape(-1, 2),
+            det_yaw=_wrap(yaw.reshape(-1)),
+            det_size=np.tile(sizes, (count, 1)),
+            det_speed=speed.reshape(-1),
+        )
 
     # --- expectation card ---------------------------------------------------------
 
@@ -726,15 +732,7 @@ def generate_pool(spec: ScenarioSpec):
         build = _Build(sub, rng, t_log, f"log-{spec.id_prefix}{log_index:04d}", carded=carded)
         if scene_map is None:
             scene_map = build.scene_map
-        frames = build.frames(first, T)
-        snippets.append(
-            Snippet(
-                snippet_id=sid,
-                log_id=build.log_id,
-                frame_range=(first, first + T - 1),
-                frames=tuple(frames),
-            )
-        )
+        snippets.append(build.snippet(sid, first, T))
         # jittered snippets disagree with the shared pool map on anchor
         # positions, so only uniform full-window builds get cards
         cards[sid] = OracleCard(sid, build.card_fields()) if carded else None
@@ -749,23 +747,25 @@ def synth_forecasts(pool: SnippetPool, horizon: int = 5, actors_per_frame: int =
     for idx, s in enumerate(sorted(pool.snippets, key=lambda x: x.snippet_id)):
         scale = 0.5 * (1.0 + (idx % 5))
         frames = {}
-        for frame in s.frames:
+        starts = s.frame_starts()
+        center, yaw, speed = s.det_center.tolist(), s.det_yaw.tolist(), s.det_speed.tolist()
+        for frame_index, a, b in zip(s.index.tolist(), starts, starts[1:]):
             entries = []
-            for det in frame.detections[:actors_per_frame]:
+            for j in range(a, min(b, a + actors_per_frame)):
                 for step in range(1, horizon + 1):
                     mu = (
-                        det.center[0] + 0.1 * step * det.speed * math.cos(det.yaw),
-                        det.center[1] + 0.1 * step * det.speed * math.sin(det.yaw),
+                        center[j][0] + 0.1 * step * speed[j] * math.cos(yaw[j]),
+                        center[j][1] + 0.1 * step * speed[j] * math.sin(yaw[j]),
                     )
                     entries.append(
                         ForecastEntry(
-                            det.track_id,
+                            s.track_ids[s.det_track[j]],
                             step,
                             mu,
                             (scale, 0.0, scale * (1.0 + 0.1 * step)),
                         )
                     )
             if entries:
-                frames[frame.index] = tuple(entries)
+                frames[frame_index] = tuple(entries)
         out[s.snippet_id] = GaussianForecast(s.snippet_id, horizon, frames)
     return out

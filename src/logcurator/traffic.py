@@ -7,8 +7,8 @@ mean of the reported speed field over the whole snippet against the
 config's `static_speed` (STATIC_SPEED, 0.5 m/s, by default). All variances
 are population variances.
 
-`detection_arrays` is the one pass over a snippet's detections and the one
-place the gate is applied; every measure here is a reduction over its flat
+`detection_arrays` applies the gate to the snippet's detection columns, the
+one place it is applied; every measure here is a reduction over those flat
 arrays or over the tracks `build_track_paths` groups from them.
 """
 
@@ -24,7 +24,6 @@ if TYPE_CHECKING:
     from .features import SnippetArrays
 
 STATIC_SPEED = 0.5
-_LABEL_CODE = {label: i for i, label in enumerate(DETECTION_CLASSES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,27 +71,22 @@ class TrafficFeatures:
 
 
 def detection_arrays(s: Snippet, roi_radius: float | None = None) -> Detections:
-    """Flatten the snippet's detections; `roi_radius=None` puts every
+    """The snippet's detection columns gated at `roi_radius`; None puts every
     detection in the gate."""
-    dets = [det for frame in s.frames for det in frame.detections]
-    frame = np.array([k for k, f in enumerate(s.frames) for _ in f.detections], dtype=int)
-    track_ids = tuple(sorted({det.track_id for det in dets}))
-    code = {tid: i for i, tid in enumerate(track_ids)}
-    center = np.array([det.center for det in dets], dtype=float).reshape(-1, 2)
-    delta = center - s.ego_xy().reshape(-1, 2)[frame]
+    delta = s.det_center - s.ego_pose[s.det_frame, :2]
     d2 = delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1]
     if roi_radius is None:
-        in_roi = np.ones(len(dets), dtype=bool)
+        in_roi = np.ones(len(d2), dtype=bool)
     else:
         in_roi = d2 <= roi_radius * roi_radius
     return Detections(
         num_frames=s.num_frames,
-        track_ids=track_ids,
-        frame=frame,
-        track=np.array([code[det.track_id] for det in dets], dtype=int),
-        label=np.array([_LABEL_CODE[det.label] for det in dets], dtype=int),
-        center=center,
-        speed=np.array([det.speed for det in dets], dtype=float),
+        track_ids=s.track_ids,
+        frame=s.det_frame,
+        track=s.det_track,
+        label=s.det_label,
+        center=s.det_center,
+        speed=s.det_speed,
         in_roi=in_roi,
         dist=np.sqrt(d2),
     )

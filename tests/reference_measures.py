@@ -1,25 +1,113 @@
-"""Loop versions of the traffic, frame-count and lane-projection measures.
+"""Loop versions of the traffic, frame-count, lane-projection and snippet
+validation rules.
 
-The traffic and frame measures walk `Snippet.frames[*].detections` directly,
-one measure at a time, exactly as they were first written. The lane measures
-project each point set onto one lane centerline at a time, through the
-einsum `project_points_to_polyline` copied here: the ROI lane gate and the
-ego route match each project the ego onto every lane, the traversal check
-projects each vehicle track onto every conflict lane and the reachability
-check onto every vehicle lane. The library
-computes the same values as reductions over one set of flat detection arrays
-and one call of its segment-table kernel per point set; the equivalence
-tests compare the two bit for bit.
+The traffic and frame measures walk a snippet's detections frame by frame,
+one measure at a time, exactly as they were first written; `frames_of`
+regroups the snippet's detection columns into per-frame records for them.
+The lane measures project each point set onto one lane centerline at a
+time, through the einsum `project_points_to_polyline` copied here: the ROI
+lane gate and the ego route match each project the ego onto every lane, the
+traversal check projects each vehicle track onto every conflict lane and the
+reachability check onto every vehicle lane. `validate_snippet` is the
+per-frame validation loop. The library computes the same values as
+reductions and predicates over the flat columns and one call of its
+segment-table kernel per point set; the equivalence tests compare the two
+bit for bit, and the validation findings item for item.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
 from logcurator import geometry, sdv
 from logcurator.geometry import cumulative_arclength
+from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport
 from logcurator.traffic import STATIC_SPEED
 
 FRAME_CLASSES = ("vehicle", "pedestrian", "bicyclist")
 _EPS = 1e-12
+
+Frame = namedtuple("Frame", "index timestamp ego_pose geo detections")
+Detection = namedtuple("Detection", "track_id label center yaw size speed")
+
+
+def frames_of(s):
+    """The snippet's columns as one Frame per frame holding its Detection
+    rows in order, every value a Python int, float or str."""
+    per_frame = [[] for _ in range(s.num_frames)]
+    for k, track, label, center, yaw, size, speed in zip(
+        s.det_frame.tolist(),
+        s.det_track.tolist(),
+        s.det_label.tolist(),
+        s.det_center.tolist(),
+        s.det_yaw.tolist(),
+        s.det_size.tolist(),
+        s.det_speed.tolist(),
+    ):
+        per_frame[k].append(
+            Detection(s.track_ids[track], s.classes[label], tuple(center), yaw, tuple(size), speed)
+        )
+    return [
+        Frame(index, timestamp, tuple(pose), tuple(geo), tuple(dets))
+        for index, timestamp, pose, geo, dets in zip(
+            s.index.tolist(), s.timestamp.tolist(), s.ego_pose.tolist(), s.geo.tolist(), per_frame
+        )
+    ]
+
+
+def ego_xy(s):
+    """Ego positions as a (T, 2) array."""
+    return np.array([f.ego_pose[:2] for f in frames_of(s)], dtype=float)
+
+
+# The per-frame snippet validation the library ran before its column
+# predicates, verbatim but for reading the frames through `frames_of`.
+
+
+def validate_snippet(s, m):
+    """Check snippet-internal invariants; the map argument anchors referential
+    checks and is accepted even when no map-dependent rule applies yet."""
+    del m
+    findings = []
+    frames = frames_of(s)
+
+    def bad(rule, detail):
+        findings.append(Finding(s.snippet_id, rule, detail))
+
+    first, last = s.frame_range
+    if last - first + 1 != len(frames):
+        bad("frame_range", f"range {s.frame_range} does not cover {len(frames)} frames")
+    prev_ts = None
+    track_label = {}
+    for k, f in enumerate(frames):
+        if f.index != first + k:
+            bad("frame_index", f"frame {k} has index {f.index}, expected {first + k}")
+        if prev_ts is not None and not f.timestamp > prev_ts:
+            bad("timestamps", f"frame {f.index} timestamp {f.timestamp} not increasing")
+        prev_ts = f.timestamp
+        if not (-np.pi <= f.ego_pose[2] < np.pi):
+            bad("heading", f"frame {f.index} heading {f.ego_pose[2]} outside [-pi, pi)")
+        if not (-90.0 <= f.geo[0] <= 90.0 and -180.0 <= f.geo[1] <= 180.0):
+            bad("geo", f"frame {f.index} geo {f.geo} out of range")
+        for v in (*f.ego_pose, *f.geo, f.timestamp):
+            if not np.isfinite(v):
+                bad("finite", f"frame {f.index} has non-finite value {v}")
+                break
+        for d in f.detections:
+            if d.label not in DETECTION_CLASSES:
+                bad("class", f"frame {f.index} track {d.track_id} class {d.label!r}")
+            if not (d.size[0] > 0 and d.size[1] > 0):
+                bad("size", f"frame {f.index} track {d.track_id} size {d.size}")
+            if not d.speed >= 0:
+                bad("speed", f"frame {f.index} track {d.track_id} speed {d.speed}")
+            if not np.all(np.isfinite([*d.center, d.yaw, *d.size, d.speed])):
+                bad("finite", f"frame {f.index} track {d.track_id} non-finite field")
+            seen = track_label.get(d.track_id)
+            if seen is None:
+                track_label[d.track_id] = d.label
+            elif seen != d.label:
+                bad("track_class", f"track {d.track_id} switches class {seen} -> {d.label}")
+    return ValidationReport(tuple(findings))
 
 
 # The einsum projection the library used before its flat segment-table
@@ -71,10 +159,10 @@ def _r2(roi_radius):
 
 def track_rows(s, roi_radius=None):
     """track_id -> [(frame offset, center, speed, label, in gate)], ids sorted."""
-    ego = s.ego_xy()
+    ego = ego_xy(s)
     r2 = _r2(roi_radius)
     obs = {}
-    for k, frame in enumerate(s.frames):
+    for k, frame in enumerate(frames_of(s)):
         for det in frame.detections:
             inside = _in_gate(det, ego[k], r2)
             obs.setdefault(det.track_id, []).append((k, det.center, det.speed, det.label, inside))
@@ -99,10 +187,10 @@ def crowdedness(s, roi_radius=None, static_speed=STATIC_SPEED):
 
 
 def class_diversity(s, roi_radius=None):
-    ego = s.ego_xy()
+    ego = ego_xy(s)
     r2 = _r2(roi_radius)
     total = 0.0
-    for k, frame in enumerate(s.frames):
+    for k, frame in enumerate(frames_of(s)):
         counts = {}
         n_in = 0
         for det in frame.detections:
@@ -120,10 +208,10 @@ def class_diversity(s, roi_radius=None):
 
 
 def spatial_variance(s, roi_radius=None):
-    ego = s.ego_xy()
+    ego = ego_xy(s)
     r2 = _r2(roi_radius)
     dists = []
-    for k, frame in enumerate(s.frames):
+    for k, frame in enumerate(frames_of(s)):
         for det in frame.detections:
             dx = det.center[0] - ego[k, 0]
             dy = det.center[1] - ego[k, 1]
@@ -151,10 +239,10 @@ def speed_diversity(s, roi_radius=None):
 
 def frame_class_columns(s, roi_radius=None):
     """(T, 5): in-gate total, vehicle, pedestrian, bicyclist counts, class term."""
-    ego = s.ego_xy()
+    ego = ego_xy(s)
     r2 = _r2(roi_radius)
     out = []
-    for k, frame in enumerate(s.frames):
+    for k, frame in enumerate(frames_of(s)):
         counts = {label: 0 for label in FRAME_CLASSES}
         for det in frame.detections:
             if _in_gate(det, ego[k], r2):
@@ -196,7 +284,7 @@ def _nearest_vehicle_lane(index, points):
 
 
 def match_route(s, index, gate=sdv.MAP_MATCH_GATE, min_frac=sdv.MAP_MATCH_MIN_FRAC):
-    ego = s.ego_xy()
+    ego = ego_xy(s)
     n = len(ego)
     if not index.vehicle_indices:
         return sdv.RouteMatch(
@@ -231,7 +319,7 @@ def interactions(
 ):
     """(near_static, near_dynamic, conflict_traversals, conflict_reachable)."""
     match = match_route(s, index, gate)
-    ego_path = geometry.dedupe_points(s.ego_xy())
+    ego_path = geometry.dedupe_points(ego_xy(s))
     near_static = 0
     near_dynamic = 0
     for t in tracks:

@@ -1,18 +1,20 @@
-"""Hand-built snippets, maps, and pools shared across the test modules."""
+"""Hand-built snippets, maps, and pools shared across the test modules.
+
+Detections and frames are pool records (the dicts a pool line holds), and
+every snippet is built from them by `scene.snippet_from_obj`, the loader's
+one record-to-columns constructor."""
 
 import numpy as np
 
 from logcurator import features
 from logcurator.scene import (
-    Detection,
-    Frame,
     Intersection,
     Lane,
     MapIndex,
     SceneMap,
-    Snippet,
     SnippetPool,
     TrafficControl,
+    snippet_from_obj,
 )
 from logcurator.selection import CurationConfig
 
@@ -28,33 +30,35 @@ def make_detection(
     yaw=0.0,
     size=(4.0, 2.0),
 ):
-    return Detection(
-        track_id=track_id,
-        label=label,
-        center=(float(center[0]), float(center[1])),
-        yaw=float(yaw),
-        size=(float(size[0]), float(size[1])),
-        speed=float(speed),
-    )
+    return {
+        "track_id": track_id,
+        "class": label,
+        "center": [float(center[0]), float(center[1])],
+        "yaw": float(yaw),
+        "size": [float(size[0]), float(size[1])],
+        "speed": float(speed),
+    }
 
 
 def make_frame(index, ego=(0.0, 0.0, 0.0), detections=(), geo=GEO, dt=DT):
-    return Frame(
-        index=index,
-        timestamp=index * dt,
-        ego_pose=(float(ego[0]), float(ego[1]), float(ego[2])),
-        geo=(float(geo[0]), float(geo[1])),
-        detections=tuple(detections),
-    )
+    return {
+        "index": index,
+        "timestamp": index * dt,
+        "ego_pose": [float(ego[0]), float(ego[1]), float(ego[2])],
+        "geo": [float(geo[0]), float(geo[1])],
+        "detections": list(detections),
+    }
 
 
 def make_snippet(frames, snippet_id="s0", log_id="log0"):
-    frames = tuple(frames)
-    return Snippet(
-        snippet_id=snippet_id,
-        log_id=log_id,
-        frame_range=(frames[0].index, frames[-1].index),
-        frames=frames,
+    frames = list(frames)
+    return snippet_from_obj(
+        {
+            "snippet_id": snippet_id,
+            "log_id": log_id,
+            "frame_range": [frames[0]["index"], frames[-1]["index"]],
+            "frames": frames,
+        }
     )
 
 
@@ -84,19 +88,16 @@ def drive(
         else:
             headings = np.zeros(n)
     headings = (np.asarray(headings, dtype=float) + np.pi) % (2 * np.pi) - np.pi
-    frames = []
-    for k in range(n):
-        dets = () if detections is None else tuple(detections[k])
-        g = GEO if geo is None else geo[k]
-        frames.append(
-            Frame(
-                index=first + k,
-                timestamp=(first + k) * dt,
-                ego_pose=(float(pts[k, 0]), float(pts[k, 1]), float(headings[k])),
-                geo=(float(g[0]), float(g[1])),
-                detections=dets,
-            )
+    frames = [
+        make_frame(
+            first + k,
+            ego=(pts[k, 0], pts[k, 1], headings[k]),
+            detections=() if detections is None else detections[k],
+            geo=GEO if geo is None else geo[k],
+            dt=dt,
         )
+        for k in range(n)
+    ]
     return make_snippet(frames, snippet_id, log_id)
 
 

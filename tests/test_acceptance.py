@@ -175,7 +175,7 @@ def _bike_mean(pool, picked):
     means = []
     for sid in picked:
         s = by_id[sid]
-        total = sum(1 for f in s.frames for d in f.detections if d.label == "bicyclist")
+        total = sum(1 for c in s.det_label.tolist() if s.classes[c] == "bicyclist")
         means.append(total / s.num_frames)
     return sum(means) / len(means)
 

@@ -1,9 +1,13 @@
-"""Damaged feature stores, configs and pools through `cli.main`.
+"""Damaged feature stores, configs, pools, maps, forecasts and results
+through `cli.main`.
 
 Each example takes a small valid workspace, damages one field that the
 reader needs (drops it, or sets it to a string, NaN, a list or null) and
 runs the command that reads it. The command must exit 2, the domain-error
-code, with no exception escaping and no traceback on stderr.
+code, with no exception escaping and no traceback on stderr. Further cases
+set a field to Infinity or to a 400-digit integer, or damage a file's bytes
+(not UTF-8, or nested 10^5 arrays deep); their errors must also name the
+file, and the line of a line-oriented file.
 """
 
 import contextlib
@@ -35,6 +39,8 @@ DROP = "drop"
 VALUES = {"string": "x", "nan": float("nan"), "list": [[]], "null": None}
 SET = tuple(VALUES)
 ANY = (DROP,) + SET
+# only in the explicit examples: k_div, seed and budget rightly accept a huge integer
+DAMAGES = {**VALUES, "inf": float("inf"), "bigint": 10**400}
 
 # (file, line, key path, damages that make the field invalid). Free-form
 # strings (ids, task names) accept any value str() gives, so they are only
@@ -87,9 +93,11 @@ def base(tmp_path_factory):
     root = tmp_path_factory.mktemp("damaged")
     pool = str(root / "pool.jsonl")
     synth = ["synth", "--snippets", "3", "--frames", "20", "--seed", "3", "--jitter"]
-    assert cli.main(synth + ["--out", pool]) == 0
+    assert cli.main(synth + ["--out", pool, "--forecasts", str(root / "forecasts.jsonl")]) == 0
     (root / "config.json").write_text(json.dumps(CONFIG))
     assert cli.main(["score", pool, "--out", str(root / "feats")]) == 0
+    config, result = str(root / "config.json"), str(root / "result.json")
+    assert cli.main(["curate", pool, "--config", config, "--out", result]) == 0
     return str(root)
 
 
@@ -104,7 +112,7 @@ def damage_file(path, line, key_path, kind):
     if kind == DROP:
         target.pop(last)
     else:
-        target[last] = VALUES[kind]
+        target[last] = DAMAGES[kind]
     lines[line] = json.dumps(obj)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -112,8 +120,13 @@ def damage_file(path, line, key_path, kind):
 
 def command(root, name):
     pool = os.path.join(root, "pool.jsonl")
-    if name == "pool.jsonl":
+    if name in ("pool.jsonl", "scene.map.json"):
         return ["score", pool, "--out", os.path.join(root, "feats2")]
+    if name == "forecasts.jsonl":
+        forecasts, out = os.path.join(root, name), os.path.join(root, "b.json")
+        return ["baseline", pool, "--method", "entropy", "-k", "1", "--forecasts", forecasts, "--out", out]
+    if name == "result.json":
+        return ["report", pool, os.path.join(root, name), "--out-dir", os.path.join(root, "report")]
     config = os.path.join(root, "config.json")
     out, feats = os.path.join(root, "r.json"), os.path.join(root, "feats")
     return ["curate", pool, "--config", config, "--out", out, "--features", feats]
@@ -122,7 +135,7 @@ def command(root, name):
 def test_undamaged_workspace_runs(base):
     with tempfile.TemporaryDirectory() as tmp:
         root = shutil.copytree(base, os.path.join(tmp, "w"))
-        for name in ("pool.jsonl", "config.json"):
+        for name in ("pool.jsonl", "config.json", "forecasts.jsonl"):
             assert cli.main(command(root, name)) == 0
 
 
@@ -135,6 +148,16 @@ def test_undamaged_workspace_runs(base):
 @example(damage=("pool.jsonl", 1, ("frames", 4, "timestamp"), "string"))
 @example(damage=("pool.jsonl", 0, ("snippet_length",), "string"))
 @example(damage=("pool.jsonl", 1, ("frames", 4, "detections", 0), "nan"))
+# and the cases that each ended in an OverflowError traceback
+@example(damage=("pool.jsonl", 0, ("snippet_length",), "inf"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "index"), "inf"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "timestamp"), "bigint"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "detections", 0, "yaw"), "bigint"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "detections", 0, "speed"), "bigint"))
+@example(damage=("config.json", 0, ("roi_radius",), "bigint"))
+@example(damage=("config.json", 0, ("tasks", 0, "weights", "crowd_dynamic"), "bigint"))
+@example(damage=("feats/snippet_features.jsonl", 2, ("values", 3), "bigint"))
+@example(damage=("feats/normalization.json", 0, ("snippet", "std", 1), "bigint"))
 @settings(max_examples=300)
 @given(damage=damages())
 def test_damaged_input_is_a_domain_error(base, damage):
@@ -147,3 +170,80 @@ def test_damaged_input_is_a_domain_error(base, damage):
     assert code == 2, (damage, err.getvalue())
     assert err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+def run_damaged(root, name):
+    """(exit code, stderr) of the command that reads file `name` of `root`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(command(root, name))
+    return code, err.getvalue()
+
+
+# (file, line of a line-oriented file or None for a one-value file)
+FILES = [
+    ("pool.jsonl", 1),
+    ("scene.map.json", None),
+    ("config.json", None),
+    ("feats/snippet_features.jsonl", 2),
+    ("feats/normalization.json", None),
+    ("forecasts.jsonl", 1),
+    ("result.json", None),
+]
+BYTE_DAMAGES = {
+    "not_utf8": lambda text: text.replace(b'"', b'"\xff', 1),
+    "nested_too_deep": lambda text: b"[" * 10**5 + b"]" * 10**5,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BYTE_DAMAGES))
+@pytest.mark.parametrize("name,line", FILES)
+def test_damaged_bytes_are_a_domain_error(base, name, line, damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        path = os.path.join(root, name)
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        at = 0 if line is None else line
+        lines[at] = BYTE_DAMAGES[damage](lines[at])
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+        code, err = run_damaged(root, name)
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert path in err
+    if line is not None:
+        assert f"{path} line {line + 1}" in err
+
+
+@pytest.fixture(scope="module")
+def map_bases(tmp_path_factory):
+    """template -> a one-snippet workspace whose map has the element a
+    damage targets: controls at an intersection, or height samples."""
+    out = {}
+    for template in ("four_way_intersection", "hilly"):
+        root = tmp_path_factory.mktemp(template)
+        synth = ["synth", "--template", template, "--snippets", "1", "--frames", "20", "--jitter"]
+        assert cli.main(synth + ["--out", str(root / "pool.jsonl")]) == 0
+        out[template] = str(root)
+    return out
+
+
+MAP_TARGETS = [
+    ("four_way_intersection", ("lanes", 0, "centerline", 0, 0)),
+    ("four_way_intersection", ("traffic_controls", 0, "position", 1)),
+    ("hilly", ("height_samples", 0, 2)),
+]
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "bigint", "string", "null"])
+@pytest.mark.parametrize("template,key_path", MAP_TARGETS)
+def test_damaged_map_is_a_domain_error(map_bases, template, key_path, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(map_bases[template], os.path.join(tmp, "w"))
+        path = os.path.join(root, "scene.map.json")
+        damage_file(path, 0, key_path, kind)
+        code, err = run_damaged(root, "scene.map.json")
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert path in err

@@ -132,7 +132,7 @@ def assert_lanes_match_reference(s, index, roi_radius):
     if roi_radius is not None:
         # the ROI lane gate of infra_features
         mask = np.min(rec.ego_table[0], axis=1) <= roi_radius
-        assert np.array_equal(mask, ref.included_lanes(index, s.ego_xy(), roi_radius))
+        assert np.array_equal(mask, ref.included_lanes(index, ref.ego_xy(s), roi_radius))
 
     want = ref.match_route(s, index)
     for f in fields(sdv.RouteMatch):
@@ -163,7 +163,7 @@ def test_scoring_projects_the_ego_onto_each_lane_once(monkeypatch):
     pool = synth_pool("four_way_intersection", "turn", seed=3)
     s = pool.snippets[0]
     index = MapIndex(pool.scene_map)
-    ego = s.ego_xy()
+    ego = ref.ego_xy(s)
     hits = [0] * len(index.lane_pts)
     # the lanes of each lane table of the index; an ego projection onto any
     # other table fails the lookup

@@ -1,11 +1,13 @@
 import json
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcurator import scene
+import reference_measures as ref
+from logcurator import scene, synthgen
 
 from support import (
     cross_map,
@@ -16,6 +18,79 @@ from support import (
     pool_of,
     square_intersection,
 )
+
+
+def damageable_record():
+    """A valid six-frame snippet record with three tracks, one per class; the
+    pedestrian leaves after frame 3."""
+    frames = []
+    for k in range(6):
+        dets = [
+            make_detection("car", "vehicle", (5.0 + k, 1.0), speed=3.0, yaw=0.1),
+            make_detection("bike", "bicyclist", (-3.0, 2.0 + k), speed=1.5, size=(1.8, 0.6)),
+        ]
+        if k <= 3:
+            dets.insert(1, make_detection("ped", "pedestrian", (2.0, -4.0), speed=0.5))
+        frames.append(make_frame(10 + k, ego=(float(k), 0.0, 0.0), detections=dets))
+    return {"snippet_id": "s0", "log_id": "L", "frame_range": [10, 15], "frames": frames}
+
+
+BAD_FLOATS = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@st.composite
+def damage_steps(draw):
+    """One damage to one field of one frame or detection of
+    `damageable_record()`, as a function that applies it."""
+    k = draw(st.integers(0, 5))
+    j = draw(st.integers(0, 2))
+    kind = draw(
+        st.sampled_from(
+            ["index", "timestamp", "heading", "geo", "frame_nan", "class", "switch", "size", "speed", "det_nan"]
+        )
+    )
+    if kind == "index":
+        value = draw(st.integers(0, 20))
+        return lambda r: r["frames"][k].__setitem__("index", value)
+    if kind == "timestamp":
+        back = draw(st.sampled_from([0.0, 0.05, 0.3]))
+        return lambda r: r["frames"][k].__setitem__("timestamp", r["frames"][max(k - 1, 0)]["timestamp"] - back)
+    if kind == "heading":
+        value = draw(st.sampled_from([np.pi, -np.pi, 3.5, -4.0]))
+        return lambda r: r["frames"][k]["ego_pose"].__setitem__(2, value)
+    if kind == "geo":
+        i, value = draw(st.sampled_from([(0, 90.5), (0, -91.0), (1, 180.5), (1, -200.0), (0, 90.0)]))
+        return lambda r: r["frames"][k]["geo"].__setitem__(i, value)
+    if kind == "frame_nan":
+        field, i = draw(st.sampled_from([("timestamp", None), ("ego_pose", 0), ("ego_pose", 1),
+                                         ("ego_pose", 2), ("geo", 0), ("geo", 1)]))
+        value = draw(BAD_FLOATS)
+        if i is None:
+            return lambda r: r["frames"][k].__setitem__(field, value)
+        return lambda r: r["frames"][k][field].__setitem__(i, value)
+
+    def at(r):
+        dets = r["frames"][k]["detections"]
+        return dets[min(j, len(dets) - 1)]
+
+    if kind == "class":
+        value = draw(st.sampled_from(["unicycle", "truck", "Vehicle"]))
+        return lambda r: at(r).__setitem__("class", value)
+    if kind == "switch":
+        value = draw(st.sampled_from(scene.DETECTION_CLASSES))
+        return lambda r: at(r).__setitem__("class", value)
+    if kind == "size":
+        i, value = draw(st.integers(0, 1)), draw(st.sampled_from([0.0, -1.0, -0.0]))
+        return lambda r: at(r)["size"].__setitem__(i, value)
+    if kind == "speed":
+        value = draw(st.sampled_from([-0.5, -1e-9, -0.0]))
+        return lambda r: at(r).__setitem__("speed", value)
+    field, i = draw(st.sampled_from([("center", 0), ("center", 1), ("yaw", None), ("size", 0),
+                                     ("size", 1), ("speed", None)]))
+    value = draw(BAD_FLOATS)
+    if i is None:
+        return lambda r: at(r).__setitem__(field, value)
+    return lambda r: at(r)[field].__setitem__(i, value)
 
 
 def snip(sid, log_id, first, last):
@@ -49,7 +124,7 @@ class TestValidation:
 
     def test_non_monotone_timestamp(self):
         frames = [make_frame(0), make_frame(1), make_frame(2)]
-        frames[2] = scene.Frame(2, 0.05, (0.0, 0.0, 0.0), (37.0, -122.0), ())
+        frames[2]["timestamp"] = 0.05
         report = scene.validate_snippet(make_snippet(frames), scene.SceneMap())
         assert [f.rule for f in report.findings] == ["timestamps"]
 
@@ -65,7 +140,9 @@ class TestValidation:
         assert any(f.rule == "heading" for f in report.findings)
 
     def test_frame_range_mismatch(self):
-        s = scene.Snippet("s0", "L", (0, 5), (make_frame(0), make_frame(1)))
+        s = scene.snippet_from_obj(
+            {"snippet_id": "s0", "log_id": "L", "frame_range": [0, 5], "frames": [make_frame(0), make_frame(1)]}
+        )
         report = scene.validate_snippet(s, scene.SceneMap())
         assert any(f.rule == "frame_range" for f in report.findings)
 
@@ -80,6 +157,16 @@ class TestValidation:
         s = make_snippet([make_frame(0, detections=(det,))], snippet_id="bad_one")
         report = scene.validate_snippet(s, scene.SceneMap())
         assert report.findings and all(f.snippet_id == "bad_one" for f in report.findings)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(damage_steps(), min_size=1, max_size=4))
+    def test_findings_match_the_per_frame_loop(self, steps):
+        record = damageable_record()
+        for step in steps:
+            step(record)
+        s = scene.snippet_from_obj(record)
+        got = scene.validate_snippet(s, scene.SceneMap()).findings
+        assert got == ref.validate_snippet(s, scene.SceneMap()).findings
 
     def test_map_duplicate_lane_ids(self):
         lane = scene.Lane("same", ((0.0, 0.0), (1.0, 0.0)))
@@ -121,27 +208,42 @@ def build_pool():
     return pool_of([a, b], cross_map(sign=True))
 
 
+GOLDEN_POOL = os.path.join(os.path.dirname(__file__), "data", "golden", "pool.jsonl")
+
+
+def overlap_pool():
+    """Jittered four-way turns, two half-overlapping snippets per log."""
+    spec = synthgen.default_spec(
+        "four_way_intersection", "turn", seed=5, n_snippets=4, num_frames=40, jitter=True, overlap_every=2
+    )
+    return synthgen.generate_pool(spec)[0]
+
+
 class TestRoundTrip:
     def test_save_load_byte_identity(self, tmp_path):
-        pool = build_pool()
-        p1 = tmp_path / "pool.ndjson"
-        scene.save_pool(pool, str(p1))
-        loaded = scene.load_pool(str(p1))
-        p2 = tmp_path / "again" / "pool.ndjson"
-        scene.save_pool(loaded, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-        assert (tmp_path / "scene.map.json").read_bytes() == (
-            tmp_path / "again" / "scene.map.json"
-        ).read_bytes()
+        pools = {"hand": build_pool(), "golden": scene.load_pool(GOLDEN_POOL), "overlap": overlap_pool()}
+        for name, pool in pools.items():
+            p1 = tmp_path / name / "pool.ndjson"
+            scene.save_pool(pool, str(p1))
+            loaded = scene.load_pool(str(p1))
+            p2 = tmp_path / name / "again" / "pool.ndjson"
+            scene.save_pool(loaded, str(p2))
+            assert p1.read_bytes() == p2.read_bytes(), name
+            assert (tmp_path / name / "scene.map.json").read_bytes() == (
+                tmp_path / name / "again" / "scene.map.json"
+            ).read_bytes(), name
+        with open(GOLDEN_POOL, "rb") as fh:
+            assert (tmp_path / "golden" / "pool.ndjson").read_bytes() == fh.read()
 
     def test_loaded_values_match(self, tmp_path):
         pool = build_pool()
         scene.save_pool(pool, str(tmp_path / "pool.ndjson"))
         loaded = scene.load_pool(str(tmp_path / "pool.ndjson"))
         assert [s.snippet_id for s in loaded.snippets] == ["s_a", "s_b"]
-        det = loaded.snippets[0].frames[1].detections[1]
-        assert det.label == "pedestrian"
-        assert det.center == (-4.0, 2.0)
+        s = loaded.snippets[0]
+        row = s.frame_starts()[1] + 1  # frame 1, detection 1
+        assert s.classes[s.det_label[row]] == "pedestrian"
+        assert tuple(s.det_center[row].tolist()) == (-4.0, 2.0)
         assert loaded.scene_map.traffic_controls[0].kind == "stop_sign"
 
     def test_map_round_trip(self, tmp_path):

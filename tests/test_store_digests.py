@@ -3,7 +3,9 @@
 Scoring is deterministic and the store is canonical JSON, so a change in any
 measure, down to the last bit of one float, changes a digest. The values were
 recorded from the per-detection loop implementation of the traffic and frame
-measures and must survive any refactor of them.
+measures and must survive any refactor of them. The synth pool's own files
+and its forecasts are pinned too; those digests were recorded when snippets
+were still per-frame and per-detection objects, before they became columns.
 """
 
 import hashlib
@@ -11,8 +13,8 @@ import os
 
 import pytest
 
-from logcurator import features, synthgen
-from logcurator.scene import load_pool
+from logcurator import baselines, features, synthgen
+from logcurator.scene import load_pool, save_pool
 from logcurator.selection import CurationConfig
 
 GOLDEN_POOL = os.path.join(os.path.dirname(__file__), "data", "golden", "pool.jsonl")
@@ -37,6 +39,20 @@ DIGESTS = {
 }
 
 
+SYNTH_FILES = {
+    "forecasts.jsonl": "a55c3ab7a9222f1505767528c44516004ee6bd08aed9132de7e807213904dfa0",
+    "pool.jsonl": "d9c793c086c76f0410f10e6b594261c526275e3155ca3b09bcade1562550fa3d",
+    "scene.map.json": "7300d8bb43f868727114a573e5e9627f7b4bf141a49d1a3bf0f7f3e2e4600039",
+}
+
+
+def _digests(directory):
+    return {
+        name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(directory))
+    }
+
+
 def _synth_pool():
     spec = synthgen.default_spec(
         "four_way_intersection",
@@ -58,8 +74,12 @@ def test_feature_store_digests(case, tmp_path):
         pool = _synth_pool()
         cfg = CurationConfig(roi_radius=5.0) if case == "synth_roi5" else CurationConfig()
     features.write_features(str(tmp_path), features.score_pool(pool, cfg))
-    got = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in sorted(os.listdir(tmp_path))
-    }
-    assert got == DIGESTS[case]
+    assert _digests(tmp_path) == DIGESTS[case]
+
+
+def test_synth_pool_and_forecast_digests(tmp_path):
+    pool = _synth_pool()
+    save_pool(pool, str(tmp_path / "pool.jsonl"))
+    forecasts = synthgen.synth_forecasts(pool, 5)
+    baselines.write_forecasts(str(tmp_path / "forecasts.jsonl"), forecasts, 5)
+    assert _digests(tmp_path) == SYNTH_FILES

@@ -102,8 +102,8 @@ class TestDeterminism:
         pool, cards = generate_pool(spec)
         assert all(card is None for card in cards.values())
         a, b = pool.snippets
-        va = a.frames[1].ego_pose[0] - a.frames[0].ego_pose[0]
-        vb = b.frames[1].ego_pose[0] - b.frames[0].ego_pose[0]
+        va = a.ego_pose[1, 0] - a.ego_pose[0, 0]
+        vb = b.ego_pose[1, 0] - b.ego_pose[0, 0]
         assert va != vb
 
     def test_generated_pools_pass_validation(self, tmp_path):
@@ -166,7 +166,7 @@ class TestPoolShapes:
         spec = quiet_spec(n_snippets=6, num_frames=30, bicycle_every=3)
         pool, _ = generate_pool(spec)
         for j, s in enumerate(sorted(pool.snippets, key=lambda x: x.snippet_id)):
-            labels = {d.label for f in s.frames for d in f.detections}
+            labels = {s.classes[c] for c in s.det_label.tolist()}
             assert ("bicyclist" in labels) == (j % 3 == 0)
 
     def test_snippet_windows_and_ids(self):
