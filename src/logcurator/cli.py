@@ -109,28 +109,31 @@ def score(pool_path, out_dir, config_path, jobs):
     cfg = selection.load_config(config_path) if config_path else selection.CurationConfig()
     pool = load_pool(pool_path)
     bundle = features.score_pool(pool, cfg, _resolve_jobs(jobs))
-    features.write_features(out_dir, bundle)
+    provenance = features.pool_provenance(pool_path, pool, selection.scoring_fields(cfg))
+    features.write_features(out_dir, bundle, provenance)
     n_valid = int(np.count_nonzero(bundle.valid))
     click.echo(f"scored {len(bundle.ids)} snippet(s) ({n_valid} rankable) into {out_dir}")
 
 
-def _bundle_for(pool, cfg, features_dir, jobs):
-    if features_dir is None:
-        return features.score_pool(pool, cfg, _resolve_jobs(jobs))
+def _stored_features(pool_path, cfg, features_dir):
+    """(overlap records, bundle) from a store whose provenance.json
+    fingerprints this pool, its map and the scoring fields of `cfg`."""
+    records, snippet_length = features.read_provenance(
+        features_dir, pool_path, selection.scoring_fields(cfg)
+    )
     bundle = features.read_features(features_dir)
-    pool_ids = sorted(s.snippet_id for s in pool.snippets)
-    if bundle.ids != pool_ids:
+    if bundle.ids != [s.snippet_id for s in records]:
         raise selection.ConfigError(
             f"feature directory {features_dir} does not cover the pool snippet ids"
         )
     for sid in bundle.ids:
-        if len(bundle.frame_mats[sid]) != pool.snippet_length:
+        if len(bundle.frame_mats[sid]) != snippet_length:
             raise PoolFormatError(
                 f"feature file {os.path.join(features_dir, 'frame_features.jsonl')}: snippet "
                 f"{sid!r} has {len(bundle.frame_mats[sid])} frame rows, the pool has "
-                f"{pool.snippet_length} frames per snippet"
+                f"{snippet_length} frames per snippet"
             )
-    return bundle
+    return records, bundle
 
 
 @cli.command(name="curate")
@@ -142,9 +145,12 @@ def _bundle_for(pool, cfg, features_dir, jobs):
 def curate_cmd(pool_path, config_path, out_path, features_dir, jobs):
     """Select challenging snippets per task, then grow a diverse remainder."""
     cfg = selection.load_config(config_path)
-    pool = load_pool(pool_path)
-    bundle = _bundle_for(pool, cfg, features_dir, jobs)
-    result = selection.curate(pool, bundle, cfg)
+    if features_dir is None:
+        pool = load_pool(pool_path)
+        records, bundle = pool.snippets, features.score_pool(pool, cfg, _resolve_jobs(jobs))
+    else:
+        records, bundle = _stored_features(pool_path, cfg, features_dir)
+    result = selection.curate(records, bundle, cfg)
     write_atomic(out_path, canonical_dumps(selection.result_to_obj(result)) + "\n")
     total = sum(len(t["snippet_ids"]) for t in result.tasks) + len(result.diverse["snippet_ids"])
     click.echo(f"selected {total} snippet(s) into {out_path}")
@@ -209,7 +215,10 @@ def _histogram_rows(names, matrix):
         if len(col) == 0:
             continue
         lo, hi = float(np.min(col)), float(np.max(col))
-        if hi <= lo:
+        # np.histogram's own edges; it refuses ones that are not increasing,
+        # as when lo and hi are a few ulps apart, so one bin covers them
+        edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
+        if not np.all(edges[:-1] < edges[1:]):
             yield [name, 0, repr(lo), repr(hi), len(col)]
             continue
         counts, edges = np.histogram(col, bins=HISTOGRAM_BINS, range=(lo, hi))

@@ -7,6 +7,7 @@ the order records appear in the pool file, and identical at any worker
 count.
 """
 
+import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 from . import geometry, sdv, traffic
 from .infra import infra_features
 from .scene import MapIndex, PoolFormatError, SceneMap, Snippet, SnippetPool
-from .scene import canonical_dumps, read_json, write_atomic
+from .scene import canonical_dumps, file_sha256, read_json, sidecar_path, write_atomic
 from .sdv import RouteMatch, ego_step_speeds, sdv_features
 from .traffic import Detections, traffic_features
 
@@ -67,6 +68,9 @@ FRAME_FEATURES = (
 )
 FRAME_FEATURE_NAMES = tuple(name for name, _ in FRAME_FEATURES)
 FRAME_DIM = len(FRAME_FEATURES)
+
+PROVENANCE = "provenance.json"
+RESCORE = "rescore the pool with `score` to reuse its features"
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,8 +302,32 @@ def _stats_to_obj(stats: NormalizationStats):
     }
 
 
-def write_features(directory: str, bundle: FeatureBundle) -> None:
+def pool_provenance(pool_path: str, pool: SnippetPool, scoring: dict) -> dict:
+    """The fingerprint of a scored pool: the sha256 of the pool file and of
+    its map sidecar, the map name and snippet length, the scoring config
+    fields, and one [snippet_id, log_id, frame_range] row per snippet."""
+    return {
+        "kind": "store_provenance",
+        "schema_version": 1,
+        "pool_sha256": file_sha256(pool_path, "pool file"),
+        "map_name": pool.map_name,
+        "map_sha256": file_sha256(sidecar_path(pool_path, pool.map_name), "map file"),
+        "snippet_length": pool.snippet_length,
+        "config": scoring,
+        "snippets": [
+            [s.snippet_id, s.log_id, list(s.frame_range)]
+            for s in sorted(pool.snippets, key=lambda s: s.snippet_id)
+        ],
+    }
+
+
+def write_features(directory: str, bundle: FeatureBundle, provenance=None) -> None:
+    """Write the store; `provenance` (`pool_provenance`) goes last, and any
+    older one is removed first, so no store cut short pairs an old
+    fingerprint with new feature files."""
     os.makedirs(directory, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(directory, PROVENANCE))
     lines = [
         canonical_dumps(
             {
@@ -352,6 +380,64 @@ def write_features(directory: str, bundle: FeatureBundle) -> None:
         "frame": _stats_to_obj(bundle.frame_stats),
     }
     write_atomic(os.path.join(directory, "normalization.json"), canonical_dumps(obj) + "\n")
+    if provenance is not None:
+        write_atomic(os.path.join(directory, PROVENANCE), canonical_dumps(provenance) + "\n")
+
+
+def read_provenance(directory: str, pool_path: str, scoring: dict) -> tuple:
+    """(overlap records, snippet length) of the pool the store in
+    `directory` was scored from, read from its provenance.json without
+    parsing the pool: `score` validated exactly these bytes. The pool file,
+    its map sidecar and the `scoring` config fields must match what
+    provenance.json fingerprints; a mismatch, or a missing or malformed
+    provenance.json, raises PoolFormatError naming it."""
+    path = os.path.join(directory, PROVENANCE)
+    try:
+        obj = read_json(path, PoolFormatError, "feature file")
+    except PoolFormatError as exc:
+        raise PoolFormatError(f"{exc}; {RESCORE}") from exc
+
+    def fail(problem):
+        return PoolFormatError(f"feature file {path}: {problem}; {RESCORE}")
+
+    types = {
+        "schema_version": int, "pool_sha256": str, "map_name": str, "map_sha256": str,
+        "snippet_length": int, "config": dict, "snippets": list,
+    }
+    if not isinstance(obj, dict) or obj.get("kind") != "store_provenance":
+        raise fail("not a store_provenance object")
+    for key, kind in types.items():
+        if type(obj.get(key)) is not kind:
+            raise fail(f"{key!r} must be a JSON {kind.__name__}")
+    if obj["schema_version"] != 1 or obj["snippet_length"] < 1:
+        raise fail("needs schema_version 1 and a snippet_length of at least 1")
+    rows = obj["snippets"]
+    if not all(
+        type(r) is list and len(r) == 3 and type(r[0]) is str and type(r[1]) is str
+        and type(r[2]) is list and len(r[2]) == 2 and all(type(v) is int for v in r[2])
+        for r in rows
+    ) or any(a[0] >= b[0] for a, b in zip(rows, rows[1:])):
+        raise fail("'snippets' must be [snippet_id, log_id, [first, last]] rows sorted by id")
+
+    if file_sha256(pool_path, "pool file") != obj["pool_sha256"]:
+        raise PoolFormatError(
+            f"feature directory {directory} does not cover the pool {pool_path}: "
+            f"{path} fingerprints other pool bytes; {RESCORE}"
+        )
+    map_path = sidecar_path(pool_path, obj["map_name"])
+    if file_sha256(map_path, "map file") != obj["map_sha256"]:
+        raise fail(f"map file {map_path} changed after scoring")
+    stored = obj["config"]
+    changed = sorted(
+        key for key in scoring.keys() | stored.keys()
+        if type(scoring.get(key)) is not type(stored.get(key)) or scoring.get(key) != stored.get(key)
+    )
+    if changed:
+        was = ", ".join(f"{key}={stored.get(key)!r}" for key in changed)
+        now = ", ".join(f"{key}={scoring.get(key)!r}" for key in changed)
+        raise fail(f"scored with {was}, the config has {now}")
+    records = tuple(Snippet(sid, log_id, tuple(bounds)) for sid, log_id, bounds in rows)
+    return records, obj["snippet_length"]
 
 
 def read_features(directory: str) -> FeatureBundle:

@@ -6,6 +6,8 @@ written in canonical form (sorted keys, compact separators) so that a
 load/save round trip reproduces the file byte for byte.
 """
 
+import hashlib
+import itertools
 import json
 import math
 import os
@@ -21,6 +23,7 @@ DETECTION_CLASSES = ("vehicle", "pedestrian", "bicyclist")
 CONTROL_KINDS = ("traffic_light", "stop_sign", "yield_sign")
 LANE_TURNS = ("straight", "left", "right")
 SCHEMA_VERSION = 1
+NUMBER_TYPES = frozenset((int, float))  # what json.loads makes of a JSON number
 
 
 class PoolFormatError(ValueError):
@@ -223,17 +226,25 @@ def _fields(records, keys, what) -> tuple:
 
 def _column(values, what, width=None, dtype=float) -> np.ndarray:
     """`values` as an array of shape (n,), or (n, width) when `width` is
-    given, converted as float() or int() would convert each one."""
+    given. Every value must be a JSON number, and an integral one when
+    `dtype` is int (4.0 reads as 4): a string, a boolean, null or a
+    fraction where an integer belongs raises PoolFormatError."""
     shape = (len(values),) if width is None else (len(values), width)
     kind = f"an array of {width} numbers" if width else "an integer" if dtype is int else "a number"
     if not values:
         return np.zeros(shape, dtype=dtype)
     try:
-        arr = np.array(values, dtype=dtype)
+        # numpy would read "2.5" and true as numbers and null as NaN
+        numbers = NUMBER_TYPES.issuperset(
+            map(type, itertools.chain.from_iterable(values) if width else values)
+        )
+        arr = np.array(values, dtype=None if dtype is int else float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise PoolFormatError(f"every {what} must be {kind}: {exc}") from exc
-    # numpy reads null as NaN where float() refuses it
-    if arr.shape != shape or (np.isnan(arr).any() and None in np.array(values, dtype=object)):
+    if dtype is int and arr.dtype.kind == "f":  # 4.0 reads as 4, 4.7 stays a float
+        if np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))):
+            arr = arr.astype(int)
+    if not numbers or arr.shape != shape or arr.dtype.kind != np.dtype(dtype).kind:
         raise PoolFormatError(f"every {what} must be {kind}")
     return arr
 
@@ -528,11 +539,29 @@ def load_map(path: str) -> SceneMap:
     return m
 
 
+def sidecar_path(pool_path: str, map_name: str) -> str:
+    """Where the map sidecar that a pool header names lives."""
+    return os.path.join(os.path.dirname(os.path.abspath(pool_path)), map_name)
+
+
+def file_sha256(path: str, what: str) -> str:
+    """Hex sha256 of the bytes of file `path`, read in 64 KiB chunks; a file
+    that cannot be read raises PoolFormatError naming `what` and the path."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 16):
+                digest.update(chunk)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise PoolFormatError(f"cannot read {what} {path}: {exc}") from exc
+    return digest.hexdigest()
+
+
 def save_pool(pool: SnippetPool, path: str) -> None:
     """Write the pool NDJSON and its map sidecar (canonical bytes, atomic)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    save_map(pool.scene_map, os.path.join(directory, pool.map_name))
+    save_map(pool.scene_map, sidecar_path(path, pool.map_name))
     header = {
         "kind": "pool_header",
         "schema_version": SCHEMA_VERSION,
@@ -561,8 +590,7 @@ def load_pool(path: str) -> SnippetPool:
         raise PoolFormatError(f"pool file {path} line 1: malformed header field: {exc}") from exc
     if snippet_length < 1:
         raise PoolFormatError(f"pool file {path} line 1: snippet_length {snippet_length} is below 1")
-    map_path = os.path.join(os.path.dirname(os.path.abspath(path)), map_name)
-    scene_map = load_map(map_path)
+    scene_map = load_map(sidecar_path(path, map_name))
 
     snippets = []
     for lineno, obj in rows:

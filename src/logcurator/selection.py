@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .features import SNIPPET_DIM, SNIPPET_FEATURE_NAMES, FeatureBundle
-from .scene import SnippetPool, read_json, snippets_overlap
+from .scene import read_json, snippets_overlap
 from .sdv import MAP_MATCH_GATE, MAP_MATCH_MIN_FRAC
 from .traffic import STATIC_SPEED
 
@@ -57,6 +57,9 @@ class CurationConfig:
 
 # the config file schema: every CurationConfig field, typed by its annotation
 CONFIG_FIELDS = {f.name: f.type for f in fields(CurationConfig)}
+# the fields only curation reads; every other field shapes the feature store,
+# so a new field counts as scoring-relevant until it is listed here
+CURATE_ONLY_FIELDS = ("tasks", "k_div", "seed", "dissimilarity")
 NON_NEGATIVE_FIELDS = (
     "k_div",
     "seed",
@@ -178,6 +181,16 @@ def config_to_obj(cfg: CurationConfig):
     return obj
 
 
+def scoring_fields(cfg: CurationConfig) -> dict:
+    """The config fields a feature store was scored under, each as its
+    annotated type: what `score` fingerprints and `curate --features` checks."""
+    return {
+        name: kind(getattr(cfg, name))
+        for name, kind in CONFIG_FIELDS.items()
+        if name not in CURATE_ONLY_FIELDS
+    }
+
+
 def _directed_distance(a: np.ndarray, b: np.ndarray) -> float:
     a2 = np.einsum("ij,ij->i", a, a)
     b2 = np.einsum("ij,ij->i", b, b)
@@ -292,14 +305,25 @@ def validate_result_obj(obj) -> list:
 
 
 def overlap_adjacency(snippets) -> dict:
-    """id -> set of other ids sharing frames of the same log."""
+    """id -> set of other ids sharing frames of the same log.
+
+    A sweep over each log's snippets in order of first frame: a snippet can
+    only overlap the ones after it that start at or before its last frame,
+    and each of those pairs is confirmed by `snippets_overlap`."""
     adj = {s.snippet_id: set() for s in snippets}
-    ordered = sorted(snippets, key=lambda s: s.snippet_id)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if snippets_overlap(a, b):
-                adj[a.snippet_id].add(b.snippet_id)
-                adj[b.snippet_id].add(a.snippet_id)
+    by_log = {}
+    for s in snippets:
+        by_log.setdefault(s.log_id, []).append(s)
+    for group in by_log.values():
+        group.sort(key=lambda s: s.frame_range[0])
+        for i, a in enumerate(group):
+            for j in range(i + 1, len(group)):
+                b = group[j]
+                if b.frame_range[0] > a.frame_range[1]:
+                    break
+                if snippets_overlap(a, b):
+                    adj[a.snippet_id].add(b.snippet_id)
+                    adj[b.snippet_id].add(a.snippet_id)
     return adj
 
 
@@ -393,10 +417,11 @@ def select_diverse(ids, frame_mats, valid, selected, k_div, adjacency, directed,
     return picked, audit
 
 
-def curate(pool: SnippetPool, bundle: FeatureBundle, config: CurationConfig) -> CurationResult:
-    """Run both phases over a scored pool."""
+def curate(records, bundle: FeatureBundle, config: CurationConfig) -> CurationResult:
+    """Run both phases over a scored pool; `records` are its snippets, of
+    which only the ids, log ids and frame ranges are read (overlap)."""
     ids = bundle.ids
-    adjacency = overlap_adjacency(pool.snippets)
+    adjacency = overlap_adjacency(records)
     warnings = []
     invalid = sorted(sid for sid, ok in zip(ids, bundle.valid) if not ok)
     if invalid:

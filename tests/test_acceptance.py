@@ -251,7 +251,7 @@ def test_03_golden_curation_trace():
     pool = load_pool(os.path.join(GOLDEN_DIR, "pool.jsonl"))
     config = load_config(os.path.join(GOLDEN_DIR, "config.json"))
     bundle = score_pool(pool, config)
-    res = curate(pool, bundle, config)
+    res = curate(pool.snippets, bundle, config)
     got = (canonical_dumps(result_to_obj(res)) + "\n").encode("utf-8")
     with open(os.path.join(GOLDEN_DIR, "expected_result.json"), "rb") as fh:
         want = fh.read()
@@ -288,7 +288,7 @@ def test_04_picks_dominate_brute_force():
             seed=trial,
             dissimilarity="directed" if rng.integers(0, 2) else "symmetric",
         )
-        res = curate(pool, bundle, config)
+        res = curate(pool.snippets, bundle, config)
         checked += _replay_audit(pool, bundle, config, res)
     assert checked > 400
     assert time.perf_counter() - t0 < 60.0
@@ -325,7 +325,7 @@ def test_05_disjoint_across_randomized_runs():
                 for j in range(int(rng.integers(1, 3)))
             )
             config = CurationConfig(tasks=tasks, k_div=int(rng.integers(0, 3)), seed=r)
-            selected = result_to_obj(curate(pool, bundle, config))["selected"]
+            selected = result_to_obj(curate(pool.snippets, bundle, config))["selected"]
             assert len(set(selected)) == len(selected)
             for i, a in enumerate(selected):
                 for b in selected[i + 1 :]:
@@ -364,8 +364,8 @@ def test_07_identical_output_across_worker_counts(tmp_path):
     config = CurationConfig(
         tasks=(TaskConfig("busy", np.ones(SNIPPET_DIM), 2),), k_div=3, seed=4
     )
-    r_one = canonical_dumps(result_to_obj(curate(pool, b_one, config)))
-    r_three = canonical_dumps(result_to_obj(curate(pool, b_three, config)))
+    r_one = canonical_dumps(result_to_obj(curate(pool.snippets, b_one, config)))
+    r_three = canonical_dumps(result_to_obj(curate(pool.snippets, b_three, config)))
     assert r_one == r_three
 
     ids = sorted(s.snippet_id for s in pool.snippets)
@@ -420,7 +420,7 @@ def test_09_bicycle_weighted_curation_beats_random():
     bundle = score_pool(pool, CurationConfig())
     weights = resolve_weights({"bike_curve": 1.0, "bike_crossing": 1.0, "class_div": 1.0})
     config = CurationConfig(tasks=(TaskConfig("bicycles", weights, 4),), k_div=0, seed=0)
-    res = curate(pool, bundle, config)
+    res = curate(pool.snippets, bundle, config)
     picked = res.tasks[0]["snippet_ids"]
     assert len(picked) == 4
 
@@ -434,7 +434,7 @@ def test_09_bicycle_weighted_curation_beats_random():
     assert random_mean > 0.0
     assert curated_mean >= 2.0 * random_mean
 
-    again = curate(pool, score_pool(pool, CurationConfig()), config)
+    again = curate(pool.snippets, score_pool(pool, CurationConfig()), config)
     assert canonical_dumps(result_to_obj(again)) == canonical_dumps(result_to_obj(res))
 
 

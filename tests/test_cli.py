@@ -21,6 +21,7 @@ def run(capsys, *argv):
 
 
 NAN = float("nan")
+STORE_FILES = ("snippet_features.jsonl", "frame_features.jsonl", "normalization.json", "provenance.json")
 
 
 def damage_line(path, lineno, damage):
@@ -179,7 +180,7 @@ class TestScore:
         dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
         for d in dirs:
             assert run(capsys, "score", workspace["pool"], "--out", d)[0] == 0
-        for name in ("snippet_features.jsonl", "frame_features.jsonl", "normalization.json"):
+        for name in STORE_FILES:
             with open(os.path.join(dirs[0], name), "rb") as fh:
                 first = fh.read()
             with open(os.path.join(dirs[1], name), "rb") as fh:
@@ -194,7 +195,7 @@ class TestScore:
         assert run(capsys, "score", workspace["pool"], "--out", env_par)[0] == 0
         monkeypatch.delenv("CURATOR_JOBS")
         assert run(capsys, "score", workspace["pool"], "--out", flag_par, "--jobs", "3")[0] == 0
-        for name in ("snippet_features.jsonl", "frame_features.jsonl", "normalization.json"):
+        for name in STORE_FILES:
             with open(os.path.join(serial, name), "rb") as fh:
                 want = fh.read()
             for d in (env_par, flag_par):
@@ -247,6 +248,98 @@ class TestCurate:
         )
         assert code == 2
         assert "does not cover the pool" in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"tasks": [{"name": "calm", "weights": {"crowd_static": 1.0}, "budget": 2}]},
+            {"k_div": 2},
+            {"seed": 7},
+            {"dissimilarity": "symmetric"},
+        ],
+        ids=["tasks", "k_div", "seed", "dissimilarity"],
+    )
+    def test_curate_only_fields_reuse_the_store(self, capsys, workspace, tmp_path, change):
+        feats = str(tmp_path / "feats")
+        assert run(capsys, "score", workspace["pool"], "--out", feats)[0] == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**CONFIG, **change}))
+        base = ["curate", workspace["pool"], "--config", str(config)]
+        fresh, reused = str(tmp_path / "fresh.json"), str(tmp_path / "reused.json")
+        assert run(capsys, *base, "--out", fresh)[0] == 0
+        assert run(capsys, *base, "--out", reused, "--features", feats)[0] == 0
+        with open(fresh, "rb") as a, open(reused, "rb") as b:
+            assert a.read() == b.read()
+
+    def stale_store_error(self, capsys, workspace, tmp_path, change, config=CONFIG):
+        """stderr of `curate --features` on a store scored from a copy of the
+        workspace pool, after `change(root)` altered that copy."""
+        root = tmp_path / "w"
+        root.mkdir()
+        for name in ("pool.jsonl", "scene.map.json"):
+            shutil.copy(os.path.join(workspace["root"], name), root / name)
+        pool, feats = str(root / "pool.jsonl"), str(root / "feats")
+        assert run(capsys, "score", pool, "--out", feats)[0] == 0
+        change(root)
+        (root / "config.json").write_text(json.dumps(config))
+        code, _, err = run(
+            capsys, "curate", pool, "--config", str(root / "config.json"),
+            "--out", str(root / "r.json"), "--features", feats,
+        )
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert feats in err and "rescore" in err
+        return err
+
+    @pytest.mark.parametrize(
+        "field,value", [("roi_radius", 5.0), ("normalization", "none")]
+    )
+    def test_store_scored_under_other_config_is_stale(
+        self, capsys, workspace, tmp_path, field, value
+    ):
+        config = {**CONFIG, field: value}
+        err = self.stale_store_error(capsys, workspace, tmp_path, lambda root: None, config)
+        assert "provenance.json" in err and f"{field}={value!r}" in err
+
+    def test_store_of_a_changed_pool_is_stale(self, capsys, workspace, tmp_path):
+        def change_one_byte(root):
+            path = root / "pool.jsonl"
+            text = path.read_text()
+            at = text.rindex('"speed":') + len('"speed":')
+            path.write_text(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1 :])
+
+        err = self.stale_store_error(capsys, workspace, tmp_path, change_one_byte)
+        assert "does not cover the pool" in err
+
+    def test_store_of_a_changed_map_is_stale(self, capsys, workspace, tmp_path):
+        def move_a_lane(root):
+            path = root / "scene.map.json"
+            obj = json.loads(path.read_text())
+            obj["lanes"][0]["centerline"][0][1] += 0.5
+            path.write_text(json.dumps(obj))
+
+        err = self.stale_store_error(capsys, workspace, tmp_path, move_a_lane)
+        assert "scene.map.json changed" in err
+
+    def test_store_without_provenance_is_stale(self, capsys, workspace, tmp_path):
+        def drop_provenance(root):
+            os.remove(root / "feats" / "provenance.json")
+
+        err = self.stale_store_error(capsys, workspace, tmp_path, drop_provenance)
+        assert os.path.join(str(tmp_path / "w" / "feats"), "provenance.json") in err
+
+    def test_rescoring_replaces_the_provenance(self, capsys, workspace, tmp_path):
+        feats = str(tmp_path / "feats")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**CONFIG, "roi_radius": 5.0}))
+        assert run(capsys, "score", workspace["pool"], "--out", feats)[0] == 0
+        assert run(capsys, "score", workspace["pool"], "--out", feats, "--config", str(config))[0] == 0
+        base = ["curate", workspace["pool"], "--config", str(config)]
+        fresh, reused = str(tmp_path / "fresh.json"), str(tmp_path / "reused.json")
+        assert run(capsys, *base, "--out", fresh)[0] == 0
+        assert run(capsys, *base, "--out", reused, "--features", feats)[0] == 0
+        with open(fresh, "rb") as a, open(reused, "rb") as b:
+            assert a.read() == b.read()
 
     def damaged_store_error(self, capsys, workspace, tmp_path, damage):
         feats = str(tmp_path / "feats")
@@ -464,6 +557,13 @@ class TestReport:
             == 0
         )
         return out
+
+    def test_column_a_few_ulps_wide_is_one_histogram_bin(self):
+        lo = 0.1
+        hi = float(np.nextafter(lo, 1.0))
+        rows = list(cli._histogram_rows(["x", "y"], np.array([[lo, 0.0], [hi, 1.0]])))
+        assert rows[1] == ["x", 0, repr(lo), repr(hi), 2]
+        assert len(rows) == 2 + cli.HISTOGRAM_BINS
 
     def test_summary_features_and_histograms(self, capsys, workspace, tmp_path, result_path):
         out_dir = str(tmp_path / "report")

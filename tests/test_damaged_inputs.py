@@ -39,8 +39,11 @@ DROP = "drop"
 VALUES = {"string": "x", "nan": float("nan"), "list": [[]], "null": None}
 SET = tuple(VALUES)
 ANY = (DROP,) + SET
-# only in the explicit examples: k_div, seed and budget rightly accept a huge integer
-DAMAGES = {**VALUES, "inf": float("inf"), "bigint": 10**400}
+# only in the explicit examples: k_div, seed and budget rightly accept a huge
+# integer, and a store's valid flag is a boolean
+DAMAGES = {
+    **VALUES, "inf": float("inf"), "bigint": 10**400, "fraction": 4.7, "numstr": "2.5", "bool": True
+}
 
 # (file, line, key path, damages that make the field invalid). Free-form
 # strings (ids, task names) accept any value str() gives, so they are only
@@ -79,6 +82,22 @@ TARGETS = (
         for key in ("class", "center", "yaw", "size", "speed")
     ]
     + [("pool.jsonl", 1, ("frames", 4, "detections", 0, "track_id"), (DROP,))]
+    + [
+        ("feats/provenance.json", 0, (key,), ANY)
+        for key in (
+            "kind", "schema_version", "pool_sha256", "map_name", "map_sha256",
+            "snippet_length", "config", "snippets",
+        )
+    ]
+    + [("feats/provenance.json", 0, ("config", key), ANY) for key in ("roi_radius", "normalization")]
+    + [
+        ("feats/provenance.json", 0, ("snippets", 0), SET),
+        ("feats/provenance.json", 0, ("snippets", 0, 0), ANY),
+        ("feats/provenance.json", 0, ("snippets", 0, 2), ANY),
+        ("feats/provenance.json", 0, ("snippets", 0, 2, 1), ANY),
+        # any string is a log id
+        ("feats/provenance.json", 0, ("snippets", 0, 1), (DROP, "nan", "list", "null")),
+    ]
 )
 
 
@@ -135,7 +154,9 @@ def command(root, name):
 def test_undamaged_workspace_runs(base):
     with tempfile.TemporaryDirectory() as tmp:
         root = shutil.copytree(base, os.path.join(tmp, "w"))
-        for name in ("pool.jsonl", "config.json", "forecasts.jsonl"):
+        # result.json: report, which ended in a traceback from np.histogram
+        # on a feature column whose min and max were a few ulps apart
+        for name in ("pool.jsonl", "config.json", "forecasts.jsonl", "result.json"):
             assert cli.main(command(root, name)) == 0
 
 
@@ -158,6 +179,17 @@ def test_undamaged_workspace_runs(base):
 @example(damage=("config.json", 0, ("tasks", 0, "weights", "crowd_dynamic"), "bigint"))
 @example(damage=("feats/snippet_features.jsonl", 2, ("values", 3), "bigint"))
 @example(damage=("feats/normalization.json", 0, ("snippet", "std", 1), "bigint"))
+# and the numbers numpy read where the pool held something else
+@example(damage=("pool.jsonl", 1, ("frames", 4, "index"), "fraction"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "detections", 0, "speed"), "numstr"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "detections", 0, "yaw"), "bool"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "ego_pose", 2), "bool"))
+@example(damage=("pool.jsonl", 1, ("frames", 4, "index"), "bool"))
+@example(damage=("pool.jsonl", 1, ("frame_range", 1), "fraction"))
+# and a provenance.json that no longer fingerprints the store
+@example(damage=("feats/provenance.json", 0, ("config", "roi_radius"), "nan"))
+@example(damage=("feats/provenance.json", 0, ("snippets", 0, 2, 1), "string"))
+@example(damage=("feats/provenance.json", 0, ("map_name",), "string"))
 @settings(max_examples=300)
 @given(damage=damages())
 def test_damaged_input_is_a_domain_error(base, damage):
@@ -170,6 +202,40 @@ def test_damaged_input_is_a_domain_error(base, damage):
     assert code == 2, (damage, err.getvalue())
     assert err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "key_path,kind,field",
+    [
+        (("frames", 4, "index"), "fraction", "frame index"),
+        (("frames", 4, "detections", 0, "speed"), "numstr", "detection speed"),
+        (("frames", 4, "detections", 0, "size", 0), "bool", "detection size"),
+        (("frames", 4, "timestamp"), "bool", "frame timestamp"),
+    ],
+)
+def test_pool_number_of_another_type_names_file_line_and_field(base, key_path, kind, field):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        path = os.path.join(root, "pool.jsonl")
+        damage_file(path, 1, key_path, kind)
+        code, err = run_damaged(root, "pool.jsonl")
+    assert code == 2, err
+    assert f"pool file {path} line 2: every {field} must be" in err
+
+
+def test_integral_float_frame_index_is_accepted(base):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        pool = os.path.join(root, "pool.jsonl")
+        with open(pool) as fh:
+            lines = fh.read().splitlines()
+        obj = json.loads(lines[1])
+        obj["frames"][4]["index"] = float(obj["frames"][4]["index"])
+        lines[1] = json.dumps(obj)
+        with open(pool, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, err = run_damaged(root, "pool.jsonl")
+    assert code == 0, err
 
 
 def run_damaged(root, name):
@@ -187,6 +253,7 @@ FILES = [
     ("config.json", None),
     ("feats/snippet_features.jsonl", 2),
     ("feats/normalization.json", None),
+    ("feats/provenance.json", None),
     ("forecasts.jsonl", 1),
     ("result.json", None),
 ]

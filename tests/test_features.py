@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,30 @@ class TestFeatureStore:
         path.write_text("\n".join(lines[1:]) + "\n")
         with pytest.raises(PoolFormatError, match="header"):
             features.read_features(str(tmp_path))
+
+    def test_store_cut_short_keeps_no_old_provenance(self, tmp_path, monkeypatch):
+        bundle = self.score()
+        features.write_features(str(tmp_path), bundle, {"kind": "store_provenance"})
+        assert (tmp_path / "provenance.json").exists()
+        written = []
+
+        def crash_on_second_file(path, text):
+            written.append(path)
+            if len(written) == 2:
+                raise OSError("disk full")
+
+        monkeypatch.setattr(features, "write_atomic", crash_on_second_file)
+        with pytest.raises(OSError):
+            features.write_features(str(tmp_path), bundle, {"kind": "store_provenance"})
+        assert not (tmp_path / "provenance.json").exists()
+
+    def test_provenance_is_written_last(self, tmp_path, monkeypatch):
+        written = []
+        monkeypatch.setattr(features, "write_atomic", lambda path, text: written.append(path))
+        features.write_features(str(tmp_path), self.score(), {"kind": "store_provenance"})
+        assert [os.path.basename(p) for p in written] == [
+            "snippet_features.jsonl", "frame_features.jsonl", "normalization.json", "provenance.json"
+        ]
 
     def test_missing_store_reported(self, tmp_path):
         with pytest.raises(PoolFormatError, match="cannot read"):

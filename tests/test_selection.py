@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from logcurator import selection
 from logcurator.features import FeatureBundle, NormalizationStats, SNIPPET_DIM, SNIPPET_FEATURE_NAMES
-from logcurator.scene import canonical_dumps, snippets_overlap
+from logcurator.scene import Snippet, canonical_dumps, snippets_overlap
 from logcurator.selection import (
     AuditEntry,
     ConfigError,
@@ -409,16 +413,8 @@ class TestDiverse:
 
 
 class TestCurate:
-    def quiet_pool(self, ids_logs):
-        return type(
-            "P", (), {"snippets": tuple(snippet_row(sid, log) for sid, log in ids_logs)}
-        )
-
     def test_hand_traced_two_phase_run(self):
-        from support import pool_of
-
         snippets = [snippet_row(f"s_{c}", f"log_{c}") for c in "abcd"]
-        pool = pool_of(snippets)
         bundle = toy_bundle(
             {"s_a": 3.0, "s_b": 2.0, "s_c": 1.0, "s_d": 0.0},
             {"s_a": [[0.0]], "s_b": [[4.0]], "s_c": [[1.0]], "s_d": [[9.0]]},
@@ -426,7 +422,7 @@ class TestCurate:
         cfg = CurationConfig(
             tasks=(TaskConfig("t0", np.array([1.0]), 1),), k_div=2, normalization="none"
         )
-        res = curate(pool, bundle, cfg)
+        res = curate(snippets, bundle, cfg)
         assert res.tasks == [{"name": "t0", "budget": 1, "snippet_ids": ["s_a"]}]
         assert res.diverse == {"budget": 2, "snippet_ids": ["s_d", "s_b"]}
         assert res.warnings == []
@@ -435,14 +431,11 @@ class TestCurate:
         assert validate_result_obj(obj) == []
 
     def test_overlapping_snippets_never_coselected(self):
-        from support import pool_of
-
         same_log = [
             snippet_row("s_a", "log0", first=0),
             snippet_row("s_b", "log0", first=1),
             snippet_row("s_c", "log0", first=10),
         ]
-        pool = pool_of(same_log)
         assert snippets_overlap(same_log[0], same_log[1])
         bundle = toy_bundle(
             {"s_a": 3.0, "s_b": 2.0, "s_c": 1.0},
@@ -451,13 +444,11 @@ class TestCurate:
         cfg = CurationConfig(
             tasks=(TaskConfig("t0", np.array([1.0]), 1),), k_div=2, normalization="none"
         )
-        res = curate(pool, bundle, cfg)
+        res = curate(same_log, bundle, cfg)
         assert result_to_obj(res)["selected"] == ["s_a", "s_c"]
         assert any("diverse phase: selected 1 of 2" in w for w in res.warnings)
 
     def test_pool_order_is_irrelevant(self):
-        from support import pool_of
-
         snippets = [snippet_row(f"s_{c}", f"log_{c}") for c in "abcd"]
         bundle = toy_bundle(
             {"s_a": 3.0, "s_b": 2.0, "s_c": 1.0, "s_d": 0.0},
@@ -466,15 +457,12 @@ class TestCurate:
         cfg = CurationConfig(
             tasks=(TaskConfig("t0", np.array([1.0]), 2),), k_div=1, normalization="none"
         )
-        fwd = result_to_obj(curate(pool_of(snippets), bundle, cfg))
-        rev = result_to_obj(curate(pool_of(snippets[::-1]), bundle, cfg))
+        fwd = result_to_obj(curate(snippets, bundle, cfg))
+        rev = result_to_obj(curate(snippets[::-1], bundle, cfg))
         assert canonical_dumps(fwd) == canonical_dumps(rev)
 
     def test_weight_scaling_leaves_picks_alone(self):
-        from support import pool_of
-
         snippets = [snippet_row(f"s_{c}", f"log_{c}") for c in "abcd"]
-        pool = pool_of(snippets)
         bundle = toy_bundle(
             {"s_a": 1.0, "s_b": 7.0, "s_c": 4.0, "s_d": 2.0},
             {sid: [[v]] for sid, v in {"s_a": 1.0, "s_b": 7.0, "s_c": 4.0, "s_d": 2.0}.items()},
@@ -484,54 +472,44 @@ class TestCurate:
             cfg = CurationConfig(
                 tasks=(TaskConfig("t0", np.array([lam]), 2),), normalization="none"
             )
-            res = curate(pool, bundle, cfg)
+            res = curate(snippets, bundle, cfg)
             picks.append(res.tasks[0]["snippet_ids"])
         assert picks[0] == picks[1] == ["s_b", "s_c"]
 
     def test_unrankable_snippets_reported_and_skipped(self):
-        from support import pool_of
-
         snippets = [snippet_row(f"s_{c}", f"log_{c}") for c in "ab"]
-        pool = pool_of(snippets)
         bundle = toy_bundle(
             {"s_a": 9.0, "s_b": 1.0},
             {"s_a": [[0.0]], "s_b": [[1.0]]},
             valid={"s_a": False, "s_b": True},
         )
         cfg = CurationConfig(tasks=(TaskConfig("t0", np.array([1.0]), 1),), normalization="none")
-        res = curate(pool, bundle, cfg)
+        res = curate(snippets, bundle, cfg)
         assert res.tasks[0]["snippet_ids"] == ["s_b"]
         assert any("unrankable" in w and "s_a" in w for w in res.warnings)
 
     def test_over_budget_request_warns_and_degrades(self):
-        from support import pool_of
-
         snippets = [snippet_row(f"s_{c}", f"log_{c}") for c in "ab"]
-        pool = pool_of(snippets)
         bundle = toy_bundle(
             {"s_a": 2.0, "s_b": 1.0}, {"s_a": [[0.0]], "s_b": [[1.0]]}
         )
         cfg = CurationConfig(
             tasks=(TaskConfig("t0", np.array([1.0]), 4),), k_div=3, normalization="none"
         )
-        res = curate(pool, bundle, cfg)
+        res = curate(snippets, bundle, cfg)
         assert result_to_obj(res)["selected"] == ["s_a", "s_b"]
         assert any("selection may fall short" in w for w in res.warnings)
         assert any(w.startswith("task t0") for w in res.warnings)
         assert any(w.startswith("diverse phase") for w in res.warnings)
 
     def test_zero_budgets_select_nothing(self):
-        from support import pool_of
-
-        pool = pool_of([snippet_row("s_a", "log0")])
+        snippets = [snippet_row("s_a", "log0")]
         bundle = toy_bundle({"s_a": 5.0}, {"s_a": [[1.0]]})
-        res = curate(pool, bundle, CurationConfig(normalization="none"))
+        res = curate(snippets, bundle, CurationConfig(normalization="none"))
         assert result_to_obj(res)["selected"] == []
         assert res.warnings == []
 
     def test_random_pools_stay_disjoint(self):
-        from support import pool_of
-
         rng = np.random.default_rng(29)
         for _ in range(30):
             n = int(rng.integers(4, 13))
@@ -552,7 +530,7 @@ class TestCurate:
                 k_div=int(rng.integers(0, 4)),
                 normalization="none",
             )
-            selected = result_to_obj(curate(pool_of(snippets), bundle, cfg))["selected"]
+            selected = result_to_obj(curate(snippets, bundle, cfg))["selected"]
             assert len(selected) == len(set(selected))
             by_id = {s.snippet_id: s for s in snippets}
             for i, a in enumerate(selected):
@@ -606,3 +584,43 @@ class TestOverlapAdjacency:
         assert adj["s_b"] == {"s_a"}
         assert adj["s_c"] == set()
         assert adj["s_d"] == set()
+
+    # (log, first frame, extra frames): few logs and short windows, so
+    # touching, nested and identical ranges come up often
+    WINDOWS = st.lists(
+        st.tuples(st.sampled_from(("log0", "log1")), st.integers(0, 12), st.integers(0, 5)),
+        max_size=14,
+    )
+
+    @example(windows=[("log0", 0, 3), ("log0", 3, 2), ("log0", 4, 0), ("log0", 1, 1), ("log0", 0, 3)])
+    @given(windows=WINDOWS)
+    def test_sweep_matches_the_all_pairs_walk(self, windows):
+        snippets = [
+            Snippet(f"s{i:02d}", log, (first, first + extra))
+            for i, (log, first, extra) in enumerate(windows)
+        ]
+        want = {s.snippet_id: set() for s in snippets}
+        for a, b in itertools.combinations(snippets, 2):
+            if snippets_overlap(a, b):
+                want[a.snippet_id].add(b.snippet_id)
+                want[b.snippet_id].add(a.snippet_id)
+        assert overlap_adjacency(snippets) == want
+
+    def test_sweep_examines_only_pairs_that_can_meet(self, monkeypatch):
+        checked = []
+
+        def counted(a, b):
+            checked.append((a.snippet_id, b.snippet_id))
+            return snippets_overlap(a, b)
+
+        monkeypatch.setattr(selection, "snippets_overlap", counted)
+        # ten back-to-back windows of one log and one window of another
+        snippets = [Snippet(f"s{i}", "log0", (10 * i, 10 * i + 9)) for i in range(10)]
+        snippets.append(Snippet("t0", "log1", (0, 99)))
+        adj = overlap_adjacency(snippets)
+        assert checked == []
+        assert all(not partners for partners in adj.values())
+        snippets.append(Snippet("s_wide", "log0", (15, 34)))
+        adj = overlap_adjacency(snippets)
+        assert adj["s_wide"] == {"s1", "s2", "s3"}
+        assert len(checked) == 3

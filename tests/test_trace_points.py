@@ -21,7 +21,11 @@ SCORE_POINTS = (
     (features, "assemble_frame_vectors"),
     (traffic, "build_track_paths"),
 )
-CURATE_POINTS = ((selection, "select_challenging"), (selection, "overlap_adjacency"))
+CURATE_POINTS = (
+    (selection, "select_challenging"),
+    (selection, "overlap_adjacency"),
+    (features, "read_features"),
+)
 
 
 def test_traced_functions_are_entered(tmp_path, monkeypatch):
@@ -43,7 +47,7 @@ def test_traced_functions_are_entered(tmp_path, monkeypatch):
 
         return wrapper
 
-    for module, name in SCORE_POINTS + CURATE_POINTS:
+    for module, name in SCORE_POINTS + CURATE_POINTS + ((cli, "load_pool"),):
         key = f"{module.__name__}.{name}"
         calls[key] = 0
         monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
@@ -52,7 +56,10 @@ def test_traced_functions_are_entered(tmp_path, monkeypatch):
     assert cli.main(["score", pool, "--out", feats]) == 0
     for module, name in SCORE_POINTS:
         assert calls[f"{module.__name__}.{name}"] > 0, name
+    assert calls["logcurator.cli.load_pool"] == 1
     out = str(tmp_path / "result.json")
     assert cli.main(["curate", pool, "--config", str(config), "--out", out, "--features", feats]) == 0
     for module, name in CURATE_POINTS:
         assert calls[f"{module.__name__}.{name}"] > 0, name
+    # a fingerprinted store stands in for the pool: curate never parses it
+    assert calls["logcurator.cli.load_pool"] == 1
