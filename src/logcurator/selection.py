@@ -8,6 +8,7 @@ always means: rankable, not selected, and not overlapping (same log, shared
 frames) anything selected. Every argmax breaks ties by ascending snippet_id.
 """
 
+import heapq
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -337,9 +338,23 @@ def take_pick(pick, alive: set, adjacency) -> tuple:
 
 
 def select_challenging(ids, matrix, valid, tasks, adjacency):
-    """Greedy round-robin task picks; returns (per-task id lists, audit)."""
+    """Greedy round-robin task picks; returns (per-task id lists, audit).
+
+    A task's scores do not change between rounds, so each task ranks the
+    rankable snippets once by (-score, id), a NaN score first as `np.argmax`
+    would take it, and each round takes the first one still alive."""
     alive = {sid for sid, ok in zip(ids, valid) if ok}
     index_of = {sid: i for i, sid in enumerate(ids)}
+    ranked = {}
+    for t in tasks:
+        if t.budget > 0:
+            score = {sid: float(matrix[index_of[sid]] @ t.weights) for sid in alive}
+
+            def rank(sid):
+                s = score[sid]
+                return (0, 0.0, sid) if math.isnan(s) else (1, -s, sid)
+
+            ranked[t.name] = (iter(sorted(alive, key=rank)), score)
     picked = {t.name: [] for t in tasks}
     audit = []
     remaining = {t.name: t.budget for t in tasks}
@@ -349,15 +364,13 @@ def select_challenging(ids, matrix, valid, tasks, adjacency):
         for t in tasks:
             if remaining[t.name] <= 0 or not alive:
                 continue
-            cand = sorted(alive)
-            scores = np.array([matrix[index_of[sid]] @ t.weights for sid in cand])
-            best = int(np.argmax(scores))
-            pick = cand[best]
+            order, score = ranked[t.name]
+            pick = next(sid for sid in order if sid in alive)
             eliminated = take_pick(pick, alive, adjacency)
             picked[t.name].append(pick)
             remaining[t.name] -= 1
             audit.append(
-                AuditEntry("challenging", iteration, t.name, pick, float(scores[best]), eliminated)
+                AuditEntry("challenging", iteration, t.name, pick, score[pick], eliminated)
             )
             progressed = True
         if not progressed:
@@ -366,12 +379,57 @@ def select_challenging(ids, matrix, valid, tasks, adjacency):
     return picked, audit
 
 
+# unit roundoff of float64
+_ROUNDOFF = 2.0**-53
+
+
+def _frame_set_shape(mat: np.ndarray) -> tuple:
+    """(center, radius, largest squared frame norm) of one frame set: the
+    frame mean, and the largest distance from a frame to it."""
+    center = mat.mean(axis=0)
+    offsets = mat - center
+    radius = math.sqrt(float(np.max(np.einsum("ij,ij->i", offsets, offsets))))
+    return center, radius, float(np.max(np.einsum("ij,ij->i", mat, mat)))
+
+
+def _reach(mat, shape, centers, radii, sq_norms) -> list:
+    """Per anchor p, a squared distance r_p such that a partial min m of
+    candidate `mat` with m * m < r_p cannot be lowered by d(mat, p).
+
+    Every frame x of `mat` lies at least |x - c_p| - rad_p from every frame
+    of p (c_p its center, rad_p its radius), and the mean over x of
+    |x - c_p| is at least |c - c_p|, so lb = |c - c_p| - rad_p is at most
+    d(mat, p) in either mode. Rounding moves the computed d^2 by up to
+    (2D + 4) u (A + B), from the a^2 + b^2 - 2ab expansion in
+    `_directed_distance`, and lb^2 by up to (4 (T + 1) sqrt(D) + 12 D + 38)
+    u (A + B), from averaging the T frames of `mat`, the norms and the test
+    itself: u is the unit roundoff, D the frame dimension, A and B the
+    largest squared frame norms. r_p = lb^2 - rate (A + B) takes off more
+    than both, so m * m < r_p means the computed d is at least m and the
+    min stays the same float. A non-finite input gives no r_p that holds.
+    """
+    center, _, sq_norm = shape
+    offsets = centers - center
+    lb = np.sqrt(np.einsum("ij,ij->i", offsets, offsets)) - radii
+    frames, dim = mat.shape
+    rate = 8.0 * ((frames + 1) * math.sqrt(dim) + 2 * dim + 6) * _ROUNDOFF
+    return np.where(lb > 0.0, lb * lb - rate * (sq_norm + sq_norms), -math.inf).tolist()
+
+
 def select_diverse(ids, frame_mats, valid, selected, k_div, adjacency, directed, seed_norms):
     """Farthest-point growth of the diverse set; returns (ids, audit).
 
-    Candidate min-distances to the selected set are cached and only updated
-    against each new pick, which leaves the argmax unchanged relative to a
-    full recomputation.
+    Exact lazy greedy k-center. A candidate's min-distance to the anchors
+    (everything selected) only falls as anchors are added, so each keeps an
+    upper bound: its min over the first `applied` anchors. A heap pops
+    candidates by (-bound, id). A popped candidate is refreshed against the
+    anchors it has not seen, in order, and pushed back; the refresh may stop
+    once its partial min is below the best value refreshed in full this
+    round, since it then cannot win. A candidate that reaches the top fully
+    refreshed is the pick: its bound is its exact min, every other bound is
+    at most it, and an equal bound has a larger id. Before each exact pair,
+    `_reach` skips an anchor that provably cannot lower the min, so picks and
+    values equal those of a full recomputation bit for bit.
     """
     alive = {sid for sid, ok in zip(ids, valid) if ok} - set(selected)
     for sid in selected:
@@ -379,41 +437,61 @@ def select_diverse(ids, frame_mats, valid, selected, k_div, adjacency, directed,
     anchor = list(selected)
     picked = []
     audit = []
-    mindist = {}
-    for i in range(k_div):
-        if not alive:
-            break
+    if k_div > 0 and alive and not anchor:
         cand = sorted(alive)
-        if not anchor:
-            norms = np.array([seed_norms[sid] for sid in cand])
-            best = int(np.argmax(norms))
-            pick = cand[best]
-            value = float(norms[best])
-            is_seed = True
-        else:
-            for sid in cand:
-                if sid not in mindist:
-                    mindist[sid] = min(
-                        dissimilarity(frame_mats[sid], frame_mats[other], directed)
-                        for other in anchor
-                    )
-            dists = np.array([mindist[sid] for sid in cand])
-            best = int(np.argmax(dists))
-            pick = cand[best]
-            value = float(dists[best])
-            is_seed = False
+        norms = np.array([seed_norms[sid] for sid in cand])
+        best = int(np.argmax(norms))
+        pick = cand[best]
         eliminated = take_pick(pick, alive, adjacency)
-        mindist.pop(pick, None)
-        for sid in list(mindist):
-            if sid not in alive:
-                mindist.pop(sid)
-                continue
-            d = dissimilarity(frame_mats[sid], frame_mats[pick], directed)
-            if d < mindist[sid]:
-                mindist[sid] = d
         anchor.append(pick)
         picked.append(pick)
-        audit.append(AuditEntry("diverse", i, None, pick, value, eliminated, seed=is_seed))
+        value = float(norms[best])
+        audit.append(AuditEntry("diverse", 0, None, pick, value, eliminated, seed=True))
+    if len(picked) >= k_div or not alive:
+        return picked, audit
+
+    shape = {sid: _frame_set_shape(frame_mats[sid]) for sid in alive.union(anchor)}
+    cap = len(anchor) + min(k_div - len(picked), len(alive))
+    centers = np.empty((cap, frame_mats[anchor[0]].shape[1]))
+    radii = np.empty(cap)
+    sq_norms = np.empty(cap)
+    for j, sid in enumerate(anchor):
+        centers[j], radii[j], sq_norms[j] = shape[sid]
+    bound = dict.fromkeys(alive, math.inf)
+    applied = dict.fromkeys(alive, 0)
+    heap = [(-math.inf, sid) for sid in alive]
+    heapq.heapify(heap)
+    for i in range(len(picked), k_div):
+        if not alive:
+            break
+        k = len(anchor)
+        best = -math.inf  # the largest exact min found this round
+        while True:
+            _, sid = heapq.heappop(heap)
+            if sid not in alive:
+                continue
+            n = applied[sid]
+            if n == k:
+                break
+            m = bound[sid]
+            mat = frame_mats[sid]
+            for r in _reach(mat, shape[sid], centers[n:k], radii[n:k], sq_norms[n:k]):
+                if not m * m < r:
+                    d = dissimilarity(mat, frame_mats[anchor[n]], directed)
+                    if d < m:
+                        m = d
+                n += 1
+                if m < best:
+                    break
+            bound[sid], applied[sid] = m, n
+            if n == k and m > best:
+                best = m
+            heapq.heappush(heap, (-m, sid))
+        eliminated = take_pick(sid, alive, adjacency)
+        centers[k], radii[k], sq_norms[k] = shape[sid]
+        anchor.append(sid)
+        picked.append(sid)
+        audit.append(AuditEntry("diverse", i, None, sid, bound[sid], eliminated))
     return picked, audit
 
 

@@ -1,5 +1,5 @@
-"""Loop versions of the traffic, frame-count, lane-projection and snippet
-validation rules.
+"""Loop versions of the traffic, frame-count, lane-projection, snippet
+validation and selection rules.
 
 The traffic and frame measures walk a snippet's detections frame by frame,
 one measure at a time, exactly as they were first written; `frames_of`
@@ -13,6 +13,12 @@ per-frame validation loop. The library computes the same values as
 reductions and predicates over the flat columns and one call of its
 segment-table kernel per point set; the equivalence tests compare the two
 bit for bit, and the validation findings item for item.
+
+`select_challenging` and `select_diverse` are the selection phases that
+rescore every alive candidate each round and update every cached
+min-distance against each new pick; the library ranks each task once and
+grows the diverse set lazily, and the tests compare picks and audit entries
+with `==`.
 """
 
 from collections import namedtuple
@@ -22,6 +28,7 @@ import numpy as np
 from logcurator import geometry, sdv
 from logcurator.geometry import cumulative_arclength
 from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport
+from logcurator.selection import AuditEntry, dissimilarity, take_pick
 from logcurator.traffic import STATIC_SPEED
 
 FRAME_CLASSES = ("vehicle", "pedestrian", "bicyclist")
@@ -357,3 +364,87 @@ def interactions(
             if bool(np.any(ok & (t.speeds * horizon >= dist_to_entry))):
                 reachable += 1
     return near_static, near_dynamic, len(traversing), reachable
+
+
+# The selection phases as the library first ran them, verbatim.
+
+
+def select_challenging(ids, matrix, valid, tasks, adjacency):
+    """Greedy round-robin task picks; returns (per-task id lists, audit)."""
+    alive = {sid for sid, ok in zip(ids, valid) if ok}
+    index_of = {sid: i for i, sid in enumerate(ids)}
+    picked = {t.name: [] for t in tasks}
+    audit = []
+    remaining = {t.name: t.budget for t in tasks}
+    iteration = 0
+    while any(remaining[t.name] > 0 for t in tasks) and alive:
+        progressed = False
+        for t in tasks:
+            if remaining[t.name] <= 0 or not alive:
+                continue
+            cand = sorted(alive)
+            scores = np.array([matrix[index_of[sid]] @ t.weights for sid in cand])
+            best = int(np.argmax(scores))
+            pick = cand[best]
+            eliminated = take_pick(pick, alive, adjacency)
+            picked[t.name].append(pick)
+            remaining[t.name] -= 1
+            audit.append(
+                AuditEntry("challenging", iteration, t.name, pick, float(scores[best]), eliminated)
+            )
+            progressed = True
+        if not progressed:
+            break
+        iteration += 1
+    return picked, audit
+
+
+def select_diverse(ids, frame_mats, valid, selected, k_div, adjacency, directed, seed_norms):
+    """Farthest-point growth of the diverse set; returns (ids, audit).
+
+    Candidate min-distances to the selected set are cached and only updated
+    against each new pick, which leaves the argmax unchanged relative to a
+    full recomputation.
+    """
+    alive = {sid for sid, ok in zip(ids, valid) if ok} - set(selected)
+    for sid in selected:
+        alive -= adjacency.get(sid, set())
+    anchor = list(selected)
+    picked = []
+    audit = []
+    mindist = {}
+    for i in range(k_div):
+        if not alive:
+            break
+        cand = sorted(alive)
+        if not anchor:
+            norms = np.array([seed_norms[sid] for sid in cand])
+            best = int(np.argmax(norms))
+            pick = cand[best]
+            value = float(norms[best])
+            is_seed = True
+        else:
+            for sid in cand:
+                if sid not in mindist:
+                    mindist[sid] = min(
+                        dissimilarity(frame_mats[sid], frame_mats[other], directed)
+                        for other in anchor
+                    )
+            dists = np.array([mindist[sid] for sid in cand])
+            best = int(np.argmax(dists))
+            pick = cand[best]
+            value = float(dists[best])
+            is_seed = False
+        eliminated = take_pick(pick, alive, adjacency)
+        mindist.pop(pick, None)
+        for sid in list(mindist):
+            if sid not in alive:
+                mindist.pop(sid)
+                continue
+            d = dissimilarity(frame_mats[sid], frame_mats[pick], directed)
+            if d < mindist[sid]:
+                mindist[sid] = d
+        anchor.append(pick)
+        picked.append(pick)
+        audit.append(AuditEntry("diverse", i, None, pick, value, eliminated, seed=is_seed))
+    return picked, audit
