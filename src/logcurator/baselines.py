@@ -7,64 +7,119 @@ curation phases and emit the shared result schema.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .scene import canonical_dumps, read_json, write_atomic
+from .scene import _column, canonical_dumps, read_json, write_atomic
 from .selection import AuditEntry, CurationResult, take_pick
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
+RECORD_FIELDS = ("snippet_id", "frame_index", "actor_id", "timestep", "mu", "cov")
 
 
 class ForecastError(ValueError):
-    """Raised for malformed forecast files or non-positive-definite covariances."""
+    """Raised for malformed forecast files or covariances without a finite entropy."""
 
 
 @dataclass(frozen=True, slots=True)
 class ForecastEntry:
+    """One forecast row, the value `entry_entropy` scores."""
+
     actor_id: str
     timestep: int
     mu: tuple  # (x, y)
     cov: tuple  # (sxx, sxy, syy)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class GaussianForecast:
+    """One snippet's forecasts as columns, one row per (frame, actor,
+    timestep) entry. Rows ascend by frame index and keep their file order
+    within a frame."""
+
     snippet_id: str
     horizon: int
-    frames: dict  # frame_index -> tuple of ForecastEntry
+    frame_index: np.ndarray  # (n,) int
+    actor_id: tuple  # (n,) str
+    timestep: np.ndarray  # (n,) int
+    mu: np.ndarray  # (n, 2) x, y
+    cov: np.ndarray  # (n, 3) sxx, sxy, syy
+
+
+def _entropies(cov: np.ndarray, actor_id, timestep, where) -> np.ndarray:
+    """Differential entropy, in nats, of the 2D Gaussian of each row of
+    `cov`. The first row whose covariance is not positive definite raises
+    ForecastError; when there is none, the first whose entropy overflows
+    does. The message names the row's actor and step after `where(row)`."""
+
+    def check(ok, problem):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ForecastError(
+                f"{where(i)}covariance for actor {actor_id[i]} step {timestep[i]} {problem}"
+            )
+
+    sxx, sxy, syy = cov.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = sxx * syy - sxy * sxy
+    check((sxx > 0.0) & (det > 0.0), "is not positive definite")
+    entropy = LOG_2PI_E + 0.5 * np.log(det)
+    check(np.isfinite(entropy), "has no finite entropy")
+    return entropy
 
 
 def entry_entropy(entry: ForecastEntry) -> float:
     """Differential entropy of one 2D Gaussian, in nats."""
-    sxx, sxy, syy = entry.cov
-    det = sxx * syy - sxy * sxy
-    if not (sxx > 0.0 and det > 0.0):
-        raise ForecastError(
-            f"covariance for actor {entry.actor_id} step {entry.timestep} is not positive definite"
-        )
-    return LOG_2PI_E + 0.5 * float(np.log(det))
-
-
-def frame_entropy(entries) -> float:
-    """Total forecast entropy of one frame (sum over actors and timesteps)."""
-    return float(sum(entry_entropy(e) for e in entries))
+    cov = np.array([entry.cov], dtype=float)
+    return float(_entropies(cov, (entry.actor_id,), (entry.timestep,), lambda i: "")[0])
 
 
 def snippet_entropy(forecast: GaussianForecast) -> float:
+    """Total forecast entropy of one snippet: the entries of each frame
+    added in row order, then the frames in ascending order."""
+    frame_index = forecast.frame_index
+    entropy = _entropies(
+        forecast.cov,
+        forecast.actor_id,
+        forecast.timestep,
+        lambda i: f"snippet {forecast.snippet_id} frame {frame_index[i]}: ",
+    ).tolist()
+    cuts = [0, *(np.flatnonzero(np.diff(frame_index)) + 1).tolist(), len(entropy)]
     total = 0.0
-    for frame_index in sorted(forecast.frames):
-        try:
-            total += frame_entropy(forecast.frames[frame_index])
-        except ForecastError as exc:
-            raise ForecastError(
-                f"snippet {forecast.snippet_id} frame {frame_index}: {exc}"
-            ) from exc
+    for a, b in zip(cuts, cuts[1:]):
+        total += sum(entropy[a:b])
     return total
 
 
+def _numbers(frame_index, timestep, values):
+    """The number columns of forecast records, checked: integral frame
+    indices and timesteps, and finite mu and cov values, five per record."""
+    frame_index = _column(frame_index, "frame_index", dtype=int, error=ForecastError)
+    timestep = _column(timestep, "timestep", dtype=int, error=ForecastError)
+    values = _column(values, "mu and cov value", error=ForecastError)
+    if not np.isfinite(values).all():
+        raise ForecastError("every mu and cov value must be finite")
+    return frame_index, timestep, values.reshape(-1, 5)
+
+
+def _record_fault(obj) -> str:
+    """Why `load_forecasts` cannot read `obj` as a forecast record."""
+    if not isinstance(obj, dict) or obj.get("kind") != "forecast":
+        return "expected a forecast record"
+    missing = [key for key in RECORD_FIELDS if key not in obj]
+    if missing:
+        return f"malformed forecast record: missing field {missing[0]!r}"
+    return "malformed forecast record: mu must be an array of 2 numbers and cov an array of 3"
+
+
 def load_forecasts(path: str) -> dict:
-    """Parse a forecast NDJSON file into {snippet_id: GaussianForecast}."""
+    """Parse a forecast NDJSON file into {snippet_id: GaussianForecast}.
+
+    Each record's fields go to flat columns as its line is read, so no
+    parsed record outlives its line. The number rules are then checked over
+    the columns at once, and a failure names the first record that breaks
+    one."""
     header, rows = read_json(path, ForecastError, "forecast file", lines=True)
     if not isinstance(header, dict) or header.get("kind") != "forecast_header":
         raise ForecastError("first record must be the forecast header")
@@ -72,29 +127,57 @@ def load_forecasts(path: str) -> dict:
         horizon = int(header.get("horizon", 0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ForecastError(f"forecast file {path} line 1: malformed horizon: {exc}") from exc
-    frames_by_snippet: dict[str, dict] = {}
+    fields = itemgetter("kind", *RECORD_FIELDS)
+    sids, actors, frames, steps, values = [], [], [], [], []
+    add_sid, add_actor, add_frame, add_step = sids.append, actors.append, frames.append, steps.append
     for lineno, obj in rows:
-        if not isinstance(obj, dict) or obj.get("kind") != "forecast":
-            raise ForecastError(f"forecast file {path} line {lineno}: expected a forecast record")
         try:
-            sid = str(obj["snippet_id"])
-            frame_index = int(obj["frame_index"])
-            entry = ForecastEntry(
-                actor_id=str(obj["actor_id"]),
-                timestep=int(obj["timestep"]),
-                mu=(float(obj["mu"][0]), float(obj["mu"][1])),
-                cov=(float(obj["cov"][0]), float(obj["cov"][1]), float(obj["cov"][2])),
-            )
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-            raise ForecastError(
-                f"forecast file {path} line {lineno}: malformed forecast record: {exc}"
-            ) from exc
-        frames_by_snippet.setdefault(sid, {}).setdefault(frame_index, []).append(entry)
+            kind, sid, frame_index, actor_id, timestep, mu, cov = fields(obj)
+        except (KeyError, TypeError):  # a missing field, or not an object
+            kind = None
+        if (
+            kind != "forecast"
+            or type(mu) is not list
+            or type(cov) is not list
+            or len(mu) != 2
+            or len(cov) != 3
+        ):
+            raise ForecastError(f"forecast file {path} line {lineno}: {_record_fault(obj)}")
+        add_sid(str(sid))
+        add_actor(str(actor_id))
+        add_frame(frame_index)
+        add_step(timestep)
+        values += mu
+        values += cov
+    try:
+        frame_index, timestep, values = _numbers(frames, steps, values)
+    except ForecastError as exc:
+        where, fault = f"forecast file {path}", exc
+        for i in range(len(frames)):  # record i is on line i + 2, after the header
+            try:
+                _numbers(frames[i : i + 1], steps[i : i + 1], values[5 * i : 5 * i + 5])
+            except ForecastError as row_fault:
+                where, fault = f"forecast file {path} line {i + 2}", row_fault
+                break
+        raise ForecastError(f"{where}: malformed forecast record: {fault}") from exc
+    # group by snippet in order of first appearance, then stable by frame
+    codes = {sid: i for i, sid in enumerate(dict.fromkeys(sids))}
+    code = np.fromiter(map(codes.__getitem__, sids), dtype=int, count=len(sids))
+    order = np.lexsort((frame_index, code))
+    frame_index, timestep, values = frame_index[order], timestep[order], values[order]
+    actors = list(map(actors.__getitem__, order.tolist()))
+    ends = np.cumsum(np.bincount(code, minlength=len(codes))).tolist()
     return {
         sid: GaussianForecast(
-            sid, horizon, {fi: tuple(entries) for fi, entries in frames.items()}
+            sid,
+            horizon,
+            frame_index[a:b],
+            tuple(actors[a:b]),
+            timestep[a:b],
+            values[a:b, :2],
+            values[a:b, 2:],
         )
-        for sid, frames in frames_by_snippet.items()
+        for sid, a, b in zip(codes, [0, *ends], ends)
     }
 
 
@@ -164,19 +247,20 @@ def write_forecasts(path: str, forecasts: dict, horizon: int) -> None:
     ]
     for sid in sorted(forecasts):
         fc = forecasts[sid]
-        for frame_index in sorted(fc.frames):
-            for e in fc.frames[frame_index]:
-                lines.append(
-                    canonical_dumps(
-                        {
-                            "kind": "forecast",
-                            "snippet_id": sid,
-                            "frame_index": frame_index,
-                            "actor_id": e.actor_id,
-                            "timestep": e.timestep,
-                            "mu": [e.mu[0], e.mu[1]],
-                            "cov": [e.cov[0], e.cov[1], e.cov[2]],
-                        }
-                    )
+        for frame_index, actor_id, timestep, mu, cov in zip(
+            fc.frame_index.tolist(), fc.actor_id, fc.timestep.tolist(), fc.mu.tolist(), fc.cov.tolist()
+        ):
+            lines.append(
+                canonical_dumps(
+                    {
+                        "kind": "forecast",
+                        "snippet_id": sid,
+                        "frame_index": frame_index,
+                        "actor_id": actor_id,
+                        "timestep": timestep,
+                        "mu": mu,
+                        "cov": cov,
+                    }
                 )
+            )
     write_atomic(path, "\n".join(lines) + "\n")

@@ -100,6 +100,9 @@ class SnippetArrays:
     match: RouteMatch
 
 
+ZERO_SPREAD = 1e-12  # a std at or below this is zero spread
+
+
 @dataclass(frozen=True, slots=True)
 class NormalizationStats:
     mean: np.ndarray
@@ -132,7 +135,7 @@ def fit_normalization(matrix: np.ndarray, mode: str) -> NormalizationStats:
         raise ValueError(f"unknown normalization mode {mode!r}")
     mean = np.mean(matrix, axis=0)
     std = np.std(matrix, axis=0)
-    flagged = tuple(int(i) for i in np.flatnonzero(std <= 1e-12))
+    flagged = tuple(int(i) for i in np.flatnonzero(std <= ZERO_SPREAD))
     return NormalizationStats(mean, std, flagged)
 
 
@@ -511,6 +514,12 @@ def read_features(directory: str) -> FeatureBundle:
             type(i) is not int or not 0 <= i < width for i in flagged
         ):
             raise PoolFormatError(problem)
+        zero = sorted(set(np.flatnonzero(std <= ZERO_SPREAD).tolist()) - set(flagged))
+        if zero:
+            raise PoolFormatError(
+                f"feature file {norm_path}: {key!r} std has zero spread in dimension(s) "
+                f"{', '.join(map(str, zero))}, which flagged does not list"
+            )
         return NormalizationStats(mean, std, tuple(flagged))
 
     snippet_stats, frame_stats = stats("snippet", SNIPPET_DIM), stats("frame", FRAME_DIM)

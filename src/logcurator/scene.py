@@ -179,6 +179,9 @@ def _parse(text: str, error, problem: str):
         raise error(f"{problem}: {exc}") from exc
 
 
+_scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads runs
+
+
 def read_json(path: str, error, what: str, lines: bool = False):
     """The one reader of every input file: file `path` parsed as one JSON
     value or, with `lines`, as NDJSON: then its header record and an
@@ -200,12 +203,23 @@ def read_json(path: str, error, what: str, lines: bool = False):
     rows = [row for row in text.splitlines() if row.strip()]
     if not rows:
         raise error(f"{what} {path} is empty")
-    records = (
-        (n, _parse(row, error, f"{what} {path} line {n}: "
-                   + ("header is not valid JSON" if n == 1 else "invalid JSON")))
-        for n, row in enumerate(rows, start=1)
-    )
-    return next(records)[1], records
+
+    def records():
+        for n, row in enumerate(rows, start=1):
+            # a row that the scanner reads as one JSON value from its first
+            # character to its last is what json.loads would return; any
+            # other row goes to json.loads, for its error text
+            try:
+                obj, end = _scan_once(row, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(row):
+                problem = "header is not valid JSON" if n == 1 else "invalid JSON"
+                obj = _parse(row, error, f"{what} {path} line {n}: {problem}")
+            yield n, obj
+
+    it = records()
+    return next(it)[1], it
 
 
 def _pair(v, what):
@@ -224,11 +238,11 @@ def _fields(records, keys, what) -> tuple:
         raise PoolFormatError(f"every {what} must be an object: {exc}") from exc
 
 
-def _column(values, what, width=None, dtype=float) -> np.ndarray:
+def _column(values, what, width=None, dtype=float, error=PoolFormatError) -> np.ndarray:
     """`values` as an array of shape (n,), or (n, width) when `width` is
     given. Every value must be a JSON number, and an integral one when
     `dtype` is int (4.0 reads as 4): a string, a boolean, null or a
-    fraction where an integer belongs raises PoolFormatError."""
+    fraction where an integer belongs raises `error`."""
     shape = (len(values),) if width is None else (len(values), width)
     kind = f"an array of {width} numbers" if width else "an integer" if dtype is int else "a number"
     if not values:
@@ -240,12 +254,12 @@ def _column(values, what, width=None, dtype=float) -> np.ndarray:
         )
         arr = np.array(values, dtype=None if dtype is int else float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise PoolFormatError(f"every {what} must be {kind}: {exc}") from exc
+        raise error(f"every {what} must be {kind}: {exc}") from exc
     if dtype is int and arr.dtype.kind == "f":  # 4.0 reads as 4, 4.7 stays a float
         if np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))):
             arr = arr.astype(int)
     if not numbers or arr.shape != shape or arr.dtype.kind != np.dtype(dtype).kind:
-        raise PoolFormatError(f"every {what} must be {kind}")
+        raise error(f"every {what} must be {kind}")
     return arr
 
 

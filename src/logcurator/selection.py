@@ -509,6 +509,15 @@ def curate(records, bundle: FeatureBundle, config: CurationConfig) -> CurationRe
         warnings.append(
             f"requested {total_budget} snippet(s) from a pool of {len(ids)}; selection may fall short"
         )
+    rankable = [(sid, row) for sid, row, ok in zip(ids, bundle.matrix, bundle.valid) if ok]
+    for t in config.tasks:
+        if t.budget > 0:
+            with np.errstate(over="ignore", invalid="ignore"):  # the score select_challenging takes
+                bad = [sid for sid, row in rankable if not math.isfinite(row @ t.weights)]
+            if bad:
+                raise ConfigError(
+                    f"task {t.name!r}: its weights give snippet {bad[0]} a score that is not finite"
+                )
     picked, audit = select_challenging(ids, bundle.matrix, bundle.valid, config.tasks, adjacency)
     selected = [sid for t in config.tasks for sid in picked[t.name]]
     normalized = {sid: bundle.frame_stats.apply(bundle.frame_mats[sid]) for sid in ids}

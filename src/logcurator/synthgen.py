@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import ForecastEntry, GaussianForecast
+from .baselines import GaussianForecast
 from .scene import DETECTION_CLASSES, SceneMap, Snippet, SnippetPool, Lane, Intersection, TrafficControl
 
 TEMPLATES = ("straight_road", "curved_road", "four_way_intersection", "hilly")
@@ -744,28 +744,26 @@ def synth_forecasts(pool: SnippetPool, horizon: int = 5, actors_per_frame: int =
     """Deterministic per-snippet forecasts with graded covariance scales, so
     entropy ranking over the pool has a known order."""
     out = {}
+    steps = np.arange(1, horizon + 1)
     for idx, s in enumerate(sorted(pool.snippets, key=lambda x: x.snippet_id)):
         scale = 0.5 * (1.0 + (idx % 5))
-        frames = {}
-        starts = s.frame_starts()
-        center, yaw, speed = s.det_center.tolist(), s.det_yaw.tolist(), s.det_speed.tolist()
-        for frame_index, a, b in zip(s.index.tolist(), starts, starts[1:]):
-            entries = []
-            for j in range(a, min(b, a + actors_per_frame)):
-                for step in range(1, horizon + 1):
-                    mu = (
-                        center[j][0] + 0.1 * step * speed[j] * math.cos(yaw[j]),
-                        center[j][1] + 0.1 * step * speed[j] * math.sin(yaw[j]),
-                    )
-                    entries.append(
-                        ForecastEntry(
-                            s.track_ids[s.det_track[j]],
-                            step,
-                            mu,
-                            (scale, 0.0, scale * (1.0 + 0.1 * step)),
-                        )
-                    )
-            if entries:
-                frames[frame_index] = tuple(entries)
-        out[s.snippet_id] = GaussianForecast(s.snippet_id, horizon, frames)
+        # the first `actors_per_frame` detections of each frame, at every step
+        rank = np.arange(len(s.det_frame)) - np.asarray(s.frame_starts())[s.det_frame]
+        first = np.flatnonzero(rank < actors_per_frame)
+        det, step = np.repeat(first, horizon), np.tile(steps, len(first))
+        reach = 0.1 * step * s.det_speed[det]
+        yaw = s.det_yaw[det].tolist()  # math.cos and math.sin, as the pinned digests were made
+        cos, sin = np.array(list(map(math.cos, yaw))), np.array(list(map(math.sin, yaw)))
+        center = s.det_center[det]
+        out[s.snippet_id] = GaussianForecast(
+            s.snippet_id,
+            horizon,
+            frame_index=s.index[s.det_frame[det]],
+            actor_id=tuple(s.track_ids[t] for t in s.det_track[det].tolist()),
+            timestep=step,
+            mu=np.column_stack([center[:, 0] + reach * cos, center[:, 1] + reach * sin]),
+            cov=np.column_stack(
+                [np.full(len(det), scale), np.zeros(len(det)), scale * (1.0 + 0.1 * step)]
+            ),
+        )
     return out

@@ -19,15 +19,23 @@ rescore every alive candidate each round and update every cached
 min-distance against each new pick; the library ranks each task once and
 grows the diverse set lazily, and the tests compare picks and audit entries
 with `==`.
+
+`load_forecasts`, `snippet_entropy` and `al_select` are the forecast
+baseline as it held one frozen `ForecastEntry` per record in a dict of
+frames; the library streams the records into flat columns and scores each
+snippet in one array pass, and the tests compare loaded rows, scores, picks
+and audit entries with `==`.
 """
 
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from logcurator import geometry, sdv
+from logcurator.baselines import LOG_2PI_E, ForecastError, _walk
 from logcurator.geometry import cumulative_arclength
-from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport
+from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport, read_json
 from logcurator.selection import AuditEntry, dissimilarity, take_pick
 from logcurator.traffic import STATIC_SPEED
 
@@ -448,3 +456,101 @@ def select_diverse(ids, frame_mats, valid, selected, k_div, adjacency, directed,
         picked.append(pick)
         audit.append(AuditEntry("diverse", i, None, pick, value, eliminated, seed=is_seed))
     return picked, audit
+
+
+# The forecast baseline as the library first ran it, verbatim: one frozen
+# entry per record, grouped into a dict of frames per snippet.
+
+
+@dataclass(frozen=True, slots=True)
+class ForecastEntry:
+    actor_id: str
+    timestep: int
+    mu: tuple  # (x, y)
+    cov: tuple  # (sxx, sxy, syy)
+
+
+@dataclass(frozen=True, slots=True)
+class GaussianForecast:
+    snippet_id: str
+    horizon: int
+    frames: dict  # frame_index -> tuple of ForecastEntry
+
+
+def entry_entropy(entry: ForecastEntry) -> float:
+    """Differential entropy of one 2D Gaussian, in nats."""
+    sxx, sxy, syy = entry.cov
+    det = sxx * syy - sxy * sxy
+    if not (sxx > 0.0 and det > 0.0):
+        raise ForecastError(
+            f"covariance for actor {entry.actor_id} step {entry.timestep} is not positive definite"
+        )
+    return LOG_2PI_E + 0.5 * float(np.log(det))
+
+
+def frame_entropy(entries) -> float:
+    """Total forecast entropy of one frame (sum over actors and timesteps)."""
+    return float(sum(entry_entropy(e) for e in entries))
+
+
+def snippet_entropy(forecast: GaussianForecast) -> float:
+    total = 0.0
+    for frame_index in sorted(forecast.frames):
+        try:
+            total += frame_entropy(forecast.frames[frame_index])
+        except ForecastError as exc:
+            raise ForecastError(
+                f"snippet {forecast.snippet_id} frame {frame_index}: {exc}"
+            ) from exc
+    return total
+
+
+def load_forecasts(path: str) -> dict:
+    """Parse a forecast NDJSON file into {snippet_id: GaussianForecast}."""
+    header, rows = read_json(path, ForecastError, "forecast file", lines=True)
+    if not isinstance(header, dict) or header.get("kind") != "forecast_header":
+        raise ForecastError("first record must be the forecast header")
+    try:
+        horizon = int(header.get("horizon", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ForecastError(f"forecast file {path} line 1: malformed horizon: {exc}") from exc
+    frames_by_snippet: dict[str, dict] = {}
+    for lineno, obj in rows:
+        if not isinstance(obj, dict) or obj.get("kind") != "forecast":
+            raise ForecastError(f"forecast file {path} line {lineno}: expected a forecast record")
+        try:
+            sid = str(obj["snippet_id"])
+            frame_index = int(obj["frame_index"])
+            entry = ForecastEntry(
+                actor_id=str(obj["actor_id"]),
+                timestep=int(obj["timestep"]),
+                mu=(float(obj["mu"][0]), float(obj["mu"][1])),
+                cov=(float(obj["cov"][0]), float(obj["cov"][1]), float(obj["cov"][2])),
+            )
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise ForecastError(
+                f"forecast file {path} line {lineno}: malformed forecast record: {exc}"
+            ) from exc
+        frames_by_snippet.setdefault(sid, {}).setdefault(frame_index, []).append(entry)
+    return {
+        sid: GaussianForecast(
+            sid, horizon, {fi: tuple(entries) for fi, entries in frames.items()}
+        )
+        for sid, frames in frames_by_snippet.items()
+    }
+
+
+def al_select(ids, forecasts: dict, adjacency, k: int):
+    """Highest-entropy-first walk; every pool snippet needs a forecast."""
+    ordered = sorted(ids)
+    missing = [sid for sid in ordered if sid not in forecasts]
+    if missing:
+        raise ForecastError(f"no forecasts for snippet(s): {', '.join(missing[:8])}")
+    scores = {sid: snippet_entropy(forecasts[sid]) for sid in ordered}
+    order = sorted(ordered, key=lambda sid: (-scores[sid], sid))
+    return _walk(
+        order,
+        adjacency,
+        k,
+        lambda i, sid, elim: AuditEntry("baseline", i, "al", sid, scores[sid], elim),
+    )

@@ -175,3 +175,14 @@ def measure_args(s, m=None, **config):
     cfg = CurationConfig(**config)
     index = MapIndex(SceneMap() if m is None else m)
     return features.snippet_arrays(s, index, cfg), index, cfg
+
+
+def forecast_rows(fc):
+    """(frame_index, actor_id, timestep, mu, cov) per row of a
+    GaussianForecast, in row order, with mu and cov as tuples."""
+    return [
+        (fi, actor, step, tuple(mu), tuple(cov))
+        for fi, actor, step, mu, cov in zip(
+            fc.frame_index.tolist(), fc.actor_id, fc.timestep.tolist(), fc.mu.tolist(), fc.cov.tolist()
+        )
+    ]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from logcurator.baselines import (
     al_select,
     baseline_result,
     entry_entropy,
-    frame_entropy,
     load_forecasts,
     random_select,
     snippet_entropy,
@@ -16,13 +17,26 @@ from logcurator.baselines import (
 )
 from logcurator.selection import result_to_obj, validate_result_obj
 
+from support import forecast_rows
+
 
 def entry(actor="a0", step=0, mu=(0.0, 0.0), cov=(1.0, 0.0, 1.0)):
     return ForecastEntry(actor, step, mu, cov)
 
 
 def forecast(sid, frames, horizon=6):
-    return GaussianForecast(sid, horizon, {fi: tuple(es) for fi, es in frames.items()})
+    """The columns of {frame_index: [entry, ...]}, frames in ascending order."""
+    rows = [(fi, e) for fi in sorted(frames) for e in frames[fi]]
+    return GaussianForecast(
+        sid,
+        horizon,
+        frame_index=np.array([fi for fi, _ in rows], dtype=int),
+        actor_id=tuple(e.actor_id for _, e in rows),
+        timestep=np.array([e.timestep for _, e in rows], dtype=int),
+        mu=np.array([e.mu for _, e in rows], dtype=float).reshape(-1, 2),
+        cov=np.array([e.cov for _, e in rows], dtype=float).reshape(-1, 3),
+    )
+
 
 
 def rotated_cov(sxx, syy, theta):
@@ -56,8 +70,8 @@ class TestEntropy:
             entry_entropy(entry(cov=cov))
 
     def test_frame_entropy_adds_exactly(self):
-        one = frame_entropy([entry()])
-        two = frame_entropy([entry("a0"), entry("a1")])
+        one = snippet_entropy(forecast("s0", {4: [entry()]}))
+        two = snippet_entropy(forecast("s0", {4: [entry("a0"), entry("a1")]}))
         assert two == 2.0 * one
 
     def test_snippet_entropy_sums_frames(self):
@@ -205,8 +219,8 @@ class TestForecastFiles:
         back = load_forecasts(path)
         assert set(back) == {"s_a", "s_b"}
         assert back["s_a"].horizon == 6
-        assert back["s_a"].frames == self.sample()["s_a"].frames
-        assert back["s_b"].frames == self.sample()["s_b"].frames
+        assert forecast_rows(back["s_a"]) == forecast_rows(self.sample()["s_a"])
+        assert forecast_rows(back["s_b"]) == forecast_rows(self.sample()["s_b"])
 
     def test_rewrite_is_byte_stable(self, tmp_path):
         one = tmp_path / "one.jsonl"
@@ -266,3 +280,55 @@ class TestForecastFiles:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ForecastError, match="line 2: malformed"):
             load_forecasts(path)
+
+    @pytest.mark.parametrize(
+        "field,value,rule",
+        [
+            ("frame_index", 2.7, "every frame_index must be an integer"),
+            ("timestep", "3", "every timestep must be an integer"),
+            ("timestep", True, "every timestep must be an integer"),
+            ("mu", [1.0, "2.5"], "every mu and cov value must be a number"),
+            ("mu", [1.0, float("nan")], "every mu and cov value must be finite"),
+            ("cov", [1.0, 0.0, float("inf")], "every mu and cov value must be finite"),
+            ("cov", [1.0, 0.0, 10**400], "every mu and cov value must be a number"),
+            ("cov", [1.0, 0.0], "cov an array of 3"),
+            ("mu", {"x": 1.0, "y": 2.0}, "mu must be an array of 2 numbers"),
+        ],
+    )
+    def test_bad_number_is_located(self, tmp_path, field, value, rule):
+        path = str(tmp_path / "forecasts.jsonl")
+        write_forecasts(path, self.sample(), horizon=6)
+        lines = open(path).read().splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record)
+        lines[3] = lines[3].replace('"timestep":1', '"timestep":0.5')  # a later fault is not named
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ForecastError, match=f"{path} line 3: malformed forecast record: ") as exc:
+            load_forecasts(path)
+        assert rule in str(exc.value)
+
+    def test_integral_float_frame_index_is_accepted(self, tmp_path):
+        path = str(tmp_path / "forecasts.jsonl")
+        write_forecasts(path, self.sample(), horizon=6)
+        text = open(path).read().replace('"frame_index":3', '"frame_index":3.0')
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert load_forecasts(path)["s_a"].frame_index.tolist() == [0, 0, 3]
+
+
+class TestEntropyOverflow:
+    def test_overflowing_covariance_is_named(self):
+        fc = forecast("s_big", {0: [entry()], 5: [entry("a7", 2, cov=(1e308, 0.0, 1e308))]})
+        with pytest.raises(ForecastError, match="snippet s_big frame 5: covariance for actor a7 step 2 has no finite entropy"):
+            al_select(["s_big"], {"s_big": fc}, {"s_big": set()}, 1)
+
+    def test_non_positive_definite_row_is_named_before_an_overflow(self):
+        frames = {0: [entry("a0", 1, cov=(1e308, 0.0, 1e308))], 2: [entry("a1", 4, cov=(1.0, 3.0, 1.0))]}
+        with pytest.raises(ForecastError, match="snippet s0 frame 2: covariance for actor a1 step 4 is not positive definite"):
+            snippet_entropy(forecast("s0", frames))
+
+    def test_entry_entropy_rejects_an_overflow(self):
+        with pytest.raises(ForecastError, match="^covariance for actor a0 step 0 has no finite entropy$"):
+            entry_entropy(entry(cov=(1e200, 0.0, 1e200)))

@@ -83,6 +83,11 @@ TARGETS = (
     ]
     + [("pool.jsonl", 1, ("frames", 4, "detections", 0, "track_id"), (DROP,))]
     + [
+        ("forecasts.jsonl", 1, path, ANY)
+        for path in [("kind",), ("frame_index",), ("timestep",), ("mu",), ("cov",), ("mu", 0), ("cov", 2)]
+    ]
+    + [("forecasts.jsonl", 1, (key,), (DROP,)) for key in ("snippet_id", "actor_id")]
+    + [
         ("feats/provenance.json", 0, (key,), ANY)
         for key in (
             "kind", "schema_version", "pool_sha256", "map_name", "map_sha256",
@@ -190,6 +195,11 @@ def test_undamaged_workspace_runs(base):
 @example(damage=("feats/provenance.json", 0, ("config", "roi_radius"), "nan"))
 @example(damage=("feats/provenance.json", 0, ("snippets", 0, 2, 1), "string"))
 @example(damage=("feats/provenance.json", 0, ("map_name",), "string"))
+# and the forecast values the loader once accepted, or that overflowed
+@example(damage=("forecasts.jsonl", 1, ("cov", 2), "inf"))
+@example(damage=("forecasts.jsonl", 1, ("frame_index",), "fraction"))
+@example(damage=("forecasts.jsonl", 1, ("mu", 0), "numstr"))
+@example(damage=("forecasts.jsonl", 1, ("timestep",), "bool"))
 @settings(max_examples=300)
 @given(damage=damages())
 def test_damaged_input_is_a_domain_error(base, damage):
@@ -314,3 +324,47 @@ def test_damaged_map_is_a_domain_error(map_bases, template, key_path, kind):
     assert code == 2, err
     assert err.startswith("error: ") and "Traceback" not in err
     assert path in err
+
+
+def test_overflowing_task_score_is_a_domain_error(base):
+    weights = {"crowd_dynamic": 1e308, "crowd_static": -1e308, "turns": 1e308}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        config = dict(CONFIG, tasks=[dict(CONFIG["tasks"][0], weights=weights)])
+        with open(os.path.join(root, "config.json"), "w") as fh:
+            json.dump(config, fh)
+        code, err = run_damaged(root, "config.json")
+    assert code == 2, err
+    assert err.startswith("error: task 'busy': ") and "not finite" in err
+
+
+def test_zero_spread_in_an_unflagged_dimension_is_a_domain_error(base):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        path = os.path.join(root, "feats", "normalization.json")
+        with open(path) as fh:
+            stats = json.load(fh)
+        dim = min(set(range(len(stats["frame"]["std"]))) - set(stats["frame"]["flagged"]))
+        stats["frame"]["std"][dim] = 0.0
+        with open(path, "w") as fh:
+            json.dump(stats, fh)
+        code, err = run_damaged(root, "feats/normalization.json")
+    assert code == 2, err
+    assert err.startswith("error: ") and path in err
+    assert f"'frame' std has zero spread in dimension(s) {dim}," in err
+
+
+def test_overflowing_forecast_covariance_is_a_domain_error(base):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        path = os.path.join(root, "forecasts.jsonl")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        record = json.loads(lines[1])
+        record["cov"] = [1e308, 0, 1e308]
+        lines[1] = json.dumps(record)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, err = run_damaged(root, "forecasts.jsonl")
+    assert code == 2, err
+    assert err.startswith("error: snippet ") and "has no finite entropy" in err

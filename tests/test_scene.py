@@ -319,3 +319,41 @@ class TestLoadErrors:
         with pytest.raises(scene.PoolValidationError) as err:
             scene.load_pool(str(p))
         assert any(f.rule == "pool.length" for f in err.value.findings)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+EDGES = ["", " ", "\t", "x", ",", ",1", "]", "}", '"', "\ufeff", "NaN", "[" * 3]
+
+
+@st.composite
+def ndjson_rows(draw):
+    """One NDJSON row: a JSON value with a prefix or suffix that may break
+    it, or arbitrary text; never blank and never split by splitlines."""
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(EDGES)) + json.dumps(draw(JSON_VALUES)) + draw(st.sampled_from(EDGES))
+    else:
+        row = draw(st.text(min_size=1, max_size=12))
+    return "".join(row.splitlines()) or "x"
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=ndjson_rows())
+def test_row_reader_is_json_loads(tmp_path_factory, row):
+    if not row.strip():  # the reader skips blank rows
+        return
+    path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+    path.write_text("{}\n" + row + "\n", encoding="utf-8")
+    try:
+        want = ("ok", json.loads(row))
+    except (ValueError, RecursionError) as exc:
+        want = ("error", f"rows {path} line 2: invalid JSON: {exc}")
+    try:
+        got = ("ok", next(scene.read_json(str(path), scene.PoolFormatError, "rows", lines=True)[1])[1])
+    except scene.PoolFormatError as exc:
+        got = ("error", str(exc))
+    # NaN != NaN: compare the canonical text of what was read
+    assert repr(got) == repr(want)

@@ -195,11 +195,11 @@ class TestForecasts:
         pool, _ = generate_pool(quiet_spec(n_parked=1, n_movers=1, num_frames=10))
         fc = synth_forecasts(pool, horizon=4)["s0000"]
         assert fc.horizon == 4
-        steps = {e.timestep for entries in fc.frames.values() for e in entries}
-        assert steps == {1, 2, 3, 4}
+        assert set(fc.timestep.tolist()) == {1, 2, 3, 4}
 
     def test_actor_cap_respected(self):
         pool, _ = generate_pool(quiet_spec(n_parked=2, n_movers=1, num_frames=10))
         fc = synth_forecasts(pool, horizon=3, actors_per_frame=1)["s0000"]
-        for entries in fc.frames.values():
-            assert len({e.actor_id for e in entries}) == 1
+        for frame_index in set(fc.frame_index.tolist()):
+            rows = np.flatnonzero(fc.frame_index == frame_index)
+            assert len({fc.actor_id[i] for i in rows}) == 1
