@@ -11,7 +11,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .scene import _column, canonical_dumps, read_json, write_atomic
+from .scene import _column, canonical_dumps, read_header, write_atomic
 from .selection import AuditEntry, CurationResult, take_pick
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
@@ -120,16 +120,13 @@ def load_forecasts(path: str) -> dict:
     parsed record outlives its line. The number rules are then checked over
     the columns at once, and a failure names the first record that breaks
     one."""
-    header, rows = read_json(path, ForecastError, "forecast file", lines=True)
-    if not isinstance(header, dict) or header.get("kind") != "forecast_header":
-        raise ForecastError("first record must be the forecast header")
-    try:
-        horizon = int(header.get("horizon", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ForecastError(f"forecast file {path} line 1: malformed horizon: {exc}") from exc
+    _, _, (horizon,), rows = read_header(
+        path, ForecastError, "forecast file", "forecast_header", ("horizon",)
+    )
     fields = itemgetter("kind", *RECORD_FIELDS)
-    sids, actors, frames, steps, values = [], [], [], [], []
-    add_sid, add_actor, add_frame, add_step = sids.append, actors.append, frames.append, steps.append
+    lines, sids, actors, frames, steps, values = [], [], [], [], [], []
+    add_line, add_sid, add_actor = lines.append, sids.append, actors.append
+    add_frame, add_step = frames.append, steps.append
     for lineno, obj in rows:
         try:
             kind, sid, frame_index, actor_id, timestep, mu, cov = fields(obj)
@@ -143,6 +140,7 @@ def load_forecasts(path: str) -> dict:
             or len(cov) != 3
         ):
             raise ForecastError(f"forecast file {path} line {lineno}: {_record_fault(obj)}")
+        add_line(lineno)
         add_sid(str(sid))
         add_actor(str(actor_id))
         add_frame(frame_index)
@@ -153,11 +151,11 @@ def load_forecasts(path: str) -> dict:
         frame_index, timestep, values = _numbers(frames, steps, values)
     except ForecastError as exc:
         where, fault = f"forecast file {path}", exc
-        for i in range(len(frames)):  # record i is on line i + 2, after the header
+        for i, lineno in enumerate(lines):
             try:
                 _numbers(frames[i : i + 1], steps[i : i + 1], values[5 * i : 5 * i + 5])
             except ForecastError as row_fault:
-                where, fault = f"forecast file {path} line {i + 2}", row_fault
+                where, fault = f"forecast file {path} line {lineno}", row_fault
                 break
         raise ForecastError(f"{where}: malformed forecast record: {fault}") from exc
     # group by snippet in order of first appearance, then stable by frame

@@ -190,7 +190,7 @@ def _label_stats(records, static_speed):
     counts = {}
     total_frames = 0
     for rec in records:
-        total_frames += rec.det.num_frames
+        total_frames += rec.det.snippet.num_frames
         for t in rec.tracks:
             motion = "static" if t.is_static(static_speed) else "dynamic"
             n_in = int(np.count_nonzero(t.in_roi))

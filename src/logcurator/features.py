@@ -17,7 +17,8 @@ import numpy as np
 from . import geometry, sdv, traffic
 from .infra import infra_features
 from .scene import MapIndex, PoolFormatError, SceneMap, Snippet, SnippetPool
-from .scene import canonical_dumps, file_sha256, read_json, sidecar_path, write_atomic
+from .scene import _column, canonical_dumps, file_sha256, read_header, read_json, sidecar_path
+from .scene import write_atomic
 from .sdv import RouteMatch, ego_step_speeds, sdv_features
 from .traffic import Detections, traffic_features
 
@@ -445,42 +446,31 @@ def read_provenance(directory: str, pool_path: str, scoring: dict) -> tuple:
 
 def read_features(directory: str) -> FeatureBundle:
     """Load a feature store; any missing, unparseable or inconsistent file
-    raises PoolFormatError naming it."""
+    raises PoolFormatError naming it. Every number goes through the number
+    rule of `scene._column`, and must be finite."""
 
-    def finite(value, shape, problem):
-        """`value` as a nonempty finite float array of `shape` (None: any
-        length); raises PoolFormatError(problem) when it is not one."""
-        try:
-            arr = np.array(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            arr = np.zeros(0)
-        fits = arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))
-        if not (fits and arr.size and np.all(np.isfinite(arr))):
-            raise PoolFormatError(problem)
-        return arr
-
-    def rows_of(name, names, shape):
+    def rows_of(name, names, width=None):
         """[(where, row object, values)] of a feature file's rows, each an
-        object of its kind with a string snippet_id and finite values of
-        `shape`."""
+        object of its kind with a string snippet_id and a nonempty array of
+        finite values, one per name: flat, or in rows of `width`."""
         path = os.path.join(directory, name)
-        head, rows = read_json(path, PoolFormatError, "feature file", lines=True)
         kind = name.removesuffix(".jsonl")
-        if not isinstance(head, dict) or head.get("kind") != f"{kind}_header":
-            raise PoolFormatError(f"{name} must start with its header")
+        where, head, _, rows = read_header(path, PoolFormatError, "feature file", f"{kind}_header")
         if head.get("names") != list(names):
-            raise PoolFormatError(f"feature file {path}: schema does not match this build")
+            raise PoolFormatError(f"{where}: schema does not match this build")
         out = []
         for row, r in rows:
             sid = r.get("snippet_id") if isinstance(r, dict) else None
             where = f"feature file {path} row {row}, snippet {sid!r}"
             if not isinstance(sid, str) or r.get("kind") != kind:
                 raise PoolFormatError(f"{where}: needs kind {kind!r} and a string snippet_id")
-            problem = f"{where}: values must be finite numbers, {shape[-1]} per row"
-            out.append((where, r, finite(r.get("values"), shape, problem)))
+            values = _column(r.get("values"), f"value of {where}", width)
+            if not (values.size and values.shape[-1] == len(names) and np.isfinite(values).all()):
+                raise PoolFormatError(f"{where}: values must be finite, {len(names)} per row")
+            out.append((where, r, values))
         return out
 
-    srows = rows_of("snippet_features.jsonl", SNIPPET_FEATURE_NAMES, (SNIPPET_DIM,))
+    srows = rows_of("snippet_features.jsonl", SNIPPET_FEATURE_NAMES)
     for where, r, _ in srows:
         if not isinstance(r.get("valid"), bool):
             raise PoolFormatError(f"{where}: needs a boolean valid")
@@ -488,7 +478,7 @@ def read_features(directory: str) -> FeatureBundle:
     matrix = np.stack([v for _, _, v in srows]) if srows else np.zeros((0, SNIPPET_DIM))
     valid = np.array([r["valid"] for _, r, _ in srows], dtype=bool)
 
-    frows = rows_of("frame_features.jsonl", FRAME_FEATURE_NAMES, (None, FRAME_DIM))
+    frows = rows_of("frame_features.jsonl", FRAME_FEATURE_NAMES, FRAME_DIM)
     frame_mats = {r["snippet_id"]: v for _, r, v in frows}
     if sorted(r["snippet_id"] for _, r, _ in frows) != sorted(ids):
         missing = sorted(set(ids) - set(frame_mats))
@@ -503,17 +493,17 @@ def read_features(directory: str) -> FeatureBundle:
     def stats(key, width):
         obj = nobj.get(key) if isinstance(nobj, dict) else None
         obj = obj if isinstance(obj, dict) else {}
-        problem = (
-            f"feature file {norm_path}: {key!r} needs {width} finite mean and std values "
-            "and a list of integer flagged dimensions"
-        )
-        mean = finite(obj.get("mean"), (width,), problem)
-        std = finite(obj.get("std"), (width,), problem)
-        flagged = obj.get("flagged")
-        if not isinstance(flagged, list) or any(
-            type(i) is not int or not 0 <= i < width for i in flagged
+        at = f"of feature file {norm_path}"
+        mean = _column(obj.get("mean"), f"{key!r} mean value {at}")
+        std = _column(obj.get("std"), f"{key!r} std value {at}")
+        flagged = _column(obj.get("flagged"), f"{key!r} flagged dimension {at}", dtype=int).tolist()
+        if not (len(mean) == len(std) == width and np.isfinite([mean, std]).all()) or any(
+            not 0 <= i < width for i in flagged
         ):
-            raise PoolFormatError(problem)
+            raise PoolFormatError(
+                f"feature file {norm_path}: {key!r} needs {width} finite mean and std values "
+                f"and flagged dimensions below {width}"
+            )
         zero = sorted(set(np.flatnonzero(std <= ZERO_SPREAD).tolist()) - set(flagged))
         if zero:
             raise PoolFormatError(

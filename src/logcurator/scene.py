@@ -184,48 +184,74 @@ _scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads runs
 
 def read_json(path: str, error, what: str, lines: bool = False):
     """The one reader of every input file: file `path` parsed as one JSON
-    value or, with `lines`, as NDJSON: then its header record and an
-    iterator of (line, record) over the other nonblank lines, numbered from
-    1 at the header. A file that cannot be read, is empty, or holds bytes
+    value or, with `lines`, as NDJSON: then its header record and the rest
+    of `read_rows`. A file that cannot be read, is empty, or holds bytes
     that are not UTF-8 or text that is not JSON (nested too deep included)
     raises `error` naming `what`, the path and the line."""
+    if lines:
+        rows = read_rows(path, error, what)
+        return next(rows)[1], rows
+    return _parse(_read_text(path, error, what), error, f"{what} {path} is not valid JSON")
+
+
+def read_rows(path: str, error, what: str):
+    """(line, record) for every nonblank line of NDJSON file `path`, header
+    first. Rows are split at "\n" only (a trailing "\r" is dropped), and a
+    line is its line in the file, blank lines counted."""
+    empty = True
+    for n, row in enumerate(_read_text(path, error, what).split("\n"), start=1):
+        row = row.removesuffix("\r")
+        if not row.strip(" \t\r"):  # blank: JSON whitespace only
+            continue
+        # a row that the scanner reads as one JSON value from its first
+        # character to its last is what json.loads would return; any other
+        # row goes to json.loads, for its error text
+        try:
+            obj, end = _scan_once(row, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(row):
+            problem = "header is not valid JSON" if empty else "invalid JSON"
+            obj = _parse(row, error, f"{what} {path} line {n}: {problem}")
+        empty = False
+        yield n, obj
+    if empty:
+        raise error(f"{what} {path} is empty")
+
+
+def read_header(path: str, error, what: str, kind: str, integers=()) -> tuple:
+    """NDJSON file `path` as (where, header, values, rows): its header
+    record, which must be a `kind` object of schema_version 1; `where`,
+    naming the file and the header's line; the header's `integers` fields,
+    each by the number rule; and the rest of `read_rows`."""
+    rows = read_rows(path, error, what)
+    line, header = next(rows)
+    where = f"{what} {path} line {line}"
+    if not isinstance(header, dict) or header.get("kind") != kind:
+        raise error(f"{where}: first record must be the {kind.replace('_', ' ')}")
+    try:
+        version, *values = (
+            _number(header[key], key, dtype=int, error=error) for key in ("schema_version", *integers)
+        )
+    except KeyError as exc:
+        raise error(f"{where}: header missing field {exc}") from exc
+    except error as exc:
+        raise error(f"{where}: malformed header field: {exc}") from exc
+    if version != SCHEMA_VERSION:
+        raise error(f"{where}: unsupported schema_version {version}")
+    return where, header, values, rows
+
+
+def _read_text(path: str, error, what: str) -> str:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{what} {path} line {line} is not UTF-8 text: {exc}") from exc
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    if not lines:
-        return _parse(text, error, f"{what} {path} is not valid JSON")
-    rows = [row for row in text.splitlines() if row.strip()]
-    if not rows:
-        raise error(f"{what} {path} is empty")
-
-    def records():
-        for n, row in enumerate(rows, start=1):
-            # a row that the scanner reads as one JSON value from its first
-            # character to its last is what json.loads would return; any
-            # other row goes to json.loads, for its error text
-            try:
-                obj, end = _scan_once(row, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(row):
-                problem = "header is not valid JSON" if n == 1 else "invalid JSON"
-                obj = _parse(row, error, f"{what} {path} line {n}: {problem}")
-            yield n, obj
-
-    it = records()
-    return next(it)[1], it
-
-
-def _pair(v, what):
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise PoolFormatError(f"{what} must be a 2-element array, got {v!r}")
-    return (float(v[0]), float(v[1]))
 
 
 def _fields(records, keys, what) -> tuple:
@@ -239,12 +265,15 @@ def _fields(records, keys, what) -> tuple:
 
 
 def _column(values, what, width=None, dtype=float, error=PoolFormatError) -> np.ndarray:
-    """`values` as an array of shape (n,), or (n, width) when `width` is
-    given. Every value must be a JSON number, and an integral one when
-    `dtype` is int (4.0 reads as 4): a string, a boolean, null or a
-    fraction where an integer belongs raises `error`."""
-    shape = (len(values),) if width is None else (len(values), width)
+    """`values`, a JSON array, as an array of shape (n,), or (n, width)
+    when `width` is given: the one conversion of parsed JSON numbers. Every
+    value must be a JSON number, and an integral one when `dtype` is int
+    (4.0 reads as 4): anything but an array, or a string, a boolean, null
+    or a fraction where an integer belongs, raises `error`."""
     kind = f"an array of {width} numbers" if width else "an integer" if dtype is int else "a number"
+    if not isinstance(values, (list, tuple)):
+        raise error(f"expected an array in which every {what} is {kind}")
+    shape = (len(values),) if width is None else (len(values), width)
     if not values:
         return np.zeros(shape, dtype=dtype)
     try:
@@ -261,6 +290,16 @@ def _column(values, what, width=None, dtype=float, error=PoolFormatError) -> np.
     if not numbers or arr.shape != shape or arr.dtype.kind != np.dtype(dtype).kind:
         raise error(f"every {what} must be {kind}")
     return arr
+
+
+def _number(value, what, dtype=float, error=PoolFormatError):
+    """One JSON number by `_column`'s rule, as a Python int or float."""
+    return _column([value], what, dtype=dtype, error=error).item()
+
+
+def _points(values, what, width=2) -> tuple:
+    """A JSON array of points as a tuple of float tuples."""
+    return tuple(map(tuple, _column(values, what, width).tolist()))
 
 
 def snippet_from_obj(obj) -> Snippet:
@@ -344,16 +383,18 @@ def snippet_to_obj(s: Snippet):
 
 def _lane_from_obj(obj) -> Lane:
     try:
-        pts = tuple(_pair(p, "lane point") for p in obj["centerline"])
+        lane_id, width, bike = str(obj["id"]), obj.get("width"), obj.get("is_bike_lane", False)
+        if type(bike) is not bool:
+            raise PoolFormatError(f"lane {lane_id} is_bike_lane must be true or false")
         return Lane(
-            lane_id=str(obj["id"]),
-            centerline=pts,
+            lane_id=lane_id,
+            centerline=_points(obj["centerline"], "lane point"),
             successors=tuple(str(x) for x in obj.get("successors", [])),
             left_neighbor=obj.get("left_neighbor"),
             right_neighbor=obj.get("right_neighbor"),
-            is_bike_lane=bool(obj.get("is_bike_lane", False)),
+            is_bike_lane=bike,
             turn=str(obj.get("turn", "straight")),
-            width=None if obj.get("width") is None else float(obj["width"]),
+            width=None if width is None else _number(width, "lane width"),
         )
     except KeyError as exc:
         raise PoolFormatError(f"lane missing field {exc}") from exc
@@ -379,27 +420,24 @@ def map_from_obj(obj) -> SceneMap:
         lanes = tuple(_lane_from_obj(o) for o in obj.get("lanes", []))
         intersections = tuple(
             Intersection(
-                polygon=tuple(_pair(p, "intersection point") for p in o["polygon"]),
-                incoming_roads=int(o["incoming_roads"]),
-                lanes_per_road=tuple(int(x) for x in o["lanes_per_road"]),
+                polygon=_points(o["polygon"], "intersection point"),
+                incoming_roads=_number(o["incoming_roads"], "intersection's incoming_roads", dtype=int),
+                lanes_per_road=tuple(
+                    _column(o["lanes_per_road"], "lanes_per_road entry", dtype=int).tolist()
+                ),
             )
             for o in obj.get("intersections", [])
         )
         controls = tuple(
             TrafficControl(
                 kind=str(o["kind"]),
-                position=_pair(o["position"], "control position"),
+                position=_points([o["position"]], "control position")[0],
                 lane_ids=tuple(str(x) for x in o["lane_ids"]),
             )
             for o in obj.get("traffic_controls", [])
         )
-        crosswalks = tuple(
-            tuple(_pair(p, "crosswalk point") for p in poly)
-            for poly in obj.get("crosswalks", [])
-        )
-        heights = tuple(
-            (float(h[0]), float(h[1]), float(h[2])) for h in obj.get("height_samples", [])
-        )
+        crosswalks = tuple(_points(poly, "crosswalk point") for poly in obj.get("crosswalks", []))
+        heights = _points(obj.get("height_samples", []), "height sample", 3)
     except KeyError as exc:
         raise PoolFormatError(f"map missing field {exc}") from exc
     return SceneMap(lanes, intersections, controls, crosswalks, heights)
@@ -590,20 +628,14 @@ def save_pool(pool: SnippetPool, path: str) -> None:
 def load_pool(path: str) -> SnippetPool:
     """Parse and validate a pool file; raises on the first malformed record
     or, after a full pass, on any accumulated validation findings."""
-    header, rows = read_json(path, PoolFormatError, "pool file", lines=True)
-    if not isinstance(header, dict) or header.get("kind") != "pool_header":
-        raise PoolFormatError("first record must be the pool header")
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise PoolFormatError(f"unsupported schema_version {header.get('schema_version')!r}")
-    try:
-        map_name = str(header["map_path"])
-        snippet_length = int(header["snippet_length"])
-    except KeyError as exc:
-        raise PoolFormatError(f"pool file {path} line 1: header missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PoolFormatError(f"pool file {path} line 1: malformed header field: {exc}") from exc
+    where, header, (snippet_length,), rows = read_header(
+        path, PoolFormatError, "pool file", "pool_header", ("snippet_length",)
+    )
+    if "map_path" not in header:
+        raise PoolFormatError(f"{where}: header missing field 'map_path'")
+    map_name = str(header["map_path"])
     if snippet_length < 1:
-        raise PoolFormatError(f"pool file {path} line 1: snippet_length {snippet_length} is below 1")
+        raise PoolFormatError(f"{where}: snippet_length {snippet_length} is below 1")
     scene_map = load_map(sidecar_path(path, map_name))
 
     snippets = []

@@ -286,19 +286,30 @@ def validate_result_obj(obj) -> list:
             problems.append(f"missing key {key!r}")
     if problems:
         return problems
-    for t in obj["tasks"]:
+    tasks, diverse, selected, audit = (obj[k] for k in ("tasks", "diverse", "selected", "audit"))
+    if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
+        problems.append("'tasks' must be an array of objects")
+    if not isinstance(audit, list) or not all(isinstance(e, dict) for e in audit):
+        problems.append("'audit' must be an array of objects")
+    if not isinstance(diverse, dict):
+        problems.append("'diverse' must be an object")
+    if not isinstance(selected, list) or not all(isinstance(sid, str) for sid in selected):
+        problems.append("'selected' must be an array of strings")
+    if problems:
+        return problems
+    for t in tasks:
         for key in ("name", "budget", "snippet_ids"):
             if key not in t:
                 problems.append(f"task missing {key!r}")
     for key in ("budget", "snippet_ids"):
-        if key not in obj["diverse"]:
+        if key not in diverse:
             problems.append(f"diverse missing {key!r}")
     seen = set()
-    for sid in obj["selected"]:
+    for sid in selected:
         if sid in seen:
             problems.append(f"duplicate selected id {sid!r}")
         seen.add(sid)
-    for e in obj["audit"]:
+    for e in audit:
         for key in ("phase", "iteration", "task", "snippet_id", "value", "eliminated", "seed"):
             if key not in e:
                 problems.append(f"audit entry missing {key!r}")

@@ -28,16 +28,10 @@ STATIC_SPEED = 0.5
 
 @dataclass(frozen=True, slots=True)
 class Detections:
-    """Every detection of one snippet as flat arrays, in frame then
+    """The ROI gate over one snippet's detection columns, in their frame then
     detection order."""
 
-    num_frames: int
-    track_ids: tuple  # sorted distinct track ids
-    frame: np.ndarray  # (D,) frame offset within the snippet
-    track: np.ndarray  # (D,) index into track_ids
-    label: np.ndarray  # (D,) index into DETECTION_CLASSES
-    center: np.ndarray  # (D, 2)
-    speed: np.ndarray  # (D,)
+    snippet: Snippet
     in_roi: np.ndarray  # (D,) bool
     dist: np.ndarray  # (D,) distance to that frame's ego position
 
@@ -79,34 +73,25 @@ def detection_arrays(s: Snippet, roi_radius: float | None = None) -> Detections:
         in_roi = np.ones(len(d2), dtype=bool)
     else:
         in_roi = d2 <= roi_radius * roi_radius
-    return Detections(
-        num_frames=s.num_frames,
-        track_ids=s.track_ids,
-        frame=s.det_frame,
-        track=s.det_track,
-        label=s.det_label,
-        center=s.det_center,
-        speed=s.det_speed,
-        in_roi=in_roi,
-        dist=np.sqrt(d2),
-    )
+    return Detections(s, in_roi, np.sqrt(d2))
 
 
 def build_track_paths(det: Detections) -> list:
     """Group detections by track, ordered by track_id; each track keeps its
     observations in frame order and the label of its first one."""
-    order = np.argsort(det.track, kind="stable")
-    splits = np.flatnonzero(np.diff(det.track[order])) + 1
+    s = det.snippet
+    order = np.argsort(s.det_track, kind="stable")
+    splits = np.flatnonzero(np.diff(s.det_track[order])) + 1
     return [
         TrackPath(
             track_id=tid,
-            label=DETECTION_CLASSES[det.label[rows[0]]],
-            frames=det.frame[rows],
-            positions=det.center[rows],
-            speeds=det.speed[rows],
+            label=DETECTION_CLASSES[s.det_label[rows[0]]],
+            frames=s.det_frame[rows],
+            positions=s.det_center[rows],
+            speeds=s.det_speed[rows],
             in_roi=det.in_roi[rows],
         )
-        for tid, rows in zip(det.track_ids, np.split(order, splits))
+        for tid, rows in zip(s.track_ids, np.split(order, splits))
     ]
 
 
@@ -116,12 +101,13 @@ def _roi_tracks(tracks: list) -> list:
 
 def crowdedness(det: Detections, tracks: list, static_speed: float) -> tuple:
     """Mean per-frame count of in-gate actors, split (static, dynamic)."""
-    static = np.array([t.is_static(static_speed) for t in tracks], dtype=bool)[det.track]
-    static_frames = det.frame[det.in_roi & static]
-    dynamic_frames = det.frame[det.in_roi & ~static]
+    s = det.snippet
+    static = np.array([t.is_static(static_speed) for t in tracks], dtype=bool)[s.det_track]
+    static_frames = s.det_frame[det.in_roi & static]
+    dynamic_frames = s.det_frame[det.in_roi & ~static]
     return (
-        float(np.mean(np.bincount(static_frames, minlength=det.num_frames))),
-        float(np.mean(np.bincount(dynamic_frames, minlength=det.num_frames))),
+        float(np.mean(np.bincount(static_frames, minlength=s.num_frames))),
+        float(np.mean(np.bincount(dynamic_frames, minlength=s.num_frames))),
     )
 
 
@@ -129,11 +115,11 @@ def class_counts(det: Detections) -> tuple:
     """Per-frame in-gate counts by DETECTION_CLASSES, (T, classes), and the
     class term: the product of (1 + count) over classes divided by the
     frame's in-gate count, 0 for frames with none in gate."""
-    n_cls = len(DETECTION_CLASSES)
-    cells = det.frame[det.in_roi] * n_cls + det.label[det.in_roi]
-    counts = np.bincount(cells, minlength=det.num_frames * n_cls).reshape(-1, n_cls)
+    s, n_cls = det.snippet, len(DETECTION_CLASSES)
+    cells = s.det_frame[det.in_roi] * n_cls + s.det_label[det.in_roi]
+    counts = np.bincount(cells, minlength=s.num_frames * n_cls).reshape(-1, n_cls)
     total = counts.sum(axis=1)
-    term = np.zeros(det.num_frames)
+    term = np.zeros(s.num_frames)
     np.divide(np.prod(1.0 + counts, axis=1), total, out=term, where=total > 0)
     return counts, term
 
@@ -141,10 +127,10 @@ def class_counts(det: Detections) -> tuple:
 def class_diversity(det: Detections) -> float:
     """Class term averaged over frames; frames with no in-gate detections
     contribute 0."""
-    total = 0.0
+    total, n = 0.0, det.snippet.num_frames
     for term in class_counts(det)[1].tolist():  # frame order; np.sum would regroup
         total += term
-    return total / det.num_frames if det.num_frames else 0.0
+    return total / n if n else 0.0
 
 
 def spatial_variance(det: Detections) -> float:

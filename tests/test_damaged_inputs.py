@@ -5,9 +5,10 @@ Each example takes a small valid workspace, damages one field that the
 reader needs (drops it, or sets it to a string, NaN, a list or null) and
 runs the command that reads it. The command must exit 2, the domain-error
 code, with no exception escaping and no traceback on stderr. Further cases
-set a field to Infinity or to a 400-digit integer, or damage a file's bytes
-(not UTF-8, or nested 10^5 arrays deep); their errors must also name the
-file, and the line of a line-oriented file.
+set a field to Infinity, a 400-digit integer, `true`, its own JSON text as
+a string or, for an integer, a fraction, or damage a file's bytes (not
+UTF-8, or nested 10^5 arrays deep); their errors must also name the file,
+and the line of a line-oriented file.
 """
 
 import contextlib
@@ -39,15 +40,40 @@ DROP = "drop"
 VALUES = {"string": "x", "nan": float("nan"), "list": [[]], "null": None}
 SET = tuple(VALUES)
 ANY = (DROP,) + SET
-# only in the explicit examples: k_div, seed and budget rightly accept a huge
-# integer, and a store's valid flag is a boolean
+# only in the explicit examples and the targets that name them: k_div, seed
+# and budget rightly accept a huge integer, and a store's valid flag is a
+# boolean. "numstr" and "fraction" derive from the value they replace: its
+# own JSON text as a string ("20" for 20, "false" for false), and the
+# integer plus 0.9, which int() would have truncated back to it.
 DAMAGES = {
-    **VALUES, "inf": float("inf"), "bigint": 10**400, "fraction": 4.7, "numstr": "2.5", "bool": True
+    **VALUES,
+    "inf": float("inf"),
+    "bigint": 10**400,
+    "fraction": lambda value: value + 0.9,
+    "numstr": json.dumps,
+    "bool": True,
 }
 
 # (file, line, key path, damages that make the field invalid). Free-form
 # strings (ids, task names) accept any value str() gives, so they are only
 # dropped; optional config fields fall back to defaults, so they are only set.
+# The number rule covers every input file: a numeric string or a boolean is
+# no number, and a fraction is no integer.
+NUMBER_RULE_TARGETS = [
+    ("feats/snippet_features.jsonl", 2, ("values", 3), ("numstr", "bool")),
+    ("feats/frame_features.jsonl", 2, ("values", 0, 5), ("numstr", "bool")),
+    ("feats/normalization.json", 0, ("snippet", "std", 1), ("numstr", "bool")),
+    ("feats/normalization.json", 0, ("frame", "mean", 0), ("numstr", "bool")),
+    ("pool.jsonl", 0, ("snippet_length",), ("numstr", "fraction")),
+]
+# a result that report reads must hold lists of objects and of string ids
+RESULT_TARGETS = [
+    ("result.json", 0, ("selected",), ("bigint", "null")),
+    ("result.json", 0, ("selected", 0), ("list", "bigint")),
+    ("result.json", 0, ("tasks", 0), ("bigint", "null")),
+    ("result.json", 0, ("audit", 0), ("bigint", "null")),
+    ("result.json", 0, ("diverse",), ("bigint", "null")),
+]
 SNIPPET_FIELDS = [(key,) for key in ("kind", "snippet_id", "valid", "values")] + [("values", 3)]
 FRAME_FIELDS = [(key,) for key in ("kind", "snippet_id", "values")] + [("values", 0, 5)]
 TARGETS = (
@@ -103,6 +129,8 @@ TARGETS = (
         # any string is a log id
         ("feats/provenance.json", 0, ("snippets", 0, 1), (DROP, "nan", "list", "null")),
     ]
+    + NUMBER_RULE_TARGETS
+    + RESULT_TARGETS
 )
 
 
@@ -136,7 +164,8 @@ def damage_file(path, line, key_path, kind):
     if kind == DROP:
         target.pop(last)
     else:
-        target[last] = DAMAGES[kind]
+        value = DAMAGES[kind]
+        target[last] = value(target[last]) if callable(value) else value
     lines[line] = json.dumps(obj)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -248,6 +277,112 @@ def test_integral_float_frame_index_is_accepted(base):
     assert code == 0, err
 
 
+@pytest.mark.parametrize(
+    "name,line,key_path,kind",
+    [(name, line, path, kind) for name, line, path, kinds in NUMBER_RULE_TARGETS + RESULT_TARGETS
+     for kind in kinds],
+)
+def test_number_rule_and_result_shape_name_the_file(base, name, line, key_path, kind):
+    assert_damage_names_the_file(base, name, line, key_path, kind)
+
+
+def assert_damage_names_the_file(workspace, name, line, key_path, kind):
+    """One damaged field of file `name`, in a copy of `workspace`, makes the
+    command that reads the file exit 2 with an error naming it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(workspace, os.path.join(tmp, "w"))
+        path = os.path.join(root, name)
+        damage_file(path, line, key_path, kind)
+        code, err = run_damaged(root, name)
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert path in err
+
+
+def write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().split("\n")[:-1]
+
+
+def test_reported_lines_count_blank_lines(base):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        path = os.path.join(root, "forecasts.jsonl")
+        header, *records = read_lines(path)
+        write_lines(path, [header, "", "", "{broken"])
+        code, err = run_damaged(root, "forecasts.jsonl")
+        assert code == 2, err
+        assert f"forecast file {path} line 4: invalid JSON" in err
+
+        # a record that breaks a number rule, and a header fault, name
+        # their own lines too
+        bad = json.loads(records[1])
+        bad["frame_index"] += 0.5
+        write_lines(path, [header, "", records[0], "", json.dumps(bad), *records[2:]])
+        code, err = run_damaged(root, "forecasts.jsonl")
+        assert code == 2, err
+        assert f"forecast file {path} line 5: malformed forecast record" in err
+        pool = os.path.join(root, "pool.jsonl")
+        pool_header, *snippets = read_lines(pool)
+        write_lines(pool, ["", pool_header.replace('"snippet_length":20', '"snippet_length":"20"')] + snippets)
+        code, err = run_damaged(root, "pool.jsonl")
+        assert code == 2, err
+        assert f"pool file {pool} line 2: malformed header field" in err
+
+
+def test_rows_split_at_newlines_only(base):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        pool = os.path.join(root, "pool.jsonl")
+        header, first, *rest = read_lines(pool)
+        # U+2028, U+2029 and U+0085 are valid raw in a JSON string, and
+        # str.splitlines() would break the row at each of them
+        record = json.loads(first)
+        record["snippet_id"] += "\u2028\u2029\x85"
+        write_lines(pool, [header, json.dumps(record, ensure_ascii=False), *rest])
+        code, err = run_damaged(root, "pool.jsonl")
+        assert code == 0, err
+        # a trailing carriage return ends a row like a newline
+        with open(pool, "w", encoding="utf-8", newline="\r\n") as fh:
+            fh.write("\n".join([header, first, *rest]) + "\n")
+        code, err = run_damaged(root, "pool.jsonl")
+        assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "key,value,fault",
+    [
+        ("horizon", "7", "malformed header field"),
+        ("horizon", 2.9, "malformed header field"),
+        ("horizon", True, "malformed header field"),
+        ("horizon", None, "malformed header field"),
+        ("horizon", DROP, "header missing field 'horizon'"),
+        ("schema_version", 7, "unsupported schema_version 7"),
+        ("schema_version", True, "malformed header field"),
+    ],
+)
+def test_forecast_header_is_checked(base, key, value, fault):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(base, os.path.join(tmp, "w"))
+        path = os.path.join(root, "forecasts.jsonl")
+        header, *records = read_lines(path)
+        header = json.loads(header)
+        if value == DROP:
+            header.pop(key)
+        else:
+            header[key] = value
+        # after a blank line, the header is on line 2
+        write_lines(path, ["", json.dumps(header), *records])
+        code, err = run_damaged(root, "forecasts.jsonl")
+    assert code == 2, err
+    assert err.startswith(f"error: forecast file {path} line 2: {fault}"), err
+
+
 def run_damaged(root, name):
     """(exit code, stderr) of the command that reads file `name` of `root`."""
     err = io.StringIO()
@@ -311,19 +446,34 @@ MAP_TARGETS = [
     ("four_way_intersection", ("traffic_controls", 0, "position", 1)),
     ("hilly", ("height_samples", 0, 2)),
 ]
+# (template, key path, damages) under the number rule: `true` is a valid
+# is_bike_lane and null a valid width
+MAP_NUMBER_TARGETS = [(template, path, ("numstr", "bool")) for template, path in MAP_TARGETS] + [
+    ("four_way_intersection", ("lanes", 0, "is_bike_lane"), ("numstr", "string", "null", "nan")),
+    ("four_way_intersection", ("lanes", 0, "width"), ("numstr", "bool")),
+    ("four_way_intersection", ("intersections", 0, "incoming_roads"), ("numstr", "fraction")),
+    ("four_way_intersection", ("intersections", 0, "lanes_per_road", 0), ("numstr", "bool", "fraction")),
+    ("four_way_intersection", ("intersections", 0, "polygon", 0, 0), ("numstr", "bool")),
+    ("four_way_intersection", ("crosswalks", 0, 0, 1), ("numstr", "bool")),
+]
+
+
+@pytest.mark.parametrize(
+    "template,key_path,kind",
+    [
+        pytest.param(template, path, kind, id="-".join(map(str, (template, *path, kind))))
+        for template, path, kinds in MAP_NUMBER_TARGETS
+        for kind in kinds
+    ],
+)
+def test_map_number_of_another_type_is_a_domain_error(map_bases, template, key_path, kind):
+    assert_damage_names_the_file(map_bases[template], "scene.map.json", 0, key_path, kind)
 
 
 @pytest.mark.parametrize("kind", ["nan", "inf", "bigint", "string", "null"])
 @pytest.mark.parametrize("template,key_path", MAP_TARGETS)
 def test_damaged_map_is_a_domain_error(map_bases, template, key_path, kind):
-    with tempfile.TemporaryDirectory() as tmp:
-        root = shutil.copytree(map_bases[template], os.path.join(tmp, "w"))
-        path = os.path.join(root, "scene.map.json")
-        damage_file(path, 0, key_path, kind)
-        code, err = run_damaged(root, "scene.map.json")
-    assert code == 2, err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert path in err
+    assert_damage_names_the_file(map_bases[template], "scene.map.json", 0, key_path, kind)
 
 
 def test_overflowing_task_score_is_a_domain_error(base):

@@ -326,24 +326,26 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
-EDGES = ["", " ", "\t", "x", ",", ",1", "]", "}", '"', "\ufeff", "NaN", "[" * 3]
+EDGES = ["", " ", "\t", "x", ",", ",1", "]", "}", '"', "\ufeff", "NaN", "[" * 3, "\u2028", "\x85"]
 
 
 @st.composite
 def ndjson_rows(draw):
-    """One NDJSON row: a JSON value with a prefix or suffix that may break
-    it, or arbitrary text; never blank and never split by splitlines."""
+    """One NDJSON row: a JSON value, with raw non-ASCII text, and a prefix
+    or suffix that may break it, or arbitrary text; it holds no "\n" and
+    ends in no "\r", which the reader takes as the end of the row."""
     if draw(st.booleans()):
-        row = draw(st.sampled_from(EDGES)) + json.dumps(draw(JSON_VALUES)) + draw(st.sampled_from(EDGES))
+        value = json.dumps(draw(JSON_VALUES), ensure_ascii=False)
+        row = draw(st.sampled_from(EDGES)) + value + draw(st.sampled_from(EDGES))
     else:
         row = draw(st.text(min_size=1, max_size=12))
-    return "".join(row.splitlines()) or "x"
+    return row.replace("\n", "").rstrip("\r") or "x"
 
 
 @settings(max_examples=300, deadline=None)
 @given(row=ndjson_rows())
 def test_row_reader_is_json_loads(tmp_path_factory, row):
-    if not row.strip():  # the reader skips blank rows
+    if not row.strip(" \t\r"):  # the reader skips rows of JSON whitespace
         return
     path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
     path.write_text("{}\n" + row + "\n", encoding="utf-8")
