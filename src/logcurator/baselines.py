@@ -11,7 +11,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .scene import _column, canonical_dumps, read_header, write_atomic
+from .scene import _column, _strings, canonical_dumps, read_header, write_atomic
 from .selection import AuditEntry, CurationResult, take_pick
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
@@ -92,9 +92,12 @@ def snippet_entropy(forecast: GaussianForecast) -> float:
     return total
 
 
-def _numbers(frame_index, timestep, values):
-    """The number columns of forecast records, checked: integral frame
-    indices and timesteps, and finite mu and cov values, five per record."""
+def _checked(sids, actors, frame_index, timestep, values):
+    """The columns of forecast records, checked: string snippet and actor
+    ids, integral frame indices and timesteps, and finite mu and cov
+    values, five per record."""
+    _strings(sids, "snippet_id", ForecastError)
+    _strings(actors, "actor_id", ForecastError)
     frame_index = _column(frame_index, "frame_index", dtype=int, error=ForecastError)
     timestep = _column(timestep, "timestep", dtype=int, error=ForecastError)
     values = _column(values, "mu and cov value", error=ForecastError)
@@ -117,9 +120,9 @@ def load_forecasts(path: str) -> dict:
     """Parse a forecast NDJSON file into {snippet_id: GaussianForecast}.
 
     Each record's fields go to flat columns as its line is read, so no
-    parsed record outlives its line. The number rules are then checked over
-    the columns at once, and a failure names the first record that breaks
-    one."""
+    parsed record outlives its line. The string and number rules are then
+    checked over the columns at once, and a failure names the first record
+    that breaks one."""
     _, _, (horizon,), rows = read_header(
         path, ForecastError, "forecast file", "forecast_header", ("horizon",)
     )
@@ -141,19 +144,22 @@ def load_forecasts(path: str) -> dict:
         ):
             raise ForecastError(f"forecast file {path} line {lineno}: {_record_fault(obj)}")
         add_line(lineno)
-        add_sid(str(sid))
-        add_actor(str(actor_id))
+        add_sid(sid)
+        add_actor(actor_id)
         add_frame(frame_index)
         add_step(timestep)
         values += mu
         values += cov
     try:
-        frame_index, timestep, values = _numbers(frames, steps, values)
+        frame_index, timestep, values = _checked(sids, actors, frames, steps, values)
     except ForecastError as exc:
         where, fault = f"forecast file {path}", exc
         for i, lineno in enumerate(lines):
             try:
-                _numbers(frames[i : i + 1], steps[i : i + 1], values[5 * i : 5 * i + 5])
+                _checked(
+                    sids[i : i + 1], actors[i : i + 1], frames[i : i + 1], steps[i : i + 1],
+                    values[5 * i : 5 * i + 5],
+                )
             except ForecastError as row_fault:
                 where, fault = f"forecast file {path} line {lineno}", row_fault
                 break

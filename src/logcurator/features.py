@@ -82,13 +82,6 @@ class FeatureVector:
 
 
 @dataclass(frozen=True, slots=True)
-class FrameFeature:
-    snippet_id: str
-    frame_index: int
-    values: np.ndarray  # (FRAME_DIM,)
-
-
-@dataclass(frozen=True, slots=True)
 class SnippetArrays:
     """One snippet as every measure reads it, built once by `snippet_arrays`."""
 
@@ -185,14 +178,14 @@ def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
     )
 
 
-def assemble_frame_vectors(rec: SnippetArrays, index: MapIndex) -> list:
-    """Per-frame descriptors used by the diversity distance."""
+def assemble_frame_vectors(rec: SnippetArrays, index: MapIndex) -> np.ndarray:
+    """(T, FRAME_DIM) per-frame descriptors used by the diversity distance."""
     ego, s = rec.ego, rec.snippet
     in_inter = np.zeros(len(ego), dtype=bool)
     for poly in index.intersection_polys:
         in_inter |= geometry.points_in_polygon(ego, poly)
     counts, term = traffic.class_counts(rec.det)  # columns follow DETECTION_CLASSES
-    mat = np.column_stack(
+    return np.column_stack(
         [
             counts.sum(axis=1),
             counts,
@@ -203,55 +196,18 @@ def assemble_frame_vectors(rec: SnippetArrays, index: MapIndex) -> list:
             s.geo,
         ]
     )
-    return [FrameFeature(s.snippet_id, k, row) for k, row in zip(s.index.tolist(), mat)]
-
-
-def frame_matrix(frame_features: list) -> np.ndarray:
-    if not frame_features:
-        return np.zeros((0, FRAME_DIM))
-    return np.stack([f.values for f in frame_features])
 
 
 def compute_snippet_features(rec: SnippetArrays, index: MapIndex, config):
     """(FeatureVector, frame matrix) for one snippet; the infra, traffic, SDV
-    and frame measures all read the one record `snippet_arrays` built."""
-    inf = infra_features(rec, index, config)
-    tra = traffic_features(rec, config)
-    ego = sdv_features(rec, index, config)
-    values = np.array(
-        [
-            inf.curve_mean,
-            inf.crossing_total,
-            inf.at_intersection,
-            inf.intersection_roads,
-            inf.intersection_lanes,
-            inf.traffic_lights,
-            inf.signs,
-            inf.bike_curve,
-            inf.bike_crossing,
-            inf.crosswalk_lane_overlaps,
-            inf.height_var,
-            tra.crowd_static,
-            tra.crowd_dynamic,
-            tra.class_div,
-            tra.dist_var,
-            tra.actor_path_mean,
-            tra.actor_path_max,
-            tra.speed_div,
-            ego.sdv_path,
-            ego.sdv_speed_var,
-            ego.lane_changes,
-            ego.turns,
-            ego.controls_on_route,
-            ego.near_path_static,
-            ego.near_path_dynamic,
-            ego.conflict_traversals,
-            ego.conflict_reachable,
-            ego.nudges,
-        ]
-    )
-    vec = FeatureVector(rec.snippet.snippet_id, values, ego.valid)
-    return vec, frame_matrix(assemble_frame_vectors(rec, index))
+    and frame measures all read the one record `snippet_arrays` built, and
+    their name-keyed rows go into SNIPPET_FEATURES order."""
+    row = infra_features(rec, index, config)
+    row.update(traffic_features(rec, config))
+    row.update(sdv_features(rec, index, config))
+    values = np.array([row[name] for name in SNIPPET_FEATURE_NAMES], dtype=float)
+    vec = FeatureVector(rec.snippet.snippet_id, values, rec.match.valid)
+    return vec, assemble_frame_vectors(rec, index)
 
 
 _WORKER_STATE: dict = {}

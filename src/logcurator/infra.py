@@ -8,7 +8,6 @@ twice; enlarging the ROI can only add lanes and therefore never lowers a
 count.
 """
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,21 +19,6 @@ if TYPE_CHECKING:
     from .features import SnippetArrays
 
 
-@dataclass(frozen=True, slots=True)
-class InfraFeatures:
-    curve_mean: float
-    crossing_total: float
-    at_intersection: float
-    intersection_roads: float
-    intersection_lanes: float
-    traffic_lights: float
-    signs: float
-    bike_curve: float
-    bike_crossing: float
-    crosswalk_lane_overlaps: float
-    height_var: float
-
-
 def _polygon_in_roi(poly: np.ndarray, ego: np.ndarray, radius: float) -> bool:
     if np.any(geometry.points_in_polygon(ego, poly)):
         return True
@@ -43,7 +27,8 @@ def _polygon_in_roi(poly: np.ndarray, ego: np.ndarray, radius: float) -> bool:
     return bool(np.min(dist) <= radius)
 
 
-def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> InfraFeatures:
+def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
+    """The infrastructure row of one snippet, keyed by feature name."""
     m = index.scene_map
     ego = rec.ego
     roi_radius = config.roi_radius
@@ -52,22 +37,25 @@ def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> InfraFeatur
     bike_in = lane_in & index.lane_is_bike
     curves = index.lane_curve_complexity(config.resample_points)
 
-    curve_mean = float(np.mean(curves[vehicle_in])) if np.any(vehicle_in) else 0.0
-    bike_curve = float(np.mean(curves[bike_in])) if np.any(bike_in) else 0.0
-
     cm = index.crossing_matrix
-    crossing_total = float(cm[np.ix_(vehicle_in, vehicle_in)].sum())
-    bike_crossing = float(cm[np.ix_(bike_in, lane_in)].sum())
+    row = {
+        "curve_mean": float(np.mean(curves[vehicle_in])) if np.any(vehicle_in) else 0.0,
+        "crossing_total": float(cm[np.ix_(vehicle_in, vehicle_in)].sum()),
+        "bike_curve": float(np.mean(curves[bike_in])) if np.any(bike_in) else 0.0,
+        "bike_crossing": float(cm[np.ix_(bike_in, lane_in)].sum()),
+    }
 
-    at_intersection = 0.0
+    row["at_intersection"] = 0.0
     roads = 0
     inter_lanes = 0
     for inter, poly in zip(m.intersections, index.intersection_polys):
         if np.any(geometry.points_in_polygon(ego, poly)):
-            at_intersection = 1.0
+            row["at_intersection"] = 1.0
         if _polygon_in_roi(poly, ego, roi_radius):
             roads += inter.incoming_roads
             inter_lanes += sum(inter.lanes_per_road)
+    row["intersection_roads"] = float(roads)
+    row["intersection_lanes"] = float(inter_lanes)
 
     lights = 0
     signs = 0
@@ -77,14 +65,17 @@ def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> InfraFeatur
                 lights += 1
             else:
                 signs += 1
+    row["traffic_lights"] = float(lights)
+    row["signs"] = float(signs)
 
     overlaps = 0
     vehicle_cols = np.flatnonzero(vehicle_in)
     for ci, poly in enumerate(index.crosswalk_polys):
         if len(vehicle_cols) and _polygon_in_roi(poly, ego, roi_radius):
             overlaps += int(index.crosswalk_lane_hits[ci, vehicle_cols].sum())
+    row["crosswalk_lane_overlaps"] = float(overlaps)
 
-    height_var = 0.0
+    row["height_var"] = 0.0
     if len(index.height_xy):
         d2 = (
             (index.height_xy[:, None, 0] - ego[None, :, 0]) ** 2
@@ -92,18 +83,5 @@ def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> InfraFeatur
         )
         in_roi = np.min(d2, axis=1) <= roi_radius * roi_radius
         if np.any(in_roi):
-            height_var = float(np.var(index.height_z[in_roi]))
-
-    return InfraFeatures(
-        curve_mean=curve_mean,
-        crossing_total=crossing_total,
-        at_intersection=at_intersection,
-        intersection_roads=float(roads),
-        intersection_lanes=float(inter_lanes),
-        traffic_lights=float(lights),
-        signs=float(signs),
-        bike_curve=bike_curve,
-        bike_crossing=bike_crossing,
-        crosswalk_lane_overlaps=float(overlaps),
-        height_var=height_var,
-    )
+            row["height_var"] = float(np.var(index.height_z[in_roi]))
+    return row

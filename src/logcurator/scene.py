@@ -297,6 +297,29 @@ def _number(value, what, dtype=float, error=PoolFormatError):
     return _column([value], what, dtype=dtype, error=error).item()
 
 
+def _strings(values, what, error=PoolFormatError):
+    """`values`, a JSON array, checked to hold JSON strings only: the one
+    rule for ids and names. Anything but an array, or a value that is not a
+    string, raises `error`; nothing is turned into text with str()."""
+    if not isinstance(values, (list, tuple)):
+        raise error(f"expected an array in which every {what} is a string")
+    if not {str}.issuperset(map(type, values)):
+        raise error(f"every {what} must be a string")
+    return values
+
+
+def _string(value, what, error=PoolFormatError) -> str:
+    """One JSON string by `_strings`'s rule."""
+    return _strings([value], what, error)[0]
+
+
+def _array(values, what) -> list:
+    """`values` when it is a JSON array; anything else raises PoolFormatError."""
+    if not isinstance(values, list):
+        raise PoolFormatError(f"{what} must be an array")
+    return values
+
+
 def _points(values, what, width=2) -> tuple:
     """A JSON array of points as a tuple of float tuples."""
     return tuple(map(tuple, _column(values, what, width).tolist()))
@@ -305,7 +328,7 @@ def _points(values, what, width=2) -> tuple:
 def snippet_from_obj(obj) -> Snippet:
     """The columns of one snippet record, as a pool line holds it."""
     try:
-        sid, log_id = str(obj["snippet_id"]), str(obj["log_id"])
+        sid, log_id = _string(obj["snippet_id"], "snippet_id"), _string(obj["log_id"], "log_id")
         bounds, frames = obj["frame_range"], obj["frames"]
     except KeyError as exc:
         raise PoolFormatError(f"snippet missing field {exc}") from exc
@@ -323,7 +346,7 @@ def snippet_from_obj(obj) -> Snippet:
         ("track_id", "class", "center", "yaw", "size", "speed"),
         "detection",
     )
-    tracks, labels = list(map(str, tracks)), list(map(str, labels))
+    tracks, labels = _strings(tracks, "detection track_id"), _strings(labels, "detection class")
     track_ids = tuple(sorted(set(tracks)))
     classes = DETECTION_CLASSES + tuple(sorted(set(labels).difference(DETECTION_CLASSES)))
 
@@ -382,18 +405,23 @@ def snippet_to_obj(s: Snippet):
 
 
 def _lane_from_obj(obj) -> Lane:
+    def neighbor(key):  # null when the lane has none
+        ref = obj.get(key)
+        return ref if ref is None else _string(ref, f"lane {key}")
+
     try:
-        lane_id, width, bike = str(obj["id"]), obj.get("width"), obj.get("is_bike_lane", False)
+        lane_id = _string(obj["id"], "lane id")
+        width, bike = obj.get("width"), obj.get("is_bike_lane", False)
         if type(bike) is not bool:
             raise PoolFormatError(f"lane {lane_id} is_bike_lane must be true or false")
         return Lane(
             lane_id=lane_id,
             centerline=_points(obj["centerline"], "lane point"),
-            successors=tuple(str(x) for x in obj.get("successors", [])),
-            left_neighbor=obj.get("left_neighbor"),
-            right_neighbor=obj.get("right_neighbor"),
+            successors=tuple(_strings(obj.get("successors", []), "lane successor")),
+            left_neighbor=neighbor("left_neighbor"),
+            right_neighbor=neighbor("right_neighbor"),
             is_bike_lane=bike,
-            turn=str(obj.get("turn", "straight")),
+            turn=_string(obj.get("turn", "straight"), "lane turn"),
             width=None if width is None else _number(width, "lane width"),
         )
     except KeyError as exc:
@@ -416,8 +444,12 @@ def _lane_to_obj(lane: Lane):
 def map_from_obj(obj) -> SceneMap:
     if not isinstance(obj, dict):
         raise PoolFormatError("map must be a JSON object")
+
+    def items(key):
+        return _array(obj.get(key, []), f"map field {key!r}")
+
     try:
-        lanes = tuple(_lane_from_obj(o) for o in obj.get("lanes", []))
+        lanes = tuple(_lane_from_obj(o) for o in items("lanes"))
         intersections = tuple(
             Intersection(
                 polygon=_points(o["polygon"], "intersection point"),
@@ -426,17 +458,17 @@ def map_from_obj(obj) -> SceneMap:
                     _column(o["lanes_per_road"], "lanes_per_road entry", dtype=int).tolist()
                 ),
             )
-            for o in obj.get("intersections", [])
+            for o in items("intersections")
         )
         controls = tuple(
             TrafficControl(
-                kind=str(o["kind"]),
+                kind=_string(o["kind"], "control kind"),
                 position=_points([o["position"]], "control position")[0],
-                lane_ids=tuple(str(x) for x in o["lane_ids"]),
+                lane_ids=tuple(_strings(o["lane_ids"], "control lane id")),
             )
-            for o in obj.get("traffic_controls", [])
+            for o in items("traffic_controls")
         )
-        crosswalks = tuple(_points(poly, "crosswalk point") for poly in obj.get("crosswalks", []))
+        crosswalks = tuple(_points(poly, "crosswalk point") for poly in items("crosswalks"))
         heights = _points(obj.get("height_samples", []), "height sample", 3)
     except KeyError as exc:
         raise PoolFormatError(f"map missing field {exc}") from exc
@@ -520,14 +552,12 @@ def validate_map(m: SceneMap) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-def validate_snippet(s: Snippet, m: SceneMap) -> ValidationReport:
-    """Check snippet-internal invariants; the map argument anchors referential
-    checks and is accepted even when no map-dependent rule applies yet.
+def validate_snippet(s: Snippet) -> ValidationReport:
+    """Check snippet-internal invariants.
 
     Every rule is one predicate over a column; text is formatted only for
     the rows it flags. Findings follow frame order; within a frame the frame
     rules come first, then each detection's rules, in detection order."""
-    del m
     first, last = s.frame_range
     ts, heading, lat, lon = s.timestamp, s.ego_pose[:, 2], s.geo[:, 0], s.geo[:, 1]
     frame_values = np.column_stack([s.ego_pose, s.geo, ts])
@@ -631,9 +661,12 @@ def load_pool(path: str) -> SnippetPool:
     where, header, (snippet_length,), rows = read_header(
         path, PoolFormatError, "pool file", "pool_header", ("snippet_length",)
     )
-    if "map_path" not in header:
-        raise PoolFormatError(f"{where}: header missing field 'map_path'")
-    map_name = str(header["map_path"])
+    try:
+        map_name = _string(header["map_path"], "map_path")
+    except KeyError as exc:
+        raise PoolFormatError(f"{where}: header missing field {exc}") from exc
+    except PoolFormatError as exc:
+        raise PoolFormatError(f"{where}: malformed header field: {exc}") from exc
     if snippet_length < 1:
         raise PoolFormatError(f"{where}: snippet_length {snippet_length} is below 1")
     scene_map = load_map(sidecar_path(path, map_name))
@@ -657,7 +690,7 @@ def load_pool(path: str) -> SnippetPool:
             findings.append(
                 Finding(s.snippet_id, "pool.length", f"{s.num_frames} frames, header says {snippet_length}")
             )
-        findings.extend(validate_snippet(s, scene_map).findings)
+        findings.extend(validate_snippet(s).findings)
     if findings:
         raise PoolValidationError(findings, f"pool file {path}")
     return SnippetPool(tuple(snippets), scene_map, snippet_length, map_name=map_name)

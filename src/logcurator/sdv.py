@@ -37,21 +37,6 @@ class RouteMatch:
     traversed: tuple  # distinct lane indices in first-visit order
 
 
-@dataclass(frozen=True, slots=True)
-class SdvFeatures:
-    sdv_path: float
-    sdv_speed_var: float
-    lane_changes: float
-    turns: float
-    controls_on_route: float
-    near_path_static: float
-    near_path_dynamic: float
-    conflict_traversals: float
-    conflict_reachable: float
-    nudges: float
-    valid: bool
-
-
 def nearest_lane(dist: np.ndarray, arc: np.ndarray, lanes) -> tuple:
     """(lane, lateral, arc) of the nearest listed lane per point, first on ties."""
     best = np.argmin(dist, axis=0)
@@ -275,19 +260,20 @@ def detect_nudges(rec: "SnippetArrays", index: MapIndex, config) -> int:
     return count
 
 
-def sdv_features(rec: "SnippetArrays", index: MapIndex, config) -> SdvFeatures:
+def sdv_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
+    """The ego row of one snippet, keyed by feature name; its validity is
+    `rec.match.valid`."""
     lane_changes, turns, controls = route_events(rec, index, config)
     near_s, near_d, conf_trav, conf_reach = interactions(rec, index, config)
-    return SdvFeatures(
-        sdv_path=sdv_path_complexity(rec, config),
-        sdv_speed_var=sdv_speed_variance(rec),
-        lane_changes=float(lane_changes),
-        turns=float(turns),
-        controls_on_route=float(controls),
-        near_path_static=float(near_s),
-        near_path_dynamic=float(near_d),
-        conflict_traversals=float(conf_trav),
-        conflict_reachable=float(conf_reach),
-        nudges=float(detect_nudges(rec, index, config)),
-        valid=rec.match.valid,
-    )
+    return {
+        "sdv_path": sdv_path_complexity(rec, config),
+        "sdv_speed_var": sdv_speed_variance(rec),
+        "lane_changes": float(lane_changes),
+        "turns": float(turns),
+        "controls_on_route": float(controls),
+        "near_path_static": float(near_s),
+        "near_path_dynamic": float(near_d),
+        "conflict_traversals": float(conf_trav),
+        "conflict_reachable": float(conf_reach),
+        "nudges": float(detect_nudges(rec, index, config)),
+    }

@@ -168,11 +168,11 @@ def _ego_steps(spec: ScenarioSpec, t_log: int):
     n_steps = t_log - 1
     if spec.plan == "speed_ramp":
         v = spec.ramp_top_speed * np.arange(n_steps) / (n_steps - 1)
-        return v * spec.dt, None
+        return v * spec.dt
     if spec.plan == "turn":
         length = math.pi * spec.turn_radius / 2.0
-        return np.full(n_steps, length / n_steps), None
-    return np.full(n_steps, spec.cruise_speed * spec.dt), None
+        return np.full(n_steps, length / n_steps)
+    return np.full(n_steps, spec.cruise_speed * spec.dt)
 
 
 def _lateral_profile(spec: ScenarioSpec, t_log: int):
@@ -253,7 +253,7 @@ class _Build:
             radius = spec.curve_radius
         self.corridor = _Corridor(radius)
 
-        steps, _ = _ego_steps(spec, t_log)
+        steps = _ego_steps(spec, t_log)
         self.s = np.concatenate([[0.0], np.cumsum(steps)])
         self.length = float(self.s[-1])
         self.lateral = _lateral_profile(spec, t_log)
@@ -461,7 +461,7 @@ class _Build:
                 )
             )
 
-        for k in range(self._bicyclists()):
+        for k in range(spec.n_bicyclists):
             self.actors.append(
                 self._corridor_actor(
                     f"bike{k}", "bicyclist", 0.2 * self.length + 2.0 * k, v_mean, BIKE_OFFSET, 4.0, (1.8, 0.6)
@@ -477,7 +477,7 @@ class _Build:
             center = self.corridor.offset_point(np.array([s_c]), np.array([CIRCLE_LATERAL]))[0]
             pos = center + CIRCLE_RADIUS * np.column_stack([np.cos(theta), np.sin(theta)])
             if self.carded and self.has_strip:
-                d, _ = _min_dist_to_segment(pos, self.anchor_pt - self.road_half * self.anchor_n, self.anchor_pt + self.road_half * self.anchor_n)
+                d = _min_dist_to_segment(pos, self.anchor_pt - self.road_half * self.anchor_n, self.anchor_pt + self.road_half * self.anchor_n)
                 if d <= 0.5 * LANE_WIDTH + STRIP_MARGIN:
                     raise ScenarioError("circling actor too close to the crossing strip")
             self.actors.append(
@@ -521,9 +521,6 @@ class _Build:
             self.actors.append(
                 _Actor("slowcar0", "vehicle", pos, np.zeros(self.t_log), (4.5, 1.9), None, 0.0, True, False, False)
             )
-
-    def _bicyclists(self) -> int:
-        return self.spec.n_bicyclists
 
     # --- feasibility ------------------------------------------------------------
 
@@ -659,7 +656,7 @@ class _Build:
         if spec.plan in ("cruise", "turn"):
             f["sdv_speed_var"] = (0.0, 1e-12)
         elif spec.plan == "speed_ramp":
-            steps, _ = _ego_steps(spec, self.t_log)
+            steps = _ego_steps(spec, self.t_log)
             if self.corridor.radius is not None:
                 # pose displacements are chords of the arc, not arc lengths
                 r = self.corridor.radius
@@ -693,7 +690,7 @@ def _min_dist_to_segment(points, a, b):
     t = np.clip(((points - a) @ d) / len2, 0.0, 1.0)
     proj = a + t[:, None] * d
     dist = np.linalg.norm(points - proj, axis=1)
-    return float(np.min(dist)), t
+    return float(np.min(dist))
 
 
 def generate_pool(spec: ScenarioSpec):

@@ -53,17 +53,6 @@ class TrackPath:
         return self.mean_speed < threshold
 
 
-@dataclass(frozen=True, slots=True)
-class TrafficFeatures:
-    crowd_static: float
-    crowd_dynamic: float
-    class_div: float
-    dist_var: float
-    actor_path_mean: float
-    actor_path_max: float
-    speed_div: float
-
-
 def detection_arrays(s: Snippet, roi_radius: float | None = None) -> Detections:
     """The snippet's detection columns gated at `roi_radius`; None puts every
     detection in the gate."""
@@ -165,17 +154,18 @@ def speed_diversity(tracks: list) -> float:
     return float(np.var(means)) + inner
 
 
-def traffic_features(rec: "SnippetArrays", config) -> TrafficFeatures:
-    """All traffic measures from one snippet's detections and their tracks."""
+def traffic_features(rec: "SnippetArrays", config) -> dict:
+    """The traffic row of one snippet, keyed by feature name, from its
+    detections and their tracks."""
     det, tracks = rec.det, rec.tracks
     static_mean, dynamic_mean = crowdedness(det, tracks, config.static_speed)
     path_mean, path_max = actor_path_complexity(_roi_tracks(tracks), config.resample_points)
-    return TrafficFeatures(
-        crowd_static=static_mean,
-        crowd_dynamic=dynamic_mean,
-        class_div=class_diversity(det),
-        dist_var=spatial_variance(det),
-        actor_path_mean=path_mean,
-        actor_path_max=path_max,
-        speed_div=speed_diversity(tracks),
-    )
+    return {
+        "crowd_static": static_mean,
+        "crowd_dynamic": dynamic_mean,
+        "class_div": class_diversity(det),
+        "dist_var": spatial_variance(det),
+        "actor_path_mean": path_mean,
+        "actor_path_max": path_max,
+        "speed_div": speed_diversity(tracks),
+    }

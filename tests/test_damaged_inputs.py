@@ -6,9 +6,10 @@ reader needs (drops it, or sets it to a string, NaN, a list or null) and
 runs the command that reads it. The command must exit 2, the domain-error
 code, with no exception escaping and no traceback on stderr. Further cases
 set a field to Infinity, a 400-digit integer, `true`, its own JSON text as
-a string or, for an integer, a fraction, or damage a file's bytes (not
-UTF-8, or nested 10^5 arrays deep); their errors must also name the file,
-and the line of a line-oriented file.
+a string or, for an integer, a fraction, set an id to a number or a map
+list to an object, or damage a file's bytes (not UTF-8, or nested 10^5
+arrays deep); their errors must also name the file, and the line of a
+line-oriented file.
 """
 
 import contextlib
@@ -52,13 +53,15 @@ DAMAGES = {
     "fraction": lambda value: value + 0.9,
     "numstr": json.dumps,
     "bool": True,
+    "number": 7,
+    "object": {},
 }
 
-# (file, line, key path, damages that make the field invalid). Free-form
-# strings (ids, task names) accept any value str() gives, so they are only
-# dropped; optional config fields fall back to defaults, so they are only set.
-# The number rule covers every input file: a numeric string or a boolean is
-# no number, and a fraction is no integer.
+# (file, line, key path, damages that make the field invalid). Ids must be
+# JSON strings, but any string is one; task names are free-form, so they are
+# only dropped; optional config fields fall back to defaults, so they are only
+# set. The number rule covers every input file: a numeric string or a boolean
+# is no number, and a fraction is no integer.
 NUMBER_RULE_TARGETS = [
     ("feats/snippet_features.jsonl", 2, ("values", 3), ("numstr", "bool")),
     ("feats/frame_features.jsonl", 2, ("values", 0, 5), ("numstr", "bool")),
@@ -66,6 +69,21 @@ NUMBER_RULE_TARGETS = [
     ("feats/normalization.json", 0, ("frame", "mean", 0), ("numstr", "bool")),
     ("pool.jsonl", 0, ("snippet_length",), ("numstr", "fraction")),
 ]
+# ids and names are JSON strings, never what str() makes of another value,
+# and a map's lists are JSON arrays; the map's fourth lane is one that no
+# other lane references
+NOT_TEXT = ("null", "list", "number")
+TEXT_RULE_TARGETS = (
+    [("pool.jsonl", 1, (key,), NOT_TEXT) for key in ("snippet_id", "log_id")]
+    + [("pool.jsonl", 1, ("frames", 4, "detections", 0, "track_id"), NOT_TEXT)]
+    + [("scene.map.json", 0, ("lanes", 3, "id"), NOT_TEXT)]
+    + [("scene.map.json", 0, ("lanes", 0, "left_neighbor"), ("list", "object"))]
+    + [("forecasts.jsonl", 1, (key,), NOT_TEXT) for key in ("snippet_id", "actor_id")]
+    + [
+        ("scene.map.json", 0, (key,), ("object",))
+        for key in ("lanes", "intersections", "traffic_controls", "crosswalks")
+    ]
+)
 # a result that report reads must hold lists of objects and of string ids
 RESULT_TARGETS = [
     ("result.json", 0, ("selected",), ("bigint", "null")),
@@ -130,6 +148,7 @@ TARGETS = (
         ("feats/provenance.json", 0, ("snippets", 0, 1), (DROP, "nan", "list", "null")),
     ]
     + NUMBER_RULE_TARGETS
+    + TEXT_RULE_TARGETS
     + RESULT_TARGETS
 )
 
@@ -224,6 +243,12 @@ def test_undamaged_workspace_runs(base):
 @example(damage=("feats/provenance.json", 0, ("config", "roi_radius"), "nan"))
 @example(damage=("feats/provenance.json", 0, ("snippets", 0, 2, 1), "string"))
 @example(damage=("feats/provenance.json", 0, ("map_name",), "string"))
+# and the ids read through str() and the map lists read as empty
+@example(damage=("pool.jsonl", 1, ("snippet_id",), "null"))
+@example(damage=("pool.jsonl", 1, ("log_id",), "number"))
+@example(damage=("scene.map.json", 0, ("intersections",), "object"))
+@example(damage=("forecasts.jsonl", 1, ("actor_id",), "list"))
+@example(damage=("scene.map.json", 0, ("lanes", 0, "left_neighbor"), "object"))
 # and the forecast values the loader once accepted, or that overflowed
 @example(damage=("forecasts.jsonl", 1, ("cov", 2), "inf"))
 @example(damage=("forecasts.jsonl", 1, ("frame_index",), "fraction"))
@@ -279,7 +304,8 @@ def test_integral_float_frame_index_is_accepted(base):
 
 @pytest.mark.parametrize(
     "name,line,key_path,kind",
-    [(name, line, path, kind) for name, line, path, kinds in NUMBER_RULE_TARGETS + RESULT_TARGETS
+    [(name, line, path, kind)
+     for name, line, path, kinds in NUMBER_RULE_TARGETS + RESULT_TARGETS + TEXT_RULE_TARGETS
      for kind in kinds],
 )
 def test_number_rule_and_result_shape_name_the_file(base, name, line, key_path, kind):
@@ -446,8 +472,9 @@ MAP_TARGETS = [
     ("four_way_intersection", ("traffic_controls", 0, "position", 1)),
     ("hilly", ("height_samples", 0, 2)),
 ]
-# (template, key path, damages) under the number rule: `true` is a valid
-# is_bike_lane and null a valid width
+# (template, key path, damages) under the number, flag and array rules:
+# `true` is a valid is_bike_lane and null a valid width; a map list that is
+# an object was once read as an empty list
 MAP_NUMBER_TARGETS = [(template, path, ("numstr", "bool")) for template, path in MAP_TARGETS] + [
     ("four_way_intersection", ("lanes", 0, "is_bike_lane"), ("numstr", "string", "null", "nan")),
     ("four_way_intersection", ("lanes", 0, "width"), ("numstr", "bool")),
@@ -455,6 +482,9 @@ MAP_NUMBER_TARGETS = [(template, path, ("numstr", "bool")) for template, path in
     ("four_way_intersection", ("intersections", 0, "lanes_per_road", 0), ("numstr", "bool", "fraction")),
     ("four_way_intersection", ("intersections", 0, "polygon", 0, 0), ("numstr", "bool")),
     ("four_way_intersection", ("crosswalks", 0, 0, 1), ("numstr", "bool")),
+] + [
+    ("four_way_intersection", (key,), ("object",))
+    for key in ("intersections", "traffic_controls", "crosswalks")
 ]
 
 

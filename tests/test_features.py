@@ -47,6 +47,18 @@ class TestSnippetVector:
         assert [d["name"] for d in desc["frame"]] == list(features.FRAME_FEATURE_NAMES)
         assert all(d["unit"] for d in desc["snippet"] + desc["frame"])
 
+    def test_family_rows_partition_the_schema(self):
+        rec, index, cfg = measure_args(cruise(), lane_map())
+        rows = (
+            features.infra_features(rec, index, cfg),
+            features.traffic_features(rec, cfg),
+            features.sdv_features(rec, index, cfg),
+        )
+        names = [name for row in rows for name in row]
+        assert len(names) == len(set(names))  # no name in two families
+        assert set(names) == set(features.SNIPPET_FEATURE_NAMES)
+        assert len(names) == features.SNIPPET_DIM
+
     def test_values_land_in_named_slots(self):
         m = SceneMap(
             lanes=(straight_lane(),),
@@ -81,14 +93,13 @@ class TestFrameVectors:
         geo = (37.7749, -122.4194)
         out = frame_vectors(cruise(geo=[geo] * 60))
         assert len(out) == 60
-        for k, fv in enumerate(out):
-            assert fv.frame_index == k
-            assert fv.values[FIDX["geo_lat"]] == geo[0]
-            assert fv.values[FIDX["geo_lon"]] == geo[1]
+        for row in out:
+            assert row[FIDX["geo_lat"]] == geo[0]
+            assert row[FIDX["geo_lon"]] == geo[1]
 
     def test_steady_scene_rows_repeat(self):
         dets = constant_detections([make_detection("v1", "vehicle", (0.0, 6.0), 3.0)], 60)
-        mat = features.frame_matrix(frame_vectors(cruise(detections=dets)))
+        mat = frame_vectors(cruise(detections=dets))
         assert mat.shape == (60, features.FRAME_DIM)
         assert np.max(np.abs(mat - mat[0])) < 1e-9
 
@@ -102,7 +113,7 @@ class TestFrameVectors:
             ),
         ]
         s = drive([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], detections=per_frame)
-        mat = features.frame_matrix(frame_vectors(s))
+        mat = frame_vectors(s)
         assert mat[:, FIDX["det_total"]].tolist() == [0.0, 1.0, 2.0]
         assert mat[:, FIDX["det_vehicle"]].tolist() == [0.0, 1.0, 1.0]
         assert mat[:, FIDX["det_pedestrian"]].tolist() == [0.0, 0.0, 1.0]
@@ -111,7 +122,7 @@ class TestFrameVectors:
 
     def test_roi_excludes_far_detections(self):
         dets = constant_detections([make_detection("v1", "vehicle", (500.0, 0.0))], 60)
-        mat = features.frame_matrix(frame_vectors(cruise(detections=dets), roi_radius=75.0))
+        mat = frame_vectors(cruise(detections=dets), roi_radius=75.0)
         assert np.all(mat[:, FIDX["det_total"]] == 0.0)
 
 

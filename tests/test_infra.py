@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -25,15 +23,15 @@ def ego_at_origin(n=3):
 def test_flat_straight_scene_all_zero():
     m = SceneMap(lanes=(straight_lane(),))
     out = infra_features(*measure_args(ego_at_origin(), m))
-    assert all(v == 0.0 for v in dataclasses.asdict(out).values())
+    assert all(v == 0.0 for v in out.values())
 
 
 def test_perpendicular_lanes_with_stop_sign():
     # one geometric crossing, counted once per ordered lane pair
     out = infra_features(*measure_args(ego_at_origin(), cross_map(sign=True)))
-    assert out.crossing_total == 2.0
-    assert out.signs == 1.0
-    assert out.traffic_lights == 0.0
+    assert out["crossing_total"] == 2.0
+    assert out["signs"] == 1.0
+    assert out["traffic_lights"] == 0.0
 
 
 def test_four_way_crossing_total():
@@ -44,14 +42,14 @@ def test_four_way_crossing_total():
         vertical_lane("ns2", x=-1.0),
     )
     out = infra_features(*measure_args(ego_at_origin(), SceneMap(lanes=lanes)))
-    assert out.crossing_total == 8.0
+    assert out["crossing_total"] == 8.0
 
 
 def test_height_variance_two_level_ground():
     samples = tuple((float(x), 0.0, float(z)) for x, z in [(1, 0), (2, 1), (3, 0), (4, 1)])
     m = SceneMap(height_samples=samples)
     out = infra_features(*measure_args(ego_at_origin(), m))
-    assert out.height_var == pytest.approx(0.25, abs=1e-12)
+    assert out["height_var"] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_intersection_record_counts():
@@ -59,17 +57,17 @@ def test_intersection_record_counts():
         intersections=(square_intersection(incoming=4, lanes_per_road=(2, 2, 1, 1)),)
     )
     out = infra_features(*measure_args(ego_at_origin(), m))
-    assert out.intersection_roads == 4.0
-    assert out.intersection_lanes == 6.0
-    assert out.at_intersection == 1.0
+    assert out["intersection_roads"] == 4.0
+    assert out["intersection_lanes"] == 6.0
+    assert out["at_intersection"] == 1.0
 
 
 def test_at_intersection_requires_entry():
     m = SceneMap(intersections=(square_intersection(half=5.0),))
     outside = drive([(20.0, 20.0), (21.0, 20.0)])
     entering = drive([(20.0, 0.0), (4.0, 0.0)][::-1])
-    assert infra_features(*measure_args(outside, m)).at_intersection == 0.0
-    assert infra_features(*measure_args(entering, m)).at_intersection == 1.0
+    assert infra_features(*measure_args(outside, m))["at_intersection"] == 0.0
+    assert infra_features(*measure_args(entering, m))["at_intersection"] == 1.0
 
 
 def test_control_kinds_split():
@@ -82,14 +80,14 @@ def test_control_kinds_split():
         ),
     )
     out = infra_features(*measure_args(ego_at_origin(), m))
-    assert out.traffic_lights == 1.0
-    assert out.signs == 2.0
+    assert out["traffic_lights"] == 1.0
+    assert out["signs"] == 2.0
 
 
 def test_curve_mean_matches_arc_radius():
     arc = Lane("arc", tuple(map(tuple, arc_points(20.0, 100))))
     out = infra_features(*measure_args(ego_at_origin(), SceneMap(lanes=(arc,))))
-    assert out.curve_mean == pytest.approx(0.05, abs=2e-3)
+    assert out["curve_mean"] == pytest.approx(0.05, abs=2e-3)
 
 
 def test_bike_lane_split():
@@ -98,15 +96,15 @@ def test_bike_lane_split():
     )
     veh = straight_lane("v1", y=-30.0)
     out = infra_features(*measure_args(ego_at_origin(), SceneMap(lanes=(bike, veh))))
-    assert out.curve_mean == 0.0
-    assert out.bike_curve == pytest.approx(0.05, abs=2e-3)
+    assert out["curve_mean"] == 0.0
+    assert out["bike_curve"] == pytest.approx(0.05, abs=2e-3)
 
 
 def test_bike_crossing_counts_vehicle_conflicts():
     bike = Lane("bk", ((-50.0, -1.0), (50.0, 1.0)), is_bike_lane=True)
     out = infra_features(*measure_args(ego_at_origin(), SceneMap(lanes=(bike, straight_lane()))))
-    assert out.bike_crossing == 1.0
-    assert out.crossing_total == 0.0
+    assert out["bike_crossing"] == 1.0
+    assert out["crossing_total"] == 0.0
 
 
 def test_crosswalk_lane_overlap_pairs():
@@ -114,7 +112,7 @@ def test_crosswalk_lane_overlap_pairs():
     walk_off = ((40.0, 20.0), (44.0, 20.0), (44.0, 26.0), (40.0, 26.0))
     m = SceneMap(lanes=(straight_lane(), vertical_lane()), crosswalks=(walk_on, walk_off))
     out = infra_features(*measure_args(ego_at_origin(), m))
-    assert out.crosswalk_lane_overlaps == 2.0
+    assert out["crosswalk_lane_overlaps"] == 2.0
 
 
 def test_roi_growth_never_drops_counts():
@@ -147,7 +145,7 @@ def test_roi_growth_never_drops_counts():
         cur = infra_features(*measure_args(ego, m, roi_radius=radius))
         if prev is not None:
             for name in count_fields:
-                assert getattr(cur, name) >= getattr(prev, name)
+                assert cur[name] >= prev[name]
         prev = cur
 
 
@@ -165,4 +163,4 @@ def test_detections_do_not_affect_output():
 
 def test_empty_map_scores_zero():
     out = infra_features(*measure_args(ego_at_origin(), SceneMap()))
-    assert all(v == 0.0 for v in dataclasses.asdict(out).values())
+    assert all(v == 0.0 for v in out.values())

@@ -73,7 +73,7 @@ def assert_matches_reference(s, m, roi_radius):
     assert traffic.spatial_variance(det) == ref.spatial_variance(s, roi_radius)
     assert traffic.speed_diversity(tracks) == ref.speed_diversity(s, roi_radius)
 
-    mat = features.frame_matrix(features.assemble_frame_vectors(rec, index))
+    mat = features.assemble_frame_vectors(rec, index)
     assert np.array_equal(mat[:, :5], ref.frame_class_columns(s, roi_radius))
     return det
 

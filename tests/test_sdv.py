@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logcurator import sdv
+from logcurator import features, sdv
 from logcurator.scene import Lane, SceneMap, TrafficControl
 
 from support import (
@@ -226,20 +226,21 @@ class TestNudges:
 class TestFeatureBundle:
     def test_quiet_scene_all_zero_and_valid(self):
         m = SceneMap(lanes=(straight_lane(),))
-        out = sdv.sdv_features(*measure_args(straight_drive(), m))
-        assert out.valid
-        assert out.sdv_path == 0.0
-        assert out.lane_changes == 0.0
-        assert out.nudges == 0.0
+        args = measure_args(straight_drive(), m)
+        out = sdv.sdv_features(*args)
+        assert features.compute_snippet_features(*args)[0].valid
+        assert out["sdv_path"] == 0.0
+        assert out["lane_changes"] == 0.0
+        assert out["nudges"] == 0.0
 
     def test_off_map_drive_flagged_invalid(self):
         m = SceneMap(lanes=(straight_lane(),))
         s = straight_drive(y=50.0)
-        out = sdv.sdv_features(*measure_args(s, m))
+        out = features.compute_snippet_features(*measure_args(s, m))[0]
         assert not out.valid
 
     def test_empty_map_flagged_invalid(self):
         # with no drivable lanes nothing can sit within the matching gate,
         # so the snippet must come back unrankable rather than zero-scored
-        out = sdv.sdv_features(*measure_args(straight_drive(), SceneMap()))
+        out = features.compute_snippet_features(*measure_args(straight_drive(), SceneMap()))[0]
         assert not out.valid

@@ -261,8 +261,8 @@ def test_traffic_features_bundles_consistently():
     s = snippet_with(frames)
     rec, _, cfg = measure_args(s, roi_radius=75.0)
     out = traffic.traffic_features(rec, cfg)
-    assert out.crowd_static == 1.0
-    assert out.crowd_dynamic == 1.0
-    assert out.class_div == pytest.approx(2.0, abs=1e-12)
-    assert out.speed_div == pytest.approx(speed_diversity(s), abs=0)
-    assert out.dist_var == pytest.approx(spatial_variance(s), abs=0)
+    assert out["crowd_static"] == 1.0
+    assert out["crowd_dynamic"] == 1.0
+    assert out["class_div"] == pytest.approx(2.0, abs=1e-12)
+    assert out["speed_div"] == pytest.approx(speed_diversity(s), abs=0)
+    assert out["dist_var"] == pytest.approx(spatial_variance(s), abs=0)
