@@ -89,8 +89,10 @@ class SnippetArrays:
     ego: np.ndarray  # (T, 2) ego xy
     ego_path: geometry.Path  # ego xy without exactly repeated poses
     det: Detections  # gated at config.roi_radius
-    tracks: list  # build_track_paths(det)
-    ego_table: tuple  # index.project_to_lanes(ego, index.segments)
+    tracks: list  # build_track_paths(det); track i is det_track code i
+    path_dist: np.ndarray  # (D,) distance of each detection to ego_path
+    ego_table: tuple  # project_to_segments(ego, index.segments)
+    in_intersection: np.ndarray  # (I, T) ego inside each intersection polygon
     match: RouteMatch
 
 
@@ -162,28 +164,34 @@ def _ego_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
     """Read one snippet once: its ego arrays, its detections gated at
-    `config.roi_radius` and their tracks, the ego-to-lane table and the
-    route match."""
+    `config.roi_radius` and their tracks, each detection's distance to the
+    ego path, the ego-to-lane table, the ego's intersection containment and
+    the route match."""
     ego = np.ascontiguousarray(s.ego_pose[:, :2])
+    ego_path = geometry.Path.from_points(ego)
     det = traffic.detection_arrays(s, config.roi_radius)
-    ego_table = index.project_to_lanes(ego, index.segments)
+    ego_table = geometry.project_to_segments(ego, index.segments)
+    polys = index.intersection_polys
     return SnippetArrays(
         snippet=s,
         ego=ego,
-        ego_path=geometry.Path.from_points(ego),
+        ego_path=ego_path,
         det=det,
         tracks=traffic.build_track_paths(det),
+        path_dist=geometry.project_points_to_polyline(
+            s.det_center, ego_path.points, ego_path.arclength
+        )[0],
         ego_table=ego_table,
+        in_intersection=np.array(
+            [geometry.points_in_polygon(ego, poly) for poly in polys], dtype=bool
+        ).reshape(len(polys), len(ego)),
         match=sdv.match_route(ego_table, index, config),
     )
 
 
-def assemble_frame_vectors(rec: SnippetArrays, index: MapIndex) -> np.ndarray:
+def assemble_frame_vectors(rec: SnippetArrays) -> np.ndarray:
     """(T, FRAME_DIM) per-frame descriptors used by the diversity distance."""
     ego, s = rec.ego, rec.snippet
-    in_inter = np.zeros(len(ego), dtype=bool)
-    for poly in index.intersection_polys:
-        in_inter |= geometry.points_in_polygon(ego, poly)
     counts, term = traffic.class_counts(rec.det)  # columns follow DETECTION_CLASSES
     return np.column_stack(
         [
@@ -192,7 +200,7 @@ def assemble_frame_vectors(rec: SnippetArrays, index: MapIndex) -> np.ndarray:
             term,
             _ego_instant_curvature(ego, s.ego_pose[:, 2]),
             _ego_speeds(ego, s.timestamp),
-            in_inter,
+            rec.in_intersection.any(axis=0),
             s.geo,
         ]
     )
@@ -207,7 +215,7 @@ def compute_snippet_features(rec: SnippetArrays, index: MapIndex, config):
     row.update(sdv_features(rec, index, config))
     values = np.array([row[name] for name in SNIPPET_FEATURE_NAMES], dtype=float)
     vec = FeatureVector(rec.snippet.snippet_id, values, rec.match.valid)
-    return vec, assemble_frame_vectors(rec, index)
+    return vec, assemble_frame_vectors(rec)
 
 
 _WORKER_STATE: dict = {}

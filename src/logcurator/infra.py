@@ -19,8 +19,9 @@ if TYPE_CHECKING:
     from .features import SnippetArrays
 
 
-def _polygon_in_roi(poly: np.ndarray, ego: np.ndarray, radius: float) -> bool:
-    if np.any(geometry.points_in_polygon(ego, poly)):
+def _polygon_in_roi(inside: np.ndarray, poly: np.ndarray, ego: np.ndarray, radius: float) -> bool:
+    """`inside` is `geometry.points_in_polygon(ego, poly)`."""
+    if np.any(inside):
         return True
     ring = np.vstack([poly, poly[:1]])
     dist, _ = geometry.project_points_to_polyline(ego, ring)
@@ -45,13 +46,11 @@ def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
         "bike_crossing": float(cm[np.ix_(bike_in, lane_in)].sum()),
     }
 
-    row["at_intersection"] = 0.0
+    row["at_intersection"] = float(rec.in_intersection.any())
     roads = 0
     inter_lanes = 0
-    for inter, poly in zip(m.intersections, index.intersection_polys):
-        if np.any(geometry.points_in_polygon(ego, poly)):
-            row["at_intersection"] = 1.0
-        if _polygon_in_roi(poly, ego, roi_radius):
+    for inter, poly, inside in zip(m.intersections, index.intersection_polys, rec.in_intersection):
+        if _polygon_in_roi(inside, poly, ego, roi_radius):
             roads += inter.incoming_roads
             inter_lanes += sum(inter.lanes_per_road)
     row["intersection_roads"] = float(roads)
@@ -71,7 +70,9 @@ def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
     overlaps = 0
     vehicle_cols = np.flatnonzero(vehicle_in)
     for ci, poly in enumerate(index.crosswalk_polys):
-        if len(vehicle_cols) and _polygon_in_roi(poly, ego, roi_radius):
+        if len(vehicle_cols) and _polygon_in_roi(
+            geometry.points_in_polygon(ego, poly), poly, ego, roi_radius
+        ):
             overlaps += int(index.crosswalk_lane_hits[ci, vehicle_cols].sum())
     row["crosswalk_lane_overlaps"] = float(overlaps)
 

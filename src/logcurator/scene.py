@@ -763,10 +763,3 @@ class MapIndex:
     def lane_width(self, index: int, fallback: float) -> float:
         w = self.scene_map.lanes[index].width
         return fallback if w is None else w
-
-    def project_to_lanes(self, points: np.ndarray, table: geometry.SegmentTable) -> tuple:
-        """(lanes, N) distance and arc-position tables of every point against
-        every lane of `table`: `segments`, `vehicle_segments` or a
-        `segments.take(lanes)`. The only projection onto lane centerlines,
-        one kernel call over the table's lane slices."""
-        return geometry.project_to_segments(points, table)

@@ -46,7 +46,7 @@ def nearest_lane(dist: np.ndarray, arc: np.ndarray, lanes) -> tuple:
 
 def match_route(ego_table: tuple, index: MapIndex, config) -> RouteMatch:
     """Nearest vehicle lane per ego pose, read from the ego-to-every-lane
-    table `index.project_to_lanes(ego, index.segments)`."""
+    table `geometry.project_to_segments(ego, index.segments)`."""
     dist, arc = ego_table
     n = dist.shape[1]
     veh = index.vehicle_indices
@@ -161,46 +161,37 @@ def _entry_distances(index: MapIndex, conflict: list, cap: float = REACH_CAP) ->
 
 
 def interactions(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
-    """(near_static, near_dynamic, conflict_traversals, conflict_reachable)."""
-    match, tracks = rec.match, rec.tracks
-    path = rec.ego_path
-    near_static = 0
-    near_dynamic = 0
-    for t in tracks:
-        dist, _ = geometry.project_points_to_polyline(t.positions, path.points, path.arclength)
-        if float(np.min(dist)) < config.near_dist:
-            if t.is_static(config.static_speed):
-                near_static += 1
-            else:
-                near_dynamic += 1
+    """(near_static, near_dynamic, conflict_traversals, conflict_reachable).
 
-    conflict = _conflict_lanes(index, match.traversed)  # vehicle lanes only
+    Each is a count of tracks with some detection passing a per-detection
+    test: near the ego path, on a conflict lane, or able to reach a conflict
+    entry within the horizon. Each lane table takes one kernel call over the
+    detections it tests."""
+    s, tracks = rec.snippet, rec.tracks
+    code = s.det_track  # track i of rec.tracks is code i
+    n = len(tracks)
+    near = np.bincount(code[rec.path_dist < config.near_dist], minlength=n) > 0
+    static = np.array([t.is_static(config.static_speed) for t in tracks], dtype=bool)
+    near_static, near_dynamic = int(np.sum(near & static)), int(np.sum(near & ~static))
+
+    conflict = _conflict_lanes(index, rec.match.traversed)  # vehicle lanes only
     if not conflict:
         return near_static, near_dynamic, 0, 0
-    conflict_table = index.segments.take(conflict)
     half = np.array([0.5 * index.lane_width(li, config.lane_width_fallback) for li in conflict])
-    traversing = set()
-    vehicles = [t for t in tracks if t.label == "vehicle"]
-    for t in vehicles:
-        dist, _ = index.project_to_lanes(t.positions, conflict_table)
-        if bool(np.any(np.min(dist, axis=1) <= half)):
-            traversing.add(t.track_id)
+    vehicle = np.array([t.label == "vehicle" for t in tracks], dtype=bool)[code]
+    rows = np.flatnonzero(vehicle)
+    dist, _ = geometry.project_to_segments(s.det_center[rows], index.segments.take(conflict))
+    hit = np.any(dist <= half[:, None], axis=0)
+    traversing = np.bincount(code[rows[hit]], minlength=n) > 0
 
-    reachable = 0
     reach = _entry_distances(index, conflict)
-    for t in vehicles:
-        if t.track_id in traversing:
-            continue
-        dist, arc = index.project_to_lanes(t.positions, index.vehicle_segments)
-        lanes, lat, arc = nearest_lane(dist, arc, index.vehicle_indices)
-        ok = lat <= config.map_match_gate
-        dist_to_entry = np.where(
-            np.isfinite(reach[lanes]), np.maximum(reach[lanes] - arc, 0.0), np.inf
-        )
-        if bool(np.any(ok & (t.speeds * config.horizon >= dist_to_entry))):
-            reachable += 1
-
-    return near_static, near_dynamic, len(traversing), reachable
+    rows = np.flatnonzero(vehicle & ~traversing[code])
+    dist, arc = geometry.project_to_segments(s.det_center[rows], index.vehicle_segments)
+    lanes, lat, arc = nearest_lane(dist, arc, index.vehicle_indices)
+    dist_to_entry = np.where(np.isfinite(reach[lanes]), np.maximum(reach[lanes] - arc, 0.0), np.inf)
+    ok = (lat <= config.map_match_gate) & (s.det_speed[rows] * config.horizon >= dist_to_entry)
+    reachable = np.bincount(code[rows[ok]], minlength=n) > 0
+    return near_static, near_dynamic, int(np.sum(traversing)), int(np.sum(reachable))
 
 
 def detect_nudges(rec: "SnippetArrays", index: MapIndex, config) -> int:
@@ -226,7 +217,7 @@ def detect_nudges(rec: "SnippetArrays", index: MapIndex, config) -> int:
     )
     exceed = match.lateral > thresh
     min_bound_frames = config.nudge_min_bound_frames
-    path = rec.ego_path
+    det_frame = rec.snippet.det_frame
 
     count = 0
     t = 0
@@ -247,16 +238,9 @@ def detect_nudges(rec: "SnippetArrays", index: MapIndex, config) -> int:
             continue
         if np.any(exceed[end:post]) or np.any(match.assignments[end:post] != lane):
             continue
-        for tr in rec.tracks:
-            sel = (tr.frames >= start) & (tr.frames < end)
-            if not np.any(sel):
-                continue
-            dist, _ = geometry.project_points_to_polyline(
-                tr.positions[sel], path.points, path.arclength
-            )
-            if float(np.min(dist)) <= config.nudge_object_dist:
-                count += 1
-                break
+        during = (det_frame >= start) & (det_frame < end)
+        if np.any(rec.path_dist[during] <= config.nudge_object_dist):
+            count += 1
     return count
 
 

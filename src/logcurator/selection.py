@@ -173,15 +173,6 @@ def load_config(path: str) -> CurationConfig:
     return config_from_obj(read_json(path, ConfigError, "config"))
 
 
-def config_to_obj(cfg: CurationConfig):
-    obj = {name: getattr(cfg, name) for name in CONFIG_FIELDS}
-    obj["tasks"] = [
-        {"name": t.name, "weights": [float(v) for v in t.weights], "budget": t.budget}
-        for t in cfg.tasks
-    ]
-    return obj
-
-
 def scoring_fields(cfg: CurationConfig) -> dict:
     """The config fields a feature store was scored under, each as its
     annotated type: what `score` fingerprints and `curate --features` checks."""

@@ -40,7 +40,6 @@ class Detections:
 class TrackPath:
     track_id: str
     label: str
-    frames: np.ndarray  # (n,) frame offsets within the snippet
     positions: np.ndarray  # (n, 2)
     speeds: np.ndarray  # (n,)
     in_roi: np.ndarray  # (n,) bool
@@ -75,7 +74,6 @@ def build_track_paths(det: Detections) -> list:
         TrackPath(
             track_id=tid,
             label=DETECTION_CLASSES[s.det_label[rows[0]]],
-            frames=s.det_frame[rows],
             positions=s.det_center[rows],
             speeds=s.det_speed[rows],
             in_roi=det.in_roi[rows],

@@ -29,8 +29,8 @@ def snippet_vector(s, m):
 
 
 def frame_vectors(s, roi_radius=CFG.roi_radius):
-    rec, index, _ = measure_args(s, lane_map(), roi_radius=roi_radius)
-    return features.assemble_frame_vectors(rec, index)
+    rec, _, _ = measure_args(s, lane_map(), roi_radius=roi_radius)
+    return features.assemble_frame_vectors(rec)
 
 
 class TestSnippetVector:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference_measures as ref
-from logcurator import features, sdv, synthgen, traffic
+from logcurator import features, geometry, sdv, synthgen, traffic
 from logcurator.scene import DETECTION_CLASSES, MapIndex
 from logcurator.selection import CurationConfig
 
@@ -63,7 +63,6 @@ def assert_matches_reference(s, m, roi_radius):
     assert [t.track_id for t in tracks] == list(rows)
     for t, obs in zip(tracks, rows.values()):
         assert t.label == obs[0][3]
-        assert t.frames.tolist() == [r[0] for r in obs]
         assert t.positions.tolist() == [list(r[1]) for r in obs]
         assert t.speeds.tolist() == [r[2] for r in obs]
         assert t.in_roi.tolist() == [r[4] for r in obs]
@@ -73,7 +72,7 @@ def assert_matches_reference(s, m, roi_radius):
     assert traffic.spatial_variance(det) == ref.spatial_variance(s, roi_radius)
     assert traffic.speed_diversity(tracks) == ref.speed_diversity(s, roi_radius)
 
-    mat = features.assemble_frame_vectors(rec, index)
+    mat = features.assemble_frame_vectors(rec)
     assert np.array_equal(mat[:, :5], ref.frame_class_columns(s, roi_radius))
     return det
 
@@ -166,20 +165,20 @@ def test_scoring_projects_the_ego_onto_each_lane_once(monkeypatch):
     ego = ref.ego_xy(s)
     hits = [0] * len(index.lane_pts)
     # the lanes of each lane table of the index; an ego projection onto any
-    # other table fails the lookup
+    # other table (an intersection ring, say) projects onto no lane
     lanes_of = {
         id(index.segments): range(len(hits)),
         id(index.vehicle_segments): index.vehicle_indices,
     }
-    real = MapIndex.project_to_lanes
+    real = geometry.project_to_segments
 
-    def counting(self, points, table):
+    def counting(points, table):
         if np.array_equal(points, ego):
-            for li in lanes_of[id(table)]:
+            for li in lanes_of.get(id(table), ()):
                 hits[li] += 1
-        return real(self, points, table)
+        return real(points, table)
 
-    monkeypatch.setattr(MapIndex, "project_to_lanes", counting)
+    monkeypatch.setattr(geometry, "project_to_segments", counting)
     config = CurationConfig()
     features.compute_snippet_features(features.snippet_arrays(s, index, config), index, config)
     assert len(hits) > len(index.vehicle_indices) > 0

@@ -155,7 +155,7 @@ def test_project_to_lanes_matches_per_lane_copy(template):
     tables = [(range(n), index.segments), (index.vehicle_indices, index.vehicle_segments)]
     tables += [(lanes, index.segments.take(lanes)) for lanes in (rng.permutation(n), [n - 1, 0])]
     for lanes, table in tables:
-        dist, arc = index.project_to_lanes(pts, table)
+        dist, arc = geometry.project_to_segments(pts, table)
         for row, li in enumerate(lanes):
             want = ref.project_points_to_polyline(pts, index.lane_pts[li], index.lane_cumlen[li])
             assert np.array_equal(dist[row], want[0]) and np.array_equal(arc[row], want[1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logcurator import features, sdv
+from logcurator import features, geometry, sdv
 from logcurator.scene import Lane, SceneMap, TrafficControl
 
 from support import (
@@ -149,6 +149,13 @@ class TestInteractions:
         assert counts == sorted(counts)
         assert counts[0] == 0 and counts[-1] == 4
 
+    def test_track_exactly_at_near_dist_is_not_near(self):
+        m = SceneMap(lanes=(straight_lane(),))
+        dets = constant_detections([make_detection("p1", "vehicle", (5.0, 5.0), 0.0)], 60)
+        s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
+        assert sdv.interactions(*measure_args(s, m, near_dist=5.0)) == (0, 0, 0, 0)
+        assert sdv.interactions(*measure_args(s, m, near_dist=np.nextafter(5.0, 6.0)))[0] == 1
+
     def conflict_map(self):
         ew = straight_lane("ew")
         ns = vertical_lane("ns", y0=-20.0, y1=20.0)
@@ -175,6 +182,21 @@ class TestInteractions:
         # 20 m of feeder lane remain ahead of the waiting car
         assert sdv.interactions(*measure_args(s, m, horizon=1.0))[3] == 0
         assert sdv.interactions(*measure_args(s, m, horizon=5.0))[3] == 1
+
+    def test_conflict_lanes_without_vehicles(self):
+        # both lane tables are projected onto with no detection rows
+        s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)])
+        assert sdv.interactions(*measure_args(s, self.conflict_map())) == (0, 0, 0, 0)
+        # on foot, one crossing the conflict lane and one waiting on its feeder
+        dets = [
+            (
+                make_detection("cross", "pedestrian", (0.0, -20.0 + 0.7 * k), 7.0),
+                make_detection("wait", "pedestrian", (0.0, -40.0), 5.0),
+            )
+            for k in range(60)
+        ]
+        s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
+        assert sdv.interactions(*measure_args(s, self.conflict_map()))[2:] == (0, 0)
 
     def test_no_conflict_without_crossing_lanes(self):
         m = SceneMap(lanes=(straight_lane("a"), straight_lane("b", y=3.6)))
@@ -214,6 +236,23 @@ class TestNudges:
         s = drive([(-30.0 + 1.0 * k, ys[k]) for k in range(60)], detections=car)
         assert sdv.detect_nudges(*measure_args(s, m)) == 0
 
+    def test_object_exactly_at_nudge_object_dist_counts(self):
+        # 3 m above the excursion's 1.25 m offset, in exact binary fractions
+        m = SceneMap(lanes=(straight_lane(),))
+        car = constant_detections([make_detection("blk", "vehicle", (0.0, 4.25), 0.0)], 60)
+        s = self.excursion_drive(car, offset=1.25)
+        assert sdv.detect_nudges(*measure_args(s, m, nudge_object_dist=3.0)) == 1
+        assert sdv.detect_nudges(*measure_args(s, m, nudge_object_dist=np.nextafter(3.0, 0.0))) == 0
+
+    def test_object_close_only_outside_the_excursion(self):
+        # the excursion runs over frames 25..34
+        m = SceneMap(lanes=(straight_lane(),))
+        dets = [
+            (make_detection("blk", "vehicle", (0.0, 30.0 if 25 <= k < 35 else 0.3), 0.0),)
+            for k in range(60)
+        ]
+        assert sdv.detect_nudges(*measure_args(self.excursion_drive(dets), m)) == 0
+
     def test_lane_change_is_not_a_nudge(self):
         m = two_lane_map()
         car = constant_detections([make_detection("blk", "vehicle", (0.0, 0.3), 0.0)], 60)
@@ -221,6 +260,49 @@ class TestNudges:
         s = drive([(-30.0 + 1.0 * k, ys[k]) for k in range(60)], detections=car)
         assert sdv.detect_nudges(*measure_args(s, m)) == 0
         assert sdv.route_events(*measure_args(s, m))[0] == 1
+
+
+class TestKernelCalls:
+    MOVERS = (
+        ("blk", "vehicle", lambda k: (-13.0, 0.3), 0.0),  # the nudge object
+        ("cross", "vehicle", lambda k: (0.0, -20.0 + 0.7 * k), 7.0),
+        ("wait", "vehicle", lambda k: (0.0, -40.0), 5.0),
+        ("walk", "pedestrian", lambda k: (10.0, 8.0 - 0.2 * k), 2.0),
+        ("far", "vehicle", lambda k: (20.0, 40.0), 0.0),
+        ("bike", "bicyclist", lambda k: (-25.0 + 0.5 * k, 3.0), 5.0),
+        ("feed2", "vehicle", lambda k: (0.5, -55.0 + 0.1 * k), 1.0),
+        ("park", "vehicle", lambda k: (15.0, -2.5), 0.0),
+    )
+
+    def scored(self, n_tracks, monkeypatch):
+        """(project_to_segments calls, feature row) of one snippet with an
+        excursion over frames 12..21, on TestInteractions' conflict map."""
+        ys = [0.0] * 12 + [1.2] * 10 + [0.0] * 38
+        movers = self.MOVERS[:n_tracks]
+        dets = [
+            tuple(make_detection(tid, label, at(k), v) for tid, label, at, v in movers)
+            for k in range(60)
+        ]
+        s = drive([(-30.0 + 1.0 * k, ys[k]) for k in range(60)], detections=dets)
+        calls = []
+        real = geometry.project_to_segments
+
+        def counting(points, table):
+            calls.append(len(points))
+            return real(points, table)
+
+        monkeypatch.setattr(geometry, "project_to_segments", counting)
+        rec, index, cfg = measure_args(s, TestInteractions().conflict_map())
+        vec, _ = features.compute_snippet_features(rec, index, cfg)
+        return len(calls), dict(zip(features.SNIPPET_FEATURE_NAMES, vec.values))
+
+    def test_call_count_does_not_grow_with_tracks(self, monkeypatch):
+        one_calls, one = self.scored(1, monkeypatch)
+        eight_calls, eight = self.scored(8, monkeypatch)
+        assert one["nudges"] == eight["nudges"] == 1.0
+        assert eight["conflict_traversals"] == eight["conflict_reachable"] == 1.0
+        assert eight["near_path_static"] > one["near_path_static"] == 1.0
+        assert one_calls == eight_calls
 
 
 class TestFeatureBundle:
