@@ -2,8 +2,9 @@
 
 The entropy ranker scores a snippet by summing, over every frame and every
 (actor, timestep) forecast in it, the differential entropy of the predicted
-2D Gaussian. Both baselines honor the same non-overlap constraint as the
-curation phases and emit the shared result schema.
+2D Gaussian. Both baselines take their picks through `selection.walk`, the
+non-overlap walk of the challenging phase, and emit the shared result
+schema.
 """
 
 from dataclasses import dataclass
@@ -11,8 +12,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .scene import _column, _strings, canonical_dumps, read_header, write_atomic
-from .selection import AuditEntry, CurationResult, take_pick
+from .scene import _column, _strings, canonical_dumps, read_header, runs, write_atomic
+from .selection import AuditEntry, CurationResult, walk
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
 RECORD_FIELDS = ("snippet_id", "frame_index", "actor_id", "timestep", "mu", "cov")
@@ -85,9 +86,8 @@ def snippet_entropy(forecast: GaussianForecast) -> float:
         forecast.timestep,
         lambda i: f"snippet {forecast.snippet_id} frame {frame_index[i]}: ",
     ).tolist()
-    cuts = [0, *(np.flatnonzero(np.diff(frame_index)) + 1).tolist(), len(entropy)]
     total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in runs(frame_index):
         total += sum(entropy[a:b])
     return total
 
@@ -185,33 +185,15 @@ def load_forecasts(path: str) -> dict:
     }
 
 
-def _walk(order, adjacency, k, audit_maker):
-    picked = []
-    audit = []
-    alive = set(order)
-    for sid in order:
-        if len(picked) >= k:
-            break
-        if sid not in alive:
-            continue
-        eliminated = take_pick(sid, alive, adjacency)
-        audit.append(audit_maker(len(picked), sid, eliminated))
-        picked.append(sid)
-    return picked, audit
-
-
 def random_select(ids, adjacency, k: int, seed: int):
     """Seeded uniform walk over the pool, skipping overlaps, until k picks."""
     ordered = sorted(ids)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))
     order = [ordered[i] for i in perm]
-    return _walk(
-        order,
-        adjacency,
-        k,
-        lambda i, sid, elim: AuditEntry("baseline", i, "rn", sid, None, elim),
-    )
+    steps = walk({"rn": iter(order)}, {"rn": k}, set(order), adjacency)
+    audit = [AuditEntry("baseline", i, tag, sid, None, elim) for i, tag, sid, elim in steps]
+    return [e.snippet_id for e in audit], audit
 
 
 def al_select(ids, forecasts: dict, adjacency, k: int):
@@ -222,12 +204,9 @@ def al_select(ids, forecasts: dict, adjacency, k: int):
         raise ForecastError(f"no forecasts for snippet(s): {', '.join(missing[:8])}")
     scores = {sid: snippet_entropy(forecasts[sid]) for sid in ordered}
     order = sorted(ordered, key=lambda sid: (-scores[sid], sid))
-    return _walk(
-        order,
-        adjacency,
-        k,
-        lambda i, sid, elim: AuditEntry("baseline", i, "al", sid, scores[sid], elim),
-    )
+    steps = walk({"al": iter(order)}, {"al": k}, set(order), adjacency)
+    audit = [AuditEntry("baseline", i, tag, sid, scores[sid], elim) for i, tag, sid, elim in steps]
+    return [e.snippet_id for e in audit], audit
 
 
 def baseline_result(method: str, k: int, picked, audit, seed: int) -> CurationResult:

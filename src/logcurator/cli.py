@@ -109,7 +109,7 @@ def score(pool_path, out_dir, config_path, jobs):
     cfg = selection.load_config(config_path) if config_path else selection.CurationConfig()
     pool = load_pool(pool_path)
     bundle = features.score_pool(pool, cfg, _resolve_jobs(jobs))
-    provenance = features.pool_provenance(pool_path, pool, selection.scoring_fields(cfg))
+    provenance = features.pool_provenance(pool, selection.scoring_fields(cfg))
     features.write_features(out_dir, bundle, provenance)
     n_valid = int(np.count_nonzero(bundle.valid))
     click.echo(f"scored {len(bundle.ids)} snippet(s) ({n_valid} rankable) into {out_dir}")

@@ -270,16 +270,17 @@ def _stats_to_obj(stats: NormalizationStats):
     }
 
 
-def pool_provenance(pool_path: str, pool: SnippetPool, scoring: dict) -> dict:
-    """The fingerprint of a scored pool: the sha256 of the pool file and of
-    its map sidecar, the map name and snippet length, the scoring config
-    fields, and one [snippet_id, log_id, frame_range] row per snippet."""
+def pool_provenance(pool: SnippetPool, scoring: dict) -> dict:
+    """The fingerprint of a scored pool: the sha256 of the pool and map
+    bytes `load_pool` parsed, the map name and snippet length, the scoring
+    config fields, and one [snippet_id, log_id, frame_range] row per
+    snippet."""
     return {
         "kind": "store_provenance",
         "schema_version": 1,
-        "pool_sha256": file_sha256(pool_path, "pool file"),
+        "pool_sha256": pool.pool_sha256,
         "map_name": pool.map_name,
-        "map_sha256": file_sha256(sidecar_path(pool_path, pool.map_name), "map file"),
+        "map_sha256": pool.map_sha256,
         "snippet_length": pool.snippet_length,
         "config": scoring,
         "snippets": [

@@ -141,6 +141,8 @@ class SnippetPool:
     scene_map: SceneMap
     snippet_length: int
     map_name: str = "scene.map.json"
+    pool_sha256: str | None = None  # of the pool bytes `load_pool` parsed
+    map_sha256: str | None = None  # of the map bytes it parsed
 
 
 def snippets_overlap(a: Snippet, b: Snippet) -> bool:
@@ -151,6 +153,14 @@ def snippets_overlap(a: Snippet, b: Snippet) -> bool:
     if a.log_id != b.log_id:
         return False
     return a.frame_range[0] <= b.frame_range[1] and b.frame_range[0] <= a.frame_range[1]
+
+
+def runs(keys) -> list:
+    """(start, end) of each maximal run of equal consecutive values of
+    column `keys`, end exclusive; an empty column has none."""
+    keys = np.asarray(keys)
+    starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()] if len(keys) else []
+    return list(zip(starts, [*starts[1:], len(keys)]))
 
 
 def canonical_dumps(obj) -> str:
@@ -182,24 +192,25 @@ def _parse(text: str, error, problem: str):
 _scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads runs
 
 
-def read_json(path: str, error, what: str, lines: bool = False):
+def read_json(path: str, error, what: str, lines: bool = False, digest=None):
     """The one reader of every input file: file `path` parsed as one JSON
     value or, with `lines`, as NDJSON: then its header record and the rest
     of `read_rows`. A file that cannot be read, is empty, or holds bytes
     that are not UTF-8 or text that is not JSON (nested too deep included)
-    raises `error` naming `what`, the path and the line."""
+    raises `error` naming `what`, the path and the line. A `digest` (a
+    hashlib object) is updated with the bytes that are parsed."""
     if lines:
-        rows = read_rows(path, error, what)
+        rows = read_rows(path, error, what, digest)
         return next(rows)[1], rows
-    return _parse(_read_text(path, error, what), error, f"{what} {path} is not valid JSON")
+    return _parse(_read_text(path, error, what, digest), error, f"{what} {path} is not valid JSON")
 
 
-def read_rows(path: str, error, what: str):
+def read_rows(path: str, error, what: str, digest=None):
     """(line, record) for every nonblank line of NDJSON file `path`, header
     first. Rows are split at "\n" only (a trailing "\r" is dropped), and a
     line is its line in the file, blank lines counted."""
     empty = True
-    for n, row in enumerate(_read_text(path, error, what).split("\n"), start=1):
+    for n, row in enumerate(_read_text(path, error, what, digest).split("\n"), start=1):
         row = row.removesuffix("\r")
         if not row.strip(" \t\r"):  # blank: JSON whitespace only
             continue
@@ -219,12 +230,12 @@ def read_rows(path: str, error, what: str):
         raise error(f"{what} {path} is empty")
 
 
-def read_header(path: str, error, what: str, kind: str, integers=()) -> tuple:
+def read_header(path: str, error, what: str, kind: str, integers=(), digest=None) -> tuple:
     """NDJSON file `path` as (where, header, values, rows): its header
     record, which must be a `kind` object of schema_version 1; `where`,
     naming the file and the header's line; the header's `integers` fields,
     each by the number rule; and the rest of `read_rows`."""
-    rows = read_rows(path, error, what)
+    rows = read_rows(path, error, what, digest)
     line, header = next(rows)
     where = f"{what} {path} line {line}"
     if not isinstance(header, dict) or header.get("kind") != kind:
@@ -242,10 +253,12 @@ def read_header(path: str, error, what: str, kind: str, integers=()) -> tuple:
     return where, header, values, rows
 
 
-def _read_text(path: str, error, what: str) -> str:
+def _read_text(path: str, error, what: str, digest=None) -> str:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
+        if digest is not None:
+            digest.update(data)
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
@@ -609,8 +622,8 @@ def save_map(m: SceneMap, path: str) -> None:
     write_atomic(path, canonical_dumps(map_to_obj(m)) + "\n")
 
 
-def load_map(path: str) -> SceneMap:
-    obj = read_json(path, PoolFormatError, "map file")
+def load_map(path: str, digest=None) -> SceneMap:
+    obj = read_json(path, PoolFormatError, "map file", digest=digest)
     try:
         m = map_from_obj(obj)
     except (TypeError, ValueError, OverflowError) as exc:  # PoolFormatError included
@@ -657,9 +670,11 @@ def save_pool(pool: SnippetPool, path: str) -> None:
 
 def load_pool(path: str) -> SnippetPool:
     """Parse and validate a pool file; raises on the first malformed record
-    or, after a full pass, on any accumulated validation findings."""
+    or, after a full pass, on any accumulated validation findings. The
+    pool carries the sha256 of the pool and map bytes it parsed."""
+    pool_digest, map_digest = hashlib.sha256(), hashlib.sha256()
     where, header, (snippet_length,), rows = read_header(
-        path, PoolFormatError, "pool file", "pool_header", ("snippet_length",)
+        path, PoolFormatError, "pool file", "pool_header", ("snippet_length",), pool_digest
     )
     try:
         map_name = _string(header["map_path"], "map_path")
@@ -669,7 +684,7 @@ def load_pool(path: str) -> SnippetPool:
         raise PoolFormatError(f"{where}: malformed header field: {exc}") from exc
     if snippet_length < 1:
         raise PoolFormatError(f"{where}: snippet_length {snippet_length} is below 1")
-    scene_map = load_map(sidecar_path(path, map_name))
+    scene_map = load_map(sidecar_path(path, map_name), map_digest)
 
     snippets = []
     for lineno, obj in rows:
@@ -693,7 +708,8 @@ def load_pool(path: str) -> SnippetPool:
         findings.extend(validate_snippet(s).findings)
     if findings:
         raise PoolValidationError(findings, f"pool file {path}")
-    return SnippetPool(tuple(snippets), scene_map, snippet_length, map_name=map_name)
+    digests = pool_digest.hexdigest(), map_digest.hexdigest()
+    return SnippetPool(tuple(snippets), scene_map, snippet_length, map_name, *digests)
 
 
 class MapIndex:
@@ -706,7 +722,7 @@ class MapIndex:
     def __init__(self, scene_map: SceneMap):
         self.scene_map = scene_map
         self.lane_ids = [l.lane_id for l in scene_map.lanes]
-        self.id_to_index = {lid: i for i, lid in enumerate(self.lane_ids)}
+        id_to_index = {lid: i for i, lid in enumerate(self.lane_ids)}
         self.lane_pts = []
         self.lane_cumlen = []
         for lane in scene_map.lanes:
@@ -719,9 +735,8 @@ class MapIndex:
         self.lane_is_bike = np.array([l.is_bike_lane for l in scene_map.lanes], dtype=bool)
         self.vehicle_indices = [i for i, b in enumerate(self.lane_is_bike) if not b]
         self.vehicle_segments = self.segments.take(self.vehicle_indices)
-        self.bike_indices = [i for i, b in enumerate(self.lane_is_bike) if b]
         self.successor_indices = [
-            [self.id_to_index[s] for s in lane.successors if s in self.id_to_index]
+            [id_to_index[s] for s in lane.successors if s in id_to_index]
             for lane in scene_map.lanes
         ]
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import geometry
-from .scene import MapIndex
+from .scene import MapIndex, runs
 
 if TYPE_CHECKING:
     from .features import SnippetArrays
@@ -30,7 +30,6 @@ REACH_CAP = 500.0
 class RouteMatch:
     assignments: np.ndarray  # (T,) lane index, -1 when the map has no vehicle lanes
     lateral: np.ndarray  # (T,) distance to the assigned centerline
-    arc: np.ndarray  # (T,) arc position along the assigned lane
     frac_matched: float
     valid: bool
     runs: tuple  # ((lane_index, start, end_exclusive), ...)
@@ -51,29 +50,13 @@ def match_route(ego_table: tuple, index: MapIndex, config) -> RouteMatch:
     n = dist.shape[1]
     veh = index.vehicle_indices
     if not veh:
-        return RouteMatch(
-            np.full(n, -1, dtype=int),
-            np.full(n, np.inf),
-            np.zeros(n),
-            0.0,
-            False,
-            (),
-            (),
-        )
-    assignments, lateral, arc = nearest_lane(dist[veh], arc[veh], veh)
+        return RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), 0.0, False, (), ())
+    assignments, lateral, _ = nearest_lane(dist[veh], arc[veh], veh)
     frac = float(np.mean(lateral <= config.map_match_gate))
-    runs = []
-    start = 0
-    for t in range(1, n + 1):
-        if t == n or assignments[t] != assignments[start]:
-            runs.append((int(assignments[start]), start, t))
-            start = t
-    traversed = []
-    for lane_idx, _, _ in runs:
-        if lane_idx not in traversed:
-            traversed.append(lane_idx)
+    lane_runs = tuple((int(assignments[a]), a, b) for a, b in runs(assignments))
+    traversed = tuple(dict.fromkeys(lane for lane, _, _ in lane_runs))
     valid = frac >= config.map_match_min_frac
-    return RouteMatch(assignments, lateral, arc, frac, valid, tuple(runs), tuple(traversed))
+    return RouteMatch(assignments, lateral, frac, valid, lane_runs, traversed)
 
 
 def sdv_path_complexity(rec: "SnippetArrays", config) -> float:
@@ -205,8 +188,6 @@ def detect_nudges(rec: "SnippetArrays", index: MapIndex, config) -> int:
     """
     match = rec.match
     n = len(match.assignments)
-    if n == 0:
-        return 0
     half_ego = 0.5 * config.ego_width
     fallback = config.lane_width_fallback
     thresh = np.array(
@@ -216,27 +197,17 @@ def detect_nudges(rec: "SnippetArrays", index: MapIndex, config) -> int:
         ]
     )
     exceed = match.lateral > thresh
-    min_bound_frames = config.nudge_min_bound_frames
+    key = np.where(exceed, match.assignments, -2)  # -2: in lane
+    bound = config.nudge_min_bound_frames
     det_frame = rec.snippet.det_frame
 
     count = 0
-    t = 0
-    while t < n:
-        if not exceed[t]:
-            t += 1
+    for start, end in runs(key):
+        lane = key[start]
+        if lane == -2 or start - bound < 0 or end + bound > n:
             continue
-        start = t
-        lane = match.assignments[start]
-        while t < n and exceed[t] and match.assignments[t] == lane:
-            t += 1
-        end = t
-        pre = start - min_bound_frames
-        post = end + min_bound_frames
-        if pre < 0 or post > n:
-            continue
-        if np.any(exceed[pre:start]) or np.any(match.assignments[pre:start] != lane):
-            continue
-        if np.any(exceed[end:post]) or np.any(match.assignments[end:post] != lane):
+        edges = np.r_[start - bound : start, end : end + bound]
+        if np.any(exceed[edges]) or np.any(match.assignments[edges] != lane):
             continue
         during = (det_frame >= start) & (det_frame < end)
         if np.any(rec.path_dist[during] <= config.nudge_object_dist):

@@ -339,15 +339,35 @@ def take_pick(pick, alive: set, adjacency) -> tuple:
     return eliminated
 
 
+def walk(orders: dict, budgets: dict, alive: set, adjacency) -> list:
+    """The one pick walk of the challenging phase and both baselines. In
+    each round, every named order with budget left takes its first snippet
+    still in `alive`, and `take_pick` drops it and all it overlaps. Each
+    order is an iterator over every snippet in `alive`, so a round resumes
+    where the last one stopped. The walk stops when no budget or no alive
+    snippet is left; it returns (round, name, pick, eliminated) per pick."""
+    left = dict(budgets)
+    steps = []
+    rnd = 0
+    while alive and any(n > 0 for n in left.values()):
+        for name, order in orders.items():
+            if left[name] > 0 and alive:
+                pick = next(sid for sid in order if sid in alive)
+                steps.append((rnd, name, pick, take_pick(pick, alive, adjacency)))
+                left[name] -= 1
+        rnd += 1
+    return steps
+
+
 def select_challenging(ids, matrix, valid, tasks, adjacency):
     """Greedy round-robin task picks; returns (per-task id lists, audit).
 
     A task's scores do not change between rounds, so each task ranks the
     rankable snippets once by (-score, id), a NaN score first as `np.argmax`
-    would take it, and each round takes the first one still alive."""
+    would take it, and `walk` takes each round's first one still alive."""
     alive = {sid for sid, ok in zip(ids, valid) if ok}
     index_of = {sid: i for i, sid in enumerate(ids)}
-    ranked = {}
+    scores, orders, budgets = {}, {}, {}
     for t in tasks:
         if t.budget > 0:
             score = {sid: float(matrix[index_of[sid]] @ t.weights) for sid in alive}
@@ -356,28 +376,13 @@ def select_challenging(ids, matrix, valid, tasks, adjacency):
                 s = score[sid]
                 return (0, 0.0, sid) if math.isnan(s) else (1, -s, sid)
 
-            ranked[t.name] = (iter(sorted(alive, key=rank)), score)
+            scores[t.name], orders[t.name] = score, iter(sorted(alive, key=rank))
+            budgets[t.name] = t.budget
     picked = {t.name: [] for t in tasks}
     audit = []
-    remaining = {t.name: t.budget for t in tasks}
-    iteration = 0
-    while any(remaining[t.name] > 0 for t in tasks) and alive:
-        progressed = False
-        for t in tasks:
-            if remaining[t.name] <= 0 or not alive:
-                continue
-            order, score = ranked[t.name]
-            pick = next(sid for sid in order if sid in alive)
-            eliminated = take_pick(pick, alive, adjacency)
-            picked[t.name].append(pick)
-            remaining[t.name] -= 1
-            audit.append(
-                AuditEntry("challenging", iteration, t.name, pick, score[pick], eliminated)
-            )
-            progressed = True
-        if not progressed:
-            break
-        iteration += 1
+    for rnd, name, pick, eliminated in walk(orders, budgets, alive, adjacency):
+        picked[name].append(pick)
+        audit.append(AuditEntry("challenging", rnd, name, pick, scores[name][pick], eliminated))
     return picked, audit
 
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import geometry
-from .scene import DETECTION_CLASSES, Snippet
+from .scene import DETECTION_CLASSES, Snippet, runs
 
 if TYPE_CHECKING:
     from .features import SnippetArrays
@@ -69,7 +69,7 @@ def build_track_paths(det: Detections) -> list:
     observations in frame order and the label of its first one."""
     s = det.snippet
     order = np.argsort(s.det_track, kind="stable")
-    splits = np.flatnonzero(np.diff(s.det_track[order])) + 1
+    groups = (order[a:b] for a, b in runs(s.det_track[order]))
     return [
         TrackPath(
             track_id=tid,
@@ -78,7 +78,7 @@ def build_track_paths(det: Detections) -> list:
             speeds=s.det_speed[rows],
             in_roi=det.in_roi[rows],
         )
-        for tid, rows in zip(s.track_ids, np.split(order, splits))
+        for tid, rows in zip(s.track_ids, groups)
     ]
 
 

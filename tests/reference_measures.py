@@ -9,10 +9,11 @@ time, through the einsum `project_points_to_polyline` copied here: the ROI
 lane gate and the ego route match each project the ego onto every lane, the
 traversal check projects each vehicle track onto every conflict lane and the
 reachability check onto every vehicle lane. `validate_snippet` is the
-per-frame validation loop. The library computes the same values as
-reductions and predicates over the flat columns and one call of its
-segment-table kernel per point set; the equivalence tests compare the two
-bit for bit, and the validation findings item for item.
+per-frame validation loop, and `detect_nudges` the frame loop that scans
+for excursions. The library computes the same values as reductions and
+predicates over the flat columns, runs of equal values (`scene.runs`) and
+one call of its segment-table kernel per point set; the equivalence tests
+compare the two bit for bit, and the validation findings item for item.
 
 `select_challenging` and `select_diverse` are the selection phases that
 rescore every alive candidate each round and update every cached
@@ -24,7 +25,9 @@ with `==`.
 baseline as it held one frozen `ForecastEntry` per record in a dict of
 frames; the library streams the records into flat columns and scores each
 snippet in one array pass, and the tests compare loaded rows, scores, picks
-and audit entries with `==`.
+and audit entries with `==`. `_walk` is the baselines' own non-overlap
+walk, and `random_select` and `al_select` run it; the library's baselines
+share `selection.walk` with the challenging phase.
 """
 
 from collections import namedtuple
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from logcurator import geometry, sdv
-from logcurator.baselines import LOG_2PI_E, ForecastError, _walk
+from logcurator.baselines import LOG_2PI_E, ForecastError
 from logcurator.geometry import cumulative_arclength
 from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport, read_json
 from logcurator.selection import AuditEntry, dissimilarity, take_pick
@@ -302,10 +305,8 @@ def match_route(s, index, gate=sdv.MAP_MATCH_GATE, min_frac=sdv.MAP_MATCH_MIN_FR
     ego = ego_xy(s)
     n = len(ego)
     if not index.vehicle_indices:
-        return sdv.RouteMatch(
-            np.full(n, -1, dtype=int), np.full(n, np.inf), np.zeros(n), 0.0, False, (), ()
-        )
-    assignments, lateral, arc = _nearest_vehicle_lane(index, ego)
+        return sdv.RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), 0.0, False, (), ())
+    assignments, lateral, _ = _nearest_vehicle_lane(index, ego)
     frac = float(np.mean(lateral <= gate))
     runs = []
     start = 0
@@ -318,7 +319,7 @@ def match_route(s, index, gate=sdv.MAP_MATCH_GATE, min_frac=sdv.MAP_MATCH_MIN_FR
         if lane_idx not in traversed:
             traversed.append(lane_idx)
     return sdv.RouteMatch(
-        assignments, lateral, arc, frac, frac >= min_frac, tuple(runs), tuple(traversed)
+        assignments, lateral, frac, frac >= min_frac, tuple(runs), tuple(traversed)
     )
 
 
@@ -372,6 +373,50 @@ def interactions(
             if bool(np.any(ok & (t.speeds * horizon >= dist_to_entry))):
                 reachable += 1
     return near_static, near_dynamic, len(traversing), reachable
+
+
+def detect_nudges(rec, index, config):
+    """Count lateral in-lane excursions around a nearby object, by the
+    frame loop the library first ran."""
+    match = rec.match
+    n = len(match.assignments)
+    if n == 0:
+        return 0
+    half_ego = 0.5 * config.ego_width
+    fallback = config.lane_width_fallback
+    thresh = np.array(
+        [
+            0.5 * index.lane_width(li, fallback) - half_ego if li >= 0 else np.inf
+            for li in match.assignments
+        ]
+    )
+    exceed = match.lateral > thresh
+    min_bound_frames = config.nudge_min_bound_frames
+    det_frame = rec.snippet.det_frame
+
+    count = 0
+    t = 0
+    while t < n:
+        if not exceed[t]:
+            t += 1
+            continue
+        start = t
+        lane = match.assignments[start]
+        while t < n and exceed[t] and match.assignments[t] == lane:
+            t += 1
+        end = t
+        pre = start - min_bound_frames
+        post = end + min_bound_frames
+        if pre < 0 or post > n:
+            continue
+        if np.any(exceed[pre:start]) or np.any(match.assignments[pre:start] != lane):
+            continue
+        if np.any(exceed[end:post]) or np.any(match.assignments[end:post] != lane):
+            continue
+        during = (det_frame >= start) & (det_frame < end)
+        if np.any(rec.path_dist[during] <= config.nudge_object_dist):
+            count += 1
+    return count
 
 
 # The selection phases as the library first ran them, verbatim.
@@ -538,6 +583,38 @@ def load_forecasts(path: str) -> dict:
         )
         for sid, frames in frames_by_snippet.items()
     }
+
+
+# The baseline walk as the library first ran it, verbatim.
+
+
+def _walk(order, adjacency, k, audit_maker):
+    picked = []
+    audit = []
+    alive = set(order)
+    for sid in order:
+        if len(picked) >= k:
+            break
+        if sid not in alive:
+            continue
+        eliminated = take_pick(sid, alive, adjacency)
+        audit.append(audit_maker(len(picked), sid, eliminated))
+        picked.append(sid)
+    return picked, audit
+
+
+def random_select(ids, adjacency, k: int, seed: int):
+    """Seeded uniform walk over the pool, skipping overlaps, until k picks."""
+    ordered = sorted(ids)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(ordered))
+    order = [ordered[i] for i in perm]
+    return _walk(
+        order,
+        adjacency,
+        k,
+        lambda i, sid, elim: AuditEntry("baseline", i, "rn", sid, None, elim),
+    )
 
 
 def al_select(ids, forecasts: dict, adjacency, k: int):

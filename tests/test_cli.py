@@ -321,6 +321,25 @@ class TestCurate:
         err = self.stale_store_error(capsys, workspace, tmp_path, move_a_lane)
         assert "scene.map.json changed" in err
 
+    def test_pool_replaced_during_scoring_is_stale(self, capsys, workspace, tmp_path, monkeypatch):
+        """`score` fingerprints the bytes it parsed, not the file it finds
+        afterwards: a pool with the same ids copied over the scored one
+        while scoring runs leaves a stale store."""
+        other = str(tmp_path / "other" / "pool.jsonl")
+        synth = ["synth", "--template", "straight_road", "--plan", "cruise"]
+        synth += ["--snippets", "4", "--frames", "40", "--seed", "9", "--jitter", "--out", other]
+        assert run(capsys, *synth)[0] == 0
+        score_pool = features.score_pool
+
+        def score_then_replace(*args, **kwargs):
+            bundle = score_pool(*args, **kwargs)
+            shutil.copy(other, tmp_path / "w" / "pool.jsonl")
+            return bundle
+
+        monkeypatch.setattr(features, "score_pool", score_then_replace)
+        err = self.stale_store_error(capsys, workspace, tmp_path, lambda root: None)
+        assert "does not cover the pool" in err
+
     def test_store_without_provenance_is_stale(self, capsys, workspace, tmp_path):
         def drop_provenance(root):
             os.remove(root / "feats" / "provenance.json")

@@ -1,13 +1,16 @@
-"""The array-based traffic, frame and lane measures against their loop references.
+"""The array-based traffic, frame, lane and nudge measures against their loop references.
 
 Every comparison is exact (`==`): the measures must keep the float order of
 the per-detection and per-lane loops, not merely approximate them.
 """
 
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_measures as ref
 from logcurator import features, geometry, sdv, synthgen, traffic
@@ -183,3 +186,64 @@ def test_scoring_projects_the_ego_onto_each_lane_once(monkeypatch):
     features.compute_snippet_features(features.snippet_arrays(s, index, config), index, config)
     assert len(hits) > len(index.vehicle_indices) > 0
     assert hits == [1] * len(index.lane_pts)
+
+
+# lane widths: thresholds 0.5, 1.0 and (fallback 3.6) 0.8 with a 2 m ego
+NUDGE_WIDTHS = {0: 3.0, 1: 4.0, 2: None}
+LATERALS = (0.0, 0.5, np.nextafter(0.5, 1.0), 0.8, np.nextafter(0.8, 1.0), 1.0, 1.2, 3.0)
+OBJECT_DISTS = (1.0, 5.0, np.nextafter(5.0, 6.0), 9.0)
+
+
+@st.composite
+def nudge_cases(draw):
+    """(assignments, lateral, bound frames, det_frame, path_dist): lane runs
+    with lane changes (-1 is no lane), laterals at and around each lane's
+    threshold, and detections at distances around `nudge_object_dist`."""
+    spans = draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1, 2]), st.integers(1, 8)), max_size=6))
+    assignments = [lane for lane, n in spans for _ in range(n)]
+    n = len(assignments)
+    lateral = draw(st.lists(st.sampled_from(LATERALS), min_size=n, max_size=n))
+    det_frame = sorted(draw(st.lists(st.integers(0, n - 1), max_size=12))) if n else []
+    size = len(det_frame)
+    path_dist = draw(st.lists(st.sampled_from(OBJECT_DISTS), min_size=size, max_size=size))
+    return assignments, lateral, draw(st.integers(0, 4)), det_frame, path_dist
+
+
+def nudge_args(case):
+    """(record, index, config) of `detect_nudges` for one case."""
+    assignments, lateral, bound, det_frame, path_dist = case
+    match = sdv.RouteMatch(
+        np.array(assignments, dtype=int), np.array(lateral, dtype=float), 1.0, True, (), ()
+    )
+    rec = SimpleNamespace(
+        match=match,
+        snippet=SimpleNamespace(det_frame=np.array(det_frame, dtype=int)),
+        path_dist=np.array(path_dist, dtype=float),
+    )
+    index = SimpleNamespace(
+        lane_width=lambda li, fallback: fallback if NUDGE_WIDTHS[li] is None else NUDGE_WIDTHS[li]
+    )
+    return rec, index, CurationConfig(nudge_min_bound_frames=bound)
+
+
+# an excursion at each snippet edge and one bounded excursion in between
+EDGES = ([0] * 12, [1.0, 0, 0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 1.0], 2, [0, 3, 11], [1.0] * 3)
+# back-to-back excursions on two lanes, bounded by in-lane frames on each
+TWO_LANES = ([0] * 5 + [1] * 5, [0, 0, 0, 1.2, 1.2, 1.2, 1.2, 0, 0, 0], 2, [3, 5], [1.0] * 2)
+
+
+@pytest.mark.parametrize(
+    "case,count",
+    [(EDGES, 1), (TWO_LANES, 0), (TWO_LANES[:2] + (0,) + TWO_LANES[3:], 2)],
+)
+def test_nudge_edge_and_back_to_back_excursions(case, count):
+    assert sdv.detect_nudges(*nudge_args(case)) == count
+
+
+@example(case=EDGES)
+@example(case=TWO_LANES)
+@settings(max_examples=400, deadline=None)
+@given(case=nudge_cases())
+def test_nudges_match_frame_loop(case):
+    args = nudge_args(case)
+    assert sdv.detect_nudges(*args) == ref.detect_nudges(*args)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 
@@ -114,6 +116,30 @@ class TestOverlap:
         b = snip("b", "L", b0, b0 + blen)
         assert scene.snippets_overlap(a, b) == scene.snippets_overlap(b, a)
         assert scene.snippets_overlap(a, a)
+
+
+class TestRuns:
+    def test_empty_column_has_no_runs(self):
+        assert scene.runs(np.array([], dtype=int)) == []
+
+    def test_constant_column_is_one_run(self):
+        assert scene.runs(np.full(5, 7)) == [(0, 5)]
+
+    def test_alternating_column_is_one_run_per_value(self):
+        assert scene.runs(np.array([1, 2, 1, 2])) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def test_boolean_column(self):
+        keys = np.array([True, True, False, True])
+        assert scene.runs(keys) == [(0, 2), (2, 3), (3, 4)]
+
+    @given(st.lists(st.integers(-2, 2), max_size=30))
+    def test_matches_groupby(self, values):
+        spans, at = [], 0
+        for _, group in itertools.groupby(values):
+            n = len(list(group))
+            spans.append((at, at + n))
+            at += n
+        assert scene.runs(np.array(values, dtype=int)) == spans
 
 
 class TestValidation:
@@ -234,6 +260,12 @@ class TestRoundTrip:
             ).read_bytes(), name
         with open(GOLDEN_POOL, "rb") as fh:
             assert (tmp_path / "golden" / "pool.ndjson").read_bytes() == fh.read()
+
+    def test_pool_carries_the_digests_of_the_bytes_it_parsed(self, tmp_path):
+        scene.save_pool(build_pool(), str(tmp_path / "pool.ndjson"))
+        loaded = scene.load_pool(str(tmp_path / "pool.ndjson"))
+        for name, digest in (("pool.ndjson", loaded.pool_sha256), ("scene.map.json", loaded.map_sha256)):
+            assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest(), name
 
     def test_loaded_values_match(self, tmp_path):
         pool = build_pool()

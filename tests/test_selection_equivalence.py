@@ -1,20 +1,21 @@
-"""The ranked challenging phase and the lazy diverse phase against the
-selection loops they replace.
+"""The ranked challenging phase, the lazy diverse phase and both baselines
+against the selection loops they replace.
 
 Every comparison is exact (`==` on picks and audit entries): the lazy
 diverse phase must make the same picks with the same values as updating
-every cached min-distance against every new pick, and the ranked
-challenging phase the same as rescoring every alive candidate each round.
+every cached min-distance against every new pick, the ranked challenging
+phase the same as rescoring every alive candidate each round, and the
+baselines on `selection.walk` the same as their own walk.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_measures as ref
-from logcurator import selection, synthgen
+from logcurator import baselines, selection, synthgen
 from logcurator.features import score_pool
 from logcurator.selection import (
     TaskConfig,
@@ -146,6 +147,45 @@ def test_challenging_nan_scores_rank_first_like_argmax():
     ref_picked, ref_audit = ref.select_challenging(*args)
     assert picked == ref_picked == {"t": ["s1", "s3", "s2", "s0", "s4"]}
     assert repr(audit) == repr(ref_audit)
+
+
+# s0 and s1 overlap, and so do s1 and s2
+CHAIN = (
+    ["s2", "s0", "s1", "s3"],
+    [True] * 4,
+    {"s0": {"s1"}, "s1": {"s0", "s2"}, "s2": {"s1"}, "s3": set()},
+)
+
+
+@example(pool=CHAIN, k=0, seed=0)
+@example(pool=CHAIN, k=9, seed=0)
+@settings(max_examples=300)
+@given(pool=pools(), k=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_random_baseline_matches_its_walk(pool, k, seed):
+    ids, _, adjacency = pool
+    assert baselines.random_select(ids, adjacency, k, seed) == ref.random_select(
+        ids, adjacency, k, seed
+    )
+
+
+@example(pool=CHAIN, k=0, sxx=[1.0] * 4)
+@example(pool=CHAIN, k=9, sxx=[1.0, 2.0, 2.0, 0.5])
+@settings(max_examples=300)
+@given(
+    pool=pools(), k=st.integers(0, 12), sxx=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=9)
+)
+def test_entropy_baseline_matches_its_walk(pool, k, sxx):
+    """One forecast row per snippet, from few covariances: tied entropies
+    fall back to id order."""
+    ids, _, adjacency = pool
+    got, want = {}, {}
+    for sid, v in zip(ids, sxx):
+        got[sid] = baselines.GaussianForecast(
+            sid, 1, np.array([0]), ("a",), np.array([1]), np.zeros((1, 2)), np.array([[v, 0.0, 1.0]])
+        )
+        entry = ref.ForecastEntry("a", 1, (0.0, 0.0), (v, 0.0, 1.0))
+        want[sid] = ref.GaussianForecast(sid, 1, {0: (entry,)})
+    assert baselines.al_select(ids, got, adjacency, k) == ref.al_select(ids, want, adjacency, k)
 
 
 def test_lazy_diverse_halves_the_dissimilarity_calls(monkeypatch):
