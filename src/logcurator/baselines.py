@@ -12,7 +12,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .scene import _column, _strings, canonical_dumps, read_header, runs, write_atomic
+from .scene import _column, _strings, read_header, runs, write_rows
 from .selection import AuditEntry, CurationResult, walk
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
@@ -225,25 +225,19 @@ def baseline_result(method: str, k: int, picked, audit, seed: int) -> CurationRe
 
 def write_forecasts(path: str, forecasts: dict, horizon: int) -> None:
     """Serialize forecasts in canonical NDJSON (deterministic record order)."""
-    lines = [
-        canonical_dumps({"kind": "forecast_header", "schema_version": 1, "horizon": horizon})
-    ]
-    for sid in sorted(forecasts):
-        fc = forecasts[sid]
+    rows = (
+        {
+            "kind": "forecast",
+            "snippet_id": sid,
+            "frame_index": frame_index,
+            "actor_id": actor_id,
+            "timestep": timestep,
+            "mu": mu,
+            "cov": cov,
+        }
+        for sid, fc in sorted(forecasts.items())
         for frame_index, actor_id, timestep, mu, cov in zip(
             fc.frame_index.tolist(), fc.actor_id, fc.timestep.tolist(), fc.mu.tolist(), fc.cov.tolist()
-        ):
-            lines.append(
-                canonical_dumps(
-                    {
-                        "kind": "forecast",
-                        "snippet_id": sid,
-                        "frame_index": frame_index,
-                        "actor_id": actor_id,
-                        "timestep": timestep,
-                        "mu": mu,
-                        "cov": cov,
-                    }
-                )
-            )
-    write_atomic(path, "\n".join(lines) + "\n")
+        )
+    )
+    write_rows(path, "forecast_header", {"horizon": horizon}, rows)

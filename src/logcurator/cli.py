@@ -17,6 +17,7 @@ import numpy as np
 from . import baselines, features, selection, synthgen
 from .scene import (
     MapIndex,
+    OutputError,
     PoolFormatError,
     PoolValidationError,
     canonical_dumps,
@@ -24,9 +25,11 @@ from .scene import (
     read_json,
     save_pool,
     write_atomic,
+    write_json,
 )
 
 DOMAIN_ERRORS = (
+    OutputError,
     PoolFormatError,
     PoolValidationError,
     selection.ConfigError,
@@ -92,7 +95,7 @@ def synth(template, plan, n_snippets, frames, seed, jitter, overlap_every, bicyc
             "kind": "expectation_cards",
             "cards": [c.to_obj() for c in cards.values() if c is not None],
         }
-        write_atomic(cards_path, canonical_dumps(obj) + "\n")
+        write_json(cards_path, obj)
     if forecasts_path:
         forecasts = synthgen.synth_forecasts(pool, horizon)
         baselines.write_forecasts(forecasts_path, forecasts, horizon)
@@ -151,7 +154,7 @@ def curate_cmd(pool_path, config_path, out_path, features_dir, jobs):
     else:
         records, bundle = _stored_features(pool_path, cfg, features_dir)
     result = selection.curate(records, bundle, cfg)
-    write_atomic(out_path, canonical_dumps(selection.result_to_obj(result)) + "\n")
+    write_json(out_path, selection.result_to_obj(result))
     total = sum(len(t["snippet_ids"]) for t in result.tasks) + len(result.diverse["snippet_ids"])
     click.echo(f"selected {total} snippet(s) into {out_path}")
     for warning in result.warnings:
@@ -180,19 +183,19 @@ def baseline(pool_path, method, k, seed, forecasts_path, out_path):
         forecasts = baselines.load_forecasts(forecasts_path)
         picked, audit = baselines.al_select(ids, forecasts, adjacency, k)
     result = baselines.baseline_result(method, k, picked, audit, seed)
-    write_atomic(out_path, canonical_dumps(selection.result_to_obj(result)) + "\n")
+    write_json(out_path, selection.result_to_obj(result))
     click.echo(f"selected {len(picked)} snippet(s) into {out_path}")
     for warning in result.warnings:
         click.echo(f"warning: {warning}", err=True)
 
 
-def _label_stats(records, static_speed):
+def _label_stats(records):
     counts = {}
     total_frames = 0
     for rec in records:
         total_frames += rec.det.snippet.num_frames
-        for t in rec.tracks:
-            motion = "static" if t.is_static(static_speed) else "dynamic"
+        for t, static in zip(rec.tracks, rec.static.tolist()):
+            motion = "static" if static else "dynamic"
             n_in = int(np.count_nonzero(t.in_roi))
             key = (t.label, motion)
             counts[key] = counts.get(key, 0) + n_in
@@ -257,7 +260,7 @@ def report(pool_path, result_path, out_dir, config_path):
         "kind": "curation_report",
         "method": obj["method"],
         "selected": sorted(chosen),
-        "label_stats": _label_stats(records, cfg.static_speed),
+        "label_stats": _label_stats(records),
         "features": [
             {
                 "name": names[i],
@@ -269,8 +272,7 @@ def report(pool_path, result_path, out_dir, config_path):
             for i in range(features.SNIPPET_DIM)
         ],
     }
-    os.makedirs(out_dir, exist_ok=True)
-    write_atomic(os.path.join(out_dir, "summary.json"), canonical_dumps(summary) + "\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
 
     feature_rows = [[s.snippet_id] + [repr(float(v)) for v in row] for s, row in zip(snippets, matrix)]
     _write_csv(os.path.join(out_dir, "features.csv"), [["snippet_id"] + names] + feature_rows)

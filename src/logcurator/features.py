@@ -7,7 +7,6 @@ the order records appear in the pool file, and identical at any worker
 count.
 """
 
-import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -16,9 +15,9 @@ import numpy as np
 
 from . import geometry, sdv, traffic
 from .infra import infra_features
-from .scene import MapIndex, PoolFormatError, SceneMap, Snippet, SnippetPool
-from .scene import _column, canonical_dumps, file_sha256, read_header, read_json, sidecar_path
-from .scene import write_atomic
+from .scene import SCHEMA_VERSION, MapIndex, PoolFormatError, SceneMap, Snippet, SnippetPool
+from .scene import _column, file_sha256, read_header, read_json, remove_output, sidecar_path
+from .scene import write_json, write_rows
 from .sdv import RouteMatch, ego_step_speeds, sdv_features
 from .traffic import Detections, traffic_features
 
@@ -90,6 +89,7 @@ class SnippetArrays:
     ego_path: geometry.Path  # ego xy without exactly repeated poses
     det: Detections  # gated at config.roi_radius
     tracks: list  # build_track_paths(det); track i is det_track code i
+    static: np.ndarray  # (K,) static_flags(tracks) at config.static_speed
     path_dist: np.ndarray  # (D,) distance of each detection to ego_path
     ego_table: tuple  # project_to_segments(ego, index.segments)
     in_intersection: np.ndarray  # (I, T) ego inside each intersection polygon
@@ -164,12 +164,13 @@ def _ego_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
     """Read one snippet once: its ego arrays, its detections gated at
-    `config.roi_radius` and their tracks, each detection's distance to the
-    ego path, the ego-to-lane table, the ego's intersection containment and
-    the route match."""
+    `config.roi_radius`, their tracks and which tracks are static, each
+    detection's distance to the ego path, the ego-to-lane table, the ego's
+    intersection containment and the route match."""
     ego = np.ascontiguousarray(s.ego_pose[:, :2])
     ego_path = geometry.Path.from_points(ego)
     det = traffic.detection_arrays(s, config.roi_radius)
+    tracks = traffic.build_track_paths(det)
     ego_table = geometry.project_to_segments(ego, index.segments)
     polys = index.intersection_polys
     return SnippetArrays(
@@ -177,7 +178,8 @@ def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
         ego=ego,
         ego_path=ego_path,
         det=det,
-        tracks=traffic.build_track_paths(det),
+        tracks=tracks,
+        static=traffic.static_flags(tracks, config.static_speed),
         path_dist=geometry.project_points_to_polyline(
             s.det_center, ego_path.points, ego_path.arclength
         )[0],
@@ -263,11 +265,7 @@ def score_pool(pool: SnippetPool, config, jobs: int = 1) -> FeatureBundle:
 
 
 def _stats_to_obj(stats: NormalizationStats):
-    return {
-        "mean": [float(v) for v in stats.mean],
-        "std": [float(v) for v in stats.std],
-        "flagged": [int(i) for i in stats.flagged],
-    }
+    return {"mean": stats.mean.tolist(), "std": stats.std.tolist(), "flagged": list(stats.flagged)}
 
 
 def pool_provenance(pool: SnippetPool, scoring: dict) -> dict:
@@ -294,63 +292,36 @@ def write_features(directory: str, bundle: FeatureBundle, provenance=None) -> No
     """Write the store; `provenance` (`pool_provenance`) goes last, and any
     older one is removed first, so no store cut short pairs an old
     fingerprint with new feature files."""
-    os.makedirs(directory, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(directory, PROVENANCE))
-    lines = [
-        canonical_dumps(
-            {
-                "kind": "snippet_features_header",
-                "schema_version": 1,
-                "dimension": SNIPPET_DIM,
-                "names": list(SNIPPET_FEATURE_NAMES),
-            }
-        )
-    ]
-    for i, sid in enumerate(bundle.ids):
-        lines.append(
-            canonical_dumps(
-                {
-                    "kind": "snippet_features",
-                    "snippet_id": sid,
-                    "valid": bool(bundle.valid[i]),
-                    "values": [float(v) for v in bundle.matrix[i]],
-                }
-            )
-        )
-    write_atomic(os.path.join(directory, "snippet_features.jsonl"), "\n".join(lines) + "\n")
-
-    lines = [
-        canonical_dumps(
-            {
-                "kind": "frame_features_header",
-                "schema_version": 1,
-                "dimension": FRAME_DIM,
-                "names": list(FRAME_FEATURE_NAMES),
-            }
-        )
-    ]
-    for sid in bundle.ids:
-        mat = bundle.frame_mats[sid]
-        lines.append(
-            canonical_dumps(
-                {
-                    "kind": "frame_features",
-                    "snippet_id": sid,
-                    "values": [[float(v) for v in row] for row in mat],
-                }
-            )
-        )
-    write_atomic(os.path.join(directory, "frame_features.jsonl"), "\n".join(lines) + "\n")
-
-    obj = {
-        "schema_version": 1,
-        "snippet": _stats_to_obj(bundle.snippet_stats),
-        "frame": _stats_to_obj(bundle.frame_stats),
-    }
-    write_atomic(os.path.join(directory, "normalization.json"), canonical_dumps(obj) + "\n")
+    provenance_path = os.path.join(directory, PROVENANCE)
+    remove_output(provenance_path)
+    write_rows(
+        os.path.join(directory, "snippet_features.jsonl"),
+        "snippet_features_header",
+        {"dimension": SNIPPET_DIM, "names": list(SNIPPET_FEATURE_NAMES)},
+        (
+            {"kind": "snippet_features", "snippet_id": sid, "valid": valid, "values": row.tolist()}
+            for sid, valid, row in zip(bundle.ids, bundle.valid.tolist(), bundle.matrix)
+        ),
+    )
+    write_rows(
+        os.path.join(directory, "frame_features.jsonl"),
+        "frame_features_header",
+        {"dimension": FRAME_DIM, "names": list(FRAME_FEATURE_NAMES)},
+        (
+            {"kind": "frame_features", "snippet_id": sid, "values": bundle.frame_mats[sid].tolist()}
+            for sid in bundle.ids
+        ),
+    )
+    write_json(
+        os.path.join(directory, "normalization.json"),
+        {
+            "schema_version": SCHEMA_VERSION,
+            "snippet": _stats_to_obj(bundle.snippet_stats),
+            "frame": _stats_to_obj(bundle.frame_stats),
+        },
+    )
     if provenance is not None:
-        write_atomic(os.path.join(directory, PROVENANCE), canonical_dumps(provenance) + "\n")
+        write_json(provenance_path, provenance)
 
 
 def read_provenance(directory: str, pool_path: str, scoring: dict) -> tuple:

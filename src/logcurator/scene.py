@@ -30,6 +30,10 @@ class PoolFormatError(ValueError):
     """Raised when a pool, map, or record cannot be parsed."""
 
 
+class OutputError(OSError):
+    """Raised when an output file cannot be written."""
+
+
 class PoolValidationError(ValueError):
     """Raised when parsed content violates a domain invariant."""
 
@@ -169,17 +173,51 @@ def canonical_dumps(obj) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory and rename into place."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    """Write via a temp file in the same directory and rename into place,
+    creating the parent directory first. A file that cannot be written
+    raises OutputError naming `path`; no temp file is left behind."""
+    tmp = None
     try:
+        d = os.path.dirname(os.path.abspath(path))
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise _output_error(path, exc) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def remove_output(path: str) -> None:
+    """Remove output file `path` if there is one; failing that raises
+    OutputError, as `write_atomic` does."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise _output_error(path, exc) from exc
+
+
+def _output_error(path: str, exc) -> OutputError:
+    # strerror alone: the temp file that an OSError may name is gone
+    return OutputError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def write_json(path: str, obj) -> None:
+    """The one writer of a JSON file: `obj` as one canonical line, atomically."""
+    write_atomic(path, canonical_dumps(obj) + "\n")
+
+
+def write_rows(path: str, kind: str, fields: dict, rows) -> None:
+    """The one writer of an NDJSON file, in the layout `read_header` reads:
+    a `kind` header of SCHEMA_VERSION with `fields`, then one canonical line
+    per object of `rows`, an iterable that is consumed lazily."""
+    header = {"kind": kind, "schema_version": SCHEMA_VERSION, **fields}
+    write_atomic(path, "\n".join(map(canonical_dumps, itertools.chain([header], rows))) + "\n")
 
 
 def _parse(text: str, error, problem: str):
@@ -192,16 +230,13 @@ def _parse(text: str, error, problem: str):
 _scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads runs
 
 
-def read_json(path: str, error, what: str, lines: bool = False, digest=None):
-    """The one reader of every input file: file `path` parsed as one JSON
-    value or, with `lines`, as NDJSON: then its header record and the rest
-    of `read_rows`. A file that cannot be read, is empty, or holds bytes
-    that are not UTF-8 or text that is not JSON (nested too deep included)
-    raises `error` naming `what`, the path and the line. A `digest` (a
-    hashlib object) is updated with the bytes that are parsed."""
-    if lines:
-        rows = read_rows(path, error, what, digest)
-        return next(rows)[1], rows
+def read_json(path: str, error, what: str, digest=None):
+    """The one reader of every JSON input file: file `path` parsed as one
+    JSON value; `read_rows` reads NDJSON. A file that cannot be read, is
+    empty, or holds bytes that are not UTF-8 or text that is not JSON
+    (nested too deep included) raises `error` naming `what`, the path and
+    the line. A `digest` (a hashlib object) is updated with the bytes that
+    are parsed."""
     return _parse(_read_text(path, error, what, digest), error, f"{what} {path} is not valid JSON")
 
 
@@ -619,7 +654,7 @@ def validate_snippet(s: Snippet) -> ValidationReport:
 
 
 def save_map(m: SceneMap, path: str) -> None:
-    write_atomic(path, canonical_dumps(map_to_obj(m)) + "\n")
+    write_json(path, map_to_obj(m))
 
 
 def load_map(path: str, digest=None) -> SceneMap:
@@ -654,18 +689,9 @@ def file_sha256(path: str, what: str) -> str:
 
 def save_pool(pool: SnippetPool, path: str) -> None:
     """Write the pool NDJSON and its map sidecar (canonical bytes, atomic)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     save_map(pool.scene_map, sidecar_path(path, pool.map_name))
-    header = {
-        "kind": "pool_header",
-        "schema_version": SCHEMA_VERSION,
-        "map_path": pool.map_name,
-        "snippet_length": pool.snippet_length,
-    }
-    lines = [canonical_dumps(header)]
-    lines.extend(canonical_dumps(snippet_to_obj(s)) for s in pool.snippets)
-    write_atomic(path, "\n".join(lines) + "\n")
+    header = {"map_path": pool.map_name, "snippet_length": pool.snippet_length}
+    write_rows(path, "pool_header", header, map(snippet_to_obj, pool.snippets))
 
 
 def load_pool(path: str) -> SnippetPool:

@@ -30,7 +30,6 @@ REACH_CAP = 500.0
 class RouteMatch:
     assignments: np.ndarray  # (T,) lane index, -1 when the map has no vehicle lanes
     lateral: np.ndarray  # (T,) distance to the assigned centerline
-    frac_matched: float
     valid: bool
     runs: tuple  # ((lane_index, start, end_exclusive), ...)
     traversed: tuple  # distinct lane indices in first-visit order
@@ -50,13 +49,12 @@ def match_route(ego_table: tuple, index: MapIndex, config) -> RouteMatch:
     n = dist.shape[1]
     veh = index.vehicle_indices
     if not veh:
-        return RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), 0.0, False, (), ())
+        return RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), False, (), ())
     assignments, lateral, _ = nearest_lane(dist[veh], arc[veh], veh)
-    frac = float(np.mean(lateral <= config.map_match_gate))
     lane_runs = tuple((int(assignments[a]), a, b) for a, b in runs(assignments))
     traversed = tuple(dict.fromkeys(lane for lane, _, _ in lane_runs))
-    valid = frac >= config.map_match_min_frac
-    return RouteMatch(assignments, lateral, frac, valid, lane_runs, traversed)
+    valid = float(np.mean(lateral <= config.map_match_gate)) >= config.map_match_min_frac
+    return RouteMatch(assignments, lateral, valid, lane_runs, traversed)
 
 
 def sdv_path_complexity(rec: "SnippetArrays", config) -> float:
@@ -154,8 +152,7 @@ def interactions(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
     code = s.det_track  # track i of rec.tracks is code i
     n = len(tracks)
     near = np.bincount(code[rec.path_dist < config.near_dist], minlength=n) > 0
-    static = np.array([t.is_static(config.static_speed) for t in tracks], dtype=bool)
-    near_static, near_dynamic = int(np.sum(near & static)), int(np.sum(near & ~static))
+    near_static, near_dynamic = int(np.sum(near & rec.static)), int(np.sum(near & ~rec.static))
 
     conflict = _conflict_lanes(index, rec.match.traversed)  # vehicle lanes only
     if not conflict:

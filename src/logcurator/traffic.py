@@ -82,14 +82,21 @@ def build_track_paths(det: Detections) -> list:
     ]
 
 
+def static_flags(tracks: list, static_speed: float) -> np.ndarray:
+    """(K,) whether each track is static at `static_speed`: the one
+    evaluation of `TrackPath.is_static` per track."""
+    return np.array([t.is_static(static_speed) for t in tracks], dtype=bool)
+
+
 def _roi_tracks(tracks: list) -> list:
     return [t for t in tracks if bool(np.any(t.in_roi))]
 
 
-def crowdedness(det: Detections, tracks: list, static_speed: float) -> tuple:
-    """Mean per-frame count of in-gate actors, split (static, dynamic)."""
+def crowdedness(det: Detections, static: np.ndarray) -> tuple:
+    """Mean per-frame count of in-gate actors, split (static, dynamic) by
+    the tracks' `static_flags`."""
     s = det.snippet
-    static = np.array([t.is_static(static_speed) for t in tracks], dtype=bool)[s.det_track]
+    static = static[s.det_track]
     static_frames = s.det_frame[det.in_roi & static]
     dynamic_frames = s.det_frame[det.in_roi & ~static]
     return (
@@ -156,7 +163,7 @@ def traffic_features(rec: "SnippetArrays", config) -> dict:
     """The traffic row of one snippet, keyed by feature name, from its
     detections and their tracks."""
     det, tracks = rec.det, rec.tracks
-    static_mean, dynamic_mean = crowdedness(det, tracks, config.static_speed)
+    static_mean, dynamic_mean = crowdedness(det, rec.static)
     path_mean, path_max = actor_path_complexity(_roi_tracks(tracks), config.resample_points)
     return {
         "crowd_static": static_mean,

@@ -38,7 +38,7 @@ import numpy as np
 from logcurator import geometry, sdv
 from logcurator.baselines import LOG_2PI_E, ForecastError
 from logcurator.geometry import cumulative_arclength
-from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport, read_json
+from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport, read_rows
 from logcurator.selection import AuditEntry, dissimilarity, take_pick
 from logcurator.traffic import STATIC_SPEED
 
@@ -305,7 +305,7 @@ def match_route(s, index, gate=sdv.MAP_MATCH_GATE, min_frac=sdv.MAP_MATCH_MIN_FR
     ego = ego_xy(s)
     n = len(ego)
     if not index.vehicle_indices:
-        return sdv.RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), 0.0, False, (), ())
+        return sdv.RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), False, (), ())
     assignments, lateral, _ = _nearest_vehicle_lane(index, ego)
     frac = float(np.mean(lateral <= gate))
     runs = []
@@ -318,9 +318,7 @@ def match_route(s, index, gate=sdv.MAP_MATCH_GATE, min_frac=sdv.MAP_MATCH_MIN_FR
     for lane_idx, _, _ in runs:
         if lane_idx not in traversed:
             traversed.append(lane_idx)
-    return sdv.RouteMatch(
-        assignments, lateral, frac, frac >= min_frac, tuple(runs), tuple(traversed)
-    )
+    return sdv.RouteMatch(assignments, lateral, frac >= min_frac, tuple(runs), tuple(traversed))
 
 
 def interactions(
@@ -552,7 +550,8 @@ def snippet_entropy(forecast: GaussianForecast) -> float:
 
 def load_forecasts(path: str) -> dict:
     """Parse a forecast NDJSON file into {snippet_id: GaussianForecast}."""
-    header, rows = read_json(path, ForecastError, "forecast file", lines=True)
+    rows = read_rows(path, ForecastError, "forecast file")
+    header = next(rows)[1]
     if not isinstance(header, dict) or header.get("kind") != "forecast_header":
         raise ForecastError("first record must be the forecast header")
     try:

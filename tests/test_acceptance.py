@@ -58,6 +58,7 @@ from logcurator.traffic import (
     crowdedness,
     detection_arrays,
     speed_diversity,
+    static_flags,
 )
 
 import support
@@ -205,7 +206,7 @@ def test_02_hand_computed_measure_oracles():
     per_frame = [tuple(movers[:3] if k % 2 == 0 else movers) for k in range(60)]
     s_crowd = support.drive([(1.0 * k, 0.0) for k in range(60)], detections=per_frame)
     det_crowd = detection_arrays(s_crowd)
-    static, dynamic = crowdedness(det_crowd, build_track_paths(det_crowd), STATIC_SPEED)
+    static, dynamic = crowdedness(det_crowd, static_flags(build_track_paths(det_crowd), STATIC_SPEED))
     assert static == 0.0
     assert abs(dynamic - 4.0) <= 1e-12
 

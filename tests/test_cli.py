@@ -6,9 +6,9 @@ import shutil
 import numpy as np
 import pytest
 
-from logcurator import cli, features, traffic
+from logcurator import cli, features, scene, traffic
 from logcurator.cli import main
-from logcurator.scene import load_pool
+from logcurator.scene import canonical_dumps, load_pool
 from logcurator.selection import validate_result_obj
 
 from support import measure_args
@@ -606,20 +606,41 @@ class TestReport:
         "summary.json": "92ce5b68997570b9ad1a6b63f25f0df68b4e4be62422a57a146ab561b5f0e15c",
     }
 
-    def test_every_output_is_written_atomically(
-        self, capsys, workspace, tmp_path, result_path, monkeypatch
-    ):
+    def test_every_output_is_written_atomically(self, capsys, workspace, tmp_path, monkeypatch):
         written = []
-        real_write = cli.write_atomic
+        real_write = scene.write_atomic
 
         def recording(path, text):
-            written.append(os.path.basename(path))
+            written.append(os.path.relpath(path, tmp_path))
             real_write(path, text)
 
-        monkeypatch.setattr(cli, "write_atomic", recording)
+        assert cli.write_atomic is real_write  # the CSV writer holds the name too
+        for module in (scene, cli):
+            monkeypatch.setattr(module, "write_atomic", recording)
+        pool, feats = str(tmp_path / "pool.jsonl"), str(tmp_path / "feats")
+        forecasts, result = str(tmp_path / "forecasts.jsonl"), str(tmp_path / "result.json")
         out_dir = tmp_path / "report"
-        assert run(capsys, "report", workspace["pool"], result_path, "--out-dir", str(out_dir))[0] == 0
-        assert sorted(written) == sorted(self.REPORT_DIGESTS)
+        commands = [
+            ["synth", "--snippets", "4", "--frames", "40", "--seed", "3", "--jitter",
+             "--out", pool, "--cards", str(tmp_path / "cards.json"), "--forecasts", forecasts],
+            ["score", pool, "--out", feats],
+            ["curate", pool, "--config", workspace["config"], "--features", feats, "--out", result],
+            ["baseline", pool, "--method", "entropy", "-k", "2", "--forecasts", forecasts,
+             "--out", str(tmp_path / "entropy.json")],
+            ["report", pool, result, "--out-dir", str(out_dir)],
+        ]
+        for argv in commands:
+            before = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")}
+            written.clear()
+            assert run(capsys, *argv)[0] == 0
+            after = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")}
+            assert sorted(written) == sorted(after - before - {"feats", "report"}), argv[0]
+            for name in written:
+                text = (tmp_path / name).read_text()
+                assert text.endswith("\n"), name
+                if name.endswith((".json", ".jsonl")):
+                    for line in text.splitlines():
+                        assert line == canonical_dumps(json.loads(line)), name
         got = {
             name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in sorted(os.listdir(out_dir))
@@ -695,6 +716,63 @@ class TestReport:
         )
         assert code == 2
         assert "not valid JSON" in err
+
+
+SYNTH = ["synth", "--frames", "60"]
+# each command's argv given its output path, and for a command whose output
+# is a directory, the first file it writes or removes there
+OUTPUTS = {
+    "synth": (lambda ws, tmp, out: [*SYNTH, "--out", out], None),
+    "synth --cards": (lambda ws, tmp, out: [*SYNTH, "--out", f"{tmp}/p.jsonl", "--cards", out], None),
+    "synth --forecasts": (
+        lambda ws, tmp, out: [*SYNTH, "--out", f"{tmp}/p.jsonl", "--forecasts", out], None
+    ),
+    "score": (lambda ws, tmp, out: ["score", ws["pool"], "--out", out], "provenance.json"),
+    "curate": (
+        lambda ws, tmp, out: ["curate", ws["pool"], "--config", ws["config"], "--out", out], None
+    ),
+    "baseline": (
+        lambda ws, tmp, out: ["baseline", ws["pool"], "--method", "random", "-k", "1", "--out", out],
+        None,
+    ),
+    "report": (
+        lambda ws, tmp, out: ["report", ws["pool"], ws["result"], "--out-dir", out], "summary.json"
+    ),
+}
+
+
+class TestUnwritableOutput:
+    @pytest.fixture(scope="class")
+    def ws(self, workspace):
+        result = str(workspace["root"] / "unwritable_result.json")
+        argv = ["curate", workspace["pool"], "--config", workspace["config"], "--out", result]
+        assert main(argv) == 0
+        return {**workspace, "result": result}
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    @pytest.mark.parametrize("blocker", ["file where a directory goes", "directory where the file goes"])
+    def test_unwritable_output_is_a_domain_error(self, capsys, ws, tmp_path, command, blocker):
+        argv, first = OUTPUTS[command]
+        if blocker == "file where a directory goes":
+            blocked = tmp_path / "blocker"
+            blocked.write_text("")
+            out = blocked if first else blocked / "out.json"
+        else:
+            out = tmp_path / "out"
+            blocked = out / first if first else out
+            blocked.mkdir(parents=True)
+        code, _, err = run(capsys, *argv(ws, tmp_path, str(out)))
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"error: cannot write {blocked}" in err
+        assert not list(tmp_path.rglob(".tmp-*.part"))
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_missing_parent_directory_is_created(self, capsys, ws, tmp_path, command):
+        argv, first = OUTPUTS[command]
+        out = tmp_path / "new" / "dir" / "out"
+        assert run(capsys, *argv(ws, tmp_path, str(out)))[0] == 0
+        assert (out / first if first else out).is_file()
 
 
 class TestSchema:

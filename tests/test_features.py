@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from logcurator import features
+from logcurator import features, scene, traffic
 from logcurator.scene import PoolFormatError, SceneMap, TrafficControl
 from logcurator.selection import CurationConfig
 
@@ -58,6 +58,25 @@ class TestSnippetVector:
         assert len(names) == len(set(names))  # no name in two families
         assert set(names) == set(features.SNIPPET_FEATURE_NAMES)
         assert len(names) == features.SNIPPET_DIM
+
+    def test_static_flag_is_computed_once_per_track(self, monkeypatch):
+        calls = []
+        real = traffic.TrackPath.is_static
+
+        def counted(track, threshold):
+            calls.append(track.track_id)
+            return real(track, threshold)
+
+        monkeypatch.setattr(traffic.TrackPath, "is_static", counted)
+        dets = (
+            make_detection("parked", "vehicle", (-20.0, 4.0)),
+            make_detection("mover", "vehicle", (-10.0, -4.0), speed=3.0),
+            make_detection("walker", "pedestrian", (0.0, 3.0), speed=1.0),
+        )
+        vec = snippet_vector(cruise(detections=constant_detections(dets, 60)), lane_map())
+        assert vec.values[SIDX["crowd_static"]] == 1.0
+        assert vec.values[SIDX["near_path_dynamic"]] == 2.0
+        assert sorted(calls) == ["mover", "parked", "walker"]
 
     def test_values_land_in_named_slots(self):
         m = SceneMap(
@@ -273,14 +292,14 @@ class TestFeatureStore:
             if len(written) == 2:
                 raise OSError("disk full")
 
-        monkeypatch.setattr(features, "write_atomic", crash_on_second_file)
+        monkeypatch.setattr(scene, "write_atomic", crash_on_second_file)
         with pytest.raises(OSError):
             features.write_features(str(tmp_path), bundle, {"kind": "store_provenance"})
         assert not (tmp_path / "provenance.json").exists()
 
     def test_provenance_is_written_last(self, tmp_path, monkeypatch):
         written = []
-        monkeypatch.setattr(features, "write_atomic", lambda path, text: written.append(path))
+        monkeypatch.setattr(scene, "write_atomic", lambda path, text: written.append(path))
         features.write_features(str(tmp_path), self.score(), {"kind": "store_provenance"})
         assert [os.path.basename(p) for p in written] == [
             "snippet_features.jsonl", "frame_features.jsonl", "normalization.json", "provenance.json"

@@ -70,7 +70,7 @@ def assert_matches_reference(s, m, roi_radius):
         assert t.speeds.tolist() == [r[2] for r in obs]
         assert t.in_roi.tolist() == [r[4] for r in obs]
 
-    assert traffic.crowdedness(det, tracks, traffic.STATIC_SPEED) == ref.crowdedness(s, roi_radius)
+    assert traffic.crowdedness(det, rec.static) == ref.crowdedness(s, roi_radius)
     assert traffic.class_diversity(det) == ref.class_diversity(s, roi_radius)
     assert traffic.spatial_variance(det) == ref.spatial_variance(s, roi_radius)
     assert traffic.speed_diversity(tracks) == ref.speed_diversity(s, roi_radius)
@@ -213,7 +213,7 @@ def nudge_args(case):
     """(record, index, config) of `detect_nudges` for one case."""
     assignments, lateral, bound, det_frame, path_dist = case
     match = sdv.RouteMatch(
-        np.array(assignments, dtype=int), np.array(lateral, dtype=float), 1.0, True, (), ()
+        np.array(assignments, dtype=int), np.array(lateral, dtype=float), True, (), ()
     )
     rec = SimpleNamespace(
         match=match,

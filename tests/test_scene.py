@@ -299,6 +299,24 @@ class TestRoundTrip:
         assert target.read_text() == "payload"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_write_rows_is_the_layout_read_header_reads(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        rows = iter([{"b": 1.5, "a": [1, 2]}, {"c": None}])
+        scene.write_rows(str(path), "thing_header", {"size": 2}, rows)
+        assert path.read_text() == (
+            '{"kind":"thing_header","schema_version":1,"size":2}\n{"a":[1,2],"b":1.5}\n{"c":null}\n'
+        )
+        _, header, (size,), got = scene.read_header(
+            str(path), scene.PoolFormatError, "rows", "thing_header", ("size",)
+        )
+        assert (header["size"], size) == (2, 2)
+        assert list(got) == [(2, {"a": [1, 2], "b": 1.5}), (3, {"c": None})]
+
+    def test_write_json_is_one_canonical_line(self, tmp_path):
+        path = tmp_path / "new" / "obj.json"
+        scene.write_json(str(path), {"b": [0.1, None], "a": True})
+        assert path.read_text() == '{"a":true,"b":[0.1,null]}\n'
+
 
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
@@ -386,7 +404,7 @@ def test_row_reader_is_json_loads(tmp_path_factory, row):
     except (ValueError, RecursionError) as exc:
         want = ("error", f"rows {path} line 2: invalid JSON: {exc}")
     try:
-        got = ("ok", next(scene.read_json(str(path), scene.PoolFormatError, "rows", lines=True)[1])[1])
+        got = ("ok", list(scene.read_rows(str(path), scene.PoolFormatError, "rows"))[1][1])
     except scene.PoolFormatError as exc:
         got = ("error", str(exc))
     # NaN != NaN: compare the canonical text of what was read

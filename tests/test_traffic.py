@@ -24,7 +24,8 @@ def tracks_of(s):
 
 def crowdedness(s, roi_radius=None):
     det = traffic.detection_arrays(s, roi_radius)
-    return traffic.crowdedness(det, traffic.build_track_paths(det), traffic.STATIC_SPEED)
+    static = traffic.static_flags(traffic.build_track_paths(det), traffic.STATIC_SPEED)
+    return traffic.crowdedness(det, static)
 
 
 def class_diversity(s):
