@@ -12,15 +12,12 @@ from operator import itemgetter
 
 import numpy as np
 
+from .scene import ForecastError  # in scene, so that cli needs no baselines
 from .scene import _column, _strings, read_header, runs, write_rows
 from .selection import AuditEntry, CurationResult, walk
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
 RECORD_FIELDS = ("snippet_id", "frame_index", "actor_id", "timestep", "mu", "cov")
-
-
-class ForecastError(ValueError):
-    """Raised for malformed forecast files or covariances without a finite entropy."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,20 +6,23 @@ scenario specs). All file outputs are canonical JSON written atomically, so
 reruns with identical inputs produce byte-identical artifacts.
 """
 
-import csv
-import io
 import os
 import sys
 
 import click
 import numpy as np
 
-from . import baselines, features, selection, synthgen
+# `synthgen` and `baselines` are imported by the commands that run them
+from . import features, selection
 from .scene import (
+    PLANS,
+    TEMPLATES,
+    ForecastError,
     MapIndex,
     OutputError,
     PoolFormatError,
     PoolValidationError,
+    ScenarioError,
     canonical_dumps,
     load_pool,
     read_json,
@@ -33,8 +36,8 @@ DOMAIN_ERRORS = (
     PoolFormatError,
     PoolValidationError,
     selection.ConfigError,
-    baselines.ForecastError,
-    synthgen.ScenarioError,
+    ForecastError,
+    ScenarioError,
 )
 
 HISTOGRAM_BINS = 32
@@ -62,8 +65,8 @@ def schema():
 
 
 @cli.command()
-@click.option("--template", type=click.Choice(synthgen.TEMPLATES), default="straight_road", show_default=True)
-@click.option("--plan", type=click.Choice(synthgen.PLANS), default="cruise", show_default=True)
+@click.option("--template", type=click.Choice(TEMPLATES), default="straight_road", show_default=True)
+@click.option("--plan", type=click.Choice(PLANS), default="cruise", show_default=True)
 @click.option("--snippets", "n_snippets", type=int, default=1, show_default=True)
 @click.option("--frames", type=int, default=250, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -77,6 +80,8 @@ def schema():
 @click.option("--horizon", type=int, default=5, show_default=True)
 def synth(template, plan, n_snippets, frames, seed, jitter, overlap_every, bicycle_every, id_prefix, out, cards_path, forecasts_path, horizon):
     """Generate a synthetic pool with known expected measure values."""
+    from . import baselines, synthgen
+
     spec = synthgen.default_spec(
         template,
         plan,
@@ -170,6 +175,8 @@ def curate_cmd(pool_path, config_path, out_path, features_dir, jobs):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def baseline(pool_path, method, k, seed, forecasts_path, out_path):
     """Pick a labeling set by seeded randomness or forecast entropy."""
+    from . import baselines
+
     if k < 0:
         raise click.UsageError("budget must be >= 0")
     if method == "entropy" and not forecasts_path:
@@ -206,6 +213,9 @@ def _label_stats(records):
 
 
 def _write_csv(path, rows) -> None:
+    import csv
+    import io
+
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     write_atomic(path, buf.getvalue())

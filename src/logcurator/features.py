@@ -8,7 +8,6 @@ count.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +242,9 @@ def score_pool(pool: SnippetPool, config, jobs: int = 1) -> FeatureBundle:
             for s in ordered
         ]
     else:
+        # imported here: multiprocessing costs every one-worker command start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(ordered) // (jobs * 4))
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(pool.scene_map, config)

@@ -24,6 +24,10 @@ CONTROL_KINDS = ("traffic_light", "stop_sign", "yield_sign")
 LANE_TURNS = ("straight", "left", "right")
 SCHEMA_VERSION = 1
 NUMBER_TYPES = frozenset((int, float))  # what json.loads makes of a JSON number
+# the scenarios `synthgen` builds, named here so that `cli` can offer them
+# without importing the generator
+TEMPLATES = ("straight_road", "curved_road", "four_way_intersection", "hilly")
+PLANS = ("cruise", "speed_ramp", "lane_change", "turn", "nudge")
 
 
 class PoolFormatError(ValueError):
@@ -32,6 +36,14 @@ class PoolFormatError(ValueError):
 
 class OutputError(OSError):
     """Raised when an output file cannot be written."""
+
+
+class ScenarioError(ValueError):
+    """Raised when a scenario spec is internally infeasible."""
+
+
+class ForecastError(ValueError):
+    """Raised for malformed forecast files or covariances without a finite entropy."""
 
 
 class PoolValidationError(ValueError):
@@ -688,10 +700,16 @@ def file_sha256(path: str, what: str) -> str:
 
 
 def save_pool(pool: SnippetPool, path: str) -> None:
-    """Write the pool NDJSON and its map sidecar (canonical bytes, atomic)."""
-    save_map(pool.scene_map, sidecar_path(path, pool.map_name))
+    """Write the pool NDJSON, then its map sidecar (canonical bytes, atomic).
+    When the map cannot be written the new pool is removed again, so a
+    failed save leaves no new file."""
     header = {"map_path": pool.map_name, "snippet_length": pool.snippet_length}
     write_rows(path, "pool_header", header, map(snippet_to_obj, pool.snippets))
+    try:
+        save_map(pool.scene_map, sidecar_path(path, pool.map_name))
+    except BaseException:
+        remove_output(path)
+        raise
 
 
 def load_pool(path: str) -> SnippetPool:

@@ -16,9 +16,7 @@ import numpy as np
 
 from .baselines import GaussianForecast
 from .scene import DETECTION_CLASSES, SceneMap, Snippet, SnippetPool, Lane, Intersection, TrafficControl
-
-TEMPLATES = ("straight_road", "curved_road", "four_way_intersection", "hilly")
-PLANS = ("cruise", "speed_ramp", "lane_change", "turn", "nudge")
+from .scene import PLANS, TEMPLATES, ScenarioError  # in scene, so that cli needs no synthgen
 
 ROI_GUARD = 73.0  # generator-enforced per-frame actor distance bound
 STRIP_MARGIN = 2.0  # required longitudinal clearance around the crossing strip
@@ -31,10 +29,6 @@ PED_OFFSET = 8.0
 CIRCLE_RADIUS = 5.0
 CIRCLE_LATERAL = 13.0
 NEAR_DIST = 10.0
-
-
-class ScenarioError(ValueError):
-    """Raised when a scenario spec is internally infeasible."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -136,11 +136,21 @@ def spatial_variance(det: Detections) -> float:
     return float(np.var(dists))
 
 
+def few_distinct_rows(p: np.ndarray) -> bool:
+    """Whether finite (n, d) array `p` has fewer than three distinct rows,
+    rows equal by `==` as `np.unique(p, axis=0)` compares them (-0.0 equals
+    0.0), without sorting: the rows unequal to the first must all be equal."""
+    if len(p) < 3:
+        return True
+    other = p[(p != p[0]).any(axis=1)]
+    return not len(other) or bool((other == other[0]).all())
+
+
 def actor_path_complexity(tracks: list, K: int) -> tuple:
     """(mean, max) curve complexity over tracks with >= 3 distinct positions."""
     values = []
     for t in tracks:
-        if len(np.unique(t.positions, axis=0)) < 3:
+        if few_distinct_rows(t.positions):
             continue
         values.append(geometry.curve_complexity(t.positions, K))
     if not values:

@@ -766,6 +766,18 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
         assert f"error: cannot write {blocked}" in err
         assert not list(tmp_path.rglob(".tmp-*.part"))
+        # no new file but those of the outputs that come before the blocked one
+        before = {"p.jsonl", "scene.map.json"} if command.startswith("synth --") else set()
+        left = {p for p in tmp_path.rglob("*") if p.is_file()} - {blocked}
+        assert {str(p.relative_to(tmp_path)) for p in left} == before
+
+    def test_pool_is_removed_when_its_map_cannot_be_written(self, capsys, tmp_path):
+        blocked = tmp_path / "scene.map.json"
+        blocked.mkdir()
+        code, _, err = run(capsys, *SYNTH, "--out", str(tmp_path / "p.jsonl"))
+        assert code == 2
+        assert f"error: cannot write {blocked}" in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("command", sorted(OUTPUTS))
     def test_missing_parent_directory_is_created(self, capsys, ws, tmp_path, command):

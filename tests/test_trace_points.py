@@ -8,7 +8,7 @@ wrapped name must be entered by the command that reports it.
 
 import json
 
-from logcurator import cli, features, geometry, sdv, selection, traffic
+from logcurator import baselines, cli, features, geometry, sdv, selection, traffic
 
 SCORE_POINTS = (
     (sdv, "match_route"),
@@ -26,13 +26,19 @@ CURATE_POINTS = (
     (selection, "overlap_adjacency"),
     (features, "read_features"),
 )
+# `cli` imports `baselines` inside `baseline`, and looks each name up there
+BASELINE_POINTS = (
+    (baselines, "random_select"),
+    (baselines, "load_forecasts"),
+    (baselines, "al_select"),
+)
 
 
 def test_traced_functions_are_entered(tmp_path, monkeypatch):
     monkeypatch.delenv("CURATOR_JOBS", raising=False)
-    pool = str(tmp_path / "pool.jsonl")
+    pool, forecasts = str(tmp_path / "pool.jsonl"), str(tmp_path / "forecasts.jsonl")
     synth = ["synth", "--snippets", "3", "--frames", "40", "--seed", "3", "--jitter"]
-    assert cli.main(synth + ["--out", pool]) == 0
+    assert cli.main(synth + ["--out", pool, "--forecasts", forecasts]) == 0
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps({"tasks": [{"name": "busy", "weights": {"crowd_dynamic": 1.0}, "budget": 1}]})
@@ -47,7 +53,7 @@ def test_traced_functions_are_entered(tmp_path, monkeypatch):
 
         return wrapper
 
-    for module, name in SCORE_POINTS + CURATE_POINTS + ((cli, "load_pool"),):
+    for module, name in SCORE_POINTS + CURATE_POINTS + BASELINE_POINTS + ((cli, "load_pool"),):
         key = f"{module.__name__}.{name}"
         calls[key] = 0
         monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
@@ -63,3 +69,8 @@ def test_traced_functions_are_entered(tmp_path, monkeypatch):
         assert calls[f"{module.__name__}.{name}"] > 0, name
     # a fingerprinted store stands in for the pool: curate never parses it
     assert calls["logcurator.cli.load_pool"] == 1
+    base = ["baseline", pool, "-k", "1", "--out", str(tmp_path / "baseline.json")]
+    assert cli.main(base + ["--method", "random"]) == 0
+    assert cli.main(base + ["--method", "entropy", "--forecasts", forecasts]) == 0
+    for module, name in BASELINE_POINTS:
+        assert calls[f"{module.__name__}.{name}"] > 0, name

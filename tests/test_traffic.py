@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from logcurator import traffic
 
@@ -204,6 +207,22 @@ class TestActorPaths:
         ]
         tracks = tracks_of(snippet_with(frames))
         assert traffic.actor_path_complexity(tracks, 100) == (0.0, 0.0)
+
+
+# few values, signed zeros among them, so that rows repeat and interleave
+SMALL_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(
+    -1e3, 1e3, allow_nan=False, allow_subnormal=True
+)
+A, B, C, Z = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [-0.0, 0.0]
+
+
+@given(arrays(float, st.tuples(st.integers(0, 8), st.integers(1, 3)), elements=SMALL_FLOATS))
+@example(np.array([Z, [0.0, -0.0], A]))  # -0.0 == 0.0: two distinct rows
+@example(np.array([A, B, A, B, A]))  # interleaved repeats: two
+@example(np.array([A, B, A, C]))  # a third row after a repeat: three
+@example(np.array([A, A, A]))
+def test_few_distinct_rows_matches_unique(p):
+    assert traffic.few_distinct_rows(p) == (len(np.unique(p, axis=0)) < 3)
 
 
 class TestSpeedDiversity:
