@@ -26,7 +26,9 @@ from .scene import (
     canonical_dumps,
     load_pool,
     read_json,
+    remove_output,
     save_pool,
+    sidecar_path,
     write_atomic,
     write_json,
 )
@@ -44,13 +46,20 @@ HISTOGRAM_BINS = 32
 
 
 def _resolve_jobs(jobs) -> int:
+    """--jobs, else CURATOR_JOBS, else 1; a CURATOR_JOBS that is not an
+    integer >= 1 is a usage error."""
     if jobs is not None:
-        return max(1, jobs)
+        return jobs
     raw = os.environ.get("CURATOR_JOBS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
+    if not raw:
         return 1
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise click.UsageError(f"CURATOR_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 @click.group()
@@ -95,15 +104,23 @@ def synth(template, plan, n_snippets, frames, seed, jitter, overlap_every, bicyc
     )
     pool, cards = synthgen.generate_pool(spec)
     save_pool(pool, out)
-    if cards_path:
-        obj = {
-            "kind": "expectation_cards",
-            "cards": [c.to_obj() for c in cards.values() if c is not None],
-        }
-        write_json(cards_path, obj)
-    if forecasts_path:
-        forecasts = synthgen.synth_forecasts(pool, horizon)
-        baselines.write_forecasts(forecasts_path, forecasts, horizon)
+    # a later output that fails takes the ones written before it along
+    written = [out, sidecar_path(out, pool.map_name)]
+    try:
+        if cards_path:
+            obj = {
+                "kind": "expectation_cards",
+                "cards": [c.to_obj() for c in cards.values() if c is not None],
+            }
+            write_json(cards_path, obj)
+            written.append(cards_path)
+        if forecasts_path:
+            forecasts = synthgen.synth_forecasts(pool, horizon)
+            baselines.write_forecasts(forecasts_path, forecasts, horizon)
+    except BaseException:
+        for path in written:
+            remove_output(path)
+        raise
     click.echo(f"wrote {len(pool.snippets)} snippet(s) to {out}")
 
 
@@ -111,7 +128,7 @@ def synth(template, plan, n_snippets, frames, seed, jitter, overlap_every, bicyc
 @click.argument("pool_path", type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Feature directory.")
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=None, help="Worker processes; defaults to CURATOR_JOBS or 1.")
+@click.option("--jobs", type=click.IntRange(min=1), default=None, help="Worker processes; defaults to CURATOR_JOBS or 1.")
 def score(pool_path, out_dir, config_path, jobs):
     """Compute snippet and frame features for every snippet in a pool."""
     cfg = selection.load_config(config_path) if config_path else selection.CurationConfig()
@@ -149,7 +166,7 @@ def _stored_features(pool_path, cfg, features_dir):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--features", "features_dir", type=click.Path(), default=None, help="Reuse a feature directory written by score.")
-@click.option("--jobs", type=int, default=None)
+@click.option("--jobs", type=click.IntRange(min=1), default=None)
 def curate_cmd(pool_path, config_path, out_path, features_dir, jobs):
     """Select challenging snippets per task, then grow a diverse remainder."""
     cfg = selection.load_config(config_path)

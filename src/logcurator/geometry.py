@@ -182,33 +182,34 @@ def count_polyline_crossings(a_points: np.ndarray, b_points: np.ndarray) -> int:
     return int(np.count_nonzero(proper))
 
 
-def _on_segment(p, q, r) -> bool:
-    """q collinear with p-r assumed; True when q lies within the bounding box."""
+def _on_segment(p, q, r):
+    """q collinear with p-r assumed: True where q lies within the bounding
+    box widened by _EPS. The bounds are Python's min and max: where a
+    comparison fails, as with NaN, the first of p and r is kept."""
+    lo = np.where(r < p, r, p) - _EPS
+    hi = np.where(r > p, r, p) + _EPS
+    return np.all((lo <= q) & (q <= hi), axis=-1)
+
+
+def _straddle(a, b):
+    return ((a > 0) & (b < 0)) | ((a < 0) & (b > 0))
+
+
+def segments_intersect(p1, p2, q1, q2):
+    """Closed-segment intersection test, touches and collinear overlap
+    included, over (..., 2) endpoint arrays broadcast against each other."""
+    p1, p2, q1, q2 = map(np.asarray, (p1, p2, q1, q2))
+    d1 = _cross(q1, q2, p1)
+    d2 = _cross(q1, q2, p2)
+    d3 = _cross(p1, p2, q1)
+    d4 = _cross(p1, p2, q2)
     return (
-        min(p[0], r[0]) - _EPS <= q[0] <= max(p[0], r[0]) + _EPS
-        and min(p[1], r[1]) - _EPS <= q[1] <= max(p[1], r[1]) + _EPS
+        (_straddle(d1, d2) & _straddle(d3, d4))
+        | ((np.abs(d1) <= _EPS) & _on_segment(q1, p1, q2))
+        | ((np.abs(d2) <= _EPS) & _on_segment(q1, p2, q2))
+        | ((np.abs(d3) <= _EPS) & _on_segment(p1, q1, p2))
+        | ((np.abs(d4) <= _EPS) & _on_segment(p1, q2, p2))
     )
-
-
-def segments_intersect(p1, p2, q1, q2) -> bool:
-    """Closed-segment intersection test, touches and collinear overlap included."""
-    d1 = _cross(np.asarray(q1), np.asarray(q2), np.asarray(p1))
-    d2 = _cross(np.asarray(q1), np.asarray(q2), np.asarray(p2))
-    d3 = _cross(np.asarray(p1), np.asarray(p2), np.asarray(q1))
-    d4 = _cross(np.asarray(p1), np.asarray(p2), np.asarray(q2))
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if abs(d1) <= _EPS and _on_segment(q1, p1, q2):
-        return True
-    if abs(d2) <= _EPS and _on_segment(q1, p2, q2):
-        return True
-    if abs(d3) <= _EPS and _on_segment(p1, q1, p2):
-        return True
-    if abs(d4) <= _EPS and _on_segment(p1, q2, p2):
-        return True
-    return False
 
 
 def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
@@ -246,11 +247,8 @@ def polygon_polyline_intersects(polygon: np.ndarray, polyline: np.ndarray) -> bo
     if bool(np.any(points_in_polygon(line, poly))):
         return True
     closed = np.vstack([poly, poly[:1]])
-    for i in range(len(line) - 1):
-        for j in range(len(poly)):
-            if segments_intersect(line[i], line[i + 1], closed[j], closed[j + 1]):
-                return True
-    return False
+    hits = segments_intersect(line[:-1, None], line[1:, None], closed[:-1], closed[1:])
+    return bool(np.any(hits))
 
 
 def polygon_is_simple(polygon: np.ndarray) -> bool:
@@ -259,14 +257,10 @@ def polygon_is_simple(polygon: np.ndarray) -> bool:
     n = len(poly)
     if n < 3:
         return False
-    edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if segments_intersect(edges[i][0], edges[i][1], edges[j][0], edges[j][1]):
-                return False
-    return True
+    i, j = np.triu_indices(n, 2)
+    i, j = i[j - i < n - 1], j[j - i < n - 1]  # edges 0 and n-1 are adjacent
+    end = np.roll(poly, -1, axis=0)
+    return not np.any(segments_intersect(poly[i], end[i], poly[j], end[j]))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .features import SNIPPET_DIM, SNIPPET_FEATURE_NAMES, FeatureBundle
-from .scene import read_json, snippets_overlap
+from .scene import _string, read_json, snippets_overlap
 from .sdv import MAP_MATCH_GATE, MAP_MATCH_MIN_FRAC
 from .traffic import STATIC_SPEED
 
@@ -133,7 +133,7 @@ def config_from_obj(obj) -> CurationConfig:
     names = set()
     for t in task_objs:
         try:
-            name = str(t["name"])
+            name = _string(t["name"], "task name", error=ConfigError)
             budget = t["budget"]
             spec = t["weights"]
         except KeyError as exc:
@@ -145,8 +145,12 @@ def config_from_obj(obj) -> CurationConfig:
         if name in names:
             raise ConfigError(f"duplicate task name {name!r}")
         names.add(name)
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-            raise ConfigError(f"task {name!r} budget must be a non-negative integer")
+        try:
+            budget = _scalar("budget", budget, int)
+            if budget < 0:
+                raise ConfigError(budget)
+        except ConfigError as exc:
+            raise ConfigError(f"task {name!r} budget must be a non-negative integer") from exc
         tasks.append(TaskConfig(name, weights, budget))
     updates = {
         key: _scalar(key, value, CONFIG_FIELDS[key]) for key, value in obj.items() if key != "tasks"

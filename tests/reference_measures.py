@@ -28,6 +28,12 @@ snippet in one array pass, and the tests compare loaded rows, scores, picks
 and audit entries with `==`. `_walk` is the baselines' own non-overlap
 walk, and `random_select` and `al_select` run it; the library's baselines
 share `selection.walk` with the challenging phase.
+
+`segments_intersect` and `_on_segment` are the closed-segment test on one
+pair of segments, and `polygon_polyline_intersects` and `polygon_is_simple`
+the double loops over segment pairs that call it; the library applies one
+array predicate to every pair at once, and the tests compare its results
+with `==`.
 """
 
 from collections import namedtuple
@@ -37,7 +43,7 @@ import numpy as np
 
 from logcurator import geometry, sdv
 from logcurator.baselines import LOG_2PI_E, ForecastError
-from logcurator.geometry import cumulative_arclength
+from logcurator.geometry import _cross, cumulative_arclength, points_in_polygon
 from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport, read_rows
 from logcurator.selection import AuditEntry, dissimilarity, take_pick
 from logcurator.traffic import STATIC_SPEED
@@ -161,6 +167,71 @@ def project_points_to_polyline(points: np.ndarray, poly_points: np.ndarray, cuml
     dist = np.sqrt(dist2[rows, j])
     arc = cumlen[j] + t[rows, j] * seg_len[j]
     return dist, arc
+
+
+# The scalar closed-segment test and the pair loops the library ran before
+# its one array predicate, kept verbatim as that predicate's oracle.
+
+
+def _on_segment(p, q, r) -> bool:
+    """q collinear with p-r assumed; True when q lies within the bounding box."""
+    return (
+        min(p[0], r[0]) - _EPS <= q[0] <= max(p[0], r[0]) + _EPS
+        and min(p[1], r[1]) - _EPS <= q[1] <= max(p[1], r[1]) + _EPS
+    )
+
+
+def segments_intersect(p1, p2, q1, q2) -> bool:
+    """Closed-segment intersection test, touches and collinear overlap included."""
+    d1 = _cross(np.asarray(q1), np.asarray(q2), np.asarray(p1))
+    d2 = _cross(np.asarray(q1), np.asarray(q2), np.asarray(p2))
+    d3 = _cross(np.asarray(p1), np.asarray(p2), np.asarray(q1))
+    d4 = _cross(np.asarray(p1), np.asarray(p2), np.asarray(q2))
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if abs(d1) <= _EPS and _on_segment(q1, p1, q2):
+        return True
+    if abs(d2) <= _EPS and _on_segment(q1, p2, q2):
+        return True
+    if abs(d3) <= _EPS and _on_segment(p1, q1, p2):
+        return True
+    if abs(d4) <= _EPS and _on_segment(p1, q2, p2):
+        return True
+    return False
+
+
+def polygon_polyline_intersects(polygon: np.ndarray, polyline: np.ndarray) -> bool:
+    """True when the polyline touches or enters the polygon region."""
+    poly = np.asarray(polygon, dtype=float)
+    line = np.asarray(polyline, dtype=float)
+    if len(line) == 0 or len(poly) < 3:
+        return False
+    if bool(np.any(points_in_polygon(line, poly))):
+        return True
+    closed = np.vstack([poly, poly[:1]])
+    for i in range(len(line) - 1):
+        for j in range(len(poly)):
+            if segments_intersect(line[i], line[i + 1], closed[j], closed[j + 1]):
+                return True
+    return False
+
+
+def polygon_is_simple(polygon: np.ndarray) -> bool:
+    """No two non-adjacent edges may intersect (closed ring)."""
+    poly = np.asarray(polygon, dtype=float)
+    n = len(poly)
+    if n < 3:
+        return False
+    edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            if segments_intersect(edges[i][0], edges[i][1], edges[j][0], edges[j][1]):
+                return False
+    return True
 
 
 def _in_gate(det, ego_k, r2):

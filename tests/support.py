@@ -4,6 +4,8 @@ Detections and frames are pool records (the dicts a pool line holds), and
 every snippet is built from them by `scene.snippet_from_obj`, the loader's
 one record-to-columns constructor."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from logcurator import features
@@ -156,6 +158,43 @@ def square_intersection(half=10.0, incoming=4, lanes_per_road=(1, 1, 1, 1)):
     return Intersection(
         polygon=poly, incoming_roads=incoming, lanes_per_road=tuple(lanes_per_road)
     )
+
+
+def tile_map(m, k, spacing=400.0):
+    """Map `m` repeated k x k times, tile (a, b) moved by (a, b) * spacing
+    in that order, with every lane id (and each reference to one) suffixed
+    by the tile: `k=1` is `m` with renamed lanes."""
+    lanes, intersections, controls, crosswalks, heights = [], [], [], [], []
+    for a in range(k):
+        for b in range(k):
+            dx, dy = a * spacing, b * spacing
+            tag = f"@{a},{b}"
+
+            def moved(points):
+                return tuple((x + dx, y + dy) for x, y in points)
+
+            def renamed(ref):
+                return None if ref is None else ref + tag
+
+            lanes += [
+                replace(
+                    lane,
+                    lane_id=renamed(lane.lane_id),
+                    centerline=moved(lane.centerline),
+                    successors=tuple(map(renamed, lane.successors)),
+                    left_neighbor=renamed(lane.left_neighbor),
+                    right_neighbor=renamed(lane.right_neighbor),
+                )
+                for lane in m.lanes
+            ]
+            intersections += [replace(i, polygon=moved(i.polygon)) for i in m.intersections]
+            controls += [
+                replace(c, position=moved([c.position])[0], lane_ids=tuple(map(renamed, c.lane_ids)))
+                for c in m.traffic_controls
+            ]
+            crosswalks += map(moved, m.crosswalks)
+            heights += [(x + dx, y + dy, z) for x, y, z in m.height_samples]
+    return SceneMap(*map(tuple, (lanes, intersections, controls, crosswalks, heights)))
 
 
 def pool_of(snippets, scene_map=None, snippet_length=None):

@@ -176,6 +176,27 @@ class TestScore:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command", ["score", "curate"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, workspace, tmp_path, command, jobs):
+        config = ["--config", workspace["config"]] if command == "curate" else []
+        out = str(tmp_path / "out")
+        code, _, err = run(capsys, command, workspace["pool"], *config, "--out", out, "--jobs", jobs)
+        assert code == 1
+        assert "--jobs" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_curator_jobs_below_one_is_a_usage_error(self, capsys, workspace, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("CURATOR_JOBS", value)
+        out = str(tmp_path / "feats")
+        code, _, err = run(capsys, "score", workspace["pool"], "--out", out)
+        assert code == 1
+        assert f"CURATOR_JOBS must be an integer >= 1, got {value!r}" in err
+        assert not os.path.exists(out)
+        # --jobs is read first
+        assert run(capsys, "score", workspace["pool"], "--out", out, "--jobs", "1")[0] == 0
+
     def test_rerun_matches_byte_for_byte(self, capsys, workspace, tmp_path):
         dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
         for d in dirs:
@@ -766,10 +787,18 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
         assert f"error: cannot write {blocked}" in err
         assert not list(tmp_path.rglob(".tmp-*.part"))
-        # no new file but those of the outputs that come before the blocked one
-        before = {"p.jsonl", "scene.map.json"} if command.startswith("synth --") else set()
-        left = {p for p in tmp_path.rglob("*") if p.is_file()} - {blocked}
-        assert {str(p.relative_to(tmp_path)) for p in left} == before
+        # no new file: a synth output that fails removes those written before it
+        assert [p for p in tmp_path.rglob("*") if p.is_file() and p != blocked] == []
+
+    def test_failed_forecasts_remove_the_pool_map_and_cards(self, capsys, tmp_path):
+        blocked = tmp_path / "f.jsonl"
+        blocked.mkdir()
+        cards = ["--cards", str(tmp_path / "cards.json")]
+        argv = [*SYNTH, "--out", str(tmp_path / "p.jsonl"), *cards, "--forecasts", str(blocked)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"error: cannot write {blocked}" in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_pool_is_removed_when_its_map_cannot_be_written(self, capsys, tmp_path):
         blocked = tmp_path / "scene.map.json"

@@ -116,6 +116,9 @@ class TestWeightsAndConfig:
     def test_scalars_take_their_field_types(self):
         cfg = config_from_obj({"k_div": 3.0, "roi_radius": 50, "normalization": "none"})
         assert cfg.k_div == 3 and type(cfg.k_div) is int
+        task = {"name": "t", "weights": {}, "budget": 1.0}
+        budget = config_from_obj({"tasks": [task]}).tasks[0].budget
+        assert budget == 1 and type(budget) is int
         assert cfg.roi_radius == 50.0 and type(cfg.roi_radius) is float
         assert cfg.normalization == "none"
 
@@ -143,6 +146,11 @@ class TestWeightsAndConfig:
             ({"dissimilarity": "hausdorff"}, "dissimilarity"),
             ({"k_div": 2.7}, "'k_div' must be an integer"),
             ({"tasks": [{"name": "t", "weights": {}, "budget": True}]}, "budget"),
+            ({"tasks": [{"name": "t", "weights": {}, "budget": "2"}]}, "non-negative"),
+            ({"tasks": [{"name": "t", "weights": {}, "budget": float("inf")}]}, "non-negative"),
+            ({"tasks": [{"name": None, "weights": {}, "budget": 1}]}, "task name must be a string"),
+            ({"tasks": [{"name": 5, "weights": {}, "budget": 1}]}, "task name must be a string"),
+            ({"tasks": [{"name": ["a"], "weights": {}, "budget": 1}]}, "task name must be a string"),
             ({"horizon": float("nan")}, "'horizon' must be finite"),
             ({"kdiv": 3}, "unknown config field.*'kdiv'"),
             ({"seed": True}, "'seed' must be a number"),
