@@ -277,7 +277,7 @@ def report(pool_path, result_path, out_dir, config_path):
     snippets = [by_id[sid] for sid in sorted(chosen)]
 
     index = MapIndex(pool.scene_map)
-    records = [features.snippet_arrays(s, index, cfg) for s in snippets]
+    records = list(features.batch_arrays(snippets, index, cfg))
     rows = [features.compute_snippet_features(rec, index, cfg)[0].values for rec in records]
     matrix = np.stack(rows) if rows else np.zeros((0, features.SNIPPET_DIM))
 

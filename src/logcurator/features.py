@@ -17,7 +17,7 @@ from .infra import infra_features
 from .scene import SCHEMA_VERSION, MapIndex, PoolFormatError, SceneMap, Snippet, SnippetPool
 from .scene import _column, file_sha256, read_header, read_json, remove_output, sidecar_path
 from .scene import write_json, write_rows
-from .sdv import RouteMatch, ego_step_speeds, sdv_features
+from .sdv import ConflictZone, RouteMatch, ego_step_speeds, sdv_features
 from .traffic import Detections, traffic_features
 
 SNIPPET_FEATURES = (
@@ -81,7 +81,7 @@ class FeatureVector:
 
 @dataclass(frozen=True, slots=True)
 class SnippetArrays:
-    """One snippet as every measure reads it, built once by `snippet_arrays`."""
+    """One snippet as every measure reads it, built once by `batch_arrays`."""
 
     snippet: Snippet
     ego: np.ndarray  # (T, 2) ego xy
@@ -89,10 +89,14 @@ class SnippetArrays:
     det: Detections  # gated at config.roi_radius
     tracks: list  # build_track_paths(det); track i is det_track code i
     static: np.ndarray  # (K,) static_flags(tracks) at config.static_speed
+    class_counts: tuple  # traffic.class_counts(det): (T, classes) counts, (T,) term
     path_dist: np.ndarray  # (D,) distance of each detection to ego_path
     ego_table: tuple  # project_to_segments(ego, index.segments)
     in_intersection: np.ndarray  # (I, T) ego inside each intersection polygon
     match: RouteMatch
+    conflict: ConflictZone  # sdv.conflict_zone(index, match.traversed, config)
+    vehicle_rows: np.ndarray  # detections of vehicle tracks; none without conflict lanes
+    vehicle_table: tuple  # project_to_segments(det_center[vehicle_rows], index.vehicle_segments)
 
 
 ZERO_SPREAD = 1e-12  # a std at or below this is zero spread
@@ -161,39 +165,122 @@ def _ego_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.concatenate([step, step[-1:]])
 
 
-def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
-    """Read one snippet once: its ego arrays, its detections gated at
-    `config.roi_radius`, their tracks and which tracks are static, each
-    detection's distance to the ego path, the ego-to-lane table, the ego's
-    intersection containment and the route match."""
-    ego = np.ascontiguousarray(s.ego_pose[:, :2])
-    ego_path = geometry.Path.from_points(ego)
-    det = traffic.detection_arrays(s, config.roi_radius)
-    tracks = traffic.build_track_paths(det)
-    ego_table = geometry.project_to_segments(ego, index.segments)
-    polys = index.intersection_polys
-    return SnippetArrays(
-        snippet=s,
-        ego=ego,
-        ego_path=ego_path,
-        det=det,
-        tracks=tracks,
-        static=traffic.static_flags(tracks, config.static_speed),
-        path_dist=geometry.project_points_to_polyline(
-            s.det_center, ego_path.points, ego_path.arclength
-        )[0],
-        ego_table=ego_table,
-        in_intersection=np.array(
-            [geometry.points_in_polygon(ego, poly) for poly in polys], dtype=bool
-        ).reshape(len(polys), len(ego)),
-        match=sdv.match_route(ego_table, index, config),
+# point x segment pairs per scoring batch: each snippet counts its ego poses
+# against every lane segment, and its detections against every vehicle lane
+# segment and against its own ego path. A batch holds at least one snippet,
+# so the tables of a batch stay bounded however large the pool or the map.
+BATCH_PAIRS = 1 << 15
+
+
+def _snippet_pairs(s: Snippet, index: MapIndex) -> int:
+    """The pairs one snippet adds to a batch (`BATCH_PAIRS`); its ego path
+    has at most max(T - 1, 1) segments."""
+    path_segs = max(s.num_frames - 1, 1)
+    return s.num_frames * len(index.segments.x0) + len(s.det_center) * (
+        len(index.vehicle_segments.x0) + path_segs
     )
+
+
+def _batches(snippets, index: MapIndex):
+    """`snippets` in order, in runs of at most BATCH_PAIRS pairs."""
+    batch, pairs = [], 0
+    for s in snippets:
+        n = _snippet_pairs(s, index)
+        if batch and pairs + n > BATCH_PAIRS:
+            yield batch
+            batch, pairs = [], 0
+        batch.append(s)
+        pairs += n
+    if batch:
+        yield batch
+
+
+def batch_arrays(snippets, index: MapIndex, config, zones=None):
+    """Yield the SnippetArrays of each snippet, in order: its ego arrays, its
+    detections gated at `config.roi_radius`, their tracks, which tracks are
+    static and the class counts, each detection's distance to the ego path,
+    the ego-to-lane table, the ego's intersection containment, the route
+    match, its conflict zone and the vehicle-track detections against every
+    vehicle lane.
+
+    Snippets go through in batches (`_batches`), and each batch makes three
+    kernel calls: every ego pose against every lane, every detection against
+    its own ego path, and the vehicle-track detections of the snippets with
+    conflict lanes against every vehicle lane. A point's result does not
+    depend on its batch. `zones` maps each traversed-lane tuple to its
+    ConflictZone, filled as routes come in."""
+    zones = {} if zones is None else zones
+    for batch in _batches(snippets, index):
+        yield from _batch_arrays(batch, index, config, zones)
+
+
+def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
+    egos = [np.ascontiguousarray(s.ego_pose[:, :2]) for s in batch]
+    paths = [geometry.Path.from_points(ego) for ego in egos]
+    ego_dist, ego_arc = geometry.project_to_segments(np.concatenate(egos), index.segments)
+    # the block-diagonal kernel through the name the per-layer profiler times
+    path_dist, _ = geometry.project_points_to_polyline(
+        np.concatenate([s.det_center for s in batch]),
+        [p.points for p in paths],
+        [p.arclength for p in paths],
+        counts=[len(s.det_center) for s in batch],
+    )
+    ego_ends = np.cumsum([len(ego) for ego in egos]).tolist()
+    routes = []  # (det, tracks, ego_table, match, zone, vehicle_rows) per snippet
+    for s, t0, t1 in zip(batch, [0] + ego_ends, ego_ends):
+        det = traffic.detection_arrays(s, config.roi_radius)
+        tracks = traffic.build_track_paths(det)
+        ego_table = (ego_dist[:, t0:t1], ego_arc[:, t0:t1])
+        match = sdv.match_route(ego_table, index, config)
+        zone = zones.get(match.traversed)
+        if zone is None:
+            zone = zones[match.traversed] = sdv.conflict_zone(index, match.traversed, config)
+        rows = np.zeros(0, dtype=np.intp)
+        if zone.lanes:
+            vehicle = np.array([t.label == "vehicle" for t in tracks], dtype=bool)
+            rows = np.flatnonzero(vehicle[s.det_track])
+        routes.append((det, tracks, ego_table, match, zone, rows))
+    veh_dist, veh_arc = geometry.project_to_segments(
+        np.concatenate([s.det_center[r[-1]] for s, r in zip(batch, routes)]),
+        index.vehicle_segments,
+    )
+    det_ends = np.cumsum([len(s.det_center) for s in batch]).tolist()
+    veh_ends = np.cumsum([len(r[-1]) for r in routes]).tolist()
+    polys = index.intersection_polys
+    return [
+        SnippetArrays(
+            snippet=s,
+            ego=ego,
+            ego_path=path,
+            det=det,
+            tracks=tracks,
+            static=traffic.static_flags(tracks, config.static_speed),
+            class_counts=traffic.class_counts(det),
+            path_dist=path_dist[d0:d1],
+            ego_table=ego_table,
+            in_intersection=np.array(
+                [geometry.points_in_polygon(ego, poly) for poly in polys], dtype=bool
+            ).reshape(len(polys), len(ego)),
+            match=match,
+            conflict=zone,
+            vehicle_rows=rows,
+            vehicle_table=(veh_dist[:, v0:v1], veh_arc[:, v0:v1]),
+        )
+        for s, ego, path, (det, tracks, ego_table, match, zone, rows), d0, d1, v0, v1 in zip(
+            batch, egos, paths, routes, [0] + det_ends, det_ends, [0] + veh_ends, veh_ends
+        )
+    ]
+
+
+def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
+    """The SnippetArrays of one snippet: `batch_arrays` of a batch of one."""
+    return next(batch_arrays([s], index, config))
 
 
 def assemble_frame_vectors(rec: SnippetArrays) -> np.ndarray:
     """(T, FRAME_DIM) per-frame descriptors used by the diversity distance."""
     ego, s = rec.ego, rec.snippet
-    counts, term = traffic.class_counts(rec.det)  # columns follow DETECTION_CLASSES
+    counts, term = rec.class_counts  # columns follow DETECTION_CLASSES
     return np.column_stack(
         [
             counts.sum(axis=1),
@@ -209,7 +296,7 @@ def assemble_frame_vectors(rec: SnippetArrays) -> np.ndarray:
 
 def compute_snippet_features(rec: SnippetArrays, index: MapIndex, config):
     """(FeatureVector, frame matrix) for one snippet; the infra, traffic, SDV
-    and frame measures all read the one record `snippet_arrays` built, and
+    and frame measures all read the one record `batch_arrays` built, and
     their name-keyed rows go into SNIPPET_FEATURES order."""
     row = infra_features(rec, index, config)
     row.update(traffic_features(rec, config))
@@ -225,31 +312,36 @@ _WORKER_STATE: dict = {}
 def _init_worker(scene_map: SceneMap, config) -> None:
     _WORKER_STATE["index"] = MapIndex(scene_map)
     _WORKER_STATE["config"] = config
+    _WORKER_STATE["zones"] = {}
 
 
-def _worker_compute(s: Snippet):
-    index, config = _WORKER_STATE["index"], _WORKER_STATE["config"]
-    return compute_snippet_features(snippet_arrays(s, index, config), index, config)
+def _score(snippets, index: MapIndex, config, zones=None) -> list:
+    return [
+        compute_snippet_features(rec, index, config)
+        for rec in batch_arrays(snippets, index, config, zones)
+    ]
+
+
+def _worker_compute(chunk: list) -> list:
+    state = _WORKER_STATE
+    return _score(chunk, state["index"], state["config"], state["zones"])
 
 
 def score_pool(pool: SnippetPool, config, jobs: int = 1) -> FeatureBundle:
     """Score every snippet and fit pool-level normalization stats."""
     ordered = sorted(pool.snippets, key=lambda s: s.snippet_id)
     if jobs <= 1:
-        index = MapIndex(pool.scene_map)
-        results = [
-            compute_snippet_features(snippet_arrays(s, index, config), index, config)
-            for s in ordered
-        ]
+        results = _score(ordered, MapIndex(pool.scene_map), config)
     else:
         # imported here: multiprocessing costs every one-worker command start-up time
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(ordered) // (jobs * 4))
+        size = max(1, len(ordered) // (jobs * 4))
+        chunks = [ordered[lo : lo + size] for lo in range(0, len(ordered), size)]
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(pool.scene_map, config)
         ) as pool_exec:
-            results = list(pool_exec.map(_worker_compute, ordered, chunksize=chunk))
+            results = [r for part in pool_exec.map(_worker_compute, chunks) for r in part]
     ids = [s.snippet_id for s in ordered]
     matrix = (
         np.stack([vec.values for vec, _ in results]) if results else np.zeros((0, SNIPPET_DIM))

@@ -252,15 +252,24 @@ def polygon_polyline_intersects(polygon: np.ndarray, polyline: np.ndarray) -> bo
 
 
 def polygon_is_simple(polygon: np.ndarray) -> bool:
-    """No two non-adjacent edges may intersect (closed ring)."""
+    """No two non-adjacent edges may intersect (closed ring). Edge pairs go
+    through in blocks of at most BLOCK_PAIRS pairs (at least one edge's
+    row), so peak memory does not grow with the square of the ring size."""
     poly = np.asarray(polygon, dtype=float)
     n = len(poly)
     if n < 3:
         return False
-    i, j = np.triu_indices(n, 2)
-    i, j = i[j - i < n - 1], j[j - i < n - 1]  # edges 0 and n-1 are adjacent
     end = np.roll(poly, -1, axis=0)
-    return not np.any(segments_intersect(poly[i], end[i], poly[j], end[j]))
+    cols = np.arange(n)
+    step = max(1, BLOCK_PAIRS // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))[:, None]
+        # edge j > i + 1 pairs with edge i, except edges 0 and n-1 (adjacent)
+        i, j = np.nonzero((cols > rows + 1) & (cols - rows < n - 1))
+        i += lo
+        if np.any(segments_intersect(poly[i], end[i], poly[j], end[j])):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -333,9 +342,10 @@ class SegmentTable:
         )
 
 
-# point x segment pairs per kernel pass: every (N, S) temporary of a pass
-# holds at most 2 MiB, however large the map
-BLOCK_PAIRS = 1 << 18
+# point x segment pairs per kernel pass: every temporary of a pass holds at
+# most 512 KiB, however large the map. On dense-score, passes of 2^14 pairs
+# made the kernel about 15% slower, and passes of 2^18 were no faster.
+BLOCK_PAIRS = 1 << 16
 
 
 def project_to_segments(points: np.ndarray, table: SegmentTable):
@@ -360,29 +370,36 @@ def project_to_segments(points: np.ndarray, table: SegmentTable):
     )
 
 
-def _project_block(pts: np.ndarray, table: SegmentTable):
-    """project_to_segments of one block of points. Work runs on separate x
-    and y (N, S) arrays in place, in the float order every stored feature
-    depends on: rel·d, then /len2, clip, p0 + t·d, the difference to the
-    point and the sum of squares."""
-    n_seg = len(table.x0)
-    px, py = pts[:, 0, None], pts[:, 1, None]
-    t = np.subtract(px, table.x0)
-    t *= table.dx
-    e = np.subtract(py, table.y0)
-    e *= table.dy
+def _foot_distances(px, py, x0, y0, dx, dy, len2):
+    """(squared distance, foot parameter) of points against segments, both
+    broadcast to one array. Work runs on separate x and y arrays in place,
+    in the float order every stored feature depends on: rel·d, then /len2,
+    clip, p0 + t·d, the difference to the point and the sum of squares."""
+    t = np.subtract(px, x0)
+    t *= dx
+    e = np.subtract(py, y0)
+    e *= dy
     t += e
-    t /= table.len2
+    t /= len2
     np.clip(t, 0.0, 1.0, out=t)
-    np.multiply(t, table.dx, out=e)
-    e += table.x0
+    np.multiply(t, dx, out=e)
+    e += x0
     np.subtract(px, e, out=e)
     e *= e
-    f = t * table.dy
-    f += table.y0
+    f = t * dy
+    f += y0
     np.subtract(py, f, out=f)
     f *= f
-    e += f  # squared distance to each segment's foot
+    e += f
+    return e, t
+
+
+def _project_block(pts: np.ndarray, table: SegmentTable):
+    """project_to_segments of one block of points, on (N, S) arrays."""
+    n_seg = len(table.x0)
+    e, t = _foot_distances(
+        pts[:, 0, None], pts[:, 1, None], table.x0, table.y0, table.dx, table.dy, table.len2
+    )
     if len(table.starts) == 1:  # the same first minimum, in one pass
         j = np.argmin(e, axis=1)[:, None]
     else:
@@ -400,11 +417,79 @@ def _project_block(pts: np.ndarray, table: SegmentTable):
     return dist.T, arc.T
 
 
-def project_points_to_polyline(points: np.ndarray, poly_points: np.ndarray, cumlen=None):
+def project_to_own_polylines(points: np.ndarray, table: SegmentTable, counts):
+    """(N,) distance and arc position of each point against its own polyline
+    of the table only: the first counts[0] points against polyline 0, the
+    next counts[1] against polyline 1, and so on. The block-diagonal form
+    of `project_to_segments`, with the same float work and the same first
+    nearest segment, so each result equals the one-polyline call's.
+
+    A block pads its polylines to its widest and its point runs to its
+    longest, and broadcasts over (polyline, point, segment); a polyline's
+    points go through in runs of at most BLOCK_PAIRS // segments, and a
+    block holds at most BLOCK_PAIRS padded pairs (at least one run).
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    counts = np.asarray(counts, dtype=np.intp)
+    widths = np.diff(np.append(table.starts, len(table.x0)))
+    first = np.cumsum(counts) - counts
+    dist, arc = np.empty(len(pts)), np.empty(len(pts))
+    block, width, length = [], 0, 0
+    for k in np.flatnonzero(counts).tolist():
+        step = max(1, BLOCK_PAIRS // int(widths[k]))
+        end = int(first[k] + counts[k])
+        for lo in range(int(first[k]), end, step):
+            run = (k, lo, min(lo + step, end))
+            w, n = max(width, int(widths[k])), max(length, run[2] - lo)
+            if block and (len(block) + 1) * w * n > BLOCK_PAIRS:
+                _project_own_block(pts, block, table, dist, arc)
+                block, w, n = [], int(widths[k]), run[2] - lo
+            block.append(run)
+            width, length = w, n
+    if block:
+        _project_own_block(pts, block, table, dist, arc)
+    return dist, arc
+
+
+def _project_own_block(pts, block, table, dist, arc) -> None:
+    """project_to_own_polylines of one block of (polyline, first, end) point
+    runs, into `dist` and `arc`. Padded points repeat the run's first point
+    and are dropped; padded segments repeat the polyline's first segment, so
+    they tie with it, and the first nearest segment is a real one."""
+    k, lo, hi = np.array(block, dtype=np.intp).T
+    widths = np.diff(np.append(table.starts, len(table.x0)))[k]
+    n = hi - lo
+    p_ok = np.arange(n.max()) < n[:, None]  # (G, L)
+    p = np.where(p_ok, lo[:, None] + np.arange(n.max()), lo[:, None])
+    s = np.arange(widths.max())
+    s = np.where(s < widths[:, None], s, 0) + table.starts[k][:, None]  # (G, W)
+
+    def seg(col):
+        return col[s][:, None, :]
+
+    e, t = _foot_distances(
+        pts[p, 0][..., None], pts[p, 1][..., None],
+        seg(table.x0), seg(table.y0), seg(table.dx), seg(table.dy), seg(table.len2),
+    )  # (G, L, W)
+    j = np.argmin(e, axis=2)[..., None]
+    d = np.sqrt(np.take_along_axis(e, j, axis=2))[..., 0]
+    foot = np.take_along_axis(t, j, axis=2)[..., 0]
+    j = j[..., 0] + table.starts[k][:, None]
+    dist[p[p_ok]] = d[p_ok]
+    arc[p[p_ok]] = (table.arc0[j] + foot * table.length[j])[p_ok]
+
+
+def project_points_to_polyline(points: np.ndarray, poly_points, cumlen=None, counts=None):
     """Distance from each point to a polyline plus the foot's arc position.
 
     Returns (dist, arc) arrays of shape (N,). A single-point polyline acts as
     a degenerate path: plain point distances, arc position 0.
+
+    With `counts`, `poly_points` lists several polylines and `cumlen` their
+    cumulative arc lengths (each may be None): the first counts[0] points go
+    onto the first polyline only, the next counts[1] onto the second, and so
+    on (`project_to_own_polylines`), each as the one-polyline call would.
     """
-    dist, arc = project_to_segments(points, SegmentTable.from_polylines([poly_points], [cumlen]))
-    return dist[0], arc[0]
+    if counts is None:
+        poly_points, cumlen, counts = [poly_points], [cumlen], [len(np.atleast_2d(points))]
+    return project_to_own_polylines(points, SegmentTable.from_polylines(poly_points, cumlen), counts)

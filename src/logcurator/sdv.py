@@ -141,33 +141,56 @@ def _entry_distances(index: MapIndex, conflict: list, cap: float = REACH_CAP) ->
     return reach
 
 
+@dataclass(frozen=True, slots=True)
+class ConflictZone:
+    """What the conflict measures of a route read from its traversed lanes
+    alone, so one zone serves every snippet with those lanes."""
+
+    lanes: list  # conflict lanes (`_conflict_lanes`), vehicle lanes only
+    rows: np.ndarray  # their rows in index.vehicle_segments
+    half: np.ndarray  # their half widths
+    reach: np.ndarray  # (L,) `_entry_distances` to them; empty without lanes
+
+
+def conflict_zone(index: MapIndex, traversed: tuple, config) -> ConflictZone:
+    """The ConflictZone of a route over the `traversed` lanes."""
+    lanes = _conflict_lanes(index, traversed)
+    if not lanes:
+        return ConflictZone(lanes, np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
+    return ConflictZone(
+        lanes,
+        np.searchsorted(index.vehicle_indices, lanes),
+        np.array([0.5 * index.lane_width(li, config.lane_width_fallback) for li in lanes]),
+        _entry_distances(index, lanes),
+    )
+
+
 def interactions(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
     """(near_static, near_dynamic, conflict_traversals, conflict_reachable).
 
     Each is a count of tracks with some detection passing a per-detection
     test: near the ego path, on a conflict lane, or able to reach a conflict
-    entry within the horizon. Each lane table takes one kernel call over the
-    detections it tests."""
+    entry within the horizon. The conflict tests read `rec.vehicle_table`,
+    the vehicle-track detections against every vehicle lane: the conflict
+    lanes' rows, then the nearest lane of each detection not traversing."""
     s, tracks = rec.snippet, rec.tracks
     code = s.det_track  # track i of rec.tracks is code i
     n = len(tracks)
     near = np.bincount(code[rec.path_dist < config.near_dist], minlength=n) > 0
     near_static, near_dynamic = int(np.sum(near & rec.static)), int(np.sum(near & ~rec.static))
 
-    conflict = _conflict_lanes(index, rec.match.traversed)  # vehicle lanes only
-    if not conflict:
+    zone = rec.conflict
+    if not zone.lanes:
         return near_static, near_dynamic, 0, 0
-    half = np.array([0.5 * index.lane_width(li, config.lane_width_fallback) for li in conflict])
-    vehicle = np.array([t.label == "vehicle" for t in tracks], dtype=bool)[code]
-    rows = np.flatnonzero(vehicle)
-    dist, _ = geometry.project_to_segments(s.det_center[rows], index.segments.take(conflict))
-    hit = np.any(dist <= half[:, None], axis=0)
+    rows = rec.vehicle_rows
+    dist, arc = rec.vehicle_table
+    hit = np.any(dist[zone.rows] <= zone.half[:, None], axis=0)
     traversing = np.bincount(code[rows[hit]], minlength=n) > 0
 
-    reach = _entry_distances(index, conflict)
-    rows = np.flatnonzero(vehicle & ~traversing[code])
-    dist, arc = geometry.project_to_segments(s.det_center[rows], index.vehicle_segments)
-    lanes, lat, arc = nearest_lane(dist, arc, index.vehicle_indices)
+    keep = ~traversing[code[rows]]
+    rows = rows[keep]
+    lanes, lat, arc = nearest_lane(dist[:, keep], arc[:, keep], index.vehicle_indices)
+    reach = zone.reach
     dist_to_entry = np.where(np.isfinite(reach[lanes]), np.maximum(reach[lanes] - arc, 0.0), np.inf)
     ok = (lat <= config.map_match_gate) & (s.det_speed[rows] * config.horizon >= dist_to_entry)
     reachable = np.bincount(code[rows[ok]], minlength=n) > 0

@@ -121,10 +121,14 @@ def class_counts(det: Detections) -> tuple:
 def class_diversity(det: Detections) -> float:
     """Class term averaged over frames; frames with no in-gate detections
     contribute 0."""
-    total, n = 0.0, det.snippet.num_frames
-    for term in class_counts(det)[1].tolist():  # frame order; np.sum would regroup
-        total += term
-    return total / n if n else 0.0
+    return _frame_mean(class_counts(det)[1])
+
+
+def _frame_mean(term: np.ndarray) -> float:
+    total = 0.0
+    for value in term.tolist():  # frame order; np.sum would regroup
+        total += value
+    return total / len(term) if len(term) else 0.0
 
 
 def spatial_variance(det: Detections) -> float:
@@ -171,14 +175,14 @@ def speed_diversity(tracks: list) -> float:
 
 def traffic_features(rec: "SnippetArrays", config) -> dict:
     """The traffic row of one snippet, keyed by feature name, from its
-    detections and their tracks."""
+    detections, their tracks and their class counts."""
     det, tracks = rec.det, rec.tracks
     static_mean, dynamic_mean = crowdedness(det, rec.static)
     path_mean, path_max = actor_path_complexity(_roi_tracks(tracks), config.resample_points)
     return {
         "crowd_static": static_mean,
         "crowd_dynamic": dynamic_mean,
-        "class_div": class_diversity(det),
+        "class_div": _frame_mean(rec.class_counts[1]),
         "dist_var": spatial_variance(det),
         "actor_path_mean": path_mean,
         "actor_path_max": path_max,

@@ -1,0 +1,194 @@
+"""Scoring in batches gives the bytes of scoring one snippet at a time.
+
+`features.batch_arrays` projects a whole batch of snippets in three kernel
+calls. A point's projection does not depend on the other points of its call,
+so the store must not depend on where batches or kernel blocks end: the
+block-diagonal kernel must equal the one-polyline projection and its einsum
+oracle bit for bit, and the feature store must keep its pinned digest at
+every batch cap.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_measures as ref
+from logcurator import features, geometry, sdv, traffic
+from logcurator.scene import MapIndex
+from logcurator.selection import CurationConfig
+from test_store_digests import DIGESTS, _digests, _synth_pool
+
+# a coarse lattice: points land on vertices and segments, and many are
+# equidistant from two segments
+LATTICE = st.integers(-4, 4).map(lambda v: 0.5 * v)
+POINTS = st.lists(st.tuples(LATTICE, LATTICE), max_size=6)
+
+
+@st.composite
+def owned_sets(draw):
+    """[(polyline, cumlen or None, points)]: paths of one or more points,
+    some with repeated poses, each with its own points."""
+    sets = []
+    for _ in range(draw(st.integers(1, 5))):
+        path = np.array(draw(st.lists(st.tuples(LATTICE, LATTICE), min_size=1, max_size=6)))
+        if draw(st.booleans()):  # ego paths drop repeated poses; others may keep them
+            path = geometry.dedupe_points(path)
+        cumlen = geometry.cumulative_arclength(path) if draw(st.booleans()) else None
+        pts = np.array(draw(POINTS), dtype=float).reshape(-1, 2)
+        if len(path) > 1 and draw(st.booleans()):  # a point exactly on a segment
+            pts = np.vstack([pts, 0.5 * (path[0] + path[1])])
+        sets.append((path, cumlen, pts))
+    return sets
+
+
+@settings(max_examples=300)
+@given(owned_sets(), st.sampled_from([1, 2, 5, 17, 1 << 16]))
+def test_block_diagonal_kernel_equals_per_polyline_projection(sets, block_pairs):
+    saved = geometry.BLOCK_PAIRS
+    geometry.BLOCK_PAIRS = block_pairs  # blocks of one pair up to one block
+    try:
+        dist, arc = geometry.project_points_to_polyline(
+            np.concatenate([pts for _, _, pts in sets]),
+            [path for path, _, _ in sets],
+            [cumlen for _, cumlen, _ in sets],
+            counts=[len(pts) for _, _, pts in sets],
+        )
+        got, lo = [], 0
+        for path, cumlen, pts in sets:
+            got.append((dist[lo : lo + len(pts)], arc[lo : lo + len(pts)]))
+            lo += len(pts)
+    finally:
+        geometry.BLOCK_PAIRS = saved
+    for (path, cumlen, pts), (d, a) in zip(sets, got):
+        one = geometry.project_points_to_polyline(pts, path, cumlen)
+        want = ref.project_points_to_polyline(pts, path, cumlen) if len(pts) else one
+        assert np.array_equal(d, one[0]) and np.array_equal(a, one[1])
+        assert np.array_equal(d, want[0]) and np.array_equal(a, want[1])
+
+
+def test_block_diagonal_kernel_without_points():
+    table = geometry.SegmentTable.from_polylines([[(0.0, 0.0), (1.0, 0.0)]], [None])
+    dist, arc = geometry.project_to_own_polylines(np.zeros((0, 2)), table, [0])
+    assert dist.shape == arc.shape == (0,)
+
+
+def _batch_sizes(pool):
+    ordered = sorted(pool.snippets, key=lambda s: s.snippet_id)
+    return [len(b) for b in features._batches(ordered, MapIndex(pool.scene_map))]
+
+
+def _one_snippet(pool):
+    index = MapIndex(pool.scene_map)
+    return max(features._snippet_pairs(s, index) for s in pool.snippets)
+
+
+@pytest.mark.parametrize("cap", ["one_pair", "one_snippet", "whole_pool"])
+def test_store_does_not_depend_on_the_batch_cap(cap, monkeypatch, tmp_path):
+    pool = _synth_pool()  # four-way intersection: routes with conflict lanes
+    cfg = CurationConfig()
+    index = MapIndex(pool.scene_map)
+    assert any(features.snippet_arrays(s, index, cfg).conflict.lanes for s in pool.snippets)
+    if cap == "one_pair":
+        monkeypatch.setattr(geometry, "BLOCK_PAIRS", 1)
+    pairs = {"one_pair": 1, "one_snippet": _one_snippet(pool), "whole_pool": 1 << 62}[cap]
+    monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
+    sizes = _batch_sizes(pool)
+    n = len(pool.snippets)
+    assert sizes == {"one_pair": [1] * n, "whole_pool": [n]}.get(cap, sizes)
+    assert cap == "whole_pool" or max(sizes) < n
+    features.write_features(str(tmp_path), features.score_pool(pool, cfg))
+    assert _digests(tmp_path) == DIGESTS["synth"]
+
+
+def test_a_batch_makes_one_kernel_call_per_table(monkeypatch):
+    pool = _synth_pool()
+    monkeypatch.setattr(features, "BATCH_PAIRS", 1 << 62)
+    calls = []
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls.append(name if "counts" not in kwargs else "path_dist")
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("project_to_segments", "project_points_to_polyline"):
+        monkeypatch.setattr(geometry, name, counted(name, getattr(geometry, name)))
+    features.score_pool(pool, CurationConfig())
+    # the ego and the vehicle tables, and the path distances; infra's ring
+    # tests make one-polyline calls of their own
+    assert calls.count("project_to_segments") == 2 and calls.count("path_dist") == 1
+
+
+def test_conflict_rows_follow_the_vehicle_table():
+    # the bike lane first: conflict lane i is not row i of the vehicle table
+    pool = _synth_pool()
+    lanes = pool.scene_map.lanes
+    index = MapIndex(dataclasses.replace(pool.scene_map, lanes=lanes[-1:] + lanes[:-1]))
+    assert index.vehicle_indices[0] == 1
+    cfg = CurationConfig()
+    got = []
+    for rec in features.batch_arrays(pool.snippets, index, cfg):
+        got.append(sdv.interactions(rec, index, cfg))
+        assert got[-1] == ref.interactions(rec.snippet, index, rec.tracks)
+    assert any(trav or reach for _, _, trav, reach in got)
+
+
+def test_per_snippet_and_per_route_work_runs_once(monkeypatch):
+    pool = _synth_pool()
+    calls = {"class_counts": 0, "conflict_zone": 0}
+    for module, name in ((traffic, "class_counts"), (sdv, "conflict_zone")):
+        fn = getattr(module, name)
+
+        def wrapper(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    index, cfg = MapIndex(pool.scene_map), CurationConfig()
+    routes = set()
+    for rec in features.batch_arrays(pool.snippets, index, cfg):
+        features.compute_snippet_features(rec, index, cfg)
+        routes.add(rec.match.traversed)
+    assert calls == {"class_counts": len(pool.snippets), "conflict_zone": len(routes)}
+    assert len(routes) < len(pool.snippets)
+
+
+def test_worker_chunks_give_the_same_bundle(monkeypatch):
+    pool = _synth_pool()
+    monkeypatch.setattr(features, "BATCH_PAIRS", _one_snippet(pool))
+    one, two = (features.score_pool(pool, CurationConfig(), jobs=jobs) for jobs in (1, 2))
+    assert one.ids == two.ids and np.array_equal(one.matrix, two.matrix)
+    assert all(np.array_equal(one.frame_mats[sid], two.frame_mats[sid]) for sid in one.ids)
+
+
+def ring(n):
+    angle = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return 50.0 * np.column_stack([np.cos(angle), np.sin(angle)])
+
+
+def test_polygon_is_simple_holds_blocks_of_pairs():
+    # all n(n-3)/2 pairs of a 600-vertex ring at once peaked at 25.6 MiB;
+    # blocks of BLOCK_PAIRS = 2^16 pairs peak at about 8.6 MiB
+    poly = ring(600)
+    tracemalloc.start()
+    try:
+        assert geometry.polygon_is_simple(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 64])
+def test_polygon_is_simple_blocks_match_scalar_copy(monkeypatch, block_pairs):
+    monkeypatch.setattr(geometry, "BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(block_pairs)
+    for _ in range(60):
+        n = int(rng.integers(3, 12))
+        poly = ring(n) if rng.random() < 0.3 else rng.integers(-3, 4, size=(n, 2)).astype(float)
+        assert geometry.polygon_is_simple(poly) == ref.polygon_is_simple(poly)
