@@ -16,8 +16,8 @@ from . import geometry, sdv, traffic
 from .infra import infra_features
 from .scene import SCHEMA_VERSION, MapIndex, PoolFormatError, SceneMap, Snippet, SnippetPool
 from .scene import _column, file_sha256, read_header, read_json, remove_output, sidecar_path
-from .scene import write_json, write_rows
-from .sdv import ConflictZone, RouteMatch, ego_step_speeds, sdv_features
+from .scene import chunks, concat, write_json, write_rows
+from .sdv import ConflictZone, RouteMatch, sdv_features
 from .traffic import Detections, traffic_features
 
 SNIPPET_FEATURES = (
@@ -86,13 +86,17 @@ class SnippetArrays:
     snippet: Snippet
     ego: np.ndarray  # (T, 2) ego xy
     ego_path: geometry.Path  # ego xy without exactly repeated poses
+    ego_speed: np.ndarray  # (T - 1,) sdv.ego_step_speeds(ego, timestamps)
     det: Detections  # gated at config.roi_radius
     tracks: list  # build_track_paths(det); track i is det_track code i
     static: np.ndarray  # (K,) static_flags(tracks) at config.static_speed
     class_counts: tuple  # traffic.class_counts(det): (T, classes) counts, (T,) term
+    crowd: tuple  # traffic.crowdedness(det, static): (static, dynamic) mean counts
     path_dist: np.ndarray  # (D,) distance of each detection to ego_path
     ego_table: tuple  # project_to_segments(ego, index.segments)
+    lane_dist: np.ndarray  # (L,) the ego's nearest approach to each lane
     in_intersection: np.ndarray  # (I, T) ego inside each intersection polygon
+    in_crosswalk: np.ndarray  # (C, T) ego inside each crosswalk polygon
     match: RouteMatch
     conflict: ConflictZone  # sdv.conflict_zone(index, match.traversed, config)
     vehicle_rows: np.ndarray  # detections of vehicle tracks; none without conflict lanes
@@ -157,14 +161,6 @@ def _ego_instant_curvature(ego: np.ndarray, headings: np.ndarray) -> np.ndarray:
     return np.abs(out)
 
 
-def _ego_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    n = len(ego)
-    if n < 2:
-        return np.zeros(n)
-    step = ego_step_speeds(ego, ts)
-    return np.concatenate([step, step[-1:]])
-
-
 # point x segment pairs per scoring batch: each snippet counts its ego poses
 # against every lane segment, and its detections against every vehicle lane
 # segment and against its own ego path. A batch holds at least one snippet,
@@ -183,92 +179,95 @@ def _snippet_pairs(s: Snippet, index: MapIndex) -> int:
 
 def _batches(snippets, index: MapIndex):
     """`snippets` in order, in runs of at most BATCH_PAIRS pairs."""
-    batch, pairs = [], 0
-    for s in snippets:
-        n = _snippet_pairs(s, index)
-        if batch and pairs + n > BATCH_PAIRS:
-            yield batch
-            batch, pairs = [], 0
-        batch.append(s)
-        pairs += n
-    if batch:
-        yield batch
+    return chunks(snippets, lambda s: _snippet_pairs(s, index), BATCH_PAIRS)
 
 
 def batch_arrays(snippets, index: MapIndex, config, zones=None):
-    """Yield the SnippetArrays of each snippet, in order: its ego arrays, its
-    detections gated at `config.roi_radius`, their tracks, which tracks are
-    static and the class counts, each detection's distance to the ego path,
-    the ego-to-lane table, the ego's intersection containment, the route
-    match, its conflict zone and the vehicle-track detections against every
-    vehicle lane.
+    """Yield the SnippetArrays of each snippet, in order.
 
-    Snippets go through in batches (`_batches`), and each batch makes three
-    kernel calls: every ego pose against every lane, every detection against
-    its own ego path, and the vehicle-track detections of the snippets with
-    conflict lanes against every vehicle lane. A point's result does not
-    depend on its batch. `zones` maps each traversed-lane tuple to its
-    ConflictZone, filled as routes come in."""
+    Snippets go through in batches (`_batches`) of joined columns
+    (`scene.concat`). Each batch makes three kernel calls: every ego pose
+    against every lane, every detection against its own ego path, and the
+    vehicle-track detections of the snippets with conflict lanes against
+    every vehicle lane. The ROI gate, the track groups, the class and crowd
+    counts, the polygon tests, the lane minima and the route argmin run
+    once per batch too, and each record is sliced from them: all of it is
+    elementwise, integer or min/argmin work, so no result depends on its
+    batch. Float sums whose bits depend on order stay per snippet or per
+    track. `zones` maps each traversed-lane tuple to its ConflictZone,
+    filled as routes come in."""
     zones = {} if zones is None else zones
     for batch in _batches(snippets, index):
         yield from _batch_arrays(batch, index, config, zones)
 
 
+def _bounds(sizes) -> tuple:
+    """(starts, ends) of consecutive runs of `sizes`, as lists."""
+    ends = np.cumsum(sizes, dtype=int).tolist()
+    return [0, *ends[:-1]], ends
+
+
 def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
-    egos = [np.ascontiguousarray(s.ego_pose[:, :2]) for s in batch]
-    paths = [geometry.Path.from_points(ego) for ego in egos]
-    ego_dist, ego_arc = geometry.project_to_segments(np.concatenate(egos), index.segments)
+    b = concat(batch)
+    ego = np.ascontiguousarray(b.ego_pose[:, :2])
+    (t0, t1), (d0, d1), (k0, k1) = (
+        _bounds([len(getattr(s, col)) for s in batch]) for col in ("index", "det_frame", "track_ids")
+    )
+    egos = np.split(ego, t1[:-1])
+    paths = [geometry.Path.from_points(e) for e in egos]
+    ego_dist, ego_arc = geometry.project_to_segments(ego, index.segments)
     # the block-diagonal kernel through the name the per-layer profiler times
     path_dist, _ = geometry.project_points_to_polyline(
-        np.concatenate([s.det_center for s in batch]),
-        [p.points for p in paths],
-        [p.arclength for p in paths],
+        b.det_center, [p.points for p in paths], [p.arclength for p in paths],
         counts=[len(s.det_center) for s in batch],
     )
-    ego_ends = np.cumsum([len(ego) for ego in egos]).tolist()
-    routes = []  # (det, tracks, ego_table, match, zone, vehicle_rows) per snippet
-    for s, t0, t1 in zip(batch, [0] + ego_ends, ego_ends):
-        det = traffic.detection_arrays(s, config.roi_radius)
-        tracks = traffic.build_track_paths(det)
-        ego_table = (ego_dist[:, t0:t1], ego_arc[:, t0:t1])
-        match = sdv.match_route(ego_table, index, config)
+    det = traffic.detection_arrays(b, config.roi_radius)
+    tracks = traffic.build_track_paths(det)
+    static = traffic.static_flags(tracks, config.static_speed)
+    counts, term = traffic.class_counts(det)
+    inside = [  # (polygons, T): the ego in each intersection, and in each crosswalk
+        np.array([geometry.points_in_polygon(ego, p) for p in polys], dtype=bool).reshape(-1, len(ego))
+        for polys in (index.intersection_polys, index.crosswalk_polys)
+    ]
+    routes = []  # (match, zone, vehicle rows) per snippet
+    for s, match, lo, hi in zip(batch, sdv.match_route((ego_dist, ego_arc), t0, index, config), k0, k1):
         zone = zones.get(match.traversed)
         if zone is None:
             zone = zones[match.traversed] = sdv.conflict_zone(index, match.traversed, config)
         rows = np.zeros(0, dtype=np.intp)
         if zone.lanes:
-            vehicle = np.array([t.label == "vehicle" for t in tracks], dtype=bool)
+            vehicle = np.array([t.label == "vehicle" for t in tracks[lo:hi]], dtype=bool)
             rows = np.flatnonzero(vehicle[s.det_track])
-        routes.append((det, tracks, ego_table, match, zone, rows))
+        routes.append((match, zone, rows))
     veh_dist, veh_arc = geometry.project_to_segments(
-        np.concatenate([s.det_center[r[-1]] for s, r in zip(batch, routes)]),
-        index.vehicle_segments,
+        np.concatenate([s.det_center[r[-1]] for s, r in zip(batch, routes)]), index.vehicle_segments
     )
-    det_ends = np.cumsum([len(s.det_center) for s in batch]).tolist()
-    veh_ends = np.cumsum([len(r[-1]) for r in routes]).tolist()
-    polys = index.intersection_polys
+    v0, v1 = _bounds([len(r[-1]) for r in routes])
     return [
         SnippetArrays(
             snippet=s,
-            ego=ego,
+            ego=e,
             ego_path=path,
-            det=det,
-            tracks=tracks,
-            static=traffic.static_flags(tracks, config.static_speed),
-            class_counts=traffic.class_counts(det),
-            path_dist=path_dist[d0:d1],
-            ego_table=ego_table,
-            in_intersection=np.array(
-                [geometry.points_in_polygon(ego, poly) for poly in polys], dtype=bool
-            ).reshape(len(polys), len(ego)),
+            ego_speed=sdv.ego_step_speeds(e, s.timestamp),
+            det=traffic.Detections(s, det.in_roi[d0[i]:d1[i]], det.dist[d0[i]:d1[i]]),
+            tracks=tracks[k0[i]:k1[i]],
+            static=static[k0[i]:k1[i]],
+            class_counts=(counts[t0[i]:t1[i]], term[t0[i]:t1[i]]),
+            crowd=tuple(crowd),
+            path_dist=path_dist[d0[i]:d1[i]],
+            ego_table=(ego_dist[:, t0[i]:t1[i]], ego_arc[:, t0[i]:t1[i]]),
+            lane_dist=lane_dist,
+            in_intersection=inside[0][:, t0[i]:t1[i]],
+            in_crosswalk=inside[1][:, t0[i]:t1[i]],
             match=match,
             conflict=zone,
             vehicle_rows=rows,
-            vehicle_table=(veh_dist[:, v0:v1], veh_arc[:, v0:v1]),
+            vehicle_table=(veh_dist[:, v0[i]:v1[i]], veh_arc[:, v0[i]:v1[i]]),
         )
-        for s, ego, path, (det, tracks, ego_table, match, zone, rows), d0, d1, v0, v1 in zip(
-            batch, egos, paths, routes, [0] + det_ends, det_ends, [0] + veh_ends, veh_ends
-        )
+        for i, (s, e, path, crowd, lane_dist, (match, zone, rows)) in enumerate(zip(
+            batch, egos, paths, traffic.crowd_means(det, static, t0).tolist(),
+            np.minimum.reduceat(ego_dist, t0, axis=1).T, routes,
+        ))
     ]
 
 
@@ -287,7 +286,7 @@ def assemble_frame_vectors(rec: SnippetArrays) -> np.ndarray:
             counts,
             term,
             _ego_instant_curvature(ego, s.ego_pose[:, 2]),
-            _ego_speeds(ego, s.timestamp),
+            np.append(rec.ego_speed, rec.ego_speed[-1:]) if len(ego) > 1 else np.zeros(len(ego)),
             rec.in_intersection.any(axis=0),
             s.geo,
         ]

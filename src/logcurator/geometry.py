@@ -251,6 +251,31 @@ def polygon_polyline_intersects(polygon: np.ndarray, polyline: np.ndarray) -> bo
     return bool(np.any(hits))
 
 
+# metres by which two bounding boxes may miss each other and still meet. A
+# proper crossing, a touch within the predicates' _EPS, or a point within
+# points_in_polygon's 1e-9 of an edge puts two boxes far closer than this,
+# with the rounding of coordinates up to 10^6 m. Only a straddle that the
+# predicates read from rounding alone, between nearly collinear segments
+# apart along their line, is skipped with the pair.
+BOX_MARGIN = 1e-6
+
+
+def bounding_boxes(polylines) -> np.ndarray:
+    """(n, 4) min x, min y, max x, max y of each (k, 2) polyline; the box
+    of an empty one meets none."""
+    return np.array(
+        [[*p.min(axis=0), *p.max(axis=0)] if len(p) else [np.inf, np.inf, -np.inf, -np.inf]
+         for p in polylines]
+    ).reshape(-1, 4)
+
+
+def boxes_meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(A, B) whether box i of `a` and box j of `b` (`bounding_boxes`) are
+    within BOX_MARGIN of each other."""
+    lo_a, hi_a, lo_b, hi_b = a[:, None, :2], a[:, None, 2:], b[None, :, :2], b[None, :, 2:]
+    return np.all((lo_a <= hi_b + BOX_MARGIN) & (lo_b <= hi_a + BOX_MARGIN), axis=-1)
+
+
 def polygon_is_simple(polygon: np.ndarray) -> bool:
     """No two non-adjacent edges may intersect (closed ring). Edge pairs go
     through in blocks of at most BLOCK_PAIRS pairs (at least one edge's

@@ -33,7 +33,7 @@ def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
     m = index.scene_map
     ego = rec.ego
     roi_radius = config.roi_radius
-    lane_in = np.min(rec.ego_table[0], axis=1) <= roi_radius
+    lane_in = rec.lane_dist <= roi_radius
     vehicle_in = lane_in & ~index.lane_is_bike
     bike_in = lane_in & index.lane_is_bike
     curves = index.lane_curve_complexity(config.resample_points)
@@ -69,10 +69,8 @@ def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
 
     overlaps = 0
     vehicle_cols = np.flatnonzero(vehicle_in)
-    for ci, poly in enumerate(index.crosswalk_polys):
-        if len(vehicle_cols) and _polygon_in_roi(
-            geometry.points_in_polygon(ego, poly), poly, ego, roi_radius
-        ):
+    for ci, (poly, inside) in enumerate(zip(index.crosswalk_polys, rec.in_crosswalk)):
+        if len(vehicle_cols) and _polygon_in_roi(inside, poly, ego, roi_radius):
             overlaps += int(index.crosswalk_lane_hits[ci, vehicle_cols].sum())
     row["crosswalk_lane_overlaps"] = float(overlaps)
 

@@ -28,6 +28,7 @@ NUMBER_TYPES = frozenset((int, float))  # what json.loads makes of a JSON number
 # without importing the generator
 TEMPLATES = ("straight_road", "curved_road", "four_way_intersection", "hilly")
 PLANS = ("cruise", "speed_ramp", "lane_change", "turn", "nudge")
+VALIDATE_ROWS = 1 << 10  # frame and detection rows per validation chunk of `load_pool`
 
 
 class PoolFormatError(ValueError):
@@ -559,81 +560,127 @@ def map_to_obj(m: SceneMap):
 def validate_map(m: SceneMap) -> ValidationReport:
     findings = []
 
+    def bad(rule, detail):
+        findings.append(Finding(None, rule, detail))
+
     def finite(what, values):
         if not np.all(np.isfinite(np.asarray(values, dtype=float))):
-            findings.append(Finding(None, "map.finite", f"{what} has a non-finite value"))
+            bad("map.finite", f"{what} has a non-finite value")
+
+    def ring(rule, what, poly):  # an intersection or crosswalk polygon
+        finite(what, poly)
+        if len(poly) < 3:
+            bad(rule, f"{what} has <3 vertices")
+        elif not geometry.polygon_is_simple(np.asarray(poly, dtype=float)):
+            bad(rule, f"{what} self-intersects")
 
     ids = [l.lane_id for l in m.lanes]
     if len(set(ids)) != len(ids):
-        findings.append(Finding(None, "map.lane_ids", "duplicate lane ids"))
+        bad("map.lane_ids", "duplicate lane ids")
     known = set(ids)
     for lane in m.lanes:
         finite(f"lane {lane.lane_id} centerline", lane.centerline)
         if lane.width is not None:
             finite(f"lane {lane.lane_id} width", lane.width)
         if len(lane.centerline) < 2:
-            findings.append(
-                Finding(None, "map.centerline", f"lane {lane.lane_id} has fewer than 2 points")
-            )
+            bad("map.centerline", f"lane {lane.lane_id} has fewer than 2 points")
         if lane.turn not in LANE_TURNS:
-            findings.append(Finding(None, "map.turn", f"lane {lane.lane_id} turn {lane.turn!r}"))
+            bad("map.turn", f"lane {lane.lane_id} turn {lane.turn!r}")
         if lane.width is not None and not lane.width > 0:
-            findings.append(Finding(None, "map.width", f"lane {lane.lane_id} width {lane.width}"))
+            bad("map.width", f"lane {lane.lane_id} width {lane.width}")
         for ref in (*lane.successors, lane.left_neighbor, lane.right_neighbor):
             if ref is not None and ref not in known:
-                findings.append(
-                    Finding(None, "map.reference", f"lane {lane.lane_id} references missing {ref!r}")
-                )
+                bad("map.reference", f"lane {lane.lane_id} references missing {ref!r}")
     for i, inter in enumerate(m.intersections):
-        finite(f"intersection {i}", inter.polygon)
-        if len(inter.polygon) < 3:
-            findings.append(Finding(None, "map.polygon", f"intersection {i} has <3 vertices"))
-        elif not geometry.polygon_is_simple(np.asarray(inter.polygon, dtype=float)):
-            findings.append(Finding(None, "map.polygon", f"intersection {i} self-intersects"))
+        ring("map.polygon", f"intersection {i}", inter.polygon)
         if inter.incoming_roads != len(inter.lanes_per_road):
-            findings.append(
-                Finding(None, "map.roads", f"intersection {i} incoming_roads != len(lanes_per_road)")
-            )
+            bad("map.roads", f"intersection {i} incoming_roads != len(lanes_per_road)")
     for j, c in enumerate(m.traffic_controls):
         finite(f"control {j}", c.position)
         if c.kind not in CONTROL_KINDS:
-            findings.append(Finding(None, "map.control", f"unknown control kind {c.kind!r}"))
+            bad("map.control", f"unknown control kind {c.kind!r}")
         for ref in c.lane_ids:
             if ref not in known:
-                findings.append(Finding(None, "map.control", f"control references missing {ref!r}"))
+                bad("map.control", f"control references missing {ref!r}")
     for j, poly in enumerate(m.crosswalks):
-        finite(f"crosswalk {j}", poly)
-        if len(poly) < 3:
-            findings.append(Finding(None, "map.crosswalk", f"crosswalk {j} has <3 vertices"))
-        elif not geometry.polygon_is_simple(np.asarray(poly, dtype=float)):
-            findings.append(Finding(None, "map.crosswalk", f"crosswalk {j} self-intersects"))
+        ring("map.crosswalk", f"crosswalk {j}", poly)
     for j, sample in enumerate(m.height_samples):
         finite(f"height sample {j}", sample)
     return ValidationReport(tuple(findings))
 
 
-def validate_snippet(s: Snippet) -> ValidationReport:
-    """Check snippet-internal invariants.
+def concat(snippets) -> Snippet:
+    """The columns of `snippets` end to end, as one snippet whose ids no
+    caller reads. Frame and track codes are offset into the joined columns
+    and `track_ids` is the joined tuple, so no two snippets share a frame or
+    a track; label codes stay each snippet's own. A lone snippet is its own
+    join."""
+    if len(snippets) == 1:
+        return snippets[0]
 
-    Every rule is one predicate over a column; text is formatted only for
-    the rows it flags. Findings follow frame order; within a frame the frame
-    rules come first, then each detection's rules, in detection order."""
-    first, last = s.frame_range
-    ts, heading, lat, lon = s.timestamp, s.ego_pose[:, 2], s.geo[:, 0], s.geo[:, 1]
+    def join(name):
+        return np.concatenate([getattr(s, name) for s in snippets])
+
+    def offsets(sizes):  # each snippet's first code, once per detection
+        return np.repeat(np.cumsum(sizes) - sizes, [len(s.det_frame) for s in snippets])
+
+    return Snippet(
+        "", "", (), *map(join, ("index", "timestamp", "ego_pose", "geo")),
+        tuple(itertools.chain.from_iterable(s.track_ids for s in snippets)), DETECTION_CLASSES,
+        join("det_frame") + offsets(np.array([s.num_frames for s in snippets], dtype=int)),
+        join("det_track") + offsets(np.array([len(s.track_ids) for s in snippets], dtype=int)),
+        *map(join, ("det_label", "det_center", "det_yaw", "det_size", "det_speed")),
+    )
+
+
+def chunks(items, size, cap: int):
+    """`items` in order, in runs whose `size`s sum to at most `cap`; a run
+    holds at least one item."""
+    run, total = [], 0
+    for item in items:
+        n = size(item)
+        if run and total + n > cap:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += n
+    if run:
+        yield run
+
+
+def _check(snippets) -> list:
+    """The findings of each of `snippets`, one list per snippet. Every rule
+    is one predicate over a column of the snippets joined (`concat`); text
+    is formatted only for the rows it flags. A snippet's findings follow
+    frame order; within a frame the frame rules come first, then each
+    detection's rules, in detection order."""
+    s = concat(snippets)
+    frames = [t.num_frames for t in snippets]
+    starts = np.cumsum(frames) - frames  # each snippet's first frame row
+    owner = np.repeat(np.arange(len(snippets)), frames).tolist()  # of each frame row
+    first = [t.frame_range[0] for t in snippets]
+    ts, heading, lat, lon, index = s.timestamp, s.ego_pose[:, 2], s.geo[:, 0], s.geo[:, 1], s.index.tolist()
     frame_values = np.column_stack([s.ego_pose, s.geo, ts])
-    size, speed, label, track = s.det_size, s.det_speed, s.det_label, s.det_track
+    size, speed, label, track, det_frame = s.det_size, s.det_speed, s.det_label, s.det_track, s.det_frame
     det_values = np.column_stack([s.det_center, s.det_yaw, size, speed])
     first_label = label[np.unique(track, return_index=True)[1]]
-    index = s.index.tolist()
+    later = np.append(False, ~(ts[1:] > ts[:-1]))
+    later[starts[starts < len(ts)]] = False  # a snippet's first frame has no predecessor
+
+    def local(k):  # frame row k within its snippet
+        return k - int(starts[owner[k]])
 
     def at(j):
-        return f"frame {index[s.det_frame[j]]} track {s.track_ids[track[j]]}"
+        return f"frame {index[det_frame[j]]} track {s.track_ids[track[j]]}"
+
+    def named(j, code):
+        return snippets[owner[det_frame[j]]].classes[code]
 
     # (rule, flagged rows, text of a row, whether rows are detections)
     rules = (
-        ("frame_index", s.index != first + np.arange(s.num_frames),
-         lambda k: f"frame {k} has index {index[k]}, expected {first + k}", False),
-        ("timestamps", np.append(False, ~(ts[1:] > ts[:-1])),
+        ("frame_index", s.index != np.repeat(np.subtract(first, starts), frames) + np.arange(len(index)),
+         lambda k: f"frame {local(k)} has index {index[k]}, expected {first[owner[k]] + local(k)}", False),
+        ("timestamps", later,
          lambda k: f"frame {index[k]} timestamp {float(ts[k])} not increasing", False),
         ("heading", ~((-np.pi <= heading) & (heading < np.pi)),
          lambda k: f"frame {index[k]} heading {float(heading[k])} outside [-pi, pi)", False),
@@ -643,7 +690,7 @@ def validate_snippet(s: Snippet) -> ValidationReport:
          lambda k: f"frame {index[k]} has non-finite value "
          f"{next(v for v in frame_values[k].tolist() if not math.isfinite(v))}", False),
         ("class", label >= len(DETECTION_CLASSES),
-         lambda j: f"{at(j)} class {s.classes[label[j]]!r}", True),
+         lambda j: f"{at(j)} class {named(j, label[j])!r}", True),
         ("size", ~((size[:, 0] > 0) & (size[:, 1] > 0)),
          lambda j: f"{at(j)} size {tuple(size[j].tolist())}", True),
         ("speed", ~(speed >= 0), lambda j: f"{at(j)} speed {float(speed[j])}", True),
@@ -651,18 +698,25 @@ def validate_snippet(s: Snippet) -> ValidationReport:
          lambda j: f"{at(j)} non-finite field", True),
         ("track_class", label != first_label[track],
          lambda j: f"track {s.track_ids[track[j]]} switches class "
-         f"{s.classes[first_label[track[j]]]} -> {s.classes[label[j]]}", True),
+         f"{named(j, first_label[track[j]])} -> {named(j, label[j])}", True),
     )
-    flagged = sorted(
-        ((int(s.det_frame[row]), row, r) if per_det else (row, -1, r), r, row)
+    found = [
+        [] if t.frame_range[1] - t.frame_range[0] + 1 == t.num_frames
+        else [Finding(t.snippet_id, "frame_range", f"range {t.frame_range} does not cover {t.num_frames} frames")]
+        for t in snippets
+    ]
+    for (k, _, _), r, row in sorted(
+        ((int(det_frame[row]), row, r) if per_det else (row, -1, r), r, row)
         for r, (_, bad, _, per_det) in enumerate(rules)
         for row in np.flatnonzero(bad).tolist()
-    )
-    findings = [Finding(s.snippet_id, rules[r][0], rules[r][2](row)) for _, r, row in flagged]
-    if last - first + 1 != s.num_frames:
-        detail = f"range {s.frame_range} does not cover {s.num_frames} frames"
-        findings.insert(0, Finding(s.snippet_id, "frame_range", detail))
-    return ValidationReport(tuple(findings))
+    ):
+        found[owner[k]].append(Finding(snippets[owner[k]].snippet_id, rules[r][0], rules[r][2](row)))
+    return found
+
+
+def validate_snippet(s: Snippet) -> ValidationReport:
+    """Check snippet-internal invariants: `_check` of a chunk of one."""
+    return ValidationReport(tuple(_check([s])[0]))
 
 
 def save_map(m: SceneMap, path: str) -> None:
@@ -730,26 +784,28 @@ def load_pool(path: str) -> SnippetPool:
         raise PoolFormatError(f"{where}: snippet_length {snippet_length} is below 1")
     scene_map = load_map(sidecar_path(path, map_name), map_digest)
 
-    snippets = []
-    for lineno, obj in rows:
-        if not isinstance(obj, dict) or obj.get("kind") != "snippet":
-            raise PoolFormatError(f"pool file {path} line {lineno}: expected a snippet record")
-        try:
-            snippets.append(snippet_from_obj(obj))
-        except PoolFormatError as exc:
-            raise PoolFormatError(f"pool file {path} line {lineno}: {exc}") from exc
+    def parsed():
+        for lineno, obj in rows:
+            if not isinstance(obj, dict) or obj.get("kind") != "snippet":
+                raise PoolFormatError(f"pool file {path} line {lineno}: expected a snippet record")
+            try:
+                yield snippet_from_obj(obj)
+            except PoolFormatError as exc:
+                raise PoolFormatError(f"pool file {path} line {lineno}: {exc}") from exc
 
-    findings = []
-    seen = set()
-    for s in snippets:
-        if s.snippet_id in seen:
-            findings.append(Finding(s.snippet_id, "pool.ids", "duplicate snippet_id"))
-        seen.add(s.snippet_id)
-        if s.num_frames != snippet_length:
-            findings.append(
-                Finding(s.snippet_id, "pool.length", f"{s.num_frames} frames, header says {snippet_length}")
-            )
-        findings.extend(validate_snippet(s).findings)
+    # chunks are checked as they are parsed, and findings raised only after
+    # the last record: a malformed record is reported first
+    snippets, findings, seen = [], [], set()
+    for chunk in chunks(parsed(), lambda s: s.num_frames + len(s.det_frame), VALIDATE_ROWS):
+        for s, found in zip(chunk, _check(chunk)):
+            if s.snippet_id in seen:
+                findings.append(Finding(s.snippet_id, "pool.ids", "duplicate snippet_id"))
+            seen.add(s.snippet_id)
+            if s.num_frames != snippet_length:
+                detail = f"{s.num_frames} frames, header says {snippet_length}"
+                findings.append(Finding(s.snippet_id, "pool.length", detail))
+            findings += found
+        snippets += chunk
     if findings:
         raise PoolValidationError(findings, f"pool file {path}")
     digests = pool_digest.hexdigest(), map_digest.hexdigest()
@@ -784,39 +840,31 @@ class MapIndex:
             for lane in scene_map.lanes
         ]
 
+        # only the pairs whose bounding boxes meet (geometry.boxes_meet) are tested
         n = len(scene_map.lanes)
         self.crossing_matrix = np.zeros((n, n), dtype=int)
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = geometry.count_polyline_crossings(self.lane_pts[i], self.lane_pts[j])
-                self.crossing_matrix[i, j] = c
-                self.crossing_matrix[j, i] = c
-
-        self.crosswalk_polys = [np.asarray(p, dtype=float) for p in scene_map.crosswalks]
+        lane_box = geometry.bounding_boxes(self.lane_pts)
+        for i, j in zip(*np.nonzero(np.triu(geometry.boxes_meet(lane_box, lane_box), 1))):
+            c = geometry.count_polyline_crossings(self.lane_pts[i], self.lane_pts[j])
+            self.crossing_matrix[i, j] = self.crossing_matrix[j, i] = c
+        self.crosswalk_polys = [np.asarray(p, dtype=float).reshape(-1, 2) for p in scene_map.crosswalks]
         self.crosswalk_lane_hits = np.zeros((len(self.crosswalk_polys), n), dtype=bool)
-        for ci, poly in enumerate(self.crosswalk_polys):
-            for li in range(n):
-                self.crosswalk_lane_hits[ci, li] = geometry.polygon_polyline_intersects(
-                    poly, self.lane_pts[li]
-                )
+        walk_box = geometry.bounding_boxes(self.crosswalk_polys)
+        for ci, li in zip(*np.nonzero(geometry.boxes_meet(walk_box, lane_box))):
+            poly, lane = self.crosswalk_polys[ci], self.lane_pts[li]
+            self.crosswalk_lane_hits[ci, li] = geometry.polygon_polyline_intersects(poly, lane)
 
         self.intersection_polys = [np.asarray(i.polygon, dtype=float) for i in scene_map.intersections]
-        self.control_positions = np.array(
-            [c.position for c in scene_map.traffic_controls], dtype=float
-        ).reshape(-1, 2)
+        controls = [c.position for c in scene_map.traffic_controls]
+        self.control_positions = np.array(controls, dtype=float).reshape(-1, 2)
         hs = np.asarray(scene_map.height_samples, dtype=float).reshape(-1, 3)
-        self.height_xy = hs[:, :2]
-        self.height_z = hs[:, 2]
+        self.height_xy, self.height_z = hs[:, :2], hs[:, 2]
         self._curve_cache = {}
 
     def lane_curve_complexity(self, K: int) -> np.ndarray:
         if K not in self._curve_cache:
-            self._curve_cache[K] = np.array(
-                [
-                    geometry.curve_complexity(pts, K) if len(pts) >= 2 else 0.0
-                    for pts in self.lane_pts
-                ]
-            )
+            curves = [geometry.curve_complexity(pts, K) if len(pts) >= 2 else 0.0 for pts in self.lane_pts]
+            self._curve_cache[K] = np.array(curves)
         return self._curve_cache[K]
 
     def lane_width(self, index: int, fallback: float) -> float:

@@ -42,19 +42,27 @@ def nearest_lane(dist: np.ndarray, arc: np.ndarray, lanes) -> tuple:
     return np.array(lanes, dtype=int)[best], dist[best, cols], arc[best, cols]
 
 
-def match_route(ego_table: tuple, index: MapIndex, config) -> RouteMatch:
-    """Nearest vehicle lane per ego pose, read from the ego-to-every-lane
-    table `geometry.project_to_segments(ego, index.segments)`."""
+def match_route(ego_table: tuple, starts: list, index: MapIndex, config) -> list:
+    """The RouteMatch of each snippet of a batch, whose poses are columns
+    starts[k]: of the batch's ego-to-every-lane table
+    `geometry.project_to_segments(ego, index.segments)`: the nearest vehicle
+    lane per pose, one argmin and one gate count for the whole batch."""
     dist, arc = ego_table
-    n = dist.shape[1]
-    veh = index.vehicle_indices
+    ends = [*starts[1:], dist.shape[1]]
+    sizes, veh = np.subtract(ends, starts), index.vehicle_indices
     if not veh:
-        return RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), False, (), ())
-    assignments, lateral, _ = nearest_lane(dist[veh], arc[veh], veh)
-    lane_runs = tuple((int(assignments[a]), a, b) for a, b in runs(assignments))
-    traversed = tuple(dict.fromkeys(lane for lane, _, _ in lane_runs))
-    valid = float(np.mean(lateral <= config.map_match_gate)) >= config.map_match_min_frac
-    return RouteMatch(assignments, lateral, valid, lane_runs, traversed)
+        return [RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), False, (), ()) for n in sizes]
+    lanes, lateral, _ = nearest_lane(dist[veh], arc[veh], veh)
+    gated = np.add.reduceat(lateral <= config.map_match_gate, starts, dtype=np.intp)
+    owner = np.repeat(np.arange(len(starts)), sizes)
+    spans = [[] for _ in starts]
+    for a, b in runs(lanes + owner * len(index.lane_ids)):  # no run spans two snippets
+        k = int(owner[a])
+        spans[k].append((int(lanes[a]), a - starts[k], b - starts[k]))
+    return [
+        RouteMatch(lanes[a:b], lateral[a:b], ok, tuple(s), tuple(dict.fromkeys(l for l, _, _ in s)))
+        for a, b, ok, s in zip(starts, ends, (gated / sizes >= config.map_match_min_frac).tolist(), spans)
+    ]
 
 
 def sdv_path_complexity(rec: "SnippetArrays", config) -> float:
@@ -72,9 +80,7 @@ def ego_step_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def sdv_speed_variance(rec: "SnippetArrays") -> float:
     """Population variance of per-step ego speeds."""
-    if len(rec.ego) < 2:
-        return 0.0
-    return float(np.var(ego_step_speeds(rec.ego, rec.snippet.timestamp)))
+    return float(np.var(rec.ego_speed)) if len(rec.ego_speed) else 0.0
 
 
 def route_events(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
@@ -105,14 +111,8 @@ def route_events(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
 
 
 def _conflict_lanes(index: MapIndex, traversed: tuple) -> list:
-    used = set(traversed)
-    out = []
-    for li in index.vehicle_indices:
-        if li in used:
-            continue
-        if any(index.crossing_matrix[li, tj] > 0 for tj in used):
-            out.append(li)
-    return out
+    crosses = np.any(index.crossing_matrix[:, list(traversed)] > 0, axis=1)
+    return [li for li in index.vehicle_indices if crosses[li] and li not in traversed]
 
 
 def _entry_distances(index: MapIndex, conflict: list, cap: float = REACH_CAP) -> np.ndarray:

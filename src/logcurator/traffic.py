@@ -28,8 +28,8 @@ STATIC_SPEED = 0.5
 
 @dataclass(frozen=True, slots=True)
 class Detections:
-    """The ROI gate over one snippet's detection columns, in their frame then
-    detection order."""
+    """The ROI gate over one snippet's detection columns, or a batch's joined
+    by `scene.concat`, in their frame then detection order."""
 
     snippet: Snippet
     in_roi: np.ndarray  # (D,) bool
@@ -43,10 +43,8 @@ class TrackPath:
     positions: np.ndarray  # (n, 2)
     speeds: np.ndarray  # (n,)
     in_roi: np.ndarray  # (n,) bool
-
-    @property
-    def mean_speed(self) -> float:
-        return float(np.mean(self.speeds))
+    seen: bool  # some observation is in gate
+    mean_speed: float  # np.mean(speeds), taken once when the track is built
 
     def is_static(self, threshold: float) -> bool:
         return self.mean_speed < threshold
@@ -57,28 +55,30 @@ def detection_arrays(s: Snippet, roi_radius: float | None = None) -> Detections:
     detection in the gate."""
     delta = s.det_center - s.ego_pose[s.det_frame, :2]
     d2 = delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1]
-    if roi_radius is None:
-        in_roi = np.ones(len(d2), dtype=bool)
-    else:
-        in_roi = d2 <= roi_radius * roi_radius
+    in_roi = np.ones(len(d2), dtype=bool) if roi_radius is None else d2 <= roi_radius * roi_radius
     return Detections(s, in_roi, np.sqrt(d2))
 
 
 def build_track_paths(det: Detections) -> list:
-    """Group detections by track, ordered by track_id; each track keeps its
-    observations in frame order and the label of its first one."""
+    """Group detections by track, ordered by track code (by track_id within
+    a snippet, and snippet by snippet in `scene.concat`'s columns); each
+    track keeps its observations in frame order and the label of its first
+    one."""
     s = det.snippet
     order = np.argsort(s.det_track, kind="stable")
     groups = (order[a:b] for a, b in runs(s.det_track[order]))
+    seen = np.bincount(s.det_track[det.in_roi], minlength=len(s.track_ids)) > 0
     return [
         TrackPath(
             track_id=tid,
             label=DETECTION_CLASSES[s.det_label[rows[0]]],
             positions=s.det_center[rows],
-            speeds=s.det_speed[rows],
+            speeds=(speeds := s.det_speed[rows]),
             in_roi=det.in_roi[rows],
+            seen=gated,
+            mean_speed=float(np.mean(speeds)),
         )
-        for tid, rows in zip(s.track_ids, groups)
+        for tid, rows, gated in zip(s.track_ids, groups, seen.tolist())
     ]
 
 
@@ -89,20 +89,23 @@ def static_flags(tracks: list, static_speed: float) -> np.ndarray:
 
 
 def _roi_tracks(tracks: list) -> list:
-    return [t for t in tracks if bool(np.any(t.in_roi))]
+    return [t for t in tracks if t.seen]
+
+
+def crowd_means(det: Detections, static: np.ndarray, starts) -> np.ndarray:
+    """(n, 2) mean per-frame count of in-gate actors, split (static, dynamic)
+    by the tracks' `static_flags`, of each of the n snippets of `det` whose
+    frames start at `starts`. The counts are integers, so the sums are
+    exact and each mean is the one np.mean takes."""
+    s = det.snippet
+    cells = s.det_frame[det.in_roi] * 2 + ~static[s.det_track][det.in_roi]
+    counts = np.bincount(cells, minlength=2 * s.num_frames).reshape(-1, 2)
+    return np.add.reduceat(counts, starts, axis=0) / np.diff([*starts, s.num_frames])[:, None]
 
 
 def crowdedness(det: Detections, static: np.ndarray) -> tuple:
-    """Mean per-frame count of in-gate actors, split (static, dynamic) by
-    the tracks' `static_flags`."""
-    s = det.snippet
-    static = static[s.det_track]
-    static_frames = s.det_frame[det.in_roi & static]
-    dynamic_frames = s.det_frame[det.in_roi & ~static]
-    return (
-        float(np.mean(np.bincount(static_frames, minlength=s.num_frames))),
-        float(np.mean(np.bincount(dynamic_frames, minlength=s.num_frames))),
-    )
+    """`crowd_means` of one snippet, as (static, dynamic)."""
+    return tuple(crowd_means(det, static, [0])[0].tolist())
 
 
 def class_counts(det: Detections) -> tuple:
@@ -152,14 +155,10 @@ def few_distinct_rows(p: np.ndarray) -> bool:
 
 def actor_path_complexity(tracks: list, K: int) -> tuple:
     """(mean, max) curve complexity over tracks with >= 3 distinct positions."""
-    values = []
-    for t in tracks:
-        if few_distinct_rows(t.positions):
-            continue
-        values.append(geometry.curve_complexity(t.positions, K))
-    if not values:
-        return 0.0, 0.0
-    return float(np.mean(values)), float(np.max(values))
+    values = [
+        geometry.curve_complexity(t.positions, K) for t in tracks if not few_distinct_rows(t.positions)
+    ]
+    return (float(np.mean(values)), float(np.max(values))) if values else (0.0, 0.0)
 
 
 def speed_diversity(tracks: list) -> float:
@@ -176,15 +175,13 @@ def speed_diversity(tracks: list) -> float:
 def traffic_features(rec: "SnippetArrays", config) -> dict:
     """The traffic row of one snippet, keyed by feature name, from its
     detections, their tracks and their class counts."""
-    det, tracks = rec.det, rec.tracks
-    static_mean, dynamic_mean = crowdedness(det, rec.static)
-    path_mean, path_max = actor_path_complexity(_roi_tracks(tracks), config.resample_points)
+    path_mean, path_max = actor_path_complexity(_roi_tracks(rec.tracks), config.resample_points)
     return {
-        "crowd_static": static_mean,
-        "crowd_dynamic": dynamic_mean,
+        "crowd_static": rec.crowd[0],
+        "crowd_dynamic": rec.crowd[1],
         "class_div": _frame_mean(rec.class_counts[1]),
-        "dist_var": spatial_variance(det),
+        "dist_var": spatial_variance(rec.det),
         "actor_path_mean": path_mean,
         "actor_path_max": path_max,
-        "speed_div": speed_diversity(tracks),
+        "speed_div": speed_diversity(rec.tracks),
     }

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_measures as ref
-from logcurator import features, geometry, sdv, traffic
+from logcurator import features, geometry, sdv, synthgen, traffic
 from logcurator.scene import MapIndex
 from logcurator.selection import CurationConfig
 from test_store_digests import DIGESTS, _digests, _synth_pool
@@ -138,10 +138,13 @@ def test_conflict_rows_follow_the_vehicle_table():
     assert any(trav or reach for _, _, trav, reach in got)
 
 
-def test_per_snippet_and_per_route_work_runs_once(monkeypatch):
+@pytest.mark.parametrize("pairs", [None, 1 << 62])
+def test_per_snippet_and_per_route_work_runs_once(pairs, monkeypatch):
     pool = _synth_pool()
-    calls = {"class_counts": 0, "conflict_zone": 0}
-    for module, name in ((traffic, "class_counts"), (sdv, "conflict_zone")):
+    if pairs is not None:
+        monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
+    calls = {"class_counts": 0, "conflict_zone": 0, "ego_step_speeds": 0}
+    for module, name in ((traffic, "class_counts"), (sdv, "conflict_zone"), (sdv, "ego_step_speeds")):
         fn = getattr(module, name)
 
         def wrapper(*args, _fn=fn, _name=name):
@@ -149,13 +152,61 @@ def test_per_snippet_and_per_route_work_runs_once(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, name, wrapper)
+    averaged = []  # every array np.mean is called on, kept alive so ids stay apart
+    mean = np.mean
+    monkeypatch.setattr(np, "mean", lambda a, *args, **kw: averaged.append(a) or mean(a, *args, **kw))
     index, cfg = MapIndex(pool.scene_map), CurationConfig()
-    routes = set()
+    routes, tracks = set(), []
     for rec in features.batch_arrays(pool.snippets, index, cfg):
         features.compute_snippet_features(rec, index, cfg)
         routes.add(rec.match.traversed)
-    assert calls == {"class_counts": len(pool.snippets), "conflict_zone": len(routes)}
-    assert len(routes) < len(pool.snippets)
+        tracks += rec.tracks
+    # class counts once per batch, ego speeds once per snippet, one mean of
+    # each track's speeds, and one conflict zone per route
+    n = len(pool.snippets)
+    batches = len(_batch_sizes(pool))
+    assert calls == {"class_counts": batches, "conflict_zone": len(routes), "ego_step_speeds": n}
+    assert len(routes) < n and tracks
+    assert [sum(a is t.speeds for a in averaged) for t in tracks] == [1] * len(tracks)
+
+
+def _same(a, b) -> bool:
+    """`a` equals `b` field by field, arrays by np.array_equal and dtype."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def _short_pool():
+    """Short straight-road snippets: many fill one batch at the default cap."""
+    spec = synthgen.default_spec(
+        "straight_road", "cruise", seed=3, n_snippets=12, num_frames=20, jitter=True
+    )
+    return synthgen.generate_pool(spec)[0]
+
+
+@pytest.mark.parametrize("make_pool,pairs", [(_short_pool, None), (_synth_pool, 1 << 62)])
+def test_records_do_not_depend_on_the_batch_cap(make_pool, pairs, monkeypatch):
+    # the four-way pool has crosswalks, an intersection and conflict lanes
+    pool = make_pool()
+    index, cfg = MapIndex(pool.scene_map), CurationConfig()
+    if pairs is not None:
+        monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
+    batched = list(features.batch_arrays(pool.snippets, index, cfg))
+    assert 1 < max(_batch_sizes(pool)) and all(rec.tracks for rec in batched)
+    monkeypatch.setattr(features, "BATCH_PAIRS", 1)
+    alone = list(features.batch_arrays(pool.snippets, index, cfg))
+    fields = [f.name for f in dataclasses.fields(features.SnippetArrays)]
+    assert {"ego_speed", "crowd", "lane_dist", "in_crosswalk"} <= set(fields)
+    for one, many in zip(alone, batched, strict=True):
+        for name in fields:
+            assert _same(getattr(one, name), getattr(many, name)), name
 
 
 def test_worker_chunks_give_the_same_bundle(monkeypatch):

@@ -671,24 +671,32 @@ class TestReport:
     def test_detections_are_read_once_per_selected_snippet(
         self, capsys, workspace, tmp_path, result_path, monkeypatch
     ):
-        calls = {"detection_arrays": 0, "build_track_paths": 0}
+        # a scoring batch gates and groups its snippets' joined columns in
+        # one call each: count the detection rows every call covers
+        rows = {"detection_arrays": 0, "build_track_paths": 0}
+        size = {
+            "detection_arrays": lambda s, *_: len(s.det_frame),
+            "build_track_paths": lambda det: len(det.in_roi),
+        }
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                rows[name] += size[name](*args)
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        for name in calls:
+        for name in rows:
             wrapped = counted(name, getattr(traffic, name))
             monkeypatch.setattr(traffic, name, wrapped)
         out_dir = str(tmp_path / "report")
         assert run(capsys, "report", workspace["pool"], result_path, "--out-dir", out_dir)[0] == 0
         with open(result_path) as fh:
-            n_selected = len(json.load(fh)["selected"])
-        assert n_selected > 0
-        assert calls == {"detection_arrays": n_selected, "build_track_paths": n_selected}
+            selected = set(json.load(fh)["selected"])
+        pool = load_pool(workspace["pool"])
+        dets = sum(len(s.det_frame) for s in pool.snippets if s.snippet_id in selected)
+        assert selected and dets > 0
+        assert rows == {"detection_arrays": dets, "build_track_paths": dets}
 
     def test_reported_means_match_direct_scoring(self, capsys, workspace, tmp_path, result_path):
         out_dir = str(tmp_path / "report")

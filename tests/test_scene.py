@@ -2,10 +2,11 @@ import hashlib
 import itertools
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_measures as ref
@@ -93,6 +94,22 @@ def damage_steps(draw):
     if i is None:
         return lambda r: at(r).__setitem__(field, value)
     return lambda r: at(r)[field].__setitem__(i, value)
+
+
+@st.composite
+def damaged_pools(draw):
+    """Pool records of six-frame snippets: `damageable_record()`s under ids
+    drawn from three, so some repeat, each damaged by `damage_steps` and
+    some cut short of the header's length."""
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        record = damageable_record()
+        record["snippet_id"] = draw(st.sampled_from(["s0", "s1", "s2"]))
+        for step in draw(st.lists(damage_steps(), max_size=3)):
+            step(record)
+        record["frames"] = record["frames"][: draw(st.sampled_from([6, 6, 6, 2, 5]))]
+        pool.append({"kind": "snippet", **record})
+    return pool
 
 
 def snip(sid, log_id, first, last):
@@ -193,6 +210,36 @@ class TestValidation:
         s = scene.snippet_from_obj(record)
         got = scene.validate_snippet(s).findings
         assert got == ref.validate_snippet(s, scene.SceneMap()).findings
+
+    @pytest.mark.parametrize("rows", [1, scene.VALIDATE_ROWS])
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pool=damaged_pools())
+    def test_chunked_findings_match_the_per_snippet_loop(self, pool, rows, monkeypatch):
+        # one snippet per chunk, and the whole pool in one chunk
+        monkeypatch.setattr(scene, "VALIDATE_ROWS", rows)
+        want, seen = [], set()
+        for record in pool:
+            s = scene.snippet_from_obj(record)
+            if s.snippet_id in seen:
+                want.append(scene.Finding(s.snippet_id, "pool.ids", "duplicate snippet_id"))
+            seen.add(s.snippet_id)
+            if s.num_frames != 6:
+                detail = f"{s.num_frames} frames, header says 6"
+                want.append(scene.Finding(s.snippet_id, "pool.length", detail))
+            want += ref.validate_snippet(s, scene.SceneMap()).findings
+        with tempfile.TemporaryDirectory() as d:
+            scene.save_map(scene.SceneMap(), os.path.join(d, "scene.map.json"))
+            header = {"kind": "pool_header", "schema_version": 1, "map_path": "scene.map.json",
+                      "snippet_length": 6}
+            path = os.path.join(d, "pool.jsonl")
+            with open(path, "w") as fh:  # json.dumps: damaged values may be NaN
+                fh.write("\n".join(map(json.dumps, [header, *pool])) + "\n")
+            try:
+                scene.load_pool(path)
+                got = []
+            except scene.PoolValidationError as exc:
+                got = exc.findings
+        assert got == want
 
     def test_map_duplicate_lane_ids(self):
         lane = scene.Lane("same", ((0.0, 0.0), (1.0, 0.0)))
