@@ -78,15 +78,15 @@ def schema():
 @click.option("--plan", type=click.Choice(PLANS), default="cruise", show_default=True)
 @click.option("--snippets", "n_snippets", type=int, default=1, show_default=True)
 @click.option("--frames", type=int, default=250, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--jitter/--no-jitter", default=False, show_default=True)
 @click.option("--overlap-every", type=int, default=0, show_default=True)
-@click.option("--bicycle-every", type=int, default=0, show_default=True)
+@click.option("--bicycle-every", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--id-prefix", default="s", show_default=True)
 @click.option("--out", required=True, type=click.Path(), help="Pool NDJSON path; the map sidecar lands next to it.")
 @click.option("--cards", "cards_path", type=click.Path(), default=None, help="Also write expectation cards.")
 @click.option("--forecasts", "forecasts_path", type=click.Path(), default=None, help="Also write synthetic forecasts.")
-@click.option("--horizon", type=int, default=5, show_default=True)
+@click.option("--horizon", type=click.IntRange(min=0), default=5, show_default=True)
 def synth(template, plan, n_snippets, frames, seed, jitter, overlap_every, bicycle_every, id_prefix, out, cards_path, forecasts_path, horizon):
     """Generate a synthetic pool with known expected measure values."""
     from . import baselines, synthgen
@@ -187,7 +187,7 @@ def curate_cmd(pool_path, config_path, out_path, features_dir, jobs):
 @click.argument("pool_path", type=click.Path())
 @click.option("--method", type=click.Choice(["random", "entropy"]), required=True)
 @click.option("-k", "--budget", "k", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--forecasts", "forecasts_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def baseline(pool_path, method, k, seed, forecasts_path, out_path):

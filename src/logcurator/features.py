@@ -95,6 +95,7 @@ class SnippetArrays:
     path_dist: np.ndarray  # (D,) distance of each detection to ego_path
     ego_table: tuple  # project_to_segments(ego, index.segments)
     lane_dist: np.ndarray  # (L,) the ego's nearest approach to each lane
+    element_dist: np.ndarray  # (E,) the ego's nearest approach to each of index.elements
     in_intersection: np.ndarray  # (I, T) ego inside each intersection polygon
     in_crosswalk: np.ndarray  # (C, T) ego inside each crosswalk polygon
     match: RouteMatch
@@ -162,9 +163,10 @@ def _ego_instant_curvature(ego: np.ndarray, headings: np.ndarray) -> np.ndarray:
 
 
 # point x segment pairs per scoring batch: each snippet counts its ego poses
-# against every lane segment, and its detections against every vehicle lane
-# segment and against its own ego path. A batch holds at least one snippet,
-# so the tables of a batch stay bounded however large the pool or the map.
+# against every lane and map element segment, and its detections against
+# every vehicle lane segment and against its own ego path. A batch holds at
+# least one snippet, so the tables of a batch stay bounded however large
+# the pool or the map.
 BATCH_PAIRS = 1 << 15
 
 
@@ -172,9 +174,9 @@ def _snippet_pairs(s: Snippet, index: MapIndex) -> int:
     """The pairs one snippet adds to a batch (`BATCH_PAIRS`); its ego path
     has at most max(T - 1, 1) segments."""
     path_segs = max(s.num_frames - 1, 1)
-    return s.num_frames * len(index.segments.x0) + len(s.det_center) * (
-        len(index.vehicle_segments.x0) + path_segs
-    )
+    ego_segs = len(index.segments.x0) + len(index.elements.x0)
+    det_segs = len(index.vehicle_segments.x0) + path_segs
+    return s.num_frames * ego_segs + len(s.det_center) * det_segs
 
 
 def _batches(snippets, index: MapIndex):
@@ -186,16 +188,17 @@ def batch_arrays(snippets, index: MapIndex, config, zones=None):
     """Yield the SnippetArrays of each snippet, in order.
 
     Snippets go through in batches (`_batches`) of joined columns
-    (`scene.concat`). Each batch makes three kernel calls: every ego pose
-    against every lane, every detection against its own ego path, and the
-    vehicle-track detections of the snippets with conflict lanes against
-    every vehicle lane. The ROI gate, the track groups, the class and crowd
-    counts, the polygon tests, the lane minima and the route argmin run
-    once per batch too, and each record is sliced from them: all of it is
-    elementwise, integer or min/argmin work, so no result depends on its
-    batch. Float sums whose bits depend on order stay per snippet or per
-    track. `zones` maps each traversed-lane tuple to its ConflictZone,
-    filled as routes come in."""
+    (`scene.concat`). Each batch makes four kernel calls: every ego pose
+    against every lane and against every non-lane map element, every
+    detection against its own ego path, and the vehicle-track detections of
+    the snippets with conflict lanes against every vehicle lane. The ROI
+    gate, the track groups, the class and crowd counts, the polygon tests,
+    the lane and element minima and the route argmin run once per batch
+    too, and each record is sliced from them: all of it is elementwise,
+    integer or min/argmin work, so no result depends on its batch. Float
+    sums whose bits depend on order stay per snippet or per track. `zones`
+    maps each traversed-lane tuple to its ConflictZone, filled as routes
+    come in."""
     zones = {} if zones is None else zones
     for batch in _batches(snippets, index):
         yield from _batch_arrays(batch, index, config, zones)
@@ -216,6 +219,7 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
     egos = np.split(ego, t1[:-1])
     paths = [geometry.Path.from_points(e) for e in egos]
     ego_dist, ego_arc = geometry.project_to_segments(ego, index.segments)
+    elem_dist, _ = geometry.project_to_segments(ego, index.elements)
     # the block-diagonal kernel through the name the per-layer profiler times
     path_dist, _ = geometry.project_points_to_polyline(
         b.det_center, [p.points for p in paths], [p.arclength for p in paths],
@@ -257,6 +261,7 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             path_dist=path_dist[d0[i]:d1[i]],
             ego_table=(ego_dist[:, t0[i]:t1[i]], ego_arc[:, t0[i]:t1[i]]),
             lane_dist=lane_dist,
+            element_dist=element_dist,
             in_intersection=inside[0][:, t0[i]:t1[i]],
             in_crosswalk=inside[1][:, t0[i]:t1[i]],
             match=match,
@@ -264,9 +269,10 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             vehicle_rows=rows,
             vehicle_table=(veh_dist[:, v0[i]:v1[i]], veh_arc[:, v0[i]:v1[i]]),
         )
-        for i, (s, e, path, crowd, lane_dist, (match, zone, rows)) in enumerate(zip(
+        for i, (s, e, path, crowd, lane_dist, element_dist, (match, zone, rows)) in enumerate(zip(
             batch, egos, paths, traffic.crowd_means(det, static, t0).tolist(),
-            np.minimum.reduceat(ego_dist, t0, axis=1).T, routes,
+            np.minimum.reduceat(ego_dist, t0, axis=1).T,
+            np.minimum.reduceat(elem_dist, t0, axis=1).T, routes,
         ))
     ]
 

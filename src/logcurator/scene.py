@@ -855,10 +855,31 @@ class MapIndex:
             self.crosswalk_lane_hits[ci, li] = geometry.polygon_polyline_intersects(poly, lane)
 
         self.intersection_polys = [np.asarray(i.polygon, dtype=float) for i in scene_map.intersections]
-        controls = [c.position for c in scene_map.traffic_controls]
-        self.control_positions = np.array(controls, dtype=float).reshape(-1, 2)
         hs = np.asarray(scene_map.height_samples, dtype=float).reshape(-1, 3)
-        self.height_xy, self.height_z = hs[:, :2], hs[:, 2]
+        self.height_z = hs[:, 2]
+        # every non-lane element as one polyline of one table: the closed
+        # intersection and crosswalk rings, and each traffic control and
+        # height sample as one point (a zero-length segment)
+        kinds = {
+            "intersection": [np.vstack([p, p[:1]]) for p in self.intersection_polys],
+            "crosswalk": [np.vstack([p, p[:1]]) for p in self.crosswalk_polys],
+            "control": [np.reshape(c.position, (1, 2)) for c in scene_map.traffic_controls],
+            "height": list(hs[:, None, :2]),
+        }
+        polys = [p for group in kinds.values() for p in group]
+        self.elements = geometry.SegmentTable.from_polylines(polys, [None] * len(polys))
+        ends = np.cumsum([len(group) for group in kinds.values()]).tolist()
+        self.element_rows = {k: slice(e - len(g), e) for (k, g), e in zip(kinds.items(), ends)}
+        # (E, 4) what each element in the ROI adds to the roads, intersection
+        # lanes, traffic lights and signs
+        lights = [c.kind == "traffic_light" for c in scene_map.traffic_controls]
+        self.element_counts = np.array(
+            [(i.incoming_roads, sum(i.lanes_per_road), 0, 0) for i in scene_map.intersections]
+            + [(0, 0, 0, 0)] * len(self.crosswalk_polys)
+            + [(0, 0, light, not light) for light in lights]
+            + [(0, 0, 0, 0)] * len(hs),
+            dtype=int,
+        ).reshape(-1, 4)
         self._curve_cache = {}
 
     def lane_curve_complexity(self, K: int) -> np.ndarray:

@@ -15,6 +15,12 @@ predicates over the flat columns, runs of equal values (`scene.runs`) and
 one call of its segment-table kernel per point set; the equivalence tests
 compare the two bit for bit, and the validation findings item for item.
 
+`infra_row` is the infrastructure row as it tested each map element on its
+own: a projection call per intersection and crosswalk ring, a distance loop
+over the traffic controls and a squared-distance block over the height
+samples. The library reads every element's distance from one batch table
+and counts through masks, and the tests compare the rows with `==`.
+
 `select_challenging` and `select_diverse` are the selection phases that
 rescore every alive candidate each round and update every cached
 min-distance against each new pick; the library ranks each task once and
@@ -357,6 +363,72 @@ def included_lanes(index, ego, radius):
         dist, _ = project_points_to_polyline(ego, pts, index.lane_cumlen[i])
         mask[i] = bool(np.min(dist) <= radius)
     return mask
+
+
+def _polygon_in_roi(poly, ego, radius) -> bool:
+    if np.any(points_in_polygon(ego, poly)):
+        return True
+    ring = np.vstack([poly, poly[:1]])
+    dist, _ = geometry.project_points_to_polyline(ego, ring)
+    return bool(np.min(dist) <= radius)
+
+
+def infra_row(s, index, roi_radius, resample_points):
+    """The infrastructure row of snippet `s`, one map element at a time."""
+    m = index.scene_map
+    ego = ego_xy(s)
+    lane_in = included_lanes(index, ego, roi_radius)
+    vehicle_in = lane_in & ~index.lane_is_bike
+    bike_in = lane_in & index.lane_is_bike
+    curves = index.lane_curve_complexity(resample_points)
+
+    cm = index.crossing_matrix
+    row = {
+        "curve_mean": float(np.mean(curves[vehicle_in])) if np.any(vehicle_in) else 0.0,
+        "crossing_total": float(cm[np.ix_(vehicle_in, vehicle_in)].sum()),
+        "bike_curve": float(np.mean(curves[bike_in])) if np.any(bike_in) else 0.0,
+        "bike_crossing": float(cm[np.ix_(bike_in, lane_in)].sum()),
+    }
+
+    polys = [np.asarray(i.polygon, dtype=float) for i in m.intersections]
+    row["at_intersection"] = float(any(np.any(points_in_polygon(ego, p)) for p in polys))
+    roads = 0
+    inter_lanes = 0
+    for inter, poly in zip(m.intersections, polys):
+        if _polygon_in_roi(poly, ego, roi_radius):
+            roads += inter.incoming_roads
+            inter_lanes += sum(inter.lanes_per_road)
+    row["intersection_roads"] = float(roads)
+    row["intersection_lanes"] = float(inter_lanes)
+
+    lights = 0
+    signs = 0
+    for control in m.traffic_controls:
+        pos = np.asarray(control.position, dtype=float)
+        if np.min(np.linalg.norm(ego - pos, axis=1)) <= roi_radius:
+            if control.kind == "traffic_light":
+                lights += 1
+            else:
+                signs += 1
+    row["traffic_lights"] = float(lights)
+    row["signs"] = float(signs)
+
+    overlaps = 0
+    vehicle_cols = np.flatnonzero(vehicle_in)
+    for ci, poly in enumerate(m.crosswalks):
+        poly = np.asarray(poly, dtype=float).reshape(-1, 2)
+        if len(vehicle_cols) and _polygon_in_roi(poly, ego, roi_radius):
+            overlaps += int(index.crosswalk_lane_hits[ci, vehicle_cols].sum())
+    row["crosswalk_lane_overlaps"] = float(overlaps)
+
+    row["height_var"] = 0.0
+    hs = np.asarray(m.height_samples, dtype=float).reshape(-1, 3)
+    if len(hs):
+        d2 = (hs[:, None, 0] - ego[None, :, 0]) ** 2 + (hs[:, None, 1] - ego[None, :, 1]) ** 2
+        in_roi = np.min(d2, axis=1) <= roi_radius * roi_radius
+        if np.any(in_roi):
+            row["height_var"] = float(np.var(hs[in_roi, 2]))
+    return row
 
 
 def _nearest_vehicle_lane(index, points):

@@ -1,6 +1,6 @@
 """Scoring in batches gives the bytes of scoring one snippet at a time.
 
-`features.batch_arrays` projects a whole batch of snippets in three kernel
+`features.batch_arrays` projects a whole batch of snippets in four kernel
 calls. A point's projection does not depend on the other points of its call,
 so the store must not depend on where batches or kernel blocks end: the
 block-diagonal kernel must equal the one-polyline projection and its einsum
@@ -119,9 +119,9 @@ def test_a_batch_makes_one_kernel_call_per_table(monkeypatch):
     for name in ("project_to_segments", "project_points_to_polyline"):
         monkeypatch.setattr(geometry, name, counted(name, getattr(geometry, name)))
     features.score_pool(pool, CurationConfig())
-    # the ego and the vehicle tables, and the path distances; infra's ring
-    # tests make one-polyline calls of their own
-    assert calls.count("project_to_segments") == 2 and calls.count("path_dist") == 1
+    # the ego against the lane and the element tables, the vehicle table,
+    # and the path distances: infra makes no kernel call of its own
+    assert sorted(calls) == ["path_dist"] + ["project_to_segments"] * 3
 
 
 def test_conflict_rows_follow_the_vehicle_table():

@@ -118,6 +118,20 @@ class TestSynth:
         assert code == 1
         assert "tunnel" in err
 
+    @pytest.mark.parametrize(
+        "option", [["--seed", "-1"], ["--horizon", "-1"], ["--bicycle-every", "-1"]],
+        ids=["seed", "horizon", "bicycle_every"],
+    )
+    def test_negative_integer_is_a_usage_error(self, capsys, tmp_path, option):
+        # the generator raised on a negative seed or horizon, and a negative
+        # bicycle period put a bicyclist in every snippet
+        out = str(tmp_path / "pool.jsonl")
+        forecasts = ["--forecasts", str(tmp_path / "f.jsonl")]
+        code, _, err = run(capsys, "synth", "--frames", "60", "--out", out, *forecasts, *option)
+        assert code == 1
+        assert option[0] in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
 
 class TestScore:
     def test_writes_feature_store(self, capsys, workspace, tmp_path):
@@ -560,6 +574,16 @@ class TestBaseline:
         )
         assert code == 1
         assert "budget" in err
+
+    def test_negative_seed_is_usage(self, capsys, workspace, tmp_path):
+        out = str(tmp_path / "r.json")
+        code, _, err = run(
+            capsys, "baseline", workspace["pool"], "--method", "random",
+            "-k", "3", "--seed", "-1", "--out", out,
+        )
+        assert code == 1
+        assert "--seed" in err and "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_malformed_forecast_horizon_is_a_domain_error(self, capsys, workspace, tmp_path):
         forecasts = str(tmp_path / "forecasts.jsonl")
