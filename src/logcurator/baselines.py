@@ -7,8 +7,8 @@ non-overlap walk of the challenging phase, and emit the shared result
 schema.
 """
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
 RECORD_FIELDS = ("snippet_id", "frame_index", "actor_id", "timestep", "mu", "cov")
 
 
-@dataclass(frozen=True, slots=True)
-class ForecastEntry:
+class ForecastEntry(NamedTuple):
     """One forecast row, the value `entry_entropy` scores."""
 
     actor_id: str
@@ -30,8 +29,7 @@ class ForecastEntry:
     cov: tuple  # (sxx, sxy, syy)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class GaussianForecast:
+class GaussianForecast(NamedTuple):
     """One snippet's forecasts as columns, one row per (frame, actor,
     timestep) entry. Rows ascend by frame index and keep their file order
     within a frame."""

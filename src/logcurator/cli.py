@@ -86,7 +86,7 @@ def schema():
 @click.option("--out", required=True, type=click.Path(), help="Pool NDJSON path; the map sidecar lands next to it.")
 @click.option("--cards", "cards_path", type=click.Path(), default=None, help="Also write expectation cards.")
 @click.option("--forecasts", "forecasts_path", type=click.Path(), default=None, help="Also write synthetic forecasts.")
-@click.option("--horizon", type=click.IntRange(min=0), default=5, show_default=True)
+@click.option("--horizon", type=click.IntRange(min=1), default=5, show_default=True)
 def synth(template, plan, n_snippets, frames, seed, jitter, overlap_every, bicycle_every, id_prefix, out, cards_path, forecasts_path, horizon):
     """Generate a synthetic pool with known expected measure values."""
     from . import baselines, synthgen

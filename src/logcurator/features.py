@@ -8,7 +8,7 @@ count.
 """
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,15 +72,13 @@ PROVENANCE = "provenance.json"
 RESCORE = "rescore the pool with `score` to reuse its features"
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     snippet_id: str
     values: np.ndarray  # (SNIPPET_DIM,)
     valid: bool
 
 
-@dataclass(frozen=True, slots=True)
-class SnippetArrays:
+class SnippetArrays(NamedTuple):
     """One snippet as every measure reads it, built once by `batch_arrays`."""
 
     snippet: Snippet
@@ -107,8 +105,7 @@ class SnippetArrays:
 ZERO_SPREAD = 1e-12  # a std at or below this is zero spread
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizationStats:
+class NormalizationStats(NamedTuple):
     mean: np.ndarray
     std: np.ndarray
     flagged: tuple  # dimensions with zero spread, passed through uncentered-scale
@@ -120,8 +117,7 @@ class NormalizationStats:
         return (values - self.mean) / divisor
 
 
-@dataclass
-class FeatureBundle:
+class FeatureBundle(NamedTuple):
     ids: list
     matrix: np.ndarray  # (N, SNIPPET_DIM), rows follow ids
     valid: np.ndarray  # (N,) bool

@@ -7,15 +7,14 @@ and to rigid motions. Derivatives use direct finite-difference stencils
 differences were too noisy for the curvature-rate term.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """Polyline with cached cumulative arc length."""
 
     points: np.ndarray  # (N, 2)
@@ -33,8 +32,7 @@ class Path:
         return float(self.arclength[-1]) if len(self.arclength) else 0.0
 
 
-@dataclass(frozen=True)
-class CurvatureProfile:
+class CurvatureProfile(NamedTuple):
     """Signed curvature and its arc-length derivative at resampled stations."""
 
     arclength: np.ndarray  # (K,)
@@ -297,8 +295,7 @@ def polygon_is_simple(polygon: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SegmentTable:
+class SegmentTable(NamedTuple):
     """The segments of one or more polylines in one flat table.
 
     Polyline k owns the contiguous slice of segments that starts at

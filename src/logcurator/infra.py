@@ -26,12 +26,12 @@ def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
     bike_in = lane_in & index.lane_is_bike
     curves = index.lane_curve_complexity(config.resample_points)
 
-    cm = index.crossing_matrix
+    cm = index.crossing_matrix  # int counts: the mask products below are exact sums
     row = {
         "curve_mean": float(np.mean(curves[vehicle_in])) if np.any(vehicle_in) else 0.0,
-        "crossing_total": float(cm[np.ix_(vehicle_in, vehicle_in)].sum()),
+        "crossing_total": float(vehicle_in @ cm @ vehicle_in),
         "bike_curve": float(np.mean(curves[bike_in])) if np.any(bike_in) else 0.0,
-        "bike_crossing": float(cm[np.ix_(bike_in, lane_in)].sum()),
+        "bike_crossing": float(bike_in @ cm @ lane_in),
         "at_intersection": float(rec.in_intersection.any()),
     }
 

@@ -12,8 +12,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class PoolValidationError(ValueError):
         super().__init__(f"{where}{len(self.findings)} validation finding(s): {lines}{more}")
 
 
-@dataclass(frozen=True, slots=True)
-class Finding:
+class Finding(NamedTuple):
     snippet_id: str | None
     rule: str
     detail: str
@@ -69,8 +68,7 @@ class Finding:
         return f"{where}: {self.rule}: {self.detail}"
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     findings: tuple = ()
 
     @property
@@ -79,11 +77,14 @@ class ValidationReport:
 
 
 def _empty(*shape, dtype=float):
-    return field(default_factory=lambda: np.zeros((0, *shape), dtype=dtype))
+    """An empty column that every Snippet built without it shares, so it is
+    read-only."""
+    column = np.zeros((0, *shape), dtype=dtype)
+    column.flags.writeable = False
+    return column
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Snippet:
+class Snippet(NamedTuple):
     """One snippet as columns: T rows per frame, and D rows per detection in
     frame then detection order. `det_speed` is the reported scalar speed of
     the track at that frame; motion classification (static vs dynamic) uses
@@ -117,8 +118,7 @@ class Snippet:
         return [0, *np.cumsum(np.bincount(self.det_frame, minlength=self.num_frames)).tolist()]
 
 
-@dataclass(frozen=True, slots=True)
-class Lane:
+class Lane(NamedTuple):
     lane_id: str
     centerline: tuple
     successors: tuple = ()
@@ -129,22 +129,19 @@ class Lane:
     width: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Intersection:
+class Intersection(NamedTuple):
     polygon: tuple
     incoming_roads: int
     lanes_per_road: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class TrafficControl:
+class TrafficControl(NamedTuple):
     kind: str
     position: tuple
     lane_ids: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class SceneMap:
+class SceneMap(NamedTuple):
     lanes: tuple = ()
     intersections: tuple = ()
     traffic_controls: tuple = ()
@@ -152,8 +149,7 @@ class SceneMap:
     height_samples: tuple = ()  # (x, y, z) triples
 
 
-@dataclass(frozen=True, slots=True)
-class SnippetPool:
+class SnippetPool(NamedTuple):
     snippets: tuple
     scene_map: SceneMap
     snippet_length: int

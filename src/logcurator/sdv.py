@@ -10,8 +10,7 @@ observation of every track; the ROI flag on a track is never read, so
 gated and ungated tracks give the same values.
 """
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,8 +25,7 @@ MAP_MATCH_MIN_FRAC = 0.9
 REACH_CAP = 500.0
 
 
-@dataclass(frozen=True, slots=True)
-class RouteMatch:
+class RouteMatch(NamedTuple):
     assignments: np.ndarray  # (T,) lane index, -1 when the map has no vehicle lanes
     lateral: np.ndarray  # (T,) distance to the assigned centerline
     valid: bool
@@ -141,8 +139,7 @@ def _entry_distances(index: MapIndex, conflict: list, cap: float = REACH_CAP) ->
     return reach
 
 
-@dataclass(frozen=True, slots=True)
-class ConflictZone:
+class ConflictZone(NamedTuple):
     """What the conflict measures of a route read from its traversed lanes
     alone, so one zone serves every snippet with those lanes."""
 

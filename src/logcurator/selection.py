@@ -11,7 +11,7 @@ frames) anything selected. Every argmax breaks ties by ascending snippet_id.
 import heapq
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,15 +28,13 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent curation configs."""
 
 
-@dataclass(frozen=True, slots=True)
-class TaskConfig:
+class TaskConfig(NamedTuple):
     name: str
     weights: np.ndarray  # (SNIPPET_DIM,)
     budget: int
 
 
-@dataclass(frozen=True, slots=True)
-class CurationConfig:
+class CurationConfig(NamedTuple):
     tasks: tuple = ()
     k_div: int = 0
     seed: int = 0
@@ -57,7 +55,7 @@ class CurationConfig:
 
 
 # the config file schema: every CurationConfig field, typed by its annotation
-CONFIG_FIELDS = {f.name: f.type for f in fields(CurationConfig)}
+CONFIG_FIELDS = CurationConfig.__annotations__
 # the fields only curation reads; every other field shapes the feature store,
 # so a new field counts as scoring-relevant until it is listed here
 CURATE_ONLY_FIELDS = ("tasks", "k_div", "seed", "dissimilarity")
@@ -155,7 +153,7 @@ def config_from_obj(obj) -> CurationConfig:
     updates = {
         key: _scalar(key, value, CONFIG_FIELDS[key]) for key, value in obj.items() if key != "tasks"
     }
-    cfg = replace(CurationConfig(tasks=tuple(tasks)), **updates)
+    cfg = CurationConfig(tuple(tasks), **updates)
     for key in NON_NEGATIVE_FIELDS:
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)!r}")
@@ -217,8 +215,7 @@ def dissimilarity(a: np.ndarray, b: np.ndarray, directed: bool = True) -> float:
     return max(d, _directed_distance(b, a))
 
 
-@dataclass(frozen=True, slots=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     phase: str  # "challenging" | "diverse" | "baseline"
     iteration: int
     task: str | None
@@ -228,8 +225,7 @@ class AuditEntry:
     seed: bool = False
 
 
-@dataclass
-class CurationResult:
+class CurationResult(NamedTuple):
     method: str
     seed: int
     tasks: list  # [{"name", "budget", "snippet_ids"}]

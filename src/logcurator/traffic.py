@@ -12,8 +12,7 @@ one place it is applied; every measure here is a reduction over those flat
 arrays or over the tracks `build_track_paths` groups from them.
 """
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,8 +25,7 @@ if TYPE_CHECKING:
 STATIC_SPEED = 0.5
 
 
-@dataclass(frozen=True, slots=True)
-class Detections:
+class Detections(NamedTuple):
     """The ROI gate over one snippet's detection columns, or a batch's joined
     by `scene.concat`, in their frame then detection order."""
 
@@ -36,8 +34,7 @@ class Detections:
     dist: np.ndarray  # (D,) distance to that frame's ego position
 
 
-@dataclass(frozen=True, slots=True)
-class TrackPath:
+class TrackPath(NamedTuple):
     track_id: str
     label: str
     positions: np.ndarray  # (n, 2)

@@ -4,8 +4,6 @@ Detections and frames are pool records (the dicts a pool line holds), and
 every snippet is built from them by `scene.snippet_from_obj`, the loader's
 one record-to-columns constructor."""
 
-from dataclasses import replace
-
 import numpy as np
 
 from logcurator import features
@@ -177,8 +175,7 @@ def tile_map(m, k, spacing=400.0):
                 return None if ref is None else ref + tag
 
             lanes += [
-                replace(
-                    lane,
+                lane._replace(
                     lane_id=renamed(lane.lane_id),
                     centerline=moved(lane.centerline),
                     successors=tuple(map(renamed, lane.successors)),
@@ -187,9 +184,9 @@ def tile_map(m, k, spacing=400.0):
                 )
                 for lane in m.lanes
             ]
-            intersections += [replace(i, polygon=moved(i.polygon)) for i in m.intersections]
+            intersections += [i._replace(polygon=moved(i.polygon)) for i in m.intersections]
             controls += [
-                replace(c, position=moved([c.position])[0], lane_ids=tuple(map(renamed, c.lane_ids)))
+                c._replace(position=moved([c.position])[0], lane_ids=tuple(map(renamed, c.lane_ids)))
                 for c in m.traffic_controls
             ]
             crosswalks += map(moved, m.crosswalks)

@@ -8,7 +8,6 @@ oracle bit for bit, and the feature store must keep its pinned digest at
 every batch cap.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -128,7 +127,7 @@ def test_conflict_rows_follow_the_vehicle_table():
     # the bike lane first: conflict lane i is not row i of the vehicle table
     pool = _synth_pool()
     lanes = pool.scene_map.lanes
-    index = MapIndex(dataclasses.replace(pool.scene_map, lanes=lanes[-1:] + lanes[:-1]))
+    index = MapIndex(pool.scene_map._replace(lanes=lanes[-1:] + lanes[:-1]))
     assert index.vehicle_indices[0] == 1
     cfg = CurationConfig()
     got = []
@@ -174,10 +173,8 @@ def _same(a, b) -> bool:
     """`a` equals `b` field by field, arrays by np.array_equal and dtype."""
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-        )
+    if hasattr(a, "_fields"):  # a record: never equal to a plain tuple
+        return type(a) is type(b) and all(_same(getattr(a, f), getattr(b, f)) for f in a._fields)
     if isinstance(a, (list, tuple)):
         return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
     return type(a) is type(b) and a == b
@@ -202,7 +199,7 @@ def test_records_do_not_depend_on_the_batch_cap(make_pool, pairs, monkeypatch):
     assert 1 < max(_batch_sizes(pool)) and all(rec.tracks for rec in batched)
     monkeypatch.setattr(features, "BATCH_PAIRS", 1)
     alone = list(features.batch_arrays(pool.snippets, index, cfg))
-    fields = [f.name for f in dataclasses.fields(features.SnippetArrays)]
+    fields = features.SnippetArrays._fields
     assert {"ego_speed", "crowd", "lane_dist", "in_crosswalk"} <= set(fields)
     for one, many in zip(alone, batched, strict=True):
         for name in fields:

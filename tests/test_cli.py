@@ -119,12 +119,14 @@ class TestSynth:
         assert "tunnel" in err
 
     @pytest.mark.parametrize(
-        "option", [["--seed", "-1"], ["--horizon", "-1"], ["--bicycle-every", "-1"]],
-        ids=["seed", "horizon", "bicycle_every"],
+        "option",
+        [["--seed", "-1"], ["--horizon", "-1"], ["--horizon", "0"], ["--bicycle-every", "-1"]],
+        ids=["seed", "horizon", "horizon_zero", "bicycle_every"],
     )
     def test_negative_integer_is_a_usage_error(self, capsys, tmp_path, option):
-        # the generator raised on a negative seed or horizon, and a negative
-        # bicycle period put a bicyclist in every snippet
+        # the generator raised on a negative seed or horizon, a horizon of 0
+        # wrote a forecast file that the entropy baseline refuses, and a
+        # negative bicycle period put a bicyclist in every snippet
         out = str(tmp_path / "pool.jsonl")
         forecasts = ["--forecasts", str(tmp_path / "f.jsonl")]
         code, _, err = run(capsys, "synth", "--frames", "60", "--out", out, *forecasts, *option)

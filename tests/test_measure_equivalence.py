@@ -4,7 +4,6 @@ Every comparison is exact (`==`): the measures must keep the float order of
 the per-detection and per-lane loops, not merely approximate them.
 """
 
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,12 +136,12 @@ def assert_lanes_match_reference(s, index, roi_radius):
         assert np.array_equal(mask, ref.included_lanes(index, ref.ego_xy(s), roi_radius))
 
     want = ref.match_route(s, index)
-    for f in fields(sdv.RouteMatch):
-        got, exp = getattr(rec.match, f.name), getattr(want, f.name)
+    for f in sdv.RouteMatch._fields:
+        got, exp = getattr(rec.match, f), getattr(want, f)
         if isinstance(exp, np.ndarray):
-            assert got.dtype == exp.dtype and got.tolist() == exp.tolist(), f.name
+            assert got.dtype == exp.dtype and got.tolist() == exp.tolist(), f
         else:
-            assert got == exp, f.name
+            assert got == exp, f
 
     got = sdv.interactions(rec, index, config)
     assert got == ref.interactions(s, index, rec.tracks)

@@ -9,8 +9,6 @@ measure reaches 400 m. Both hold for any future pruning of map work by
 distance, which these comparisons check.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -66,7 +64,7 @@ def test_map_tables_equal_pairwise_tables(tiled, k):
 
 def test_first_tile_snippets_score_alike_on_every_tiling(pool, tiled):
     bundles = [
-        features.score_pool(dataclasses.replace(pool, scene_map=tiled[k]), CurationConfig())
+        features.score_pool(pool._replace(scene_map=tiled[k]), CurationConfig())
         for k in TILES
     ]
     one, many = bundles
