@@ -83,14 +83,15 @@ class SnippetArrays(NamedTuple):
 
     snippet: Snippet
     ego: np.ndarray  # (T, 2) ego xy
-    ego_path: geometry.Path  # ego xy without exactly repeated poses
+    ego_curve: float  # curve complexity of the ego path; 0.0 below sdv.MIN_PATH_LENGTH
     ego_speed: np.ndarray  # (T - 1,) sdv.ego_step_speeds(ego, timestamps)
     det: Detections  # gated at config.roi_radius
     tracks: list  # build_track_paths(det); track i is det_track code i
     static: np.ndarray  # (K,) static_flags(tracks) at config.static_speed
+    track_curves: np.ndarray  # curves of the tracks seen in gate with >= 3 distinct positions
     class_counts: tuple  # traffic.class_counts(det): (T, classes) counts, (T,) term
     crowd: tuple  # traffic.crowdedness(det, static): (static, dynamic) mean counts
-    path_dist: np.ndarray  # (D,) distance of each detection to ego_path
+    path_dist: np.ndarray  # (D,) distance of each detection to the ego path (poses deduplicated)
     ego_table: tuple  # project_to_segments(ego, index.segments)
     lane_dist: np.ndarray  # (L,) the ego's nearest approach to each lane
     element_dist: np.ndarray  # (E,) the ego's nearest approach to each of index.elements
@@ -191,8 +192,11 @@ def batch_arrays(snippets, index: MapIndex, config, zones=None):
     gate, the track groups, the class and crowd counts, the polygon tests,
     the lane and element minima and the route argmin run once per batch
     too, and each record is sliced from them: all of it is elementwise,
-    integer or min/argmin work, so no result depends on its batch. Float
-    sums whose bits depend on order stay per snippet or per track. `zones`
+    integer or min/argmin work, so no result depends on its batch. So does
+    one curve pass (`geometry.curve_complexities`) over every track seen in
+    gate and every ego path of at least `sdv.MIN_PATH_LENGTH`: its row means
+    are per path. Float sums whose bits depend on order, such as the mean
+    over a snippet's track curves, stay per snippet or per track. `zones`
     maps each traversed-lane tuple to its ConflictZone, filled as routes
     come in."""
     zones = {} if zones is None else zones
@@ -225,6 +229,18 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
     tracks = traffic.build_track_paths(det)
     static = traffic.static_flags(tracks, config.static_speed)
     counts, term = traffic.class_counts(det)
+    seen = np.flatnonzero([t.seen for t in tracks])
+    moving = [i for i, p in enumerate(paths) if p.length >= sdv.MIN_PATH_LENGTH]
+    curves, few = geometry.curve_complexities(
+        [tracks[k].positions for k in seen.tolist()] + [paths[i].points for i in moving],
+        config.resample_points,
+    )
+    ego_curve = np.zeros(len(batch))
+    ego_curve[moving] = curves[len(seen):]
+    # the tracks whose curves count: seen in gate, three distinct positions
+    kept = ~few[: len(seen)]
+    c0, c1 = np.searchsorted(seen[kept], [k0, k1]).tolist()
+    track_curves = curves[: len(seen)][kept]
     inside = [  # (polygons, T): the ego in each intersection, and in each crosswalk
         np.array([geometry.points_in_polygon(ego, p) for p in polys], dtype=bool).reshape(-1, len(ego))
         for polys in (index.intersection_polys, index.crosswalk_polys)
@@ -247,11 +263,12 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
         SnippetArrays(
             snippet=s,
             ego=e,
-            ego_path=path,
+            ego_curve=curve,
             ego_speed=sdv.ego_step_speeds(e, s.timestamp),
             det=traffic.Detections(s, det.in_roi[d0[i]:d1[i]], det.dist[d0[i]:d1[i]]),
             tracks=tracks[k0[i]:k1[i]],
             static=static[k0[i]:k1[i]],
+            track_curves=track_curves[c0[i]:c1[i]],
             class_counts=(counts[t0[i]:t1[i]], term[t0[i]:t1[i]]),
             crowd=tuple(crowd),
             path_dist=path_dist[d0[i]:d1[i]],
@@ -265,8 +282,8 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             vehicle_rows=rows,
             vehicle_table=(veh_dist[:, v0[i]:v1[i]], veh_arc[:, v0[i]:v1[i]]),
         )
-        for i, (s, e, path, crowd, lane_dist, element_dist, (match, zone, rows)) in enumerate(zip(
-            batch, egos, paths, traffic.crowd_means(det, static, t0).tolist(),
+        for i, (s, e, curve, crowd, lane_dist, element_dist, (match, zone, rows)) in enumerate(zip(
+            batch, egos, ego_curve.tolist(), traffic.crowd_means(det, static, t0).tolist(),
             np.minimum.reduceat(ego_dist, t0, axis=1).T,
             np.minimum.reduceat(elem_dist, t0, axis=1).T, routes,
         ))

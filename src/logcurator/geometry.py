@@ -32,14 +32,6 @@ class Path(NamedTuple):
         return float(self.arclength[-1]) if len(self.arclength) else 0.0
 
 
-class CurvatureProfile(NamedTuple):
-    """Signed curvature and its arc-length derivative at resampled stations."""
-
-    arclength: np.ndarray  # (K,)
-    kappa: np.ndarray  # (K,), positive for left turns
-    kappa_dot: np.ndarray  # (K,)
-
-
 def dedupe_points(points: np.ndarray) -> np.ndarray:
     """Drop exactly-repeated consecutive points."""
     pts = np.asarray(points, dtype=float)
@@ -58,35 +50,12 @@ def cumulative_arclength(points: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def _as_path(path_or_points) -> Path:
-    if isinstance(path_or_points, Path):
-        return path_or_points
-    return Path.from_points(path_or_points)
-
-
-def resample_arclength(path_or_points, K: int) -> Path:
-    """Resample a polyline at K stations uniformly spaced in arc length.
-
-    Interpolation is piecewise linear, so resampled points lie on the input
-    chords: for a circle sampled every 1 degree the radial error is bounded
-    by the chord sagitta, about 3.8e-4 of the radius times r.
-    """
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
-    path = _as_path(path_or_points)
-    if len(path.points) < 2 or path.length <= 0.0:
-        raise ValueError("resampling needs a polyline with positive length")
-    t = np.linspace(0.0, path.length, K)
-    x = np.interp(t, path.arclength, path.points[:, 0])
-    y = np.interp(t, path.arclength, path.points[:, 1])
-    return Path(np.column_stack([x, y]), t)
-
-
 def _first_derivative(f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d f / d s along the last axis, `s` broadcast against `f`."""
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (s[2:] - s[:-2])
-    out[0] = (f[1] - f[0]) / (s[1] - s[0])
-    out[-1] = (f[-1] - f[-2]) / (s[-1] - s[-2])
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (s[..., 2:] - s[..., :-2])
+    out[..., 0] = (f[..., 1] - f[..., 0]) / (s[..., 1] - s[..., 0])
+    out[..., -1] = (f[..., -1] - f[..., -2]) / (s[..., -1] - s[..., -2])
     return out
 
 
@@ -95,54 +64,95 @@ def _second_derivative(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     # is exactly the one-sided 3-point estimate. The difference form keeps
     # constant inputs at exactly zero instead of leaving cancellation noise.
     out = np.empty_like(f)
-    h1 = s[1:-1] - s[:-2]
-    h2 = s[2:] - s[1:-1]
-    out[1:-1] = 2.0 * (h1 * (f[2:] - f[1:-1]) - h2 * (f[1:-1] - f[:-2])) / (h1 * h2 * (h1 + h2))
-    out[0] = out[1]
-    out[-1] = out[-2]
+    h1 = s[..., 1:-1] - s[..., :-2]
+    h2 = s[..., 2:] - s[..., 1:-1]
+    ahead, behind = f[..., 2:] - f[..., 1:-1], f[..., 1:-1] - f[..., :-2]
+    out[..., 1:-1] = 2.0 * (h1 * ahead - h2 * behind) / (h1 * h2 * (h1 + h2))
+    out[..., 0] = out[..., 1]
+    out[..., -1] = out[..., -2]
     return out
 
 
-def curvature_profile(path_or_points, K: int = 100) -> CurvatureProfile:
-    """Signed curvature kappa(s) and kappa_dot(s) on a K-point resampling.
+# paths x stations (or x points) per curve pass: each array of a pass holds
+# at most this many values per coordinate, 512 KiB, however many tracks a
+# scoring batch holds or however many stations a config asks for.
+CURVE_VALUES = 1 << 16
 
-    kappa = (x' y'' - y' x'') / (x'^2 + y'^2)^(3/2) with derivatives taken
-    against arc length; left turns are positive. Stations where the local
-    speed degenerates report zero curvature.
+
+def curve_complexities(paths, K: int = 100) -> tuple:
+    """(complexity, few): two (P,) arrays over P nonempty (n, 2) paths.
+
+    A path's complexity is its mean absolute curvature plus its mean
+    absolute curvature rate, on K stations uniformly spaced in arc length.
+    Resampling is piecewise linear, so the stations lie on the input chords.
+    kappa = (x' y'' - y' x'') / (x'^2 + y'^2)^(3/2), with derivatives taken
+    against arc length by direct finite-difference stencils (central
+    interior, one-sided 3-point at the ends); left turns are positive, and
+    stations where the local speed degenerates read zero curvature. A path
+    of zero length, or with every point exactly on one line, scores exactly
+    0.0. `few` is whether a path has fewer than three distinct points, as
+    `np.unique(p, axis=0)` counts them (-0.0 equals 0.0).
+
+    Paths go through in blocks of at most CURVE_VALUES values (at least one
+    path), each row padded with its own last point. Repeated points add
+    exact zeros to the arc length, and `np.interp` reads the same chord
+    either side of them, so no path is deduplicated. Only the resampling
+    runs per path, and only for paths that curve; the stencils, curvature
+    and row means are elementwise or row-wise, so no value depends on its
+    block.
     """
     if K < 3:
         raise ValueError(f"K must be >= 3 for curvature, got {K}")
-    rs = resample_arclength(path_or_points, K)
-    s = rs.arclength
-    dx = _first_derivative(rs.points[:, 0], s)
-    dy = _first_derivative(rs.points[:, 1], s)
-    ddx = _second_derivative(rs.points[:, 0], s)
-    ddy = _second_derivative(rs.points[:, 1], s)
+    sizes = np.array([len(p) for p in paths], dtype=np.intp)
+    complexity, few = np.zeros(len(sizes)), np.ones(len(sizes), dtype=bool)
+    if not len(sizes):
+        return complexity, few
+    flat = np.asarray(np.concatenate(paths), dtype=float).reshape(-1, 2)
+    first = np.cumsum(sizes) - sizes
+    step = max(1, CURVE_VALUES // max(K, int(sizes.max())))
+    for lo in range(0, len(sizes), step):
+        block = slice(lo, lo + step)
+        complexity[block], few[block] = _curve_block(flat, first[block], sizes[block], K)
+    return complexity, few
+
+
+def _curve_block(flat, first, sizes, K):
+    """curve_complexities of the paths flat[first[i] : first[i] + sizes[i]]."""
+    cols = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+    p = flat[first[:, None] + cols]  # (rows, width, 2)
+    # the first point unequal to the first, and whether every other one is it
+    other = (p != p[:, :1]).any(axis=2)
+    q = p[np.arange(len(sizes)), other.argmax(axis=1)]
+    few = ~(other & (p != q[:, None]).any(axis=2)).any(axis=1)
+    step = p[:, 1:] - p[:, :-1]
+    step *= step
+    arc = np.zeros(other.shape)
+    np.cumsum(np.sqrt(step[..., 0] + step[..., 1]), axis=1, out=arc[:, 1:])
+    length = arc[:, -1]
+    # exactly collinear paths score zero with no stencil noise
+    rel, d = p - p[:, :1], q - p[:, 0]
+    cross = rel[..., 0] * d[:, 1:] - rel[..., 1] * d[:, :1]
+    curving = np.flatnonzero((length > 0.0) & cross.any(axis=1))
+    complexity = np.zeros(len(sizes))
+    if not len(curving):
+        return complexity, few
+    # each row is the path's own np.linspace: a positive length is at least
+    # about 1e-162 (the root of the least subnormal), so no station step is
+    # zero and linspace takes its one per-row branch. C order, so the row
+    # sums below add each row as np.mean adds a path's stations.
+    s = np.linspace(0.0, length[curving], K).T.copy()
+    xy = np.empty((2, *s.shape))  # x and y of every station
+    for k, i in enumerate(curving.tolist()):
+        xy[0, k] = np.interp(s[k], arc[i], p[i, :, 0])
+        xy[1, k] = np.interp(s[k], arc[i], p[i, :, 1])
+    (dx, dy), (ddx, ddy) = _first_derivative(xy, s), _second_derivative(xy, s)
     speed2 = dx * dx + dy * dy
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(speed2 > _EPS, (dx * ddy - dy * ddx) / np.power(speed2, 1.5), 0.0)
-    return CurvatureProfile(s, kappa, _first_derivative(kappa, s))
-
-
-def curve_complexity(path_or_points, K: int = 100) -> float:
-    """Mean absolute curvature plus mean absolute curvature rate.
-
-    Degenerate inputs (fewer than two distinct points, zero length) score 0;
-    an exactly straight polyline scores exactly 0.0.
-    """
-    path = _as_path(path_or_points)
-    if len(path.points) < 2 or path.length <= 0.0:
-        return 0.0
-    pts = path.points
-    # positive length guarantees some point differs from the first; exactly
-    # collinear input scores zero with no stencil noise
-    first_distinct = int(np.flatnonzero(np.any(pts != pts[0], axis=1))[0])
-    d = pts[first_distinct] - pts[0]
-    cross = (pts[:, 0] - pts[0, 0]) * d[1] - (pts[:, 1] - pts[0, 1]) * d[0]
-    if not np.any(cross):
-        return 0.0
-    prof = curvature_profile(path, K)
-    return float(np.mean(np.abs(prof.kappa)) + np.mean(np.abs(prof.kappa_dot)))
+    # np.mean of each row: its sum by add.reduce over K
+    means = np.add.reduce(np.abs([kappa, _first_derivative(kappa, s)]), axis=2) / K
+    complexity[curving] = means[0] + means[1]
+    return complexity, few
 
 
 def _segment_arrays(points: np.ndarray):

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .scene import MapIndex
+from .traffic import variance
 
 if TYPE_CHECKING:
     from .features import SnippetArrays
@@ -50,6 +51,6 @@ def infra_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
         traffic_lights=float(lights),
         signs=float(signs),
         crosswalk_lane_overlaps=float(overlaps),
-        height_var=float(np.var(heights)) if len(heights) else 0.0,
+        height_var=variance(heights),
     )
     return row

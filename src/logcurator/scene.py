@@ -879,9 +879,9 @@ class MapIndex:
         self._curve_cache = {}
 
     def lane_curve_complexity(self, K: int) -> np.ndarray:
+        """(L,) curve complexity of each lane centerline, one pass per K."""
         if K not in self._curve_cache:
-            curves = [geometry.curve_complexity(pts, K) if len(pts) >= 2 else 0.0 for pts in self.lane_pts]
-            self._curve_cache[K] = np.array(curves)
+            self._curve_cache[K] = geometry.curve_complexities(self.lane_pts, K)[0]
         return self._curve_cache[K]
 
     def lane_width(self, index: int, fallback: float) -> float:

@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import geometry
 from .scene import MapIndex, runs
+from .traffic import variance
 
 if TYPE_CHECKING:
     from .features import SnippetArrays
@@ -23,6 +23,9 @@ if TYPE_CHECKING:
 MAP_MATCH_GATE = 3.0
 MAP_MATCH_MIN_FRAC = 0.9
 REACH_CAP = 500.0
+# metres of ego path below which a snippet's ego path scores 0 curve
+# complexity (near-stationary egos)
+MIN_PATH_LENGTH = 1.0
 
 
 class RouteMatch(NamedTuple):
@@ -63,14 +66,6 @@ def match_route(ego_table: tuple, starts: list, index: MapIndex, config) -> list
     ]
 
 
-def sdv_path_complexity(rec: "SnippetArrays", config) -> float:
-    """Curve complexity of the ego trajectory; near-stationary egos score 0."""
-    path = rec.ego_path
-    if len(path.points) < 2 or path.length < 1.0:
-        return 0.0
-    return geometry.curve_complexity(path, config.resample_points)
-
-
 def ego_step_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """(T-1,) ego speeds over each step, from pose displacements."""
     return np.linalg.norm(np.diff(ego, axis=0), axis=1) / np.diff(ts)
@@ -78,7 +73,7 @@ def ego_step_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def sdv_speed_variance(rec: "SnippetArrays") -> float:
     """Population variance of per-step ego speeds."""
-    return float(np.var(rec.ego_speed)) if len(rec.ego_speed) else 0.0
+    return variance(rec.ego_speed)
 
 
 def route_events(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
@@ -238,7 +233,7 @@ def sdv_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
     lane_changes, turns, controls = route_events(rec, index, config)
     near_s, near_d, conf_trav, conf_reach = interactions(rec, index, config)
     return {
-        "sdv_path": sdv_path_complexity(rec, config),
+        "sdv_path": rec.ego_curve,
         "sdv_speed_var": sdv_speed_variance(rec),
         "lane_changes": float(lane_changes),
         "turns": float(turns),

@@ -5,18 +5,19 @@ track takes part in path and speed terms when at least one of its
 observations is inside the gate. Motion class (static vs dynamic) uses the
 mean of the reported speed field over the whole snippet against the
 config's `static_speed` (STATIC_SPEED, 0.5 m/s, by default). All variances
-are population variances.
+are population variances, taken by `variance`.
 
 `detection_arrays` applies the gate to the snippet's detection columns, the
 one place it is applied; every measure here is a reduction over those flat
-arrays or over the tracks `build_track_paths` groups from them.
+arrays or over the tracks `build_track_paths` groups from them. The track
+curve complexities come from the scoring batch's one curve pass
+(`geometry.curve_complexities`, in `features.batch_arrays`).
 """
 
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import geometry
 from .scene import DETECTION_CLASSES, Snippet, runs
 
 if TYPE_CHECKING:
@@ -131,31 +132,29 @@ def _frame_mean(term: np.ndarray) -> float:
     return total / len(term) if len(term) else 0.0
 
 
+def variance(x: np.ndarray) -> float:
+    """Population variance of 1-D `x`, 0.0 when it is empty: `np.var`'s
+    float order (the sum by add.reduce over n, the deviations squared, their
+    sum by add.reduce over n) without its per-call overhead."""
+    n = len(x)
+    if not n:
+        return 0.0
+    d = x - np.add.reduce(x) / n
+    np.square(d, out=d)
+    return float(np.add.reduce(d) / n)
+
+
 def spatial_variance(det: Detections) -> float:
     """Population variance of ego-to-actor distances, pooled over all
     (frame, detection) pairs in gate; fewer than 2 samples score 0."""
-    dists = det.dist[det.in_roi]
-    if len(dists) < 2:
-        return 0.0
-    return float(np.var(dists))
+    return variance(det.dist[det.in_roi])
 
 
-def few_distinct_rows(p: np.ndarray) -> bool:
-    """Whether finite (n, d) array `p` has fewer than three distinct rows,
-    rows equal by `==` as `np.unique(p, axis=0)` compares them (-0.0 equals
-    0.0), without sorting: the rows unequal to the first must all be equal."""
-    if len(p) < 3:
-        return True
-    other = p[(p != p[0]).any(axis=1)]
-    return not len(other) or bool((other == other[0]).all())
-
-
-def actor_path_complexity(tracks: list, K: int) -> tuple:
-    """(mean, max) curve complexity over tracks with >= 3 distinct positions."""
-    values = [
-        geometry.curve_complexity(t.positions, K) for t in tracks if not few_distinct_rows(t.positions)
-    ]
-    return (float(np.mean(values)), float(np.max(values))) if values else (0.0, 0.0)
+def actor_path_complexity(curves: np.ndarray) -> tuple:
+    """(mean, max) of a snippet's track curve complexities
+    (`SnippetArrays.track_curves`: the tracks seen in gate with at least
+    three distinct positions); (0.0, 0.0) without such a track."""
+    return (float(np.mean(curves)), float(np.max(curves))) if len(curves) else (0.0, 0.0)
 
 
 def speed_diversity(tracks: list) -> float:
@@ -164,15 +163,14 @@ def speed_diversity(tracks: list) -> float:
     tracks = _roi_tracks(tracks)
     if not tracks:
         return 0.0
-    means = np.array([t.mean_speed for t in tracks])
-    inner = sum(float(np.var(t.speeds)) for t in tracks)
-    return float(np.var(means)) + inner
+    inner = sum(variance(t.speeds) for t in tracks)
+    return variance(np.array([t.mean_speed for t in tracks])) + inner
 
 
 def traffic_features(rec: "SnippetArrays", config) -> dict:
     """The traffic row of one snippet, keyed by feature name, from its
     detections, their tracks and their class counts."""
-    path_mean, path_max = actor_path_complexity(_roi_tracks(rec.tracks), config.resample_points)
+    path_mean, path_max = actor_path_complexity(rec.track_curves)
     return {
         "crowd_static": rec.crowd[0],
         "crowd_dynamic": rec.crowd[1],

@@ -35,6 +35,12 @@ and audit entries with `==`. `_walk` is the baselines' own non-overlap
 walk, and `random_select` and `al_select` run it; the library's baselines
 share `selection.walk` with the challenging phase.
 
+`curve_complexity` and `curvature_profile` are the curve measure on one
+path at a time: deduplicate, measure arc length, resample with
+`np.linspace` and `np.interp`, then the derivative stencils and the two
+means. The library runs one pass over a whole scoring batch of padded paths,
+and the tests compare its values with `==`.
+
 `segments_intersect` and `_on_segment` are the closed-segment test on one
 pair of segments, and `polygon_polyline_intersects` and `polygon_is_simple`
 the double loops over segment pairs that call it; the library applies one
@@ -44,12 +50,13 @@ with `==`.
 
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from logcurator import geometry, sdv
 from logcurator.baselines import LOG_2PI_E, ForecastError
-from logcurator.geometry import _cross, cumulative_arclength, points_in_polygon
+from logcurator.geometry import Path, _cross, cumulative_arclength, points_in_polygon
 from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport, read_rows
 from logcurator.selection import AuditEntry, dissimilarity, take_pick
 from logcurator.traffic import STATIC_SPEED
@@ -173,6 +180,100 @@ def project_points_to_polyline(points: np.ndarray, poly_points: np.ndarray, cuml
     dist = np.sqrt(dist2[rows, j])
     arc = cumlen[j] + t[rows, j] * seg_len[j]
     return dist, arc
+
+
+# The per-path curve measure the library ran once per track, ego path and
+# lane before its one pass per scoring batch, kept verbatim as its oracle.
+
+
+class CurvatureProfile(NamedTuple):
+    """Signed curvature and its arc-length derivative at resampled stations."""
+
+    arclength: np.ndarray  # (K,)
+    kappa: np.ndarray  # (K,), positive for left turns
+    kappa_dot: np.ndarray  # (K,)
+
+
+def _as_path(path_or_points) -> Path:
+    if isinstance(path_or_points, Path):
+        return path_or_points
+    return Path.from_points(path_or_points)
+
+
+def resample_arclength(path_or_points, K: int) -> Path:
+    """Resample a polyline at K stations uniformly spaced in arc length.
+
+    Interpolation is piecewise linear, so resampled points lie on the input
+    chords: for a circle sampled every 1 degree the radial error is bounded
+    by the chord sagitta, about 3.8e-4 of the radius times r.
+    """
+    if K < 2:
+        raise ValueError(f"K must be >= 2, got {K}")
+    path = _as_path(path_or_points)
+    if len(path.points) < 2 or path.length <= 0.0:
+        raise ValueError("resampling needs a polyline with positive length")
+    t = np.linspace(0.0, path.length, K)
+    x = np.interp(t, path.arclength, path.points[:, 0])
+    y = np.interp(t, path.arclength, path.points[:, 1])
+    return Path(np.column_stack([x, y]), t)
+
+
+def _first_derivative(f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (s[2:] - s[:-2])
+    out[0] = (f[1] - f[0]) / (s[1] - s[0])
+    out[-1] = (f[-1] - f[-2]) / (s[-1] - s[-2])
+    return out
+
+
+def _second_derivative(f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    out = np.empty_like(f)
+    h1 = s[1:-1] - s[:-2]
+    h2 = s[2:] - s[1:-1]
+    out[1:-1] = 2.0 * (h1 * (f[2:] - f[1:-1]) - h2 * (f[1:-1] - f[:-2])) / (h1 * h2 * (h1 + h2))
+    out[0] = out[1]
+    out[-1] = out[-2]
+    return out
+
+
+def curvature_profile(path_or_points, K: int = 100) -> CurvatureProfile:
+    """Signed curvature kappa(s) and kappa_dot(s) on a K-point resampling.
+
+    kappa = (x' y'' - y' x'') / (x'^2 + y'^2)^(3/2) with derivatives taken
+    against arc length; left turns are positive. Stations where the local
+    speed degenerates report zero curvature.
+    """
+    if K < 3:
+        raise ValueError(f"K must be >= 3 for curvature, got {K}")
+    rs = resample_arclength(path_or_points, K)
+    s = rs.arclength
+    dx = _first_derivative(rs.points[:, 0], s)
+    dy = _first_derivative(rs.points[:, 1], s)
+    ddx = _second_derivative(rs.points[:, 0], s)
+    ddy = _second_derivative(rs.points[:, 1], s)
+    speed2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(speed2 > _EPS, (dx * ddy - dy * ddx) / np.power(speed2, 1.5), 0.0)
+    return CurvatureProfile(s, kappa, _first_derivative(kappa, s))
+
+
+def curve_complexity(path_or_points, K: int = 100) -> float:
+    """Mean absolute curvature plus mean absolute curvature rate.
+
+    Degenerate inputs (fewer than two distinct points, zero length) score 0;
+    an exactly straight polyline scores exactly 0.0.
+    """
+    path = _as_path(path_or_points)
+    if len(path.points) < 2 or path.length <= 0.0:
+        return 0.0
+    pts = path.points
+    first_distinct = int(np.flatnonzero(np.any(pts != pts[0], axis=1))[0])
+    d = pts[first_distinct] - pts[0]
+    cross = (pts[:, 0] - pts[0, 0]) * d[1] - (pts[:, 1] - pts[0, 1]) * d[0]
+    if not np.any(cross):
+        return 0.0
+    prof = curvature_profile(path, K)
+    return float(np.mean(np.abs(prof.kappa)) + np.mean(np.abs(prof.kappa_dot)))
 
 
 # The scalar closed-segment test and the pair loops the library ran before

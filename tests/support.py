@@ -6,7 +6,7 @@ one record-to-columns constructor."""
 
 import numpy as np
 
-from logcurator import features
+from logcurator import features, geometry
 from logcurator.scene import (
     Intersection,
     Lane,
@@ -192,6 +192,11 @@ def tile_map(m, k, spacing=400.0):
             crosswalks += map(moved, m.crosswalks)
             heights += [(x + dx, y + dy, z) for x, y, z in m.height_samples]
     return SceneMap(*map(tuple, (lanes, intersections, controls, crosswalks, heights)))
+
+
+def curve_complexity(points, K=100):
+    """The library's curve pass (`geometry.curve_complexities`) on one path."""
+    return float(geometry.curve_complexities([np.asarray(points, dtype=float)], K)[0][0])
 
 
 def pool_of(snippets, scene_map=None, snippet_length=None):

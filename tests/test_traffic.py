@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from logcurator import traffic
+from logcurator import geometry, traffic
 
 from support import arc_points, constant_detections, drive, make_detection, measure_args
 
@@ -23,6 +23,11 @@ def snippet_with(det_lists, sid="s0"):
 
 def tracks_of(s):
     return traffic.build_track_paths(traffic.detection_arrays(s))
+
+
+def actor_paths(s):
+    """(mean, max) actor path complexity of the snippet's scoring record."""
+    return traffic.actor_path_complexity(measure_args(s)[0].track_curves)
 
 
 def crowdedness(s, roi_radius=None):
@@ -177,8 +182,7 @@ class TestActorPaths:
         frames = [
             (make_detection("t0", VEH, p, 3.0),) for p in positions
         ]
-        tracks = tracks_of(snippet_with(frames))
-        assert traffic.actor_path_complexity(tracks, 100) == (0.0, 0.0)
+        assert actor_paths(snippet_with(frames)) == (0.0, 0.0)
 
     def test_circle_track_mean_and_max(self):
         arc = arc_points(20.0, 100)
@@ -190,23 +194,20 @@ class TestActorPaths:
             )
             for k in range(100)
         ]
-        tracks = tracks_of(snippet_with(frames))
-        mean, peak = traffic.actor_path_complexity(tracks, 100)
+        mean, peak = actor_paths(snippet_with(frames))
         assert peak == pytest.approx(0.05, abs=2e-3)
         assert mean == pytest.approx(0.025, abs=2e-3)
 
     def test_stationary_actor_skipped(self):
         frames = constant_detections([make_detection("t0", VEH, (5.0, 5.0), 0.0)], 10)
-        tracks = tracks_of(snippet_with(frames))
-        assert traffic.actor_path_complexity(tracks, 100) == (0.0, 0.0)
+        assert actor_paths(snippet_with(frames)) == (0.0, 0.0)
 
     def test_two_point_track_skipped(self):
         frames = [
             (make_detection("t0", VEH, (0.0, 2.0), 1.0),),
             (make_detection("t0", VEH, (1.0, 2.0), 1.0),),
         ]
-        tracks = tracks_of(snippet_with(frames))
-        assert traffic.actor_path_complexity(tracks, 100) == (0.0, 0.0)
+        assert actor_paths(snippet_with(frames)) == (0.0, 0.0)
 
 
 # few values, signed zeros among them, so that rows repeat and interleave
@@ -216,13 +217,26 @@ SMALL_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(
 A, B, C, Z = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [-0.0, 0.0]
 
 
-@given(arrays(float, st.tuples(st.integers(0, 8), st.integers(1, 3)), elements=SMALL_FLOATS))
+@given(arrays(float, st.tuples(st.integers(1, 8), st.just(2)), elements=SMALL_FLOATS))
 @example(np.array([Z, [0.0, -0.0], A]))  # -0.0 == 0.0: two distinct rows
 @example(np.array([A, B, A, B, A]))  # interleaved repeats: two
 @example(np.array([A, B, A, C]))  # a third row after a repeat: three
 @example(np.array([A, A, A]))
 def test_few_distinct_rows_matches_unique(p):
-    assert traffic.few_distinct_rows(p) == (len(np.unique(p, axis=0)) < 3)
+    # the curve pass's mask, which keeps a track out of the actor path terms
+    few = geometry.curve_complexities([p], 100)[1][0]
+    assert few == (len(np.unique(p, axis=0)) < 3)
+
+
+@given(
+    arrays(float, st.integers(0, 40), elements=st.floats(-1e6, 1e6, allow_nan=False)),
+    st.integers(1, 4),
+)
+def test_variance_follows_np_var(x, stride):
+    # contiguous, strided, and a column of a C-ordered table
+    table = np.column_stack([x, x[::-1]])
+    for v in (x, x[::stride], table[:, 1]):
+        assert traffic.variance(v) == (float(np.var(v)) if len(v) else 0.0)
 
 
 class TestSpeedDiversity:
