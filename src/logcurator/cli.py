@@ -76,11 +76,11 @@ def schema():
 @cli.command()
 @click.option("--template", type=click.Choice(TEMPLATES), default="straight_road", show_default=True)
 @click.option("--plan", type=click.Choice(PLANS), default="cruise", show_default=True)
-@click.option("--snippets", "n_snippets", type=int, default=1, show_default=True)
-@click.option("--frames", type=int, default=250, show_default=True)
+@click.option("--snippets", "n_snippets", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--frames", type=click.IntRange(min=2), default=250, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--jitter/--no-jitter", default=False, show_default=True)
-@click.option("--overlap-every", type=int, default=0, show_default=True)
+@click.option("--overlap-every", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--bicycle-every", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--id-prefix", default="s", show_default=True)
 @click.option("--out", required=True, type=click.Path(), help="Pool NDJSON path; the map sidecar lands next to it.")
@@ -186,7 +186,7 @@ def curate_cmd(pool_path, config_path, out_path, features_dir, jobs):
 @cli.command()
 @click.argument("pool_path", type=click.Path())
 @click.option("--method", type=click.Choice(["random", "entropy"]), required=True)
-@click.option("-k", "--budget", "k", type=int, required=True)
+@click.option("-k", "--budget", "k", type=click.IntRange(min=0), required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--forecasts", "forecasts_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -194,8 +194,6 @@ def baseline(pool_path, method, k, seed, forecasts_path, out_path):
     """Pick a labeling set by seeded randomness or forecast entropy."""
     from . import baselines
 
-    if k < 0:
-        raise click.UsageError("budget must be >= 0")
     if method == "entropy" and not forecasts_path:
         raise click.UsageError("--forecasts is required for the entropy method")
     pool = load_pool(pool_path)

@@ -82,9 +82,9 @@ class SnippetArrays(NamedTuple):
     """One snippet as every measure reads it, built once by `batch_arrays`."""
 
     snippet: Snippet
-    ego: np.ndarray  # (T, 2) ego xy
     ego_curve: float  # curve complexity of the ego path; 0.0 below sdv.MIN_PATH_LENGTH
-    ego_speed: np.ndarray  # (T - 1,) sdv.ego_step_speeds(ego, timestamps)
+    ego_speed: np.ndarray  # (T - 1,) ego speed over each step (`ego_pass`)
+    ego_curvature: np.ndarray  # (T,) |dh/ds| at each pose (`ego_pass`)
     det: Detections  # gated at config.roi_radius
     tracks: list  # build_track_paths(det); track i is det_track code i
     static: np.ndarray  # (K,) static_flags(tracks) at config.static_speed
@@ -140,25 +140,6 @@ def fit_normalization(matrix: np.ndarray, mode: str) -> NormalizationStats:
     return NormalizationStats(mean, std, flagged)
 
 
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    return (a + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def _ego_instant_curvature(ego: np.ndarray, headings: np.ndarray) -> np.ndarray:
-    """|dh/ds| from wrapped heading differences; 0 where the ego barely moves."""
-    n = len(ego)
-    out = np.zeros(n)
-    if n < 2:
-        return out
-    s = geometry.cumulative_arclength(ego)
-    lo = np.concatenate([[0], np.arange(n - 1)])
-    hi = np.concatenate([np.arange(1, n), [n - 1]])
-    ds = s[hi] - s[lo]
-    dh = _wrap_angle(headings[hi] - headings[lo])
-    np.divide(dh, ds, out=out, where=ds > 1e-9)
-    return np.abs(out)
-
-
 # point x segment pairs per scoring batch: each snippet counts its ego poses
 # against every lane and map element segment, and its detections against
 # every vehicle lane segment and against its own ego path. A batch holds at
@@ -192,7 +173,8 @@ def batch_arrays(snippets, index: MapIndex, config, zones=None):
     gate, the track groups, the class and crowd counts, the polygon tests,
     the lane and element minima and the route argmin run once per batch
     too, and each record is sliced from them: all of it is elementwise,
-    integer or min/argmin work, so no result depends on its batch. So does
+    integer or min/argmin work, so no result depends on its batch. So do
+    one ego pass (`ego_pass`), whose arc lengths are row-wise sums, and
     one curve pass (`geometry.curve_complexities`) over every track seen in
     gate and every ego path of at least `sdv.MIN_PATH_LENGTH`: its row means
     are per path. Float sums whose bits depend on order, such as the mean
@@ -210,19 +192,54 @@ def _bounds(sizes) -> tuple:
     return [0, *ends[:-1]], ends
 
 
+def ego_pass(pose: np.ndarray, timestamp: np.ndarray, sizes) -> tuple:
+    """(arc, keep, speed, curvature) of each of the N joined ego poses
+    (N, 3) and timestamps of a scoring batch, whose snippet k holds the next
+    sizes[k] >= 1 rows: the arc length of the snippet's ego path up to the
+    pose; whether the pose is the first or its xy differs from the one
+    before (the deduplicated path); the step into the pose over its time
+    step (0.0 at the first); and |dh/ds|, the wrapped heading difference
+    over the arc length between its neighbours, one-sided at the ends and
+    0.0 where that arc length is at most 1e-9 m.
+
+    The egos go through as one (snippets, width) array, each row padded
+    with its own last pose and timestamp: a padded step adds an exact 0.0
+    to the row-wise `cumsum`, and the first padded column, or the clamp at
+    the widest row, gives each row its one-sided end.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    cols = np.arange(sizes.max())
+    real = cols < sizes[:, None]
+    rows = np.minimum(cols, sizes[:, None] - 1) + (np.cumsum(sizes) - sizes)[:, None]
+    p, t = pose[rows], timestamp[rows]  # (snippets, width, 3) and (snippets, width)
+    d = p[:, 1:] - p[:, :-1]
+    step = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+    arc = np.zeros(real.shape)
+    np.cumsum(step, axis=1, out=arc[:, 1:])
+    keep = np.ones(real.shape, dtype=bool)
+    keep[:, 1:] = (p[:, 1:, :2] != p[:, :-1, :2]).any(axis=2)
+    speed = np.zeros(real.shape)
+    np.divide(step, t[:, 1:] - t[:, :-1], out=speed[:, 1:], where=real[:, 1:])
+    lo, hi = np.maximum(cols - 1, 0), np.minimum(cols + 1, len(cols) - 1)
+    ds = arc[:, hi] - arc[:, lo]
+    dh = (p[:, hi, 2] - p[:, lo, 2] + np.pi) % (2.0 * np.pi) - np.pi
+    curvature = np.divide(dh, ds, out=np.zeros(real.shape), where=ds > 1e-9)
+    return arc[real], keep[real], speed[real], np.abs(curvature[real])
+
+
 def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
     b = concat(batch)
     ego = np.ascontiguousarray(b.ego_pose[:, :2])
     (t0, t1), (d0, d1), (k0, k1) = (
         _bounds([len(getattr(s, col)) for s in batch]) for col in ("index", "det_frame", "track_ids")
     )
-    egos = np.split(ego, t1[:-1])
-    paths = [geometry.Path.from_points(e) for e in egos]
+    arc, keep, speed, curvature = ego_pass(b.ego_pose, b.timestamp, np.subtract(t1, t0))
+    kept = np.cumsum(keep)[np.subtract(t1, 1)].tolist()[:-1]  # path ends in the kept rows
     ego_dist, ego_arc = geometry.project_to_segments(ego, index.segments)
     elem_dist, _ = geometry.project_to_segments(ego, index.elements)
     # the block-diagonal kernel through the name the per-layer profiler times
     path_dist, _ = geometry.project_points_to_polyline(
-        b.det_center, [p.points for p in paths], [p.arclength for p in paths],
+        b.det_center, np.split(ego[keep], kept), np.split(arc[keep], kept),
         counts=[len(s.det_center) for s in batch],
     )
     det = traffic.detection_arrays(b, config.roi_radius)
@@ -230,9 +247,9 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
     static = traffic.static_flags(tracks, config.static_speed)
     counts, term = traffic.class_counts(det)
     seen = np.flatnonzero([t.seen for t in tracks])
-    moving = [i for i, p in enumerate(paths) if p.length >= sdv.MIN_PATH_LENGTH]
+    moving = np.flatnonzero(arc[np.subtract(t1, 1)] >= sdv.MIN_PATH_LENGTH).tolist()
     curves, few = geometry.curve_complexities(
-        [tracks[k].positions for k in seen.tolist()] + [paths[i].points for i in moving],
+        [tracks[k].positions for k in seen.tolist()] + [ego[t0[i]:t1[i]] for i in moving],
         config.resample_points,
     )
     ego_curve = np.zeros(len(batch))
@@ -262,9 +279,9 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
     return [
         SnippetArrays(
             snippet=s,
-            ego=e,
             ego_curve=curve,
-            ego_speed=sdv.ego_step_speeds(e, s.timestamp),
+            ego_speed=speed[t0[i] + 1:t1[i]],
+            ego_curvature=curvature[t0[i]:t1[i]],
             det=traffic.Detections(s, det.in_roi[d0[i]:d1[i]], det.dist[d0[i]:d1[i]]),
             tracks=tracks[k0[i]:k1[i]],
             static=static[k0[i]:k1[i]],
@@ -282,8 +299,8 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             vehicle_rows=rows,
             vehicle_table=(veh_dist[:, v0[i]:v1[i]], veh_arc[:, v0[i]:v1[i]]),
         )
-        for i, (s, e, curve, crowd, lane_dist, element_dist, (match, zone, rows)) in enumerate(zip(
-            batch, egos, ego_curve.tolist(), traffic.crowd_means(det, static, t0).tolist(),
+        for i, (s, curve, crowd, lane_dist, element_dist, (match, zone, rows)) in enumerate(zip(
+            batch, ego_curve.tolist(), traffic.crowd_means(det, static, t0).tolist(),
             np.minimum.reduceat(ego_dist, t0, axis=1).T,
             np.minimum.reduceat(elem_dist, t0, axis=1).T, routes,
         ))
@@ -296,18 +313,20 @@ def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
 
 
 def assemble_frame_vectors(rec: SnippetArrays) -> np.ndarray:
-    """(T, FRAME_DIM) per-frame descriptors used by the diversity distance."""
-    ego, s = rec.ego, rec.snippet
+    """(T, FRAME_DIM) per-frame descriptors used by the diversity distance:
+    the record's columns, stacked; a frame's speed is that of the step out of
+    it, and the last frame repeats the last step's."""
     counts, term = rec.class_counts  # columns follow DETECTION_CLASSES
+    speed = rec.ego_speed  # 0.0 alone in a one-frame snippet
     return np.column_stack(
         [
             counts.sum(axis=1),
             counts,
             term,
-            _ego_instant_curvature(ego, s.ego_pose[:, 2]),
-            np.append(rec.ego_speed, rec.ego_speed[-1:]) if len(ego) > 1 else np.zeros(len(ego)),
+            rec.ego_curvature,
+            np.append(speed, speed[-1:] if len(speed) else 0.0),
             rec.in_intersection.any(axis=0),
-            s.geo,
+            rec.snippet.geo,
         ]
     )
 

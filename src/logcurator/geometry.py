@@ -14,24 +14,6 @@ import numpy as np
 _EPS = 1e-12
 
 
-class Path(NamedTuple):
-    """Polyline with cached cumulative arc length."""
-
-    points: np.ndarray  # (N, 2)
-    arclength: np.ndarray  # (N,), arclength[0] == 0
-
-    @staticmethod
-    def from_points(points) -> "Path":
-        pts = dedupe_points(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"path points must be (N, 2), got {pts.shape}")
-        return Path(pts, cumulative_arclength(pts))
-
-    @property
-    def length(self) -> float:
-        return float(self.arclength[-1]) if len(self.arclength) else 0.0
-
-
 def dedupe_points(points: np.ndarray) -> np.ndarray:
     """Drop exactly-repeated consecutive points."""
     pts = np.asarray(points, dtype=float)

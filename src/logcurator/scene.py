@@ -183,7 +183,8 @@ def canonical_dumps(obj) -> str:
 
 def write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the same directory and rename into place,
-    creating the parent directory first. A file that cannot be written
+    creating the parent directory first. The file gets the mode `open`
+    gives a new file, 0o666 less the umask. A file that cannot be written
     raises OutputError naming `path`; no temp file is left behind."""
     tmp = None
     try:
@@ -192,6 +193,9 @@ def write_atomic(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0o077)  # reading the umask sets it: set it back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0o600
         os.replace(tmp, path)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise _output_error(path, exc) from exc

@@ -66,11 +66,6 @@ def match_route(ego_table: tuple, starts: list, index: MapIndex, config) -> list
     ]
 
 
-def ego_step_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """(T-1,) ego speeds over each step, from pose displacements."""
-    return np.linalg.norm(np.diff(ego, axis=0), axis=1) / np.diff(ts)
-
-
 def sdv_speed_variance(rec: "SnippetArrays") -> float:
     """Population variance of per-step ego speeds."""
     return variance(rec.ego_speed)

@@ -41,6 +41,13 @@ path at a time: deduplicate, measure arc length, resample with
 means. The library runs one pass over a whole scoring batch of padded paths,
 and the tests compare its values with `==`.
 
+`Path.from_points`, `ego_step_speeds` and `ego_instant_curvature` are the ego
+measures on one snippet at a time: deduplicate the poses and measure their
+arc length, divide each step by its time step, and divide the wrapped
+heading differences by the arc length again. The library measures every
+ego of a scoring batch in one padded pass, and the tests compare its values
+with `==`.
+
 `segments_intersect` and `_on_segment` are the closed-segment test on one
 pair of segments, and `polygon_polyline_intersects` and `polygon_is_simple`
 the double loops over segment pairs that call it; the library applies one
@@ -56,7 +63,7 @@ import numpy as np
 
 from logcurator import geometry, sdv
 from logcurator.baselines import LOG_2PI_E, ForecastError
-from logcurator.geometry import Path, _cross, cumulative_arclength, points_in_polygon
+from logcurator.geometry import _cross, cumulative_arclength, dedupe_points, points_in_polygon
 from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport, read_rows
 from logcurator.selection import AuditEntry, dissimilarity, take_pick
 from logcurator.traffic import STATIC_SPEED
@@ -180,6 +187,54 @@ def project_points_to_polyline(points: np.ndarray, poly_points: np.ndarray, cuml
     dist = np.sqrt(dist2[rows, j])
     arc = cumlen[j] + t[rows, j] * seg_len[j]
     return dist, arc
+
+
+# The per-snippet ego measures the library ran before its one ego pass per
+# scoring batch, kept verbatim as that pass's oracle: the ego path with its
+# repeated poses dropped and its arc length, the step speeds, and the
+# frame curvature column.
+
+
+class Path(NamedTuple):
+    """Polyline with cached cumulative arc length."""
+
+    points: np.ndarray  # (N, 2)
+    arclength: np.ndarray  # (N,), arclength[0] == 0
+
+    @staticmethod
+    def from_points(points) -> "Path":
+        pts = dedupe_points(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"path points must be (N, 2), got {pts.shape}")
+        return Path(pts, cumulative_arclength(pts))
+
+    @property
+    def length(self) -> float:
+        return float(self.arclength[-1]) if len(self.arclength) else 0.0
+
+
+def ego_step_speeds(ego: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(T-1,) ego speeds over each step, from pose displacements."""
+    return np.linalg.norm(np.diff(ego, axis=0), axis=1) / np.diff(ts)
+
+
+def _wrap_angle(a: np.ndarray) -> np.ndarray:
+    return (a + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def ego_instant_curvature(ego: np.ndarray, headings: np.ndarray) -> np.ndarray:
+    """|dh/ds| from wrapped heading differences; 0 where the ego barely moves."""
+    n = len(ego)
+    out = np.zeros(n)
+    if n < 2:
+        return out
+    s = cumulative_arclength(ego)
+    lo = np.concatenate([[0], np.arange(n - 1)])
+    hi = np.concatenate([np.arange(1, n), [n - 1]])
+    ds = s[hi] - s[lo]
+    dh = _wrap_angle(headings[hi] - headings[lo])
+    np.divide(dh, ds, out=out, where=ds > 1e-9)
+    return np.abs(out)
 
 
 # The per-path curve measure the library ran once per track, ego path and

@@ -142,8 +142,8 @@ def test_per_snippet_and_per_route_work_runs_once(pairs, monkeypatch):
     pool = _synth_pool()
     if pairs is not None:
         monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
-    calls = {"class_counts": 0, "conflict_zone": 0, "ego_step_speeds": 0}
-    for module, name in ((traffic, "class_counts"), (sdv, "conflict_zone"), (sdv, "ego_step_speeds")):
+    calls = {"class_counts": 0, "conflict_zone": 0, "ego_pass": 0}
+    for module, name in ((traffic, "class_counts"), (sdv, "conflict_zone"), (features, "ego_pass")):
         fn = getattr(module, name)
 
         def wrapper(*args, _fn=fn, _name=name):
@@ -160,11 +160,11 @@ def test_per_snippet_and_per_route_work_runs_once(pairs, monkeypatch):
         features.compute_snippet_features(rec, index, cfg)
         routes.add(rec.match.traversed)
         tracks += rec.tracks
-    # class counts once per batch, ego speeds once per snippet, one mean of
-    # each track's speeds, and one conflict zone per route
+    # class counts and the ego pass once per batch, one mean of each
+    # track's speeds, and one conflict zone per route
     n = len(pool.snippets)
     batches = len(_batch_sizes(pool))
-    assert calls == {"class_counts": batches, "conflict_zone": len(routes), "ego_step_speeds": n}
+    assert calls == {"class_counts": batches, "conflict_zone": len(routes), "ego_pass": batches}
     assert len(routes) < n and tracks
     assert [sum(a is t.speeds for a in averaged) for t in tracks] == [1] * len(tracks)
 
@@ -211,9 +211,9 @@ def test_records_do_not_depend_on_the_batch_cap(make_pool, pairs, monkeypatch):
     monkeypatch.setattr(features, "BATCH_PAIRS", 1)
     alone = list(features.batch_arrays(pool.snippets, index, cfg))
     fields = features.SnippetArrays._fields
-    assert {"ego_speed", "crowd", "lane_dist", "in_crosswalk", "track_curves", "ego_curve"} <= set(
-        fields
-    )
+    assert {
+        "ego_speed", "ego_curvature", "crowd", "lane_dist", "in_crosswalk", "track_curves", "ego_curve"
+    } <= set(fields)
     if make_pool is not _short_pool:  # several curving tracks in one curve pass
         assert sum(int(np.count_nonzero(rec.track_curves)) for rec in batched) > 1
     for one, many in zip(alone, batched, strict=True):

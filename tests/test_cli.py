@@ -120,19 +120,48 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "option",
-        [["--seed", "-1"], ["--horizon", "-1"], ["--horizon", "0"], ["--bicycle-every", "-1"]],
-        ids=["seed", "horizon", "horizon_zero", "bicycle_every"],
+        [
+            ["--seed", "-1"], ["--horizon", "-1"], ["--horizon", "0"], ["--bicycle-every", "-1"],
+            ["--snippets", "0"], ["--frames", "1"], ["--overlap-every", "-1"],
+        ],
+        ids=["seed", "horizon", "horizon_zero", "bicycle_every", "snippets_zero", "frames_one", "overlap_every"],
     )
     def test_negative_integer_is_a_usage_error(self, capsys, tmp_path, option):
         # the generator raised on a negative seed or horizon, a horizon of 0
-        # wrote a forecast file that the entropy baseline refuses, and a
-        # negative bicycle period put a bicyclist in every snippet
+        # wrote a forecast file that the entropy baseline refuses, a
+        # negative bicycle period put a bicyclist in every snippet, and no
+        # pool has fewer than one snippet or two frames
         out = str(tmp_path / "pool.jsonl")
         forecasts = ["--forecasts", str(tmp_path / "f.jsonl")]
         code, _, err = run(capsys, "synth", "--frames", "60", "--out", out, *forecasts, *option)
         assert code == 1
         assert option[0] in err and "Traceback" not in err
         assert os.listdir(tmp_path) == []
+
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)], ids=["022", "002"])
+    def test_outputs_take_the_mode_of_a_new_file(self, capsys, tmp_path, umask, mode):
+        # a temp file renamed into place kept mkstemp's 0o600
+        pool, config = str(tmp_path / "p.jsonl"), str(tmp_path / "config.json")
+        feats, result = tmp_path / "feats", tmp_path / "result.json"
+        with open(config, "w") as fh:
+            json.dump(CONFIG, fh)
+        old = os.umask(umask)
+        try:
+            for argv in (
+                ["synth", "--snippets", "2", "--frames", "60", "--out", pool,
+                 "--cards", str(tmp_path / "cards.json"), "--forecasts", str(tmp_path / "f.jsonl")],
+                ["score", pool, "--out", str(feats)],
+                ["curate", pool, "--config", config, "--features", str(feats), "--out", str(result)],
+            ):
+                assert run(capsys, *argv)[0] == 0
+        finally:
+            assert os.umask(old) == umask
+        synth = [tmp_path / name for name in ("p.jsonl", "scene.map.json", "cards.json", "f.jsonl")]
+        outputs = [*synth, *(feats / name for name in STORE_FILES), result]
+        assert {p.name: oct(p.stat().st_mode & 0o777) for p in outputs} == {
+            p.name: oct(mode) for p in outputs
+        }
 
 
 class TestScore:

@@ -62,7 +62,7 @@ class TestResample:
     )
     def test_length_preserved(self, raw, K):
         pts = geometry.dedupe_points(np.asarray(raw))
-        path = geometry.Path.from_points(pts) if len(pts) >= 2 else None
+        path = ref.Path.from_points(pts) if len(pts) >= 2 else None
         if path is None or path.length < 1e-6:
             return
         out = ref.resample_arclength(path, K)

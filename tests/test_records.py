@@ -26,7 +26,7 @@ def test_every_record_type_is_found():
         "Finding", "ValidationReport", "Snippet", "Lane", "Intersection", "TrafficControl",
         "SceneMap", "SnippetPool", "TaskConfig", "CurationConfig", "AuditEntry",
         "CurationResult", "FeatureVector", "SnippetArrays", "NormalizationStats",
-        "FeatureBundle", "Path", "SegmentTable", "RouteMatch",
+        "FeatureBundle", "SegmentTable", "RouteMatch",
         "ConflictZone", "Detections", "TrackPath", "ForecastEntry", "GaussianForecast",
     }
 
