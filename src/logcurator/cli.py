@@ -102,7 +102,7 @@ def synth(template, plan, n_snippets, frames, seed, jitter, overlap_every, bicyc
         bicycle_every=bicycle_every,
         id_prefix=id_prefix,
     )
-    pool, cards = synthgen.generate_pool(spec)
+    pool, cards = synthgen.generate_pool(spec, with_cards=bool(cards_path))
     save_pool(pool, out)
     # a later output that fails takes the ones written before it along
     written = [out, sidecar_path(out, pool.map_name)]

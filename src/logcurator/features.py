@@ -17,7 +17,7 @@ from .infra import infra_features
 from .scene import SCHEMA_VERSION, MapIndex, PoolFormatError, SceneMap, Snippet, SnippetPool
 from .scene import _column, file_sha256, read_header, read_json, remove_output, sidecar_path
 from .scene import chunks, concat, write_json, write_rows
-from .sdv import ConflictZone, RouteMatch, sdv_features
+from .sdv import RouteMatch, sdv_features
 from .traffic import Detections, traffic_features
 
 SNIPPET_FEATURES = (
@@ -98,9 +98,7 @@ class SnippetArrays(NamedTuple):
     in_intersection: np.ndarray  # (I, T) ego inside each intersection polygon
     in_crosswalk: np.ndarray  # (C, T) ego inside each crosswalk polygon
     match: RouteMatch
-    conflict: ConflictZone  # sdv.conflict_zone(index, match.traversed, config)
-    vehicle_rows: np.ndarray  # detections of vehicle tracks; none without conflict lanes
-    vehicle_table: tuple  # project_to_segments(det_center[vehicle_rows], index.vehicle_segments)
+    interactions: tuple  # (near_static, near_dynamic, conflict_traversals, conflict_reachable)
 
 
 ZERO_SPREAD = 1e-12  # a std at or below this is zero spread
@@ -168,19 +166,20 @@ def batch_arrays(snippets, index: MapIndex, config, zones=None):
     Snippets go through in batches (`_batches`) of joined columns
     (`scene.concat`). Each batch makes four kernel calls: every ego pose
     against every lane and against every non-lane map element, every
-    detection against its own ego path, and the vehicle-track detections of
-    the snippets with conflict lanes against every vehicle lane. The ROI
-    gate, the track groups, the class and crowd counts, the polygon tests,
-    the lane and element minima and the route argmin run once per batch
-    too, and each record is sliced from them: all of it is elementwise,
-    integer or min/argmin work, so no result depends on its batch. So do
-    one ego pass (`ego_pass`), whose arc lengths are row-wise sums, and
-    one curve pass (`geometry.curve_complexities`) over every track seen in
-    gate and every ego path of at least `sdv.MIN_PATH_LENGTH`: its row means
-    are per path. Float sums whose bits depend on order, such as the mean
-    over a snippet's track curves, stay per snippet or per track. `zones`
-    maps each traversed-lane tuple to its ConflictZone, filled as routes
-    come in."""
+    detection against its own ego path, and, in `sdv.interactions`, the
+    vehicle-track detections of the snippets with conflict lanes against
+    every vehicle lane. The ROI gate, the track groups, the class and crowd
+    counts, the polygon tests, the lane and element minima, the route
+    argmin and the interaction counts run once per batch too, and each
+    record is sliced from them: all of it is elementwise, integer or
+    min/argmin work, so no result depends on its batch. So do one ego pass
+    (`ego_pass`), whose arc lengths are row-wise sums, and one curve pass
+    (`geometry.curve_complexities`) over every track seen in gate and every
+    ego path of at least `sdv.MIN_PATH_LENGTH`: its row means are per path.
+    Float sums whose bits depend on order, such as the mean over a
+    snippet's track curves, stay per snippet or per track. `zones` maps
+    each traversed-lane tuple to its ConflictZone, filled as routes come
+    in."""
     zones = {} if zones is None else zones
     for batch in _batches(snippets, index):
         yield from _batch_arrays(batch, index, config, zones)
@@ -262,20 +261,12 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
         np.array([geometry.points_in_polygon(ego, p) for p in polys], dtype=bool).reshape(-1, len(ego))
         for polys in (index.intersection_polys, index.crosswalk_polys)
     ]
-    routes = []  # (match, zone, vehicle rows) per snippet
-    for s, match, lo, hi in zip(batch, sdv.match_route((ego_dist, ego_arc), t0, index, config), k0, k1):
-        zone = zones.get(match.traversed)
-        if zone is None:
-            zone = zones[match.traversed] = sdv.conflict_zone(index, match.traversed, config)
-        rows = np.zeros(0, dtype=np.intp)
-        if zone.lanes:
-            vehicle = np.array([t.label == "vehicle" for t in tracks[lo:hi]], dtype=bool)
-            rows = np.flatnonzero(vehicle[s.det_track])
-        routes.append((match, zone, rows))
-    veh_dist, veh_arc = geometry.project_to_segments(
-        np.concatenate([s.det_center[r[-1]] for s, r in zip(batch, routes)]), index.vehicle_segments
+    matches = sdv.match_route((ego_dist, ego_arc), t0, index, config)
+    for route in {m.traversed for m in matches} - zones.keys():
+        zones[route] = sdv.conflict_zone(index, route, config)
+    interacting = sdv.interactions(
+        b, tracks, static, path_dist, [zones[m.traversed] for m in matches], k0, index, config
     )
-    v0, v1 = _bounds([len(r[-1]) for r in routes])
     return [
         SnippetArrays(
             snippet=s,
@@ -295,14 +286,12 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             in_intersection=inside[0][:, t0[i]:t1[i]],
             in_crosswalk=inside[1][:, t0[i]:t1[i]],
             match=match,
-            conflict=zone,
-            vehicle_rows=rows,
-            vehicle_table=(veh_dist[:, v0[i]:v1[i]], veh_arc[:, v0[i]:v1[i]]),
+            interactions=tuple(interactions),
         )
-        for i, (s, curve, crowd, lane_dist, element_dist, (match, zone, rows)) in enumerate(zip(
+        for i, (s, curve, crowd, lane_dist, element_dist, match, interactions) in enumerate(zip(
             batch, ego_curve.tolist(), traffic.crowd_means(det, static, t0).tolist(),
             np.minimum.reduceat(ego_dist, t0, axis=1).T,
-            np.minimum.reduceat(elem_dist, t0, axis=1).T, routes,
+            np.minimum.reduceat(elem_dist, t0, axis=1).T, matches, interacting.tolist(),
         ))
     ]
 

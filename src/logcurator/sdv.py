@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .scene import MapIndex, runs
+from . import geometry
+from .scene import MapIndex, Snippet, runs
 from .traffic import variance
 
 if TYPE_CHECKING:
@@ -134,54 +135,54 @@ class ConflictZone(NamedTuple):
     alone, so one zone serves every snippet with those lanes."""
 
     lanes: list  # conflict lanes (`_conflict_lanes`), vehicle lanes only
-    rows: np.ndarray  # their rows in index.vehicle_segments
-    half: np.ndarray  # their half widths
-    reach: np.ndarray  # (L,) `_entry_distances` to them; empty without lanes
+    half: np.ndarray  # (V,) half width of each index.vehicle_segments lane; -inf off the conflict lanes
+    reach: np.ndarray  # (L,) `_entry_distances` to the conflict lanes; all inf without them
 
 
 def conflict_zone(index: MapIndex, traversed: tuple, config) -> ConflictZone:
     """The ConflictZone of a route over the `traversed` lanes."""
     lanes = _conflict_lanes(index, traversed)
-    if not lanes:
-        return ConflictZone(lanes, np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
-    return ConflictZone(
-        lanes,
-        np.searchsorted(index.vehicle_indices, lanes),
-        np.array([0.5 * index.lane_width(li, config.lane_width_fallback) for li in lanes]),
-        _entry_distances(index, lanes),
-    )
+    fallback = config.lane_width_fallback
+    half = [0.5 * index.lane_width(li, fallback) if li in lanes else -np.inf for li in index.vehicle_indices]
+    return ConflictZone(lanes, np.array(half, dtype=float), _entry_distances(index, lanes))
 
 
-def interactions(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
-    """(near_static, near_dynamic, conflict_traversals, conflict_reachable).
+def interactions(b: Snippet, tracks: list, static, path_dist, zones: list, k0, index: MapIndex, config):
+    """(n, 4) counts (near_static, near_dynamic, conflict_traversals,
+    conflict_reachable) of the n snippets of a scoring batch: its joined
+    columns `b` (`scene.concat`), their tracks and static flags, each
+    detection's `path_dist`, and each snippet's ConflictZone and first track.
 
-    Each is a count of tracks with some detection passing a per-detection
-    test: near the ego path, on a conflict lane, or able to reach a conflict
-    entry within the horizon. The conflict tests read `rec.vehicle_table`,
-    the vehicle-track detections against every vehicle lane: the conflict
-    lanes' rows, then the nearest lane of each detection not traversing."""
-    s, tracks = rec.snippet, rec.tracks
-    code = s.det_track  # track i of rec.tracks is code i
-    n = len(tracks)
-    near = np.bincount(code[rec.path_dist < config.near_dist], minlength=n) > 0
-    near_static, near_dynamic = int(np.sum(near & rec.static)), int(np.sum(near & ~rec.static))
+    Each counts the tracks with some detection near the ego path, on a
+    conflict lane, or able to reach a conflict entry within the horizon. The
+    conflict tests read one projection of the vehicle-track detections of
+    the snippets with conflict lanes against every vehicle lane: each zone's
+    half widths, then the nearest lane of each detection not traversing.
+    Track flags, then each snippet's counts, are bincounts, so a snippet
+    without tracks counts 0."""
+    code, n, k = b.det_track, len(zones), len(tracks)
+    owner = np.repeat(np.arange(n), np.diff([*k0, k]))  # the snippet of each track
 
-    zone = rec.conflict
-    if not zone.lanes:
-        return near_static, near_dynamic, 0, 0
-    rows = rec.vehicle_rows
-    dist, arc = rec.vehicle_table
-    hit = np.any(dist[zone.rows] <= zone.half[:, None], axis=0)
-    traversing = np.bincount(code[rows[hit]], minlength=n) > 0
+    def tracks_of(rows):
+        return np.bincount(code[rows], minlength=k) > 0
 
+    near = tracks_of(path_dist < config.near_dist)
+    vehicle = np.array([t.label == "vehicle" for t in tracks], dtype=bool)
+    rows = np.flatnonzero((vehicle & np.array([bool(z.lanes) for z in zones])[owner])[code])
+    dist, arc = geometry.project_to_segments(b.det_center[rows], index.vehicle_segments)
+    zone = owner[code[rows]]
+    traversing = tracks_of(rows[np.any(dist <= np.stack([z.half for z in zones])[zone].T, axis=0)])
     keep = ~traversing[code[rows]]
-    rows = rows[keep]
-    lanes, lat, arc = nearest_lane(dist[:, keep], arc[:, keep], index.vehicle_indices)
-    reach = zone.reach
-    dist_to_entry = np.where(np.isfinite(reach[lanes]), np.maximum(reach[lanes] - arc, 0.0), np.inf)
-    ok = (lat <= config.map_match_gate) & (s.det_speed[rows] * config.horizon >= dist_to_entry)
-    reachable = np.bincount(code[rows[ok]], minlength=n) > 0
-    return near_static, near_dynamic, int(np.sum(traversing)), int(np.sum(reachable))
+    reachable = np.zeros(k, dtype=bool)
+    if keep.any():  # nearest_lane needs a lane: a map without vehicle lanes tests no row
+        rows, zone = rows[keep], zone[keep]
+        lanes, lat, arc = nearest_lane(dist[:, keep], arc[:, keep], index.vehicle_indices)
+        reach = np.stack([z.reach for z in zones])[zone, lanes]
+        dist_to_entry = np.where(np.isfinite(reach), np.maximum(reach - arc, 0.0), np.inf)
+        ok = (lat <= config.map_match_gate) & (b.det_speed[rows] * config.horizon >= dist_to_entry)
+        reachable = tracks_of(rows[ok])
+    flags = (near & static, near & ~static, traversing, reachable)
+    return np.column_stack([np.bincount(owner[f], minlength=n) for f in flags])
 
 
 def detect_nudges(rec: "SnippetArrays", index: MapIndex, config) -> int:
@@ -226,7 +227,7 @@ def sdv_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
     """The ego row of one snippet, keyed by feature name; its validity is
     `rec.match.valid`."""
     lane_changes, turns, controls = route_events(rec, index, config)
-    near_s, near_d, conf_trav, conf_reach = interactions(rec, index, config)
+    near_s, near_d, conf_trav, conf_reach = rec.interactions
     return {
         "sdv_path": rec.ego_curve,
         "sdv_speed_var": sdv_speed_variance(rec),

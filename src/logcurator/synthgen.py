@@ -226,8 +226,9 @@ class _Actor:
 class _Build:
     """One realized log plus everything the card needs.
 
-    Feasibility margins are enforced only for carded builds; jittered or
-    overlapping logs carry no expectations, so their geometry may drift.
+    Feasibility margins are enforced only for carded builds; jittered,
+    overlapping or uncarded logs carry no expectations, so their geometry
+    may drift.
     """
 
     def __init__(self, spec, rng, t_log, log_id, carded=True):
@@ -687,8 +688,9 @@ def _min_dist_to_segment(points, a, b):
     return float(np.min(dist))
 
 
-def generate_pool(spec: ScenarioSpec):
-    """Build a pool and its cards: {snippet_id: OracleCard | None}."""
+def generate_pool(spec: ScenarioSpec, with_cards: bool = True):
+    """Build a pool and its cards: {snippet_id: OracleCard | None}; without
+    `with_cards` every card is None and no card margin is enforced."""
     validate_spec(spec)
     T = spec.num_frames
     snippets = []
@@ -719,7 +721,7 @@ def generate_pool(spec: ScenarioSpec):
                     spec.geo_origin[1] + 0.0007 * log_index,
                 ),
             )
-        carded = spec.overlap_every == 0 and not spec.jitter
+        carded = with_cards and spec.overlap_every == 0 and not spec.jitter
         build = _Build(sub, rng, t_log, f"log-{spec.id_prefix}{log_index:04d}", carded=carded)
         if scene_map is None:
             scene_map = build.scene_map

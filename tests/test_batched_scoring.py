@@ -90,7 +90,10 @@ def test_store_does_not_depend_on_the_batch_cap(cap, monkeypatch, tmp_path):
     pool = _synth_pool()  # four-way intersection: routes with conflict lanes
     cfg = CurationConfig()
     index = MapIndex(pool.scene_map)
-    assert any(features.snippet_arrays(s, index, cfg).conflict.lanes for s in pool.snippets)
+    assert any(
+        sdv._conflict_lanes(index, features.snippet_arrays(s, index, cfg).match.traversed)
+        for s in pool.snippets
+    )
     if cap == "one_pair":
         monkeypatch.setattr(geometry, "BLOCK_PAIRS", 1)
     pairs = {"one_pair": 1, "one_snippet": _one_snippet(pool), "whole_pool": 1 << 62}[cap]
@@ -132,7 +135,7 @@ def test_conflict_rows_follow_the_vehicle_table():
     cfg = CurationConfig()
     got = []
     for rec in features.batch_arrays(pool.snippets, index, cfg):
-        got.append(sdv.interactions(rec, index, cfg))
+        got.append(rec.interactions)
         assert got[-1] == ref.interactions(rec.snippet, index, rec.tracks)
     assert any(trav or reach for _, _, trav, reach in got)
 
@@ -142,8 +145,9 @@ def test_per_snippet_and_per_route_work_runs_once(pairs, monkeypatch):
     pool = _synth_pool()
     if pairs is not None:
         monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
-    calls = {"class_counts": 0, "conflict_zone": 0, "ego_pass": 0}
-    for module, name in ((traffic, "class_counts"), (sdv, "conflict_zone"), (features, "ego_pass")):
+    calls = {"class_counts": 0, "conflict_zone": 0, "ego_pass": 0, "interactions": 0}
+    counted = ((traffic, "class_counts"), (sdv, "conflict_zone"), (features, "ego_pass"), (sdv, "interactions"))
+    for module, name in counted:
         fn = getattr(module, name)
 
         def wrapper(*args, _fn=fn, _name=name):
@@ -160,11 +164,13 @@ def test_per_snippet_and_per_route_work_runs_once(pairs, monkeypatch):
         features.compute_snippet_features(rec, index, cfg)
         routes.add(rec.match.traversed)
         tracks += rec.tracks
-    # class counts and the ego pass once per batch, one mean of each
-    # track's speeds, and one conflict zone per route
+    # class counts, the ego pass and the interaction counts once per batch,
+    # one mean of each track's speeds, and one conflict zone per route
     n = len(pool.snippets)
     batches = len(_batch_sizes(pool))
-    assert calls == {"class_counts": batches, "conflict_zone": len(routes), "ego_pass": batches}
+    assert calls == {
+        "class_counts": batches, "conflict_zone": len(routes), "ego_pass": batches, "interactions": batches
+    }
     assert len(routes) < n and tracks
     assert [sum(a is t.speeds for a in averaged) for t in tracks] == [1] * len(tracks)
 

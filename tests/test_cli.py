@@ -111,6 +111,24 @@ class TestSynth:
         assert code == 2
         assert "error:" in err and "60 frames" in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [["--snippets", "3", "--frames", "20"], ["--plan", "lane_change", "--frames", "60"],
+         ["--plan", "nudge", "--frames", "60"]],
+        ids=["short_cruise", "lane_change", "nudge"],
+    )
+    def test_card_margins_hold_only_where_cards_are_written(self, capsys, tmp_path, spec):
+        # each spec breaks a card margin: a plain pool is written, and the
+        # cards are refused before any file is
+        assert run(capsys, "synth", *spec, "--out", str(tmp_path / "p.jsonl"))[0] == 0
+        carded = tmp_path / "carded"
+        code, _, err = run(
+            capsys, "synth", *spec, "--out", str(carded / "p.jsonl"), "--cards", str(carded / "cards.json")
+        )
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert not carded.exists()
+
     def test_unknown_template_is_a_usage_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--template", "tunnel", "--out", str(tmp_path / "p.jsonl")

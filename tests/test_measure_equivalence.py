@@ -143,7 +143,7 @@ def assert_lanes_match_reference(s, index, roi_radius):
         else:
             assert got == exp, f
 
-    got = sdv.interactions(rec, index, config)
+    got = rec.interactions
     assert got == ref.interactions(s, index, rec.tracks)
     return got
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import reference_measures as ref
 from logcurator import features, geometry, sdv
-from logcurator.scene import Lane, SceneMap, TrafficControl
+from logcurator.scene import Lane, MapIndex, SceneMap, TrafficControl
+from logcurator.selection import CurationConfig
 
 from support import (
     DT,
@@ -27,6 +29,11 @@ def path_complexity(s):
 
 def speed_variance(s):
     return sdv.sdv_speed_variance(measure_args(s)[0])
+
+
+def interactions(s, m=None, **config):
+    """The record's (near_static, near_dynamic, traversals, reachable)."""
+    return measure_args(s, m, **config)[0].interactions
 
 
 def two_lane_map():
@@ -114,13 +121,13 @@ class TestRouteEvents:
 class TestInteractions:
     def test_empty_scene(self):
         m = SceneMap(lanes=(straight_lane(),))
-        assert sdv.interactions(*measure_args(straight_drive(), m)) == (0, 0, 0, 0)
+        assert interactions(straight_drive(), m) == (0, 0, 0, 0)
 
     def test_parked_car_near_path(self):
         m = SceneMap(lanes=(straight_lane(),))
         dets = constant_detections([make_detection("p1", "vehicle", (5.0, 2.0), 0.0)], 60)
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
-        assert sdv.interactions(*measure_args(s, m, near_dist=5.0)) == (1, 0, 0, 0)
+        assert interactions(s, m, near_dist=5.0) == (1, 0, 0, 0)
 
     def test_walker_crossing_is_dynamic(self):
         m = SceneMap(lanes=(straight_lane(),))
@@ -129,7 +136,7 @@ class TestInteractions:
             for k in range(60)
         ]
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
-        near_s, near_d, _, _ = sdv.interactions(*measure_args(s, m))
+        near_s, near_d, _, _ = interactions(s, m)
         assert (near_s, near_d) == (0, 1)
 
     def test_near_dist_monotone(self):
@@ -144,7 +151,7 @@ class TestInteractions:
         )
         s = drive([(-30.0 + 0.5 * k, 0.0) for k in range(60)], detections=dets)
         counts = [
-            sum(sdv.interactions(*measure_args(s, m, near_dist=r))[:2]) for r in (1.0, 5.0, 10.0, 20.0, 40.0)
+            sum(interactions(s, m, near_dist=r)[:2]) for r in (1.0, 5.0, 10.0, 20.0, 40.0)
         ]
         assert counts == sorted(counts)
         assert counts[0] == 0 and counts[-1] == 4
@@ -153,8 +160,8 @@ class TestInteractions:
         m = SceneMap(lanes=(straight_lane(),))
         dets = constant_detections([make_detection("p1", "vehicle", (5.0, 5.0), 0.0)], 60)
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
-        assert sdv.interactions(*measure_args(s, m, near_dist=5.0)) == (0, 0, 0, 0)
-        assert sdv.interactions(*measure_args(s, m, near_dist=np.nextafter(5.0, 6.0)))[0] == 1
+        assert interactions(s, m, near_dist=5.0) == (0, 0, 0, 0)
+        assert interactions(s, m, near_dist=np.nextafter(5.0, 6.0))[0] == 1
 
     def conflict_map(self):
         ew = straight_lane("ew")
@@ -168,7 +175,7 @@ class TestInteractions:
             for k in range(60)
         ]
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
-        near_s, near_d, trav, reach = sdv.interactions(*measure_args(s, self.conflict_map()))
+        near_s, near_d, trav, reach = interactions(s, self.conflict_map())
         assert trav == 1
         assert near_d == 1
         assert reach == 0
@@ -180,13 +187,13 @@ class TestInteractions:
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
         m = self.conflict_map()
         # 20 m of feeder lane remain ahead of the waiting car
-        assert sdv.interactions(*measure_args(s, m, horizon=1.0))[3] == 0
-        assert sdv.interactions(*measure_args(s, m, horizon=5.0))[3] == 1
+        assert interactions(s, m, horizon=1.0)[3] == 0
+        assert interactions(s, m, horizon=5.0)[3] == 1
 
     def test_conflict_lanes_without_vehicles(self):
         # both lane tables are projected onto with no detection rows
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)])
-        assert sdv.interactions(*measure_args(s, self.conflict_map())) == (0, 0, 0, 0)
+        assert interactions(s, self.conflict_map()) == (0, 0, 0, 0)
         # on foot, one crossing the conflict lane and one waiting on its feeder
         dets = [
             (
@@ -196,13 +203,50 @@ class TestInteractions:
             for k in range(60)
         ]
         s = drive([(-30.0 + 1.0 * k, 0.0) for k in range(60)], detections=dets)
-        assert sdv.interactions(*measure_args(s, self.conflict_map()))[2:] == (0, 0)
+        assert interactions(s, self.conflict_map())[2:] == (0, 0)
 
     def test_no_conflict_without_crossing_lanes(self):
         m = SceneMap(lanes=(straight_lane("a"), straight_lane("b", y=3.6)))
         dets = constant_detections([make_detection("v", "vehicle", (5.0, 3.6), 4.0)], 60)
         s = drive([(-30.0 + 0.5 * k, 0.0) for k in range(60)], detections=dets)
-        assert sdv.interactions(*measure_args(s, m))[2:] == (0, 0)
+        assert interactions(s, m)[2:] == (0, 0)
+
+    def test_one_batch_of_mixed_routes(self, monkeypatch):
+        # two conflict zones in one batch, a route without conflict lanes,
+        # and a snippet without tracks between them
+        east = [(-30.0 + 1.0 * k, 0.0) for k in range(60)]
+        crossing = [(make_detection("cross", "vehicle", (0.0, -20.0 + 0.7 * k), 7.0),) for k in range(60)]
+        waiting = constant_detections([make_detection("wait", "vehicle", (0.0, -40.0), 5.0)], 60)
+        # north on ns short of ew, so ew is this route's conflict lane: a car
+        # on ew east of ns traverses it, and one waiting on feed cannot reach it
+        north = [(0.0, -18.0 + 0.25 * k) for k in range(60)]
+        along_ew = [
+            (
+                make_detection("along", "vehicle", (5.0 + 0.5 * k, 0.0), 5.0),
+                make_detection("walk", "pedestrian", (3.0, 0.2 * k), 2.0),
+                make_detection("wait", "vehicle", (0.0, -40.0), 5.0),
+            )
+            for k in range(60)
+        ]
+        on_feed = [(0.0, -58.0 + 0.5 * k) for k in range(60)]
+        parked = constant_detections([make_detection("park", "vehicle", (3.0, -45.0), 0.0)], 60)
+        snippets = [
+            drive(east, "a", detections=crossing),
+            drive(east, "b", detections=waiting),
+            drive(north, "c", detections=along_ew),
+            drive(east, "d"),
+            drive(on_feed, "e", detections=parked),
+        ]
+        index, cfg = MapIndex(self.conflict_map()), CurationConfig()
+        monkeypatch.setattr(features, "BATCH_PAIRS", 1 << 62)
+        assert [len(b) for b in features._batches(snippets, index)] == [5]
+        batched = list(features.batch_arrays(snippets, index, cfg))
+        assert [sdv._conflict_lanes(index, rec.match.traversed) for rec in batched] == [[1], [1], [0], [1], []]
+        got = [rec.interactions for rec in batched]
+        assert got == [(0, 1, 1, 0), (0, 0, 0, 1), (0, 2, 1, 0), (0, 0, 0, 0), (1, 0, 0, 0)]
+        for s, rec, counts in zip(snippets, batched, got):
+            assert features.snippet_arrays(s, index, cfg).interactions == counts
+            assert ref.interactions(s, index, rec.tracks) == counts
 
 
 class TestNudges:
