@@ -92,7 +92,6 @@ class SnippetArrays(NamedTuple):
     class_counts: tuple  # traffic.class_counts(det): (T, classes) counts, (T,) term
     crowd: tuple  # traffic.crowdedness(det, static): (static, dynamic) mean counts
     path_dist: np.ndarray  # (D,) distance of each detection to the ego path (poses deduplicated)
-    ego_table: tuple  # project_to_segments(ego, index.segments)
     lane_dist: np.ndarray  # (L,) the ego's nearest approach to each lane
     element_dist: np.ndarray  # (E,) the ego's nearest approach to each of index.elements
     in_intersection: np.ndarray  # (I, T) ego inside each intersection polygon
@@ -261,7 +260,7 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
         np.array([geometry.points_in_polygon(ego, p) for p in polys], dtype=bool).reshape(-1, len(ego))
         for polys in (index.intersection_polys, index.crosswalk_polys)
     ]
-    matches = sdv.match_route((ego_dist, ego_arc), t0, index, config)
+    matches = sdv.match_route((ego_dist, ego_arc), t0, b.det_frame, path_dist, index, config)
     for route in {m.traversed for m in matches} - zones.keys():
         zones[route] = sdv.conflict_zone(index, route, config)
     interacting = sdv.interactions(
@@ -280,7 +279,6 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             class_counts=(counts[t0[i]:t1[i]], term[t0[i]:t1[i]]),
             crowd=tuple(crowd),
             path_dist=path_dist[d0[i]:d1[i]],
-            ego_table=(ego_dist[:, t0[i]:t1[i]], ego_arc[:, t0[i]:t1[i]]),
             lane_dist=lane_dist,
             element_dist=element_dist,
             in_intersection=inside[0][:, t0[i]:t1[i]],

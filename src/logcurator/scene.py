@@ -839,6 +839,17 @@ class MapIndex:
             [id_to_index[s] for s in lane.successors if s in id_to_index]
             for lane in scene_map.lanes
         ]
+        # (L,) each lane's left and right neighbor, -1 for none; whether it turns
+        self.left, self.right = (
+            np.array([id_to_index.get(getattr(l, side), -1) for l in scene_map.lanes], dtype=np.intp)
+            for side in ("left_neighbor", "right_neighbor")
+        )
+        self.turning = np.array([l.turn in ("left", "right") for l in scene_map.lanes], dtype=bool)
+        # (C, L) the lanes each traffic control governs
+        controls = scene_map.traffic_controls
+        self.control_lanes = np.array(
+            [[lid in c.lane_ids for lid in self.lane_ids] for c in controls], dtype=bool
+        ).reshape(len(controls), len(self.lane_ids))
 
         # only the pairs whose bounding boxes meet (geometry.boxes_meet) are tested
         n = len(scene_map.lanes)
@@ -888,6 +899,7 @@ class MapIndex:
             self._curve_cache[K] = geometry.curve_complexities(self.lane_pts, K)[0]
         return self._curve_cache[K]
 
-    def lane_width(self, index: int, fallback: float) -> float:
-        w = self.scene_map.lanes[index].width
-        return fallback if w is None else w
+    def lane_widths(self, fallback: float) -> np.ndarray:
+        """(L,) width of each lane, `fallback` where the map gives none."""
+        widths = [fallback if l.width is None else l.width for l in self.scene_map.lanes]
+        return np.array(widths, dtype=float)

@@ -30,11 +30,9 @@ MIN_PATH_LENGTH = 1.0
 
 
 class RouteMatch(NamedTuple):
-    assignments: np.ndarray  # (T,) lane index, -1 when the map has no vehicle lanes
-    lateral: np.ndarray  # (T,) distance to the assigned centerline
     valid: bool
-    runs: tuple  # ((lane_index, start, end_exclusive), ...)
     traversed: tuple  # distinct lane indices in first-visit order
+    events: tuple  # (lane_changes, turns, controls_on_route, nudges)
 
 
 def nearest_lane(dist: np.ndarray, arc: np.ndarray, lanes) -> tuple:
@@ -44,59 +42,79 @@ def nearest_lane(dist: np.ndarray, arc: np.ndarray, lanes) -> tuple:
     return np.array(lanes, dtype=int)[best], dist[best, cols], arc[best, cols]
 
 
-def match_route(ego_table: tuple, starts: list, index: MapIndex, config) -> list:
+def match_route(ego_table: tuple, starts: list, det_frame, path_dist, index: MapIndex, config) -> list:
     """The RouteMatch of each snippet of a batch, whose poses are columns
     starts[k]: of the batch's ego-to-every-lane table
-    `geometry.project_to_segments(ego, index.segments)`: the nearest vehicle
-    lane per pose, one argmin and one gate count for the whole batch."""
+    `geometry.project_to_segments(ego, index.segments)`, and whose
+    detections lie at the joined frames `det_frame`, `path_dist` from their
+    ego path. The nearest vehicle lane per pose is one argmin for the whole
+    batch, and its runs are split once, offset per snippet so that none
+    spans two. A lane change is a run on the left or right neighbor of the
+    run before it in its snippet, held for `config.lane_change_min_frames`
+    poses; turns count the runs on lanes tagged left or right; controls
+    count the controls governing any traversed lane; then `nudges`."""
     dist, arc = ego_table
-    ends = [*starts[1:], dist.shape[1]]
-    sizes, veh = np.subtract(ends, starts), index.vehicle_indices
+    n, total, veh = len(starts), dist.shape[1], index.vehicle_indices
     if not veh:
-        return [RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), False, (), ()) for n in sizes]
+        return [RouteMatch(False, (), (0, 0, 0, 0))] * n
     lanes, lateral, _ = nearest_lane(dist[veh], arc[veh], veh)
+    sizes = np.diff([*starts, total])
     gated = np.add.reduceat(lateral <= config.map_match_gate, starts, dtype=np.intp)
-    owner = np.repeat(np.arange(len(starts)), sizes)
-    spans = [[] for _ in starts]
-    for a, b in runs(lanes + owner * len(index.lane_ids)):  # no run spans two snippets
-        k = int(owner[a])
-        spans[k].append((int(lanes[a]), a - starts[k], b - starts[k]))
-    return [
-        RouteMatch(lanes[a:b], lateral[a:b], ok, tuple(s), tuple(dict.fromkeys(l for l, _, _ in s)))
-        for a, b, ok, s in zip(starts, ends, (gated / sizes >= config.map_match_min_frac).tolist(), spans)
-    ]
+    owner = np.repeat(np.arange(n), sizes)
+    key = lanes + owner * len(index.lane_ids)
+    a, e = np.array(runs(key), dtype=int).reshape(-1, 2).T
+    lane, k = lanes[a], owner[a]
+    side = (index.left[lane[:-1]] == lane[1:]) | (index.right[lane[:-1]] == lane[1:])
+    held = e - a >= min(config.lane_change_min_frames, total)  # config ints are unbounded
+    on = np.zeros((n, len(index.lane_ids)), dtype=bool)
+    on[k, lane] = True
+    first = np.sort(a[np.unique(key[a], return_index=True)[1]])  # each lane's first visit
+    widths = index.lane_widths(config.lane_width_fallback)
+    events = np.column_stack([
+        np.bincount(k[1:][side & held[1:] & (k[1:] == k[:-1])], minlength=n),
+        np.bincount(k[index.turning[lane]], minlength=n),
+        np.count_nonzero(on @ index.control_lanes.T, axis=1),
+        nudges(lanes, lateral, starts, det_frame, path_dist, widths, config),
+    ]).tolist()
+    traversed = np.split(lanes[first], np.searchsorted(first, starts[1:]))
+    valid = (gated / sizes >= config.map_match_min_frac).tolist()
+    return [RouteMatch(ok, tuple(t.tolist()), tuple(ev)) for ok, t, ev in zip(valid, traversed, events)]
+
+
+def nudges(lanes, lateral, starts, det_frame, path_dist, widths, config) -> np.ndarray:
+    """(n,) nudge counts of the n snippets of a batch whose poses start at
+    `starts`, lie on `lanes` (-1 for none, L `widths`) at `lateral` from the
+    centerline, and whose detections are as in `match_route`.
+
+    A nudge is a maximal run of poses on one lane whose lateral offset
+    exceeds the lane's half width less half the ego width, with
+    `config.nudge_min_bound_frames` poses on either side in the snippet, on
+    the lane and within that offset, and some detection in the run within
+    `config.nudge_object_dist` of the ego path. Each run reads these from
+    prefix sums over the batch's poses."""
+    total, starts = len(lanes), np.asarray(starts, dtype=np.intp)
+    ends = np.append(starts[1:], total)
+    owner = np.repeat(np.arange(len(starts)), ends - starts)
+    exceed = (lanes >= 0) & (lateral > (0.5 * widths - 0.5 * config.ego_width)[lanes])
+    key = np.where(exceed, lanes, -1) + owner * (len(widths) + 1)
+    a, e = np.array(runs(key), dtype=int).reshape(-1, 2).T
+    a, e = a[exceed[a]], e[exceed[a]]
+    k, bound = owner[a], min(config.nudge_min_bound_frames, total)  # config ints are unbounded
+    inside = (a - bound >= starts[k]) & (e + bound <= ends[k])
+    lo, hi = np.maximum(a - bound, 0), np.minimum(e + bound, total)
+
+    def prefix(flags):  # flags[:t].sum() at t
+        return np.concatenate([[0], np.cumsum(flags)])
+
+    out, moved = prefix(exceed), prefix(np.diff(lanes) != 0)  # moved[t]: lane changes up to pose t
+    near = prefix(np.bincount(det_frame[path_dist <= config.nudge_object_dist], minlength=total))
+    ok = inside & (out[hi] - out[lo] == e - a) & (moved[hi - 1] == moved[lo]) & (near[e] > near[a])
+    return np.bincount(k[ok], minlength=len(starts))
 
 
 def sdv_speed_variance(rec: "SnippetArrays") -> float:
     """Population variance of per-step ego speeds."""
     return variance(rec.ego_speed)
-
-
-def route_events(rec: "SnippetArrays", index: MapIndex, config) -> tuple:
-    """(lane_changes, turns, controls_on_route) along the matched route.
-
-    A lane change is a transition into the previous lane's left or right
-    neighbor held for at least `config.lane_change_min_frames`; turns count
-    maximal runs on lanes tagged left or right; controls count distinct
-    controls governing any traversed lane.
-    """
-    m = index.scene_map
-    match = rec.match
-    lane_changes = 0
-    for (a, _, _), (b, sb, eb) in zip(match.runs, match.runs[1:]):
-        if a < 0 or b < 0:
-            continue
-        b_id = index.lane_ids[b]
-        lane_a = m.lanes[a]
-        neighbors = (lane_a.left_neighbor, lane_a.right_neighbor)
-        if b_id in neighbors and eb - sb >= config.lane_change_min_frames:
-            lane_changes += 1
-    turns = sum(
-        1 for (li, _, _) in match.runs if li >= 0 and m.lanes[li].turn in ("left", "right")
-    )
-    traversed_ids = {index.lane_ids[li] for li in match.traversed if li >= 0}
-    controls = sum(1 for c in m.traffic_controls if traversed_ids & set(c.lane_ids))
-    return lane_changes, turns, controls
 
 
 def _conflict_lanes(index: MapIndex, traversed: tuple) -> list:
@@ -141,10 +159,10 @@ class ConflictZone(NamedTuple):
 
 def conflict_zone(index: MapIndex, traversed: tuple, config) -> ConflictZone:
     """The ConflictZone of a route over the `traversed` lanes."""
-    lanes = _conflict_lanes(index, traversed)
-    fallback = config.lane_width_fallback
-    half = [0.5 * index.lane_width(li, fallback) if li in lanes else -np.inf for li in index.vehicle_indices]
-    return ConflictZone(lanes, np.array(half, dtype=float), _entry_distances(index, lanes))
+    lanes, veh = _conflict_lanes(index, traversed), index.vehicle_indices
+    half = 0.5 * index.lane_widths(config.lane_width_fallback)[veh]
+    half[~np.isin(veh, lanes)] = -np.inf
+    return ConflictZone(lanes, half, _entry_distances(index, lanes))
 
 
 def interactions(b: Snippet, tracks: list, static, path_dist, zones: list, k0, index: MapIndex, config):
@@ -185,48 +203,10 @@ def interactions(b: Snippet, tracks: list, static, path_dist, zones: list, k0, i
     return np.column_stack([np.bincount(owner[f], minlength=n) for f in flags])
 
 
-def detect_nudges(rec: "SnippetArrays", index: MapIndex, config) -> int:
-    """Count lateral in-lane excursions around a nearby object.
-
-    An excursion is a maximal run of frames whose lateral offset exceeds the
-    assigned lane's half width minus half the ego width, with the assignment
-    unchanged, bounded on both sides by `config.nudge_min_bound_frames` of
-    in-lane driving on the same lane, and with some detection within
-    `config.nudge_object_dist` of the ego path during the run.
-    """
-    match = rec.match
-    n = len(match.assignments)
-    half_ego = 0.5 * config.ego_width
-    fallback = config.lane_width_fallback
-    thresh = np.array(
-        [
-            0.5 * index.lane_width(li, fallback) - half_ego if li >= 0 else np.inf
-            for li in match.assignments
-        ]
-    )
-    exceed = match.lateral > thresh
-    key = np.where(exceed, match.assignments, -2)  # -2: in lane
-    bound = config.nudge_min_bound_frames
-    det_frame = rec.snippet.det_frame
-
-    count = 0
-    for start, end in runs(key):
-        lane = key[start]
-        if lane == -2 or start - bound < 0 or end + bound > n:
-            continue
-        edges = np.r_[start - bound : start, end : end + bound]
-        if np.any(exceed[edges]) or np.any(match.assignments[edges] != lane):
-            continue
-        during = (det_frame >= start) & (det_frame < end)
-        if np.any(rec.path_dist[during] <= config.nudge_object_dist):
-            count += 1
-    return count
-
-
 def sdv_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
     """The ego row of one snippet, keyed by feature name; its validity is
     `rec.match.valid`."""
-    lane_changes, turns, controls = route_events(rec, index, config)
+    lane_changes, turns, controls, nudges = rec.match.events
     near_s, near_d, conf_trav, conf_reach = rec.interactions
     return {
         "sdv_path": rec.ego_curve,
@@ -238,5 +218,5 @@ def sdv_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
         "near_path_dynamic": float(near_d),
         "conflict_traversals": float(conf_trav),
         "conflict_reachable": float(conf_reach),
-        "nudges": float(detect_nudges(rec, index, config)),
+        "nudges": float(nudges),
     }

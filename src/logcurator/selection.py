@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .features import SNIPPET_DIM, SNIPPET_FEATURE_NAMES, FeatureBundle
+from .geometry import CURVE_VALUES
 from .scene import _string, read_json, snippets_overlap
 from .sdv import MAP_MATCH_GATE, MAP_MATCH_MIN_FRAC
 from .traffic import STATIC_SPEED
@@ -162,8 +163,8 @@ def config_from_obj(obj) -> CurationConfig:
             raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)!r}")
     if not 0.0 <= cfg.map_match_min_frac <= 1.0:
         raise ConfigError(f"map_match_min_frac must be in [0, 1], got {cfg.map_match_min_frac!r}")
-    if cfg.resample_points < 3:
-        raise ConfigError("resample_points must be >= 3")
+    if not 3 <= cfg.resample_points <= CURVE_VALUES:  # one path's stations fit one curve block
+        raise ConfigError(f"resample_points must be >= 3 and <= {CURVE_VALUES}")
     if cfg.normalization not in NORMALIZATION_MODES:
         raise ConfigError(f"normalization must be one of {NORMALIZATION_MODES}")
     if cfg.dissimilarity not in DISSIMILARITY_MODES:

@@ -9,11 +9,14 @@ time, through the einsum `project_points_to_polyline` copied here: the ROI
 lane gate and the ego route match each project the ego onto every lane, the
 traversal check projects each vehicle track onto every conflict lane and the
 reachability check onto every vehicle lane. `validate_snippet` is the
-per-frame validation loop, and `detect_nudges` the frame loop that scans
-for excursions. The library computes the same values as reductions and
-predicates over the flat columns, runs of equal values (`scene.runs`) and
-one call of its segment-table kernel per point set; the equivalence tests
-compare the two bit for bit, and the validation findings item for item.
+per-frame validation loop. `route_events` walks one snippet's route runs
+for lane changes, turns and controls, and `detect_nudges` is the frame loop
+that scans for excursions; both read a snippet's `match_route`. The library
+computes the same values as reductions and predicates over the flat
+columns, runs of equal values (`scene.runs`), prefix sums over a whole
+scoring batch and one call of its segment-table kernel per point set; the
+equivalence tests compare the two bit for bit, and the validation findings
+item for item.
 
 `infra_row` is the infrastructure row as it tested each map element on its
 own: a projection call per intersection and crosswalk ring, a distance loop
@@ -600,11 +603,19 @@ def _nearest_vehicle_lane(index, points):
     return np.array(veh, dtype=int)[best], dists[best, cols], arcs[best, cols]
 
 
+RouteMatch = namedtuple("RouteMatch", "assignments lateral valid runs traversed")
+
+
+def lane_width(index, li, fallback):
+    w = index.scene_map.lanes[li].width
+    return fallback if w is None else w
+
+
 def match_route(s, index, gate=sdv.MAP_MATCH_GATE, min_frac=sdv.MAP_MATCH_MIN_FRAC):
     ego = ego_xy(s)
     n = len(ego)
     if not index.vehicle_indices:
-        return sdv.RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), False, (), ())
+        return RouteMatch(np.full(n, -1, dtype=int), np.full(n, np.inf), False, (), ())
     assignments, lateral, _ = _nearest_vehicle_lane(index, ego)
     frac = float(np.mean(lateral <= gate))
     runs = []
@@ -617,7 +628,34 @@ def match_route(s, index, gate=sdv.MAP_MATCH_GATE, min_frac=sdv.MAP_MATCH_MIN_FR
     for lane_idx, _, _ in runs:
         if lane_idx not in traversed:
             traversed.append(lane_idx)
-    return sdv.RouteMatch(assignments, lateral, frac >= min_frac, tuple(runs), tuple(traversed))
+    return RouteMatch(assignments, lateral, frac >= min_frac, tuple(runs), tuple(traversed))
+
+
+def route_events(rec, index, config) -> tuple:
+    """(lane_changes, turns, controls_on_route) along the matched route.
+
+    A lane change is a transition into the previous lane's left or right
+    neighbor held for at least `config.lane_change_min_frames`; turns count
+    maximal runs on lanes tagged left or right; controls count distinct
+    controls governing any traversed lane.
+    """
+    m = index.scene_map
+    match = rec.match
+    lane_changes = 0
+    for (a, _, _), (b, sb, eb) in zip(match.runs, match.runs[1:]):
+        if a < 0 or b < 0:
+            continue
+        b_id = index.lane_ids[b]
+        lane_a = m.lanes[a]
+        neighbors = (lane_a.left_neighbor, lane_a.right_neighbor)
+        if b_id in neighbors and eb - sb >= config.lane_change_min_frames:
+            lane_changes += 1
+    turns = sum(
+        1 for (li, _, _) in match.runs if li >= 0 and m.lanes[li].turn in ("left", "right")
+    )
+    traversed_ids = {index.lane_ids[li] for li in match.traversed if li >= 0}
+    controls = sum(1 for c in m.traffic_controls if traversed_ids & set(c.lane_ids))
+    return lane_changes, turns, controls
 
 
 def interactions(
@@ -648,7 +686,7 @@ def interactions(
     vehicles = [t for t in tracks if t.label == "vehicle"]
     for t in vehicles:
         for li in conflict:
-            half = 0.5 * index.lane_width(li, lane_width_fallback)
+            half = 0.5 * lane_width(index, li, lane_width_fallback)
             dist, _ = project_points_to_polyline(
                 t.positions, index.lane_pts[li], index.lane_cumlen[li]
             )
@@ -683,7 +721,7 @@ def detect_nudges(rec, index, config):
     fallback = config.lane_width_fallback
     thresh = np.array(
         [
-            0.5 * index.lane_width(li, fallback) - half_ego if li >= 0 else np.inf
+            0.5 * lane_width(index, li, fallback) - half_ego if li >= 0 else np.inf
             for li in match.assignments
         ]
     )

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from logcurator import cli, features, scene, traffic
+from logcurator import cli, features, geometry, scene, traffic
 from logcurator.cli import main
 from logcurator.scene import canonical_dumps, load_pool
 from logcurator.selection import validate_result_obj
@@ -190,6 +190,30 @@ class TestScore:
         assert "scored 4 snippet(s) (4 rankable)" in stdout
         bundle = features.read_features(out_dir)
         assert len(bundle.ids) == 4
+
+    def test_huge_frame_counts_score_as_the_snippet_length(self, capsys, workspace, tmp_path):
+        # config integers are unbounded: counts above every snippet's 40
+        # frames score as 40 does, and overflow no array
+        stores = []
+        for value in (1e300, 40):
+            config = tmp_path / f"config{value}.json"
+            fields = {"nudge_min_bound_frames": value, "lane_change_min_frames": value}
+            config.write_text(json.dumps({**CONFIG, **fields}))
+            out = tmp_path / f"feats{value}"
+            code, _, err = run(capsys, "score", workspace["pool"], "--out", str(out), "--config", str(config))
+            assert code == 0, err
+            stores.append([(out / f).read_bytes() for f in STORE_FILES if f != "provenance.json"])
+        assert stores[0] == stores[1]
+
+    @pytest.mark.parametrize("value", [geometry.CURVE_VALUES + 1, 1e300])
+    def test_resample_points_beyond_a_curve_block_is_a_domain_error(self, capsys, workspace, tmp_path, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**CONFIG, "resample_points": value}))
+        out = str(tmp_path / "feats")
+        code, _, err = run(capsys, "score", workspace["pool"], "--out", out, "--config", str(config))
+        assert code == 2
+        assert f"resample_points must be >= 3 and <= {geometry.CURVE_VALUES}" in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
         "lineno,damage",

@@ -125,23 +125,26 @@ def test_scoring_builds_tracks_once(monkeypatch):
     assert calls == {"detection_arrays": 1, "build_track_paths": 1}
 
 
+def route_oracle(s, index, config, path_dist):
+    """(lane_changes, turns, controls_on_route, nudges) of one snippet by the
+    per-snippet loops over its own `ref.match_route`."""
+    rec = SimpleNamespace(match=ref.match_route(s, index), snippet=s, path_dist=path_dist)
+    return (*ref.route_events(rec, index, config), ref.detect_nudges(rec, index, config))
+
+
 def assert_lanes_match_reference(s, index, roi_radius):
-    """Lane mask, route match and interactions against the per-lane loops;
-    returns the interactions tuple."""
+    """Lane mask, route match, route events and interactions against the
+    per-lane loops; returns the interactions tuple."""
     config = CurationConfig(roi_radius=roi_radius)
     rec = features.snippet_arrays(s, index, config)
     if roi_radius is not None:
         # the ROI lane gate of infra_features
-        mask = np.min(rec.ego_table[0], axis=1) <= roi_radius
+        mask = rec.lane_dist <= roi_radius
         assert np.array_equal(mask, ref.included_lanes(index, ref.ego_xy(s), roi_radius))
 
     want = ref.match_route(s, index)
-    for f in sdv.RouteMatch._fields:
-        got, exp = getattr(rec.match, f), getattr(want, f)
-        if isinstance(exp, np.ndarray):
-            assert got.dtype == exp.dtype and got.tolist() == exp.tolist(), f
-        else:
-            assert got == exp, f
+    assert (rec.match.valid, rec.match.traversed) == (want.valid, want.traversed)
+    assert rec.match.events == route_oracle(s, index, config, rec.path_dist)
 
     got = rec.interactions
     assert got == ref.interactions(s, index, rec.tracks)
@@ -187,8 +190,42 @@ def test_scoring_projects_the_ego_onto_each_lane_once(monkeypatch):
     assert hits == [1] * len(index.lane_pts)
 
 
+# the four route counts of lane changes, nudges and turns, at the default
+# batch size and as one batch: (template, plan, frames, jitter)
+ROUTE_POOLS = (
+    ("straight_road", "lane_change", 60, True),
+    ("straight_road", "nudge", 150, False),
+    ("four_way_intersection", "turn", 120, True),
+    ("hilly", "turn", 120, True),
+)
+
+
+@pytest.mark.parametrize("batch_pairs", [features.BATCH_PAIRS, 1 << 62])
+def test_route_events_match_per_snippet_loops(batch_pairs, monkeypatch):
+    monkeypatch.setattr(features, "BATCH_PAIRS", batch_pairs)
+    config = CurationConfig()
+    totals = np.zeros(4, dtype=int)
+    for template, plan, frames, jitter in ROUTE_POOLS:
+        spec = dict(seed=3, n_snippets=6, num_frames=frames, jitter=jitter)
+        pool = synthgen.generate_pool(synthgen.default_spec(template, plan, **spec))[0]
+        index = MapIndex(pool.scene_map)
+        recs = list(features.batch_arrays(pool.snippets, index, config))
+        if batch_pairs > features.BATCH_PAIRS:
+            assert len(list(features._batches(pool.snippets, index))) == 1
+        for s, rec in zip(pool.snippets, recs):
+            want = route_oracle(s, index, config, rec.path_dist)
+            assert rec.match.events == want
+            totals += want
+            if plan == "nudge":
+                assert want[3] == 1
+    # lane changes, turns, controls and nudges are all hit
+    assert np.all(totals > 0)
+
+
 # lane widths: thresholds 0.5, 1.0 and (fallback 3.6) 0.8 with a 2 m ego
-NUDGE_WIDTHS = {0: 3.0, 1: 4.0, 2: None}
+NUDGE_WIDTHS = (3.0, 4.0, None)
+# the lanes' widths as the oracle and `MapIndex.lane_widths` read them
+NUDGE_INDEX = SimpleNamespace(scene_map=SimpleNamespace(lanes=[SimpleNamespace(width=w) for w in NUDGE_WIDTHS]))
 LATERALS = (0.0, 0.5, np.nextafter(0.5, 1.0), 0.8, np.nextafter(0.8, 1.0), 1.0, 1.2, 3.0)
 OBJECT_DISTS = (1.0, 5.0, np.nextafter(5.0, 6.0), 9.0)
 
@@ -208,27 +245,40 @@ def nudge_cases(draw):
     return assignments, lateral, draw(st.integers(0, 4)), det_frame, path_dist
 
 
-def nudge_args(case):
-    """(record, index, config) of `detect_nudges` for one case."""
-    assignments, lateral, bound, det_frame, path_dist = case
-    match = sdv.RouteMatch(
-        np.array(assignments, dtype=int), np.array(lateral, dtype=float), True, (), ()
+def batch_nudges(cases, bound):
+    """`sdv.nudges` of the cases joined as one batch, each snippet's
+    detection frames offset into the joined poses, under one bound."""
+    config = CurationConfig(nudge_min_bound_frames=bound)
+    starts = np.cumsum([0, *(len(c[0]) for c in cases)])[:-1]
+    lanes, lateral, det_frame, path_dist = (
+        np.concatenate([np.asarray(c[i], dtype=float) for c in cases]) for i in (0, 1, 3, 4)
     )
+    det_frame += np.repeat(starts, [len(c[3]) for c in cases])
+    widths = MapIndex.lane_widths(NUDGE_INDEX, config.lane_width_fallback)
+    lanes, det_frame = lanes.astype(int), det_frame.astype(int)
+    return sdv.nudges(lanes, lateral, starts.tolist(), det_frame, path_dist, widths, config).tolist()
+
+
+def oracle_nudges(case):
+    """`ref.detect_nudges` of one case."""
+    assignments, lateral, bound, det_frame, path_dist = case
+    match = ref.RouteMatch(np.array(assignments, dtype=int), np.array(lateral, dtype=float), True, (), ())
     rec = SimpleNamespace(
         match=match,
         snippet=SimpleNamespace(det_frame=np.array(det_frame, dtype=int)),
         path_dist=np.array(path_dist, dtype=float),
     )
-    index = SimpleNamespace(
-        lane_width=lambda li, fallback: fallback if NUDGE_WIDTHS[li] is None else NUDGE_WIDTHS[li]
-    )
-    return rec, index, CurationConfig(nudge_min_bound_frames=bound)
+    return ref.detect_nudges(rec, NUDGE_INDEX, CurationConfig(nudge_min_bound_frames=bound))
 
 
 # an excursion at each snippet edge and one bounded excursion in between
 EDGES = ([0] * 12, [1.0, 0, 0, 1.0, 1.0, 0, 0, 0, 0, 0, 0, 1.0], 2, [0, 3, 11], [1.0] * 3)
 # back-to-back excursions on two lanes, bounded by in-lane frames on each
 TWO_LANES = ([0] * 5 + [1] * 5, [0, 0, 0, 1.2, 1.2, 1.2, 1.2, 0, 0, 0], 2, [3, 5], [1.0] * 2)
+# an excursion at one snippet's end, then one at the next snippet's start on
+# the same lane: joined without the snippet split they make one bounded run
+END = ([0] * 6, [0, 0, 0, 0, 1.0, 1.0], 2, [4, 5], [1.0] * 2)
+START = ([0] * 6, [1.0, 1.0, 0, 0, 0, 0], 2, [0, 1], [1.0] * 2)
 
 
 @pytest.mark.parametrize(
@@ -236,7 +286,7 @@ TWO_LANES = ([0] * 5 + [1] * 5, [0, 0, 0, 1.2, 1.2, 1.2, 1.2, 0, 0, 0], 2, [3, 5
     [(EDGES, 1), (TWO_LANES, 0), (TWO_LANES[:2] + (0,) + TWO_LANES[3:], 2)],
 )
 def test_nudge_edge_and_back_to_back_excursions(case, count):
-    assert sdv.detect_nudges(*nudge_args(case)) == count
+    assert batch_nudges([case], case[2]) == [count]
 
 
 @example(case=EDGES)
@@ -244,5 +294,15 @@ def test_nudge_edge_and_back_to_back_excursions(case, count):
 @settings(max_examples=400, deadline=None)
 @given(case=nudge_cases())
 def test_nudges_match_frame_loop(case):
-    args = nudge_args(case)
-    assert sdv.detect_nudges(*args) == ref.detect_nudges(*args)
+    assert batch_nudges([case], case[2]) == [oracle_nudges(case)]
+
+
+@example(cases=[END, START], bound=2)
+@example(cases=[END, START], bound=0)
+@example(cases=[EDGES, TWO_LANES, EDGES], bound=2)
+@settings(max_examples=300, deadline=None)
+@given(cases=st.lists(nudge_cases(), min_size=1, max_size=5), bound=st.integers(0, 4))
+def test_joined_nudges_match_each_case_alone(cases, bound):
+    cases = [c[:2] + (bound,) + c[3:] for c in cases]
+    assert batch_nudges(cases, bound) == [batch_nudges([c], bound)[0] for c in cases]
+    assert batch_nudges(cases, bound) == [oracle_nudges(c) for c in cases]

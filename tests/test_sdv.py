@@ -36,6 +36,16 @@ def interactions(s, m=None, **config):
     return measure_args(s, m, **config)[0].interactions
 
 
+def route_events(s, m=None, **config):
+    """The record's (lane_changes, turns, controls_on_route)."""
+    return measure_args(s, m, **config)[0].match.events[:3]
+
+
+def nudges(s, m=None, **config):
+    """The record's nudge count."""
+    return measure_args(s, m, **config)[0].match.events[3]
+
+
 def two_lane_map():
     left = straight_lane("l1", y=3.6, right_neighbor="l0")
     right = straight_lane("l0", y=0.0, left_neighbor="l1")
@@ -81,24 +91,24 @@ class TestPathAndSpeed:
 class TestRouteEvents:
     def test_single_straight_lane(self):
         m = SceneMap(lanes=(straight_lane(),))
-        assert sdv.route_events(*measure_args(straight_drive(), m)) == (0, 0, 0)
+        assert route_events(straight_drive(), m) == (0, 0, 0)
 
     def test_sustained_lane_change(self):
         ys = [0.0] * 30 + [3.6] * 30
         s = drive([(-30.0 + 0.5 * k, ys[k]) for k in range(60)])
-        assert sdv.route_events(*measure_args(s, two_lane_map())) == (1, 0, 0)
+        assert route_events(s, two_lane_map()) == (1, 0, 0)
 
     def test_short_final_dip_ignored(self):
         ys = [0.0] * 55 + [3.6] * 5
         s = drive([(-30.0 + 0.5 * k, ys[k]) for k in range(60)])
-        assert sdv.route_events(*measure_args(s, two_lane_map())) == (0, 0, 0)
+        assert route_events(s, two_lane_map()) == (0, 0, 0)
 
     def test_unrelated_lanes_not_a_change(self):
         # same transition geometry but the lanes are not declared neighbors
         m = SceneMap(lanes=(straight_lane("l0", y=0.0), straight_lane("l1", y=3.6)))
         ys = [0.0] * 30 + [3.6] * 30
         s = drive([(-30.0 + 0.5 * k, ys[k]) for k in range(60)])
-        assert sdv.route_events(*measure_args(s, m)) == (0, 0, 0)
+        assert route_events(s, m) == (0, 0, 0)
 
     def test_turn_lane_with_light(self):
         arc = arc_points(20.0, 100, center=(0.0, 20.0), start=-np.pi / 2)
@@ -108,14 +118,14 @@ class TestRouteEvents:
             traffic_controls=(TrafficControl("traffic_light", (2.0, 2.0), ("turnL",)),),
         )
         ego = drive(arc_points(20.0, 60, center=(0.0, 20.0), start=-np.pi / 2))
-        assert sdv.route_events(*measure_args(ego, m)) == (0, 1, 1)
+        assert route_events(ego, m) == (0, 1, 1)
 
     def test_control_on_untraversed_lane_ignored(self):
         m = SceneMap(
             lanes=(straight_lane("l0"), straight_lane("l9", y=40.0)),
             traffic_controls=(TrafficControl("stop_sign", (0.0, 40.0), ("l9",)),),
         )
-        assert sdv.route_events(*measure_args(straight_drive(), m)) == (0, 0, 0)
+        assert route_events(straight_drive(), m) == (0, 0, 0)
 
 
 class TestInteractions:
@@ -256,37 +266,37 @@ class TestNudges:
 
     def test_centered_driving(self):
         m = SceneMap(lanes=(straight_lane(),))
-        assert sdv.detect_nudges(*measure_args(straight_drive(), m)) == 0
+        assert nudges(straight_drive(), m) == 0
 
     def test_planted_excursion_around_parked_car(self):
         # lane half width 1.8 minus ego half width 1.0 leaves 0.8 m of slack
         m = SceneMap(lanes=(straight_lane(),))
         car = constant_detections([make_detection("blk", "vehicle", (0.0, 0.3), 0.0)], 60)
-        assert sdv.detect_nudges(*measure_args(self.excursion_drive(car), m)) == 1
+        assert nudges(self.excursion_drive(car), m) == 1
 
     def test_excursion_without_object_ignored(self):
         m = SceneMap(lanes=(straight_lane(),))
-        assert sdv.detect_nudges(*measure_args(self.excursion_drive(), m)) == 0
+        assert nudges(self.excursion_drive(), m) == 0
 
     def test_small_offset_stays_in_lane(self):
         m = SceneMap(lanes=(straight_lane(),))
         car = constant_detections([make_detection("blk", "vehicle", (0.0, 0.3), 0.0)], 60)
-        assert sdv.detect_nudges(*measure_args(self.excursion_drive(car, offset=0.5), m)) == 0
+        assert nudges(self.excursion_drive(car, offset=0.5), m) == 0
 
     def test_unbounded_excursion_ignored(self):
         m = SceneMap(lanes=(straight_lane(),))
         car = constant_detections([make_detection("blk", "vehicle", (-28.0, 0.3), 0.0)], 60)
         ys = [1.2] * 10 + [0.0] * 50
         s = drive([(-30.0 + 1.0 * k, ys[k]) for k in range(60)], detections=car)
-        assert sdv.detect_nudges(*measure_args(s, m)) == 0
+        assert nudges(s, m) == 0
 
     def test_object_exactly_at_nudge_object_dist_counts(self):
         # 3 m above the excursion's 1.25 m offset, in exact binary fractions
         m = SceneMap(lanes=(straight_lane(),))
         car = constant_detections([make_detection("blk", "vehicle", (0.0, 4.25), 0.0)], 60)
         s = self.excursion_drive(car, offset=1.25)
-        assert sdv.detect_nudges(*measure_args(s, m, nudge_object_dist=3.0)) == 1
-        assert sdv.detect_nudges(*measure_args(s, m, nudge_object_dist=np.nextafter(3.0, 0.0))) == 0
+        assert nudges(s, m, nudge_object_dist=3.0) == 1
+        assert nudges(s, m, nudge_object_dist=np.nextafter(3.0, 0.0)) == 0
 
     def test_object_close_only_outside_the_excursion(self):
         # the excursion runs over frames 25..34
@@ -295,15 +305,15 @@ class TestNudges:
             (make_detection("blk", "vehicle", (0.0, 30.0 if 25 <= k < 35 else 0.3), 0.0),)
             for k in range(60)
         ]
-        assert sdv.detect_nudges(*measure_args(self.excursion_drive(dets), m)) == 0
+        assert nudges(self.excursion_drive(dets), m) == 0
 
     def test_lane_change_is_not_a_nudge(self):
         m = two_lane_map()
         car = constant_detections([make_detection("blk", "vehicle", (0.0, 0.3), 0.0)], 60)
         ys = [0.0] * 30 + [3.6] * 30
         s = drive([(-30.0 + 1.0 * k, ys[k]) for k in range(60)], detections=car)
-        assert sdv.detect_nudges(*measure_args(s, m)) == 0
-        assert sdv.route_events(*measure_args(s, m))[0] == 1
+        assert nudges(s, m) == 0
+        assert route_events(s, m)[0] == 1
 
 
 class TestKernelCalls:

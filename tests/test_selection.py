@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from logcurator import selection
 from logcurator.features import FeatureBundle, NormalizationStats, SNIPPET_DIM, SNIPPET_FEATURE_NAMES
+from logcurator.geometry import CURVE_VALUES
 from logcurator.scene import Snippet, canonical_dumps, snippets_overlap
 from logcurator.selection import (
     AuditEntry,
@@ -121,6 +122,7 @@ class TestWeightsAndConfig:
         assert budget == 1 and type(budget) is int
         assert cfg.roi_radius == 50.0 and type(cfg.roi_radius) is float
         assert cfg.normalization == "none"
+        assert config_from_obj({"resample_points": CURVE_VALUES}).resample_points == CURVE_VALUES
 
     @pytest.mark.parametrize(
         "obj,msg",
@@ -142,6 +144,8 @@ class TestWeightsAndConfig:
             ({"seed": -5}, "seed"),
             ({"roi_radius": 0.0}, "roi_radius"),
             ({"resample_points": 2}, "resample_points"),
+            ({"resample_points": CURVE_VALUES + 1}, f"resample_points must be >= 3 and <= {CURVE_VALUES}"),
+            ({"resample_points": 1e300}, "resample_points"),
             ({"normalization": "minmax"}, "normalization"),
             ({"dissimilarity": "hausdorff"}, "dissimilarity"),
             ({"k_div": 2.7}, "'k_div' must be an integer"),
