@@ -15,6 +15,7 @@ import numpy as np
 # `synthgen` and `baselines` are imported by the commands that run them
 from . import features, selection
 from .scene import (
+    DETECTION_CLASSES,
     PLANS,
     TEMPLATES,
     ForecastError,
@@ -212,19 +213,20 @@ def baseline(pool_path, method, k, seed, forecasts_path, out_path):
 
 
 def _label_stats(records):
-    counts = {}
-    total_frames = 0
+    """{label: {motion: in-gate observations per frame}} over `records`, with
+    a (label, motion) key for every track of that first label and motion."""
+    mix = np.zeros((2, len(DETECTION_CLASSES), 2), dtype=int)
     for rec in records:
-        total_frames += rec.det.snippet.num_frames
-        for t, static in zip(rec.tracks, rec.static.tolist()):
-            motion = "static" if static else "dynamic"
-            n_in = int(np.count_nonzero(t.in_roi))
-            key = (t.label, motion)
-            counts[key] = counts.get(key, 0) + n_in
-    stats = {}
-    for (label, motion), n in sorted(counts.items()):
-        stats.setdefault(label, {})[motion] = n / total_frames if total_frames else 0.0
-    return stats
+        mix += rec.label_mix
+    tracks, seen = mix.tolist()
+    frames = sum(rec.snippet.num_frames for rec in records)
+    return {
+        label: {
+            motion: n / frames if frames else 0.0
+            for motion, k, n in zip(("static", "dynamic"), tracks[c], seen[c]) if k
+        }
+        for c, label in enumerate(DETECTION_CLASSES) if any(tracks[c])
+    }
 
 
 def _write_csv(path, rows) -> None:

@@ -14,11 +14,12 @@ import numpy as np
 
 from . import geometry, sdv, traffic
 from .infra import infra_features
-from .scene import SCHEMA_VERSION, MapIndex, PoolFormatError, SceneMap, Snippet, SnippetPool
+from .scene import DETECTION_CLASSES, SCHEMA_VERSION, MapIndex, PoolFormatError, SceneMap, Snippet
+from .scene import SnippetPool
 from .scene import _column, file_sha256, read_header, read_json, remove_output, sidecar_path
 from .scene import chunks, concat, write_json, write_rows
 from .sdv import RouteMatch, sdv_features
-from .traffic import Detections, traffic_features
+from .traffic import traffic_features
 
 SNIPPET_FEATURES = (
     ("curve_mean", "1/m + 1/m^2"),
@@ -85,12 +86,14 @@ class SnippetArrays(NamedTuple):
     ego_curve: float  # curve complexity of the ego path; 0.0 below sdv.MIN_PATH_LENGTH
     ego_speed: np.ndarray  # (T - 1,) ego speed over each step (`ego_pass`)
     ego_curvature: np.ndarray  # (T,) |dh/ds| at each pose (`ego_pass`)
-    det: Detections  # gated at config.roi_radius
-    tracks: list  # build_track_paths(det); track i is det_track code i
-    static: np.ndarray  # (K,) static_flags(tracks) at config.static_speed
+    sdv_speed_var: float  # population variance of ego_speed
     track_curves: np.ndarray  # curves of the tracks seen in gate with >= 3 distinct positions
+    actor_path: tuple  # (mean, max) of track_curves; (0.0, 0.0) without any
+    speed_div: float  # the seen tracks' mean speed variance plus their speed variances' sum
+    dist_var: float  # population variance of the in-gate detections' distances to the ego
     class_counts: tuple  # traffic.class_counts(det): (T, classes) counts, (T,) term
-    crowd: tuple  # traffic.crowdedness(det, static): (static, dynamic) mean counts
+    crowd: tuple  # (static, dynamic) in-gate observations per frame
+    label_mix: np.ndarray  # (2, classes, 2) tracks, then in-gate observations, by first label, static or not
     path_dist: np.ndarray  # (D,) distance of each detection to the ego path (poses deduplicated)
     lane_dist: np.ndarray  # (L,) the ego's nearest approach to each lane
     element_dist: np.ndarray  # (E,) the ego's nearest approach to each of index.elements
@@ -172,11 +175,13 @@ def batch_arrays(snippets, index: MapIndex, config, zones=None):
     argmin and the interaction counts run once per batch too, and each
     record is sliced from them: all of it is elementwise, integer or
     min/argmin work, so no result depends on its batch. So do one ego pass
-    (`ego_pass`), whose arc lengths are row-wise sums, and one curve pass
+    (`ego_pass`), whose arc lengths are row-wise sums, one curve pass
     (`geometry.curve_complexities`) over every track seen in gate and every
-    ego path of at least `sdv.MIN_PATH_LENGTH`: its row means are per path.
-    Float sums whose bits depend on order, such as the mean over a
-    snippet's track curves, stay per snippet or per track. `zones` maps
+    ego path of at least `sdv.MIN_PATH_LENGTH`, whose row means are per
+    path, and the means and variances of each track's speeds and of each
+    snippet's track means, gated distances, ego speeds and track curves
+    (`traffic.run_moments`, row-wise too). Only the left-to-right sum of
+    each snippet's track speed variances stays per snippet. `zones` maps
     each traversed-lane tuple to its ConflictZone, filled as routes come
     in."""
     zones = {} if zones is None else zones
@@ -226,7 +231,7 @@ def ego_pass(pose: np.ndarray, timestamp: np.ndarray, sizes) -> tuple:
 
 
 def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
-    b = concat(batch)
+    b, n = concat(batch), len(batch)
     ego = np.ascontiguousarray(b.ego_pose[:, :2])
     (t0, t1), (d0, d1), (k0, k1) = (
         _bounds([len(getattr(s, col)) for s in batch]) for col in ("index", "det_frame", "track_ids")
@@ -242,20 +247,41 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
     )
     det = traffic.detection_arrays(b, config.roi_radius)
     tracks = traffic.build_track_paths(det)
-    static = traffic.static_flags(tracks, config.static_speed)
+    static = tracks.mean_speed < config.static_speed
     counts, term = traffic.class_counts(det)
-    seen = np.flatnonzero([t.seen for t in tracks])
+    seen = np.flatnonzero(tracks.seen)
     moving = np.flatnonzero(arc[np.subtract(t1, 1)] >= sdv.MIN_PATH_LENGTH).tolist()
+    pos, ends = b.det_center[tracks.rows], np.append(tracks.first[1:], len(tracks.rows))
     curves, few = geometry.curve_complexities(
-        [tracks[k].positions for k in seen.tolist()] + [ego[t0[i]:t1[i]] for i in moving],
+        [pos[a:e] for a, e in zip(tracks.first[seen].tolist(), ends[seen].tolist())]
+        + [ego[t0[i]:t1[i]] for i in moving],
         config.resample_points,
     )
-    ego_curve = np.zeros(len(batch))
+    ego_curve = np.zeros(n)
     ego_curve[moving] = curves[len(seen):]
     # the tracks whose curves count: seen in gate, three distinct positions
     kept = ~few[: len(seen)]
-    c0, c1 = np.searchsorted(seen[kept], [k0, k1]).tolist()
     track_curves = curves[: len(seen)][kept]
+    (s0, s1), (c0, c1) = np.searchsorted(seen, [k0, k1]), np.searchsorted(seen[kept], [k0, k1])
+    path_max, curved = np.zeros(n), c1 > c0
+    if curved.any():
+        path_max[curved] = np.maximum.reduceat(track_curves, c0[curved])
+    actor_path = list(zip(traffic.run_moments(track_curves, c1 - c0)[0].tolist(), path_max.tolist()))
+    spread = traffic.run_moments(tracks.mean_speed[seen], s1 - s0)[1].tolist()
+    inner = tracks.speed_var[seen].tolist()  # summed left to right, as Python's sum
+    speed_div = [v + sum(inner[a:e]) for v, a, e in zip(spread, s0.tolist(), s1.tolist())]
+    gated = np.bincount(np.repeat(np.arange(n), np.subtract(d1, d0))[det.in_roi], minlength=n)
+    dist_var = traffic.run_moments(det.dist[det.in_roi], gated)[1].tolist()
+    sdv_speed_var = traffic.run_moments(np.delete(speed, t0), np.subtract(t1, t0) - 1)[1].tolist()
+    # each track's (snippet, first label, motion) cell, motion 0 static and
+    # 1 dynamic: the mix counts tracks, then in-gate observations, per cell
+    owner = np.repeat(np.arange(n), np.subtract(k1, k0))
+    cell = (owner * len(DETECTION_CLASSES) + tracks.label) * 2 + ~static
+    label_mix = np.stack([
+        np.bincount(c, minlength=2 * len(DETECTION_CLASSES) * n).reshape(n, -1, 2)
+        for c in (cell, cell[b.det_track[det.in_roi]])
+    ], axis=1)
+    crowds = label_mix[:, 1].sum(axis=1) / np.subtract(t1, t0)[:, None]  # integer sums: exact
     inside = [  # (polygons, T): the ego in each intersection, and in each crosswalk
         np.array([geometry.points_in_polygon(ego, p) for p in polys], dtype=bool).reshape(-1, len(ego))
         for polys in (index.intersection_polys, index.crosswalk_polys)
@@ -272,12 +298,14 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             ego_curve=curve,
             ego_speed=speed[t0[i] + 1:t1[i]],
             ego_curvature=curvature[t0[i]:t1[i]],
-            det=traffic.Detections(s, det.in_roi[d0[i]:d1[i]], det.dist[d0[i]:d1[i]]),
-            tracks=tracks[k0[i]:k1[i]],
-            static=static[k0[i]:k1[i]],
+            sdv_speed_var=sdv_speed_var[i],
             track_curves=track_curves[c0[i]:c1[i]],
+            actor_path=actor_path[i],
+            speed_div=speed_div[i],
+            dist_var=dist_var[i],
             class_counts=(counts[t0[i]:t1[i]], term[t0[i]:t1[i]]),
             crowd=tuple(crowd),
+            label_mix=label_mix[i],
             path_dist=path_dist[d0[i]:d1[i]],
             lane_dist=lane_dist,
             element_dist=element_dist,
@@ -287,8 +315,7 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             interactions=tuple(interactions),
         )
         for i, (s, curve, crowd, lane_dist, element_dist, match, interactions) in enumerate(zip(
-            batch, ego_curve.tolist(), traffic.crowd_means(det, static, t0).tolist(),
-            np.minimum.reduceat(ego_dist, t0, axis=1).T,
+            batch, ego_curve.tolist(), crowds.tolist(), np.minimum.reduceat(ego_dist, t0, axis=1).T,
             np.minimum.reduceat(elem_dist, t0, axis=1).T, matches, interacting.tolist(),
         ))
     ]

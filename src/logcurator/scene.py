@@ -714,11 +714,6 @@ def _check(snippets) -> list:
     return found
 
 
-def validate_snippet(s: Snippet) -> ValidationReport:
-    """Check snippet-internal invariants: `_check` of a chunk of one."""
-    return ValidationReport(tuple(_check([s])[0]))
-
-
 def save_map(m: SceneMap, path: str) -> None:
     write_json(path, map_to_obj(m))
 

@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import geometry
-from .scene import MapIndex, Snippet, runs
-from .traffic import variance
+from .scene import DETECTION_CLASSES, MapIndex, Snippet, runs
 
 if TYPE_CHECKING:
     from .features import SnippetArrays
@@ -112,11 +111,6 @@ def nudges(lanes, lateral, starts, det_frame, path_dist, widths, config) -> np.n
     return np.bincount(k[ok], minlength=len(starts))
 
 
-def sdv_speed_variance(rec: "SnippetArrays") -> float:
-    """Population variance of per-step ego speeds."""
-    return variance(rec.ego_speed)
-
-
 def _conflict_lanes(index: MapIndex, traversed: tuple) -> list:
     crosses = np.any(index.crossing_matrix[:, list(traversed)] > 0, axis=1)
     return [li for li in index.vehicle_indices if crosses[li] and li not in traversed]
@@ -165,11 +159,12 @@ def conflict_zone(index: MapIndex, traversed: tuple, config) -> ConflictZone:
     return ConflictZone(lanes, half, _entry_distances(index, lanes))
 
 
-def interactions(b: Snippet, tracks: list, static, path_dist, zones: list, k0, index: MapIndex, config):
+def interactions(b: Snippet, tracks, static, path_dist, zones: list, k0, index: MapIndex, config):
     """(n, 4) counts (near_static, near_dynamic, conflict_traversals,
     conflict_reachable) of the n snippets of a scoring batch: its joined
-    columns `b` (`scene.concat`), their tracks and static flags, each
-    detection's `path_dist`, and each snippet's ConflictZone and first track.
+    columns `b` (`scene.concat`), their `traffic.Tracks` and static flags,
+    each detection's `path_dist`, and each snippet's ConflictZone and first
+    track.
 
     Each counts the tracks with some detection near the ego path, on a
     conflict lane, or able to reach a conflict entry within the horizon. The
@@ -178,14 +173,14 @@ def interactions(b: Snippet, tracks: list, static, path_dist, zones: list, k0, i
     half widths, then the nearest lane of each detection not traversing.
     Track flags, then each snippet's counts, are bincounts, so a snippet
     without tracks counts 0."""
-    code, n, k = b.det_track, len(zones), len(tracks)
+    code, n, k = b.det_track, len(zones), len(tracks.label)
     owner = np.repeat(np.arange(n), np.diff([*k0, k]))  # the snippet of each track
 
     def tracks_of(rows):
         return np.bincount(code[rows], minlength=k) > 0
 
     near = tracks_of(path_dist < config.near_dist)
-    vehicle = np.array([t.label == "vehicle" for t in tracks], dtype=bool)
+    vehicle = tracks.label == DETECTION_CLASSES.index("vehicle")
     rows = np.flatnonzero((vehicle & np.array([bool(z.lanes) for z in zones])[owner])[code])
     dist, arc = geometry.project_to_segments(b.det_center[rows], index.vehicle_segments)
     zone = owner[code[rows]]
@@ -210,7 +205,7 @@ def sdv_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
     near_s, near_d, conf_trav, conf_reach = rec.interactions
     return {
         "sdv_path": rec.ego_curve,
-        "sdv_speed_var": sdv_speed_variance(rec),
+        "sdv_speed_var": rec.sdv_speed_var,
         "lane_changes": float(lane_changes),
         "turns": float(turns),
         "controls_on_route": float(controls),

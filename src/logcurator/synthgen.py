@@ -106,13 +106,6 @@ class OracleCard:
             "fields": {k: {"value": v, "tol": t} for k, (v, t) in sorted(self.fields.items())},
         }
 
-    @staticmethod
-    def from_obj(obj) -> "OracleCard":
-        return OracleCard(
-            obj["snippet_id"],
-            {k: (d["value"], d["tol"]) for k, d in obj["fields"].items()},
-        )
-
 
 class _Corridor:
     """Reference line of the scenario: a straight line or a left-turning arc.

@@ -1,16 +1,18 @@
-"""Actor-derived complexity measures for one snippet.
+"""Actor-derived complexity measures over a scoring batch's detections.
 
 Detections are gated per frame by distance to that frame's ego position; a
 track takes part in path and speed terms when at least one of its
 observations is inside the gate. Motion class (static vs dynamic) uses the
 mean of the reported speed field over the whole snippet against the
 config's `static_speed` (STATIC_SPEED, 0.5 m/s, by default). All variances
-are population variances, taken by `variance`.
+are population variances in `np.var`'s float order: `run_moments` takes
+them run by run, and `variance` of one run.
 
-`detection_arrays` applies the gate to the snippet's detection columns, the
-one place it is applied; every measure here is a reduction over those flat
-arrays or over the tracks `build_track_paths` groups from them. The track
-curve complexities come from the scoring batch's one curve pass
+`detection_arrays` applies the gate to the detection columns, the one place
+it is applied. `build_track_paths` groups the detections by track into
+columns with one entry per track: the batch's speed and crowd terms are
+reductions over those and the flat detection columns. The track curve
+complexities come from the scoring batch's one curve pass
 (`geometry.curve_complexities`, in `features.batch_arrays`).
 """
 
@@ -18,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .scene import DETECTION_CLASSES, Snippet, runs
+from .scene import DETECTION_CLASSES, Snippet
 
 if TYPE_CHECKING:
     from .features import SnippetArrays
@@ -35,17 +37,15 @@ class Detections(NamedTuple):
     dist: np.ndarray  # (D,) distance to that frame's ego position
 
 
-class TrackPath(NamedTuple):
-    track_id: str
-    label: str
-    positions: np.ndarray  # (n, 2)
-    speeds: np.ndarray  # (n,)
-    in_roi: np.ndarray  # (n,) bool
-    seen: bool  # some observation is in gate
-    mean_speed: float  # np.mean(speeds), taken once when the track is built
+class Tracks(NamedTuple):
+    """The K tracks of a `Detections`, one entry per track code."""
 
-    def is_static(self, threshold: float) -> bool:
-        return self.mean_speed < threshold
+    rows: np.ndarray  # (D,) detection rows in track order, each track's in frame order
+    first: np.ndarray  # (K,) where each track's rows start in `rows`
+    label: np.ndarray  # (K,) label code of each track's first observation
+    seen: np.ndarray  # (K,) bool: some observation is in gate
+    mean_speed: np.ndarray  # (K,) mean of each track's speeds
+    speed_var: np.ndarray  # (K,) population variance of each track's speeds
 
 
 def detection_arrays(s: Snippet, roi_radius: float | None = None) -> Detections:
@@ -57,53 +57,19 @@ def detection_arrays(s: Snippet, roi_radius: float | None = None) -> Detections:
     return Detections(s, in_roi, np.sqrt(d2))
 
 
-def build_track_paths(det: Detections) -> list:
-    """Group detections by track, ordered by track code (by track_id within
-    a snippet, and snippet by snippet in `scene.concat`'s columns); each
-    track keeps its observations in frame order and the label of its first
-    one."""
+def build_track_paths(det: Detections) -> Tracks:
+    """The Tracks of `det`, ordered by track code (by track_id within a
+    snippet, and snippet by snippet in `scene.concat`'s columns); every
+    track has at least one detection. Each track's speed moments are one
+    `run_moments` over the speeds in track order."""
     s = det.snippet
-    order = np.argsort(s.det_track, kind="stable")
-    groups = (order[a:b] for a, b in runs(s.det_track[order]))
-    seen = np.bincount(s.det_track[det.in_roi], minlength=len(s.track_ids)) > 0
-    return [
-        TrackPath(
-            track_id=tid,
-            label=DETECTION_CLASSES[s.det_label[rows[0]]],
-            positions=s.det_center[rows],
-            speeds=(speeds := s.det_speed[rows]),
-            in_roi=det.in_roi[rows],
-            seen=gated,
-            mean_speed=float(np.mean(speeds)),
-        )
-        for tid, rows, gated in zip(s.track_ids, groups, seen.tolist())
-    ]
-
-
-def static_flags(tracks: list, static_speed: float) -> np.ndarray:
-    """(K,) whether each track is static at `static_speed`: the one
-    evaluation of `TrackPath.is_static` per track."""
-    return np.array([t.is_static(static_speed) for t in tracks], dtype=bool)
-
-
-def _roi_tracks(tracks: list) -> list:
-    return [t for t in tracks if t.seen]
-
-
-def crowd_means(det: Detections, static: np.ndarray, starts) -> np.ndarray:
-    """(n, 2) mean per-frame count of in-gate actors, split (static, dynamic)
-    by the tracks' `static_flags`, of each of the n snippets of `det` whose
-    frames start at `starts`. The counts are integers, so the sums are
-    exact and each mean is the one np.mean takes."""
-    s = det.snippet
-    cells = s.det_frame[det.in_roi] * 2 + ~static[s.det_track][det.in_roi]
-    counts = np.bincount(cells, minlength=2 * s.num_frames).reshape(-1, 2)
-    return np.add.reduceat(counts, starts, axis=0) / np.diff([*starts, s.num_frames])[:, None]
-
-
-def crowdedness(det: Detections, static: np.ndarray) -> tuple:
-    """`crowd_means` of one snippet, as (static, dynamic)."""
-    return tuple(crowd_means(det, static, [0])[0].tolist())
+    k = len(s.track_ids)
+    rows = np.argsort(s.det_track, kind="stable")
+    sizes = np.bincount(s.det_track, minlength=k)
+    first = np.cumsum(sizes) - sizes
+    seen = np.bincount(s.det_track[det.in_roi], minlength=k) > 0
+    mean, var = run_moments(s.det_speed[rows], sizes)
+    return Tracks(rows, first, s.det_label[rows[first]], seen, mean, var)
 
 
 def class_counts(det: Detections) -> tuple:
@@ -119,12 +85,6 @@ def class_counts(det: Detections) -> tuple:
     return counts, term
 
 
-def class_diversity(det: Detections) -> float:
-    """Class term averaged over frames; frames with no in-gate detections
-    contribute 0."""
-    return _frame_mean(class_counts(det)[1])
-
-
 def _frame_mean(term: np.ndarray) -> float:
     total = 0.0
     for value in term.tolist():  # frame order; np.sum would regroup
@@ -132,51 +92,48 @@ def _frame_mean(term: np.ndarray) -> float:
     return total / len(term) if len(term) else 0.0
 
 
-def variance(x: np.ndarray) -> float:
-    """Population variance of 1-D `x`, 0.0 when it is empty: `np.var`'s
-    float order (the sum by add.reduce over n, the deviations squared, their
-    sum by add.reduce over n) without its per-call overhead."""
-    n = len(x)
-    if not n:
-        return 0.0
-    d = x - np.add.reduce(x) / n
+def _row_moments(block: np.ndarray) -> tuple:
+    """(mean, var) of each row of 2-D `block`, of at least one column:
+    `np.var`'s float order (the sum by add.reduce over the row, the
+    deviations squared, their sum by add.reduce over the row). A row of a
+    C-ordered block is reduced in the pairwise order of a lone 1-D row."""
+    n = block.shape[1]
+    mean = np.add.reduce(block, axis=1) / n
+    d = block - mean[:, None]
     np.square(d, out=d)
-    return float(np.add.reduce(d) / n)
+    return mean, np.add.reduce(d, axis=1) / n
 
 
-def spatial_variance(det: Detections) -> float:
-    """Population variance of ego-to-actor distances, pooled over all
-    (frame, detection) pairs in gate; fewer than 2 samples score 0."""
-    return variance(det.dist[det.in_roi])
+def run_moments(values: np.ndarray, sizes) -> tuple:
+    """(mean, var), two (R,) arrays: the population moments of each of the R
+    runs of 1-D `values`, whose run i holds the next sizes[i] values, each
+    as `np.mean` and `np.var` take it; an empty run has (0.0, 0.0). The runs
+    of one length go through as one C-ordered (runs, length) block."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    mean, var = np.zeros(len(sizes)), np.zeros(len(sizes))
+    first = np.cumsum(sizes) - sizes
+    for n in sorted(set(sizes.tolist()) - {0}):
+        at = np.flatnonzero(sizes == n)
+        mean[at], var[at] = _row_moments(values[first[at, None] + np.arange(n)])
+    return mean, var
 
 
-def actor_path_complexity(curves: np.ndarray) -> tuple:
-    """(mean, max) of a snippet's track curve complexities
-    (`SnippetArrays.track_curves`: the tracks seen in gate with at least
-    three distinct positions); (0.0, 0.0) without such a track."""
-    return (float(np.mean(curves)), float(np.max(curves))) if len(curves) else (0.0, 0.0)
-
-
-def speed_diversity(tracks: list) -> float:
-    """Variance of per-track mean speeds plus the sum of within-track
-    speed variances, over tracks seen in gate at least once."""
-    tracks = _roi_tracks(tracks)
-    if not tracks:
-        return 0.0
-    inner = sum(variance(t.speeds) for t in tracks)
-    return variance(np.array([t.mean_speed for t in tracks])) + inner
+def variance(x: np.ndarray) -> float:
+    """Population variance of 1-D `x`, 0.0 when it is empty: `x` as the one
+    row of `run_moments`' row reduction."""
+    return float(_row_moments(np.reshape(x, (1, -1)))[1][0]) if len(x) else 0.0
 
 
 def traffic_features(rec: "SnippetArrays", config) -> dict:
     """The traffic row of one snippet, keyed by feature name, from its
-    detections, their tracks and their class counts."""
-    path_mean, path_max = actor_path_complexity(rec.track_curves)
+    record's crowd, class, distance, actor path and speed terms."""
+    path_mean, path_max = rec.actor_path
     return {
         "crowd_static": rec.crowd[0],
         "crowd_dynamic": rec.crowd[1],
         "class_div": _frame_mean(rec.class_counts[1]),
-        "dist_var": spatial_variance(rec.det),
+        "dist_var": rec.dist_var,
         "actor_path_mean": path_mean,
         "actor_path_max": path_max,
-        "speed_div": speed_diversity(rec.tracks),
+        "speed_div": rec.speed_div,
     }

@@ -8,7 +8,8 @@ The lane measures project each point set onto one lane centerline at a
 time, through the einsum `project_points_to_polyline` copied here: the ROI
 lane gate and the ego route match each project the ego onto every lane, the
 traversal check projects each vehicle track onto every conflict lane and the
-reachability check onto every vehicle lane. `validate_snippet` is the
+reachability check onto every vehicle lane. `interactions` reads its tracks
+from `tracks_of`, its own regrouping of `track_rows`. `validate_snippet` is the
 per-frame validation loop. `route_events` walks one snippet's route runs
 for lane changes, turns and controls, and `detect_nudges` is the frame loop
 that scans for excursions; both read a snippet's `match_route`. The library
@@ -658,10 +659,24 @@ def route_events(rec, index, config) -> tuple:
     return lane_changes, turns, controls
 
 
+Track = namedtuple("Track", "track_id label positions speeds static")
+
+
+def tracks_of(s, static_speed=STATIC_SPEED):
+    """One ungated Track per track of `track_rows(s)`: the label of its
+    first observation, its positions and speeds in frame order, and
+    `crowdedness`'s static rule."""
+    out = []
+    for tid, rows in track_rows(s).items():
+        speeds = np.array([r[2] for r in rows], dtype=float)
+        static = float(np.mean(speeds)) < static_speed
+        out.append(Track(tid, rows[0][3], np.array([r[1] for r in rows], dtype=float), speeds, static))
+    return out
+
+
 def interactions(
     s,
     index,
-    tracks,
     near_dist=10.0,
     horizon=5.0,
     gate=sdv.MAP_MATCH_GATE,
@@ -671,12 +686,13 @@ def interactions(
     """(near_static, near_dynamic, conflict_traversals, conflict_reachable)."""
     match = match_route(s, index, gate)
     ego_path = geometry.dedupe_points(ego_xy(s))
+    tracks = tracks_of(s, static_speed)
     near_static = 0
     near_dynamic = 0
     for t in tracks:
         dist, _ = project_points_to_polyline(t.positions, ego_path)
         if float(np.min(dist)) < near_dist:
-            if t.is_static(static_speed):
+            if t.static:
                 near_static += 1
             else:
                 near_dynamic += 1

@@ -27,6 +27,7 @@ from logcurator.features import (
     SNIPPET_FEATURES,
     FeatureBundle,
     NormalizationStats,
+    compute_snippet_features,
     score_pool,
     write_features,
 )
@@ -49,15 +50,6 @@ from logcurator.synthgen import (
     default_spec,
     generate_pool,
     synth_forecasts,
-)
-from logcurator.traffic import (
-    STATIC_SPEED,
-    build_track_paths,
-    class_diversity,
-    crowdedness,
-    detection_arrays,
-    speed_diversity,
-    static_flags,
 )
 
 import support
@@ -196,6 +188,13 @@ def test_01_curvature_fidelity():
     assert time.perf_counter() - t0 < 1.0
 
 
+def scored(s, *names):
+    """The named values of the snippet's scored vector; the default 75 m
+    gate holds every detection of the snippets below."""
+    values = compute_snippet_features(*support.measure_args(s))[0].values
+    return [float(values[SIDX[name]]) for name in names]
+
+
 def test_02_hand_computed_measure_oracles():
     # crowding: three movers on even frames, five on odd, so the per-frame
     # dynamic count averages to exactly four
@@ -204,8 +203,7 @@ def test_02_hand_computed_measure_oracles():
     ]
     per_frame = [tuple(movers[:3] if k % 2 == 0 else movers) for k in range(60)]
     s_crowd = support.drive([(1.0 * k, 0.0) for k in range(60)], detections=per_frame)
-    det_crowd = detection_arrays(s_crowd)
-    static, dynamic = crowdedness(det_crowd, static_flags(build_track_paths(det_crowd), STATIC_SPEED))
+    static, dynamic = scored(s_crowd, "crowd_static", "crowd_dynamic")
     assert static == 0.0
     assert abs(dynamic - 4.0) <= 1e-12
 
@@ -218,13 +216,13 @@ def test_02_hand_computed_measure_oracles():
     s_mixed = support.drive(
         [(0.1 * k, 0.0) for k in range(60)], detections=support.constant_detections(mixed, 60)
     )
-    assert abs(class_diversity(detection_arrays(s_mixed)) - 2.0) <= 1e-12
+    assert abs(scored(s_mixed, "class_div")[0] - 2.0) <= 1e-12
 
     cars = tuple(support.make_detection(f"c{i}", "vehicle", (2.0 * i, 5.0)) for i in range(3))
     s_cars = support.drive(
         [(0.1 * k, 0.0) for k in range(60)], detections=support.constant_detections(cars, 60)
     )
-    assert abs(class_diversity(detection_arrays(s_cars)) - 4.0 / 3.0) <= 1e-12
+    assert abs(scored(s_cars, "class_div")[0] - 4.0 / 3.0) <= 1e-12
 
     # speed spread: steady tracks at 5 and 7 leave only the unit variance of
     # their means; one track sweeping 0, 2, 4 leaves only its inner 8/3
@@ -235,13 +233,13 @@ def test_02_hand_computed_measure_oracles():
     s_two = support.drive(
         [(0.1 * k, 0.0) for k in range(10)], detections=support.constant_detections(steady, 10)
     )
-    assert abs(speed_diversity(build_track_paths(detection_arrays(s_two))) - 1.0) <= 1e-12
+    assert abs(scored(s_two, "speed_div")[0] - 1.0) <= 1e-12
 
     ramp = [
         (support.make_detection("a", "vehicle", (5.0, 3.0), speed=2.0 * k),) for k in range(3)
     ]
     s_ramp = support.drive([(0.1 * k, 0.0) for k in range(3)], detections=ramp)
-    assert abs(speed_diversity(build_track_paths(detection_arrays(s_ramp))) - 8.0 / 3.0) <= 1e-12
+    assert abs(scored(s_ramp, "speed_div")[0] - 8.0 / 3.0) <= 1e-12
 
     unit = ForecastEntry("a", 1, (0.0, 0.0), (1.0, 0.0, 1.0))
     assert abs(entry_entropy(unit) - math.log(2.0 * math.pi * math.e)) <= 1e-9

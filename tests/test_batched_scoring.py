@@ -136,7 +136,7 @@ def test_conflict_rows_follow_the_vehicle_table():
     got = []
     for rec in features.batch_arrays(pool.snippets, index, cfg):
         got.append(rec.interactions)
-        assert got[-1] == ref.interactions(rec.snippet, index, rec.tracks)
+        assert got[-1] == ref.interactions(rec.snippet, index)
     assert any(trav or reach for _, _, trav, reach in got)
 
 
@@ -145,8 +145,11 @@ def test_per_snippet_and_per_route_work_runs_once(pairs, monkeypatch):
     pool = _synth_pool()
     if pairs is not None:
         monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
-    calls = {"class_counts": 0, "conflict_zone": 0, "ego_pass": 0, "interactions": 0}
-    counted = ((traffic, "class_counts"), (sdv, "conflict_zone"), (features, "ego_pass"), (sdv, "interactions"))
+    calls = {"class_counts": 0, "build_track_paths": 0, "conflict_zone": 0, "ego_pass": 0, "interactions": 0}
+    counted = (
+        (traffic, "class_counts"), (traffic, "build_track_paths"), (sdv, "conflict_zone"),
+        (features, "ego_pass"), (sdv, "interactions"),
+    )
     for module, name in counted:
         fn = getattr(module, name)
 
@@ -155,24 +158,26 @@ def test_per_snippet_and_per_route_work_runs_once(pairs, monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, name, wrapper)
-    averaged = []  # every array np.mean is called on, kept alive so ids stay apart
+    averaged = []  # every array np.mean is called on
     mean = np.mean
     monkeypatch.setattr(np, "mean", lambda a, *args, **kw: averaged.append(a) or mean(a, *args, **kw))
     index, cfg = MapIndex(pool.scene_map), CurationConfig()
-    routes, tracks = set(), []
+    routes, tracks = set(), 0
     for rec in features.batch_arrays(pool.snippets, index, cfg):
         features.compute_snippet_features(rec, index, cfg)
         routes.add(rec.match.traversed)
-        tracks += rec.tracks
-    # class counts, the ego pass and the interaction counts once per batch,
-    # one mean of each track's speeds, and one conflict zone per route
+        tracks += len(rec.snippet.track_ids)
+    # class counts, the track columns, the ego pass and the interaction
+    # counts once per batch, and one conflict zone per route
     n = len(pool.snippets)
     batches = len(_batch_sizes(pool))
     assert calls == {
-        "class_counts": batches, "conflict_zone": len(routes), "ego_pass": batches, "interactions": batches
+        "class_counts": batches, "build_track_paths": batches, "conflict_zone": len(routes),
+        "ego_pass": batches, "interactions": batches,
     }
-    assert len(routes) < n and tracks
-    assert [sum(a is t.speeds for a in averaged) for t in tracks] == [1] * len(tracks)
+    assert len(routes) < n
+    # no mean per track: infra's two lane curve means per snippet are all
+    assert len(averaged) <= 2 * n < tracks
 
 
 def _same(a, b) -> bool:
@@ -213,12 +218,13 @@ def test_records_do_not_depend_on_the_batch_cap(make_pool, pairs, monkeypatch):
     if pairs is not None:
         monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
     batched = list(features.batch_arrays(pool.snippets, index, cfg))
-    assert 1 < max(_batch_sizes(pool)) and all(rec.tracks for rec in batched)
+    assert 1 < max(_batch_sizes(pool)) and all(rec.snippet.track_ids for rec in batched)
     monkeypatch.setattr(features, "BATCH_PAIRS", 1)
     alone = list(features.batch_arrays(pool.snippets, index, cfg))
     fields = features.SnippetArrays._fields
     assert {
-        "ego_speed", "ego_curvature", "crowd", "lane_dist", "in_crosswalk", "track_curves", "ego_curve"
+        "ego_speed", "ego_curvature", "crowd", "lane_dist", "in_crosswalk", "track_curves", "ego_curve",
+        "actor_path", "speed_div", "dist_var", "sdv_speed_var", "label_mix",
     } <= set(fields)
     if make_pool is not _short_pool:  # several curving tracks in one curve pass
         assert sum(int(np.count_nonzero(rec.track_curves)) for rec in batched) > 1

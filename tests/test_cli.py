@@ -11,7 +11,7 @@ from logcurator.cli import main
 from logcurator.scene import canonical_dumps, load_pool
 from logcurator.selection import validate_result_obj
 
-from support import measure_args
+from support import drive, make_detection, measure_args, pool_of
 
 
 def run(capsys, *argv):
@@ -809,6 +809,36 @@ class TestReport:
         want = np.mean(np.stack(rows), axis=0)
         got = np.array([entry["mean"] for entry in summary["features"]])
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_label_mix_keeps_tracks_outside_the_gate(self, capsys, tmp_path):
+        # a parked car ("far") and a walker ("gone") that never come within
+        # the 75 m gate keep their (class, motion) keys at 0.0
+        def frames(*tracks):  # (frames seen, track_id, class, center, speed)
+            return [tuple(make_detection(*t[1:]) for t in tracks if k in t[0]) for k in range(10)]
+
+        ego = [(0.5 * k, 0.0) for k in range(10)]
+        a = drive(ego, "a", "L0", detections=frames(
+            (range(10), "near", "vehicle", (3.0, 0.0), 2.0),
+            (range(10), "far", "vehicle", (500.0, 0.0), 0.0),
+            (range(5), "walker", "pedestrian", (0.0, 5.0), 0.1),
+        ))
+        b = drive(ego, "b", "L1", detections=frames(
+            (range(6, 10), "late", "bicyclist", (2.0, 2.0), 4.0),
+            (range(10), "gone", "pedestrian", (0.0, 300.0), 1.5),
+        ))
+        pool, result = str(tmp_path / "pool.jsonl"), str(tmp_path / "result.json")
+        scene.save_pool(pool_of([a, b]), pool)
+        assert run(capsys, "baseline", pool, "--method", "random", "-k", "2", "--out", result)[0] == 0
+        out_dir = tmp_path / "report"
+        assert run(capsys, "report", pool, result, "--out-dir", str(out_dir))[0] == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["selected"] == ["a", "b"]
+        # in-gate observations over the 20 frames
+        assert summary["label_stats"] == {
+            "bicyclist": {"dynamic": 4 / 20},
+            "pedestrian": {"dynamic": 0.0, "static": 5 / 20},
+            "vehicle": {"dynamic": 10 / 20, "static": 0.0},
+        }
 
     def test_dangling_result_ids_rejected(self, capsys, workspace, tmp_path, result_path):
         with open(result_path) as fh:

@@ -59,15 +59,10 @@ class TestSnippetVector:
         assert set(names) == set(features.SNIPPET_FEATURE_NAMES)
         assert len(names) == features.SNIPPET_DIM
 
-    def test_static_flag_is_computed_once_per_track(self, monkeypatch):
-        calls = []
-        real = traffic.TrackPath.is_static
-
-        def counted(track, threshold):
-            calls.append(track.track_id)
-            return real(track, threshold)
-
-        monkeypatch.setattr(traffic.TrackPath, "is_static", counted)
+    def test_static_flag_reads_the_track_columns_once(self, monkeypatch):
+        built = []
+        real = traffic.build_track_paths
+        monkeypatch.setattr(traffic, "build_track_paths", lambda det: built.append(real(det)) or built[-1])
         dets = (
             make_detection("parked", "vehicle", (-20.0, 4.0)),
             make_detection("mover", "vehicle", (-10.0, -4.0), speed=3.0),
@@ -76,7 +71,10 @@ class TestSnippetVector:
         vec = snippet_vector(cruise(detections=constant_detections(dets, 60)), lane_map())
         assert vec.values[SIDX["crowd_static"]] == 1.0
         assert vec.values[SIDX["near_path_dynamic"]] == 2.0
-        assert sorted(calls) == ["mover", "parked", "walker"]
+        # tracks in id order: mover, parked, walker
+        [tracks] = built
+        assert tracks.mean_speed.tolist() == [3.0, 0.0, 1.0]
+        assert tracks.label.tolist() == [0, 0, 1]
 
     def test_values_land_in_named_slots(self):
         m = SceneMap(

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import reference_measures as ref
 from logcurator import features, geometry, sdv, synthgen, traffic
-from logcurator.scene import DETECTION_CLASSES, MapIndex
+from logcurator.scene import DETECTION_CLASSES, MapIndex, SceneMap
 from logcurator.selection import CurationConfig
 
-from support import drive, make_detection, measure_args
+from support import drive, make_detection, measure_args, straight_lane, vertical_lane
 
 # 75 m keeps every synthetic actor; 15 m drops some and 5 m nearly all
 RADII = (None, 75.0, 15.0, 5.0)
@@ -57,22 +57,30 @@ def random_snippet(rng, n_frames=12, n_tracks=7):
 
 def assert_matches_reference(s, m, roi_radius):
     # a roi_radius of None keeps every detection in the gate
-    index = MapIndex(m)
-    rec = features.snippet_arrays(s, index, CurationConfig(roi_radius=roi_radius))
-    det, tracks = rec.det, rec.tracks
+    index, config = MapIndex(m), CurationConfig(roi_radius=roi_radius)
+    rec = features.snippet_arrays(s, index, config)
+    det = traffic.detection_arrays(s, roi_radius)
+    tracks = traffic.build_track_paths(det)
 
     rows = ref.track_rows(s, roi_radius)
-    assert [t.track_id for t in tracks] == list(rows)
-    for t, obs in zip(tracks, rows.values()):
-        assert t.label == obs[0][3]
-        assert t.positions.tolist() == [list(r[1]) for r in obs]
-        assert t.speeds.tolist() == [r[2] for r in obs]
-        assert t.in_roi.tolist() == [r[4] for r in obs]
+    assert list(s.track_ids) == list(rows)
+    ends = [*tracks.first[1:].tolist(), len(tracks.rows)]
+    for k, (a, e, obs) in enumerate(zip(tracks.first.tolist(), ends, rows.values())):
+        at = tracks.rows[a:e]
+        assert s.det_track[at].tolist() == [k] * len(obs)
+        assert DETECTION_CLASSES[tracks.label[k]] == obs[0][3]
+        assert s.det_center[at].tolist() == [list(r[1]) for r in obs]
+        assert s.det_speed[at].tolist() == [r[2] for r in obs]
+        assert det.in_roi[at].tolist() == [r[4] for r in obs]
+        assert tracks.seen[k] == any(r[4] for r in obs)
+        speeds = np.array([r[2] for r in obs])
+        assert (tracks.mean_speed[k], tracks.speed_var[k]) == (np.mean(speeds), np.var(speeds))
 
-    assert traffic.crowdedness(det, rec.static) == ref.crowdedness(s, roi_radius)
-    assert traffic.class_diversity(det) == ref.class_diversity(s, roi_radius)
-    assert traffic.spatial_variance(det) == ref.spatial_variance(s, roi_radius)
-    assert traffic.speed_diversity(tracks) == ref.speed_diversity(s, roi_radius)
+    row = traffic.traffic_features(rec, config)
+    assert (row["crowd_static"], row["crowd_dynamic"]) == ref.crowdedness(s, roi_radius)
+    assert row["class_div"] == ref.class_diversity(s, roi_radius)
+    assert row["dist_var"] == ref.spatial_variance(s, roi_radius)
+    assert row["speed_div"] == ref.speed_diversity(s, roi_radius)
 
     mat = features.assemble_frame_vectors(rec)
     assert np.array_equal(mat[:, :5], ref.frame_class_columns(s, roi_radius))
@@ -125,6 +133,63 @@ def test_scoring_builds_tracks_once(monkeypatch):
     assert calls == {"detection_arrays": 1, "build_track_paths": 1}
 
 
+def hand_built_batch():
+    """Three snippets on two crossing lanes with a feeder, with tracks of
+    six lengths, so the track moments run in several groups: tracks that
+    enter mid-snippet, a track never in the 75 m gate, a track whose class
+    changes, and a snippet without detections."""
+    lanes = (
+        straight_lane("ew"),
+        vertical_lane("ns", y0=-20.0, y1=20.0),
+        vertical_lane("feed", y0=-60.0, y1=-20.0, successors=("ns",)),
+    )
+    east = [(-15.0 + 1.0 * k, 0.0) for k in range(30)]
+    north = [(0.0, -18.0 + 0.5 * k) for k in range(30)]
+    a = [[] for _ in range(30)]
+    for k in range(30):
+        a[k].append(make_detection("far", "vehicle", (500.0, 500.0), 3.0))
+        a[k].append(make_detection("switch", "vehicle" if k < 10 else "pedestrian", (2.0, 3.0), 0.2))
+        if k >= 10:  # crosses ew on ns, speeding up
+            a[k].append(make_detection("late", "vehicle", (0.0, -20.0 + 1.5 * (k - 10)), 7.0 + 0.1 * k))
+        if k >= 5:  # waits on the feeder
+            a[k].append(make_detection("wait", "vehicle", (0.0, -40.0), 5.0))
+        if k < 4:
+            a[k].append(make_detection("walk", "pedestrian", (float(k), 5.0), (1.0, 1.5, 0.3, 2.2)[k]))
+    c = [[] for _ in range(30)]
+    c[7].append(make_detection("one", "vehicle", (5.0, 0.0), 4.0))
+    c[20] += [make_detection("pair", "bicyclist", (1.0, -8.0), 0.1)]
+    c[21] += [make_detection("pair", "bicyclist", (1.0, -7.5), 0.6)]
+    snippets = [
+        drive(east, "a", detections=[tuple(d) for d in a]),
+        drive(east, "b"),
+        drive(north, "c", detections=[tuple(d) for d in c]),
+    ]
+    return snippets, SceneMap(lanes=lanes)
+
+
+@pytest.mark.parametrize("pairs", [1 << 62, 1])
+def test_hand_built_batch_matches_reference(pairs, monkeypatch):
+    # joined in one batch, and one snippet at a time
+    snippets, m = hand_built_batch()
+    index, config = MapIndex(m), CurationConfig()
+    monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
+    assert [len(b) for b in features._batches(snippets, index)] == ([3] if pairs > 1 else [1, 1, 1])
+    sizes = np.bincount(np.concatenate([np.bincount(s.det_track) for s in snippets if s.track_ids]))
+    assert np.count_nonzero(sizes) == 6
+    totals = np.zeros(4, dtype=int)
+    for s, rec in zip(snippets, features.batch_arrays(snippets, index, config), strict=True):
+        row = traffic.traffic_features(rec, config)
+        assert (row["crowd_static"], row["crowd_dynamic"]) == ref.crowdedness(s, config.roi_radius)
+        assert row["speed_div"] == ref.speed_diversity(s, config.roi_radius)
+        assert row["dist_var"] == ref.spatial_variance(s, config.roi_radius)
+        assert rec.interactions == ref.interactions(s, index)
+        totals += rec.interactions
+    # near, traversing and reaching tracks are all hit; "far" is never seen
+    assert np.all(totals > 0)
+    det = traffic.detection_arrays(snippets[0], config.roi_radius)
+    assert not traffic.build_track_paths(det).seen[snippets[0].track_ids.index("far")]
+
+
 def route_oracle(s, index, config, path_dist):
     """(lane_changes, turns, controls_on_route, nudges) of one snippet by the
     per-snippet loops over its own `ref.match_route`."""
@@ -147,7 +212,7 @@ def assert_lanes_match_reference(s, index, roi_radius):
     assert rec.match.events == route_oracle(s, index, config, rec.path_dist)
 
     got = rec.interactions
-    assert got == ref.interactions(s, index, rec.tracks)
+    assert got == ref.interactions(s, index)
     return got
 
 

@@ -27,7 +27,7 @@ def test_every_record_type_is_found():
         "SceneMap", "SnippetPool", "TaskConfig", "CurationConfig", "AuditEntry",
         "CurationResult", "FeatureVector", "SnippetArrays", "NormalizationStats",
         "FeatureBundle", "SegmentTable", "RouteMatch",
-        "ConflictZone", "Detections", "TrackPath", "ForecastEntry", "GaussianForecast",
+        "ConflictZone", "Detections", "Tracks", "ForecastEntry", "GaussianForecast",
     }
 
 

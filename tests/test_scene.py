@@ -159,46 +159,51 @@ class TestRuns:
         assert scene.runs(np.array(values, dtype=int)) == spans
 
 
+def validate(s):
+    """The snippet's report by the loader's column rules, as a chunk of one."""
+    return scene.ValidationReport(tuple(scene._check([s])[0]))
+
+
 class TestValidation:
     def test_valid_snippet_empty_report(self):
         s = drive([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-        report = scene.validate_snippet(s)
+        report = validate(s)
         assert report.ok
 
     def test_non_monotone_timestamp(self):
         frames = [make_frame(0), make_frame(1), make_frame(2)]
         frames[2]["timestamp"] = 0.05
-        report = scene.validate_snippet(make_snippet(frames))
+        report = validate(make_snippet(frames))
         assert [f.rule for f in report.findings] == ["timestamps"]
 
     def test_unknown_detection_class(self):
         det = make_detection(label="unicycle")
         s = make_snippet([make_frame(0, detections=(det,))])
-        report = scene.validate_snippet(s)
+        report = validate(s)
         assert any(f.rule == "class" for f in report.findings)
 
     def test_heading_outside_range(self):
         s = make_snippet([make_frame(0, ego=(0.0, 0.0, np.pi))])
-        report = scene.validate_snippet(s)
+        report = validate(s)
         assert any(f.rule == "heading" for f in report.findings)
 
     def test_frame_range_mismatch(self):
         s = scene.snippet_from_obj(
             {"snippet_id": "s0", "log_id": "L", "frame_range": [0, 5], "frames": [make_frame(0), make_frame(1)]}
         )
-        report = scene.validate_snippet(s)
+        report = validate(s)
         assert any(f.rule == "frame_range" for f in report.findings)
 
     def test_track_switching_class(self):
         f0 = make_frame(0, detections=(make_detection("t1", "vehicle"),))
         f1 = make_frame(1, detections=(make_detection("t1", "pedestrian"),))
-        report = scene.validate_snippet(make_snippet([f0, f1]))
+        report = validate(make_snippet([f0, f1]))
         assert any(f.rule == "track_class" for f in report.findings)
 
     def test_findings_name_the_snippet(self):
         det = make_detection(speed=-1.0)
         s = make_snippet([make_frame(0, detections=(det,))], snippet_id="bad_one")
-        report = scene.validate_snippet(s)
+        report = validate(s)
         assert report.findings and all(f.snippet_id == "bad_one" for f in report.findings)
 
     @settings(max_examples=600, deadline=None)
@@ -208,7 +213,7 @@ class TestValidation:
         for step in steps:
             step(record)
         s = scene.snippet_from_obj(record)
-        got = scene.validate_snippet(s).findings
+        got = validate(s).findings
         assert got == ref.validate_snippet(s, scene.SceneMap()).findings
 
     @pytest.mark.parametrize("rows", [1, scene.VALIDATE_ROWS])

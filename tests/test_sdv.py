@@ -28,7 +28,7 @@ def path_complexity(s):
 
 
 def speed_variance(s):
-    return sdv.sdv_speed_variance(measure_args(s)[0])
+    return measure_args(s)[0].sdv_speed_var
 
 
 def interactions(s, m=None, **config):
@@ -256,7 +256,7 @@ class TestInteractions:
         assert got == [(0, 1, 1, 0), (0, 0, 0, 1), (0, 2, 1, 0), (0, 0, 0, 0), (1, 0, 0, 0)]
         for s, rec, counts in zip(snippets, batched, got):
             assert features.snippet_arrays(s, index, cfg).interactions == counts
-            assert ref.interactions(s, index, rec.tracks) == counts
+            assert ref.interactions(s, index) == counts
 
 
 class TestNudges:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,31 +21,32 @@ def snippet_with(det_lists, sid="s0"):
     return drive(ego, sid, detections=det_lists)
 
 
-def tracks_of(s):
-    return traffic.build_track_paths(traffic.detection_arrays(s))
+def traffic_row(s, roi_radius=None):
+    """The snippet's traffic row, every detection in the gate by default."""
+    rec, _, cfg = measure_args(s, roi_radius=roi_radius)
+    return traffic.traffic_features(rec, cfg)
 
 
 def actor_paths(s):
     """(mean, max) actor path complexity of the snippet's scoring record."""
-    return traffic.actor_path_complexity(measure_args(s)[0].track_curves)
+    return measure_args(s)[0].actor_path
 
 
 def crowdedness(s, roi_radius=None):
-    det = traffic.detection_arrays(s, roi_radius)
-    static = traffic.static_flags(traffic.build_track_paths(det), traffic.STATIC_SPEED)
-    return traffic.crowdedness(det, static)
+    row = traffic_row(s, roi_radius)
+    return row["crowd_static"], row["crowd_dynamic"]
 
 
 def class_diversity(s):
-    return traffic.class_diversity(traffic.detection_arrays(s))
+    return traffic_row(s)["class_div"]
 
 
 def spatial_variance(s):
-    return traffic.spatial_variance(traffic.detection_arrays(s))
+    return traffic_row(s)["dist_var"]
 
 
 def speed_diversity(s):
-    return traffic.speed_diversity(tracks_of(s))
+    return traffic_row(s)["speed_div"]
 
 
 class TestCrowdedness:
@@ -237,6 +238,31 @@ def test_variance_follows_np_var(x, stride):
     table = np.column_stack([x, x[::-1]])
     for v in (x, x[::stride], table[:, 1]):
         assert traffic.variance(v) == (float(np.var(v)) if len(v) else 0.0)
+
+
+# run lengths at and around the pairwise sum's block edges: its 8-way
+# unrolled loop and its blocks of 128 values
+EDGE_LENGTHS = (0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 4095, 4096, 4097)
+
+
+@settings(max_examples=60, deadline=None)
+@example(sizes=[8, 0, 8, 128, 4097, 128, 1, 4097, 0], seed=0, scale=1e6)
+@example(sizes=[0], seed=0, scale=1.0)
+@example(sizes=[128, 128, 128], seed=0, scale=1e-3)
+@given(
+    sizes=st.lists(st.sampled_from(EDGE_LENGTHS) | st.integers(0, 300), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e6]),
+)
+def test_run_moments_follow_np_mean_and_np_var(sizes, seed, scale):
+    # one call over runs of mixed lengths, repeated lengths sharing a block
+    values = np.random.default_rng(seed).normal(3.0 * scale, scale, size=sum(sizes))
+    mean, var = traffic.run_moments(values, sizes)
+    lo = 0
+    for n, m, v in zip(sizes, mean.tolist(), var.tolist(), strict=True):
+        run = values[lo : lo + n]
+        assert (m, v) == ((float(np.mean(run)), float(np.var(run))) if n else (0.0, 0.0))
+        lo += n
 
 
 class TestSpeedDiversity:
