@@ -87,8 +87,8 @@ class SnippetArrays(NamedTuple):
     ego_speed: np.ndarray  # (T - 1,) ego speed over each step (`ego_pass`)
     ego_curvature: np.ndarray  # (T,) |dh/ds| at each pose (`ego_pass`)
     sdv_speed_var: float  # population variance of ego_speed
-    track_curves: np.ndarray  # curves of the tracks seen in gate with >= 3 distinct positions
-    actor_path: tuple  # (mean, max) of track_curves; (0.0, 0.0) without any
+    actor_path: tuple  # (mean, max) curve of the tracks seen in gate with >= 3 distinct
+    # positions; (0.0, 0.0) without any
     speed_div: float  # the seen tracks' mean speed variance plus their speed variances' sum
     dist_var: float  # population variance of the in-gate detections' distances to the ego
     class_counts: tuple  # traffic.class_counts(det): (T, classes) counts, (T,) term
@@ -236,6 +236,14 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
     (t0, t1), (d0, d1), (k0, k1) = (
         _bounds([len(getattr(s, col)) for s in batch]) for col in ("index", "det_frame", "track_ids")
     )
+    unknown = np.flatnonzero(b.det_label >= len(DETECTION_CLASSES))
+    if len(unknown):  # `load_pool` refuses these; a library caller may not
+        i = int(np.searchsorted(d1, unknown[0], side="right"))
+        s, j = batch[i], int(unknown[0]) - d0[i]
+        raise ValueError(
+            f"snippet {s.snippet_id!r}: frame {s.index[s.det_frame[j]]} track {s.track_ids[s.det_track[j]]} "
+            f"has detection class {s.classes[s.det_label[j]]!r}, not one of {', '.join(DETECTION_CLASSES)}"
+        )
     arc, keep, speed, curvature = ego_pass(b.ego_pose, b.timestamp, np.subtract(t1, t0))
     kept = np.cumsum(keep)[np.subtract(t1, 1)].tolist()[:-1]  # path ends in the kept rows
     ego_dist, ego_arc = geometry.project_to_segments(ego, index.segments)
@@ -299,7 +307,6 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             ego_speed=speed[t0[i] + 1:t1[i]],
             ego_curvature=curvature[t0[i]:t1[i]],
             sdv_speed_var=sdv_speed_var[i],
-            track_curves=track_curves[c0[i]:c1[i]],
             actor_path=actor_path[i],
             speed_div=speed_div[i],
             dist_var=dist_var[i],
@@ -531,37 +538,49 @@ def read_features(directory: str) -> FeatureBundle:
     rule of `scene._column`, and must be finite."""
 
     def rows_of(name, names, width=None):
-        """[(where, row object, values)] of a feature file's rows, each an
+        """(snippet_id, valid, values) of a feature file's rows, each an
         object of its kind with a string snippet_id and a nonempty array of
-        finite values, one per name: flat, or in rows of `width`."""
+        finite values, one per name: flat, or in rows of `width`. Each row
+        is converted as it is read and its parsed object dropped; the file's
+        first `valid` that is not a boolean raises once every row is read."""
         path = os.path.join(directory, name)
         kind = name.removesuffix(".jsonl")
         where, head, _, rows = read_header(path, PoolFormatError, "feature file", f"{kind}_header")
         if head.get("names") != list(names):
             raise PoolFormatError(f"{where}: schema does not match this build")
-        out = []
+
+        def at(row, sid):
+            return f"feature file {path} row {row}, snippet {sid!r}"
+
+        out, invalid = [], None
         for row, r in rows:
             sid = r.get("snippet_id") if isinstance(r, dict) else None
-            where = f"feature file {path} row {row}, snippet {sid!r}"
             if not isinstance(sid, str) or r.get("kind") != kind:
-                raise PoolFormatError(f"{where}: needs kind {kind!r} and a string snippet_id")
-            values = _column(r.get("values"), f"value of {where}", width)
+                raise PoolFormatError(f"{at(row, sid)}: needs kind {kind!r} and a string snippet_id")
+            try:
+                values = _column(r.get("values"), "value", width)
+            except PoolFormatError:  # again, for the text that names the row
+                _column(r.get("values"), f"value of {at(row, sid)}", width)
+                raise
             if not (values.size and values.shape[-1] == len(names) and np.isfinite(values).all()):
-                raise PoolFormatError(f"{where}: values must be finite, {len(names)} per row")
-            out.append((where, r, values))
-        return out
+                raise PoolFormatError(f"{at(row, sid)}: values must be finite, {len(names)} per row")
+            valid = r.get("valid")
+            if invalid is None and not isinstance(valid, bool):
+                invalid = at(row, sid)
+            out.append((sid, valid, values))
+        return out, invalid
 
-    srows = rows_of("snippet_features.jsonl", SNIPPET_FEATURE_NAMES)
-    for where, r, _ in srows:
-        if not isinstance(r.get("valid"), bool):
-            raise PoolFormatError(f"{where}: needs a boolean valid")
-    ids = [r["snippet_id"] for _, r, _ in srows]
+    srows, invalid = rows_of("snippet_features.jsonl", SNIPPET_FEATURE_NAMES)
+    if invalid is not None:
+        raise PoolFormatError(f"{invalid}: needs a boolean valid")
+    ids = [sid for sid, _, _ in srows]
     matrix = np.stack([v for _, _, v in srows]) if srows else np.zeros((0, SNIPPET_DIM))
-    valid = np.array([r["valid"] for _, r, _ in srows], dtype=bool)
+    valid = np.array([v for _, v, _ in srows], dtype=bool)
+    del srows
 
-    frows = rows_of("frame_features.jsonl", FRAME_FEATURE_NAMES, FRAME_DIM)
-    frame_mats = {r["snippet_id"]: v for _, r, v in frows}
-    if sorted(r["snippet_id"] for _, r, _ in frows) != sorted(ids):
+    frows, _ = rows_of("frame_features.jsonl", FRAME_FEATURE_NAMES, FRAME_DIM)
+    frame_mats = {sid: v for sid, _, v in frows}
+    if sorted(sid for sid, _, _ in frows) != sorted(ids):
         missing = sorted(set(ids) - set(frame_mats))
         raise PoolFormatError(
             f"feature file {os.path.join(directory, 'frame_features.jsonl')} does not hold "

@@ -1,10 +1,13 @@
+import json
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from logcurator import features, scene, traffic
-from logcurator.scene import PoolFormatError, SceneMap, TrafficControl
+from logcurator import features, scene, synthgen, traffic
+from logcurator.scene import MapIndex, PoolFormatError, SceneMap, TrafficControl
 from logcurator.selection import CurationConfig
 
 from support import constant_detections, drive, make_detection, measure_args, pool_of, straight_lane
@@ -141,6 +144,23 @@ class TestFrameVectors:
         dets = constant_detections([make_detection("v1", "vehicle", (500.0, 0.0))], 60)
         mat = frame_vectors(cruise(detections=dets), roi_radius=75.0)
         assert np.all(mat[:, FIDX["det_total"]] == 0.0)
+
+    @pytest.mark.parametrize("frame", [5, 9])
+    def test_unknown_class_names_the_snippet(self, frame):
+        # `load_pool` refuses the class; a library caller reaches the counts
+        # with it, in a middle frame (it would count as a vehicle of the
+        # next frame) or in the last (the counts would not reshape)
+        per_frame = [
+            [make_detection("v1", "vehicle", (0.0, 6.0)), make_detection("p1", "pedestrian", (0.0, -6.0))]
+            for _ in range(10)
+        ]
+        per_frame[frame][1] = make_detection("p1", "unicycle", (0.0, -6.0))
+        pts = [(0.5 * k, 0.0) for k in range(10)]
+        first = constant_detections([make_detection("v2", "vehicle", (0.0, 6.0))], 10)
+        batch = [drive(pts, "s_a", detections=first), drive(pts, "s_b", detections=per_frame)]
+        text = f"snippet 's_b': frame {frame} track p1 has detection class 'unicycle'"
+        with pytest.raises(ValueError, match=text):
+            list(features.batch_arrays(batch, MapIndex(lane_map()), CFG))
 
 
 class TestNormalization:
@@ -302,6 +322,43 @@ class TestFeatureStore:
         assert [os.path.basename(p) for p in written] == [
             "snippet_features.jsonl", "frame_features.jsonl", "normalization.json", "provenance.json"
         ]
+
+    def test_first_bad_value_outranks_an_earlier_bad_valid(self, tmp_path):
+        # every row's kind, id and values are checked before any valid flag
+        features.write_features(str(tmp_path), self.score())
+        path = tmp_path / "snippet_features.jsonl"
+        head, *rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[0]["valid"] = "yes"
+        path.write_text("\n".join(json.dumps(r) for r in [head, *rows]) + "\n")
+        with pytest.raises(PoolFormatError, match=re.escape(f"{path} row 2, snippet 's_a': needs a boolean valid")):
+            features.read_features(str(tmp_path))
+        rows[1]["values"][3] = "1"
+        path.write_text("\n".join(json.dumps(r) for r in [head, *rows]) + "\n")
+        text = f"every value of feature file {path} row 3, snippet 's_b' must be a number"
+        with pytest.raises(PoolFormatError, match=re.escape(text)):
+            features.read_features(str(tmp_path))
+
+    def test_reader_keeps_no_parsed_row(self, tmp_path):
+        # the reader's heap peaks near the store's text plus what it
+        # returns; holding each parsed row's lists of floats took 3.2-3.7x
+        spec = synthgen.default_spec(
+            "straight_road", "cruise", seed=3, n_snippets=100, num_frames=20, jitter=True
+        )
+        pool, _ = synthgen.generate_pool(spec)
+        features.write_features(str(tmp_path), features.score_pool(pool, CFG))
+        text = sum(
+            os.path.getsize(tmp_path / name) for name in ("snippet_features.jsonl", "frame_features.jsonl")
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bundle = features.read_features(str(tmp_path))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bundle.ids) == 100 and bundle.frame_mats[bundle.ids[0]].shape == (20, features.FRAME_DIM)
+        assert peak - base <= 1.5 * (text + kept - base)
 
     def test_missing_store_reported(self, tmp_path):
         with pytest.raises(PoolFormatError, match="cannot read"):
