@@ -212,14 +212,14 @@ def baseline(pool_path, method, k, seed, forecasts_path, out_path):
         click.echo(f"warning: {warning}", err=True)
 
 
-def _label_stats(records):
-    """{label: {motion: in-gate observations per frame}} over `records`, with
-    a (label, motion) key for every track of that first label and motion."""
+def _label_stats(scored, frames):
+    """{label: {motion: in-gate observations per frame}} over the label mix
+    of the `scored` batches, whose snippets hold `frames` frames, with a
+    (label, motion) key for every track of that first label and motion."""
     mix = np.zeros((2, len(DETECTION_CLASSES), 2), dtype=int)
-    for rec in records:
-        mix += rec.label_mix
+    for batch in scored:
+        mix += batch.label_mix.sum(axis=0)
     tracks, seen = mix.tolist()
-    frames = sum(rec.snippet.num_frames for rec in records)
     return {
         label: {
             motion: n / frames if frames else 0.0
@@ -277,9 +277,8 @@ def report(pool_path, result_path, out_dir, config_path):
     snippets = [by_id[sid] for sid in sorted(chosen)]
 
     index = MapIndex(pool.scene_map)
-    records = list(features.batch_arrays(snippets, index, cfg))
-    rows = [features.compute_snippet_features(rec, index, cfg)[0].values for rec in records]
-    matrix = np.stack(rows) if rows else np.zeros((0, features.SNIPPET_DIM))
+    scored = list(features.batch_arrays(snippets, index, cfg))
+    matrix = np.concatenate([batch.values for batch in scored] or [np.zeros((0, features.SNIPPET_DIM))])
 
     names = [name for name, _ in features.SNIPPET_FEATURES]
     units = [unit for _, unit in features.SNIPPET_FEATURES]
@@ -287,7 +286,7 @@ def report(pool_path, result_path, out_dir, config_path):
         "kind": "curation_report",
         "method": obj["method"],
         "selected": sorted(chosen),
-        "label_stats": _label_stats(records),
+        "label_stats": _label_stats(scored, sum(s.num_frames for s in snippets)),
         "features": [
             {
                 "name": names[i],

@@ -1,7 +1,10 @@
-"""Feature schema, vector assembly, normalization, and pool scoring.
+"""Feature schema, batch scoring, normalization, and the feature store.
 
 Snippet vectors follow one canonical dimension order shared by weights,
-normalization stats, and the feature store. Pool-level passes iterate
+normalization stats, and the feature store: the infra, traffic and SDV
+blocks side by side. Snippets are scored a batch at a time straight into
+columns (`batch_arrays`), and `compute_snippet_features` slices one
+snippet's row and frame matrix out of its batch. Pool-level passes iterate
 snippets sorted by snippet_id so every accumulated float is independent of
 the order records appear in the pool file, and identical at any worker
 count.
@@ -18,7 +21,7 @@ from .scene import DETECTION_CLASSES, SCHEMA_VERSION, MapIndex, PoolFormatError,
 from .scene import SnippetPool
 from .scene import _column, file_sha256, read_header, read_json, remove_output, sidecar_path
 from .scene import chunks, concat, write_json, write_rows
-from .sdv import RouteMatch, sdv_features
+from .sdv import sdv_features
 from .traffic import traffic_features
 
 SNIPPET_FEATURES = (
@@ -79,28 +82,16 @@ class FeatureVector(NamedTuple):
     valid: bool
 
 
-class SnippetArrays(NamedTuple):
-    """One snippet as every measure reads it, built once by `batch_arrays`."""
+class ScoredBatch(NamedTuple):
+    """The measures of the n snippets of one scoring batch, in its order
+    (`batch_arrays`)."""
 
-    snippet: Snippet
-    ego_curve: float  # curve complexity of the ego path; 0.0 below sdv.MIN_PATH_LENGTH
-    ego_speed: np.ndarray  # (T - 1,) ego speed over each step (`ego_pass`)
-    ego_curvature: np.ndarray  # (T,) |dh/ds| at each pose (`ego_pass`)
-    sdv_speed_var: float  # population variance of ego_speed
-    actor_path: tuple  # (mean, max) curve of the tracks seen in gate with >= 3 distinct
-    # positions; (0.0, 0.0) without any
-    speed_div: float  # the seen tracks' mean speed variance plus their speed variances' sum
-    dist_var: float  # population variance of the in-gate detections' distances to the ego
-    class_counts: tuple  # traffic.class_counts(det): (T, classes) counts, (T,) term
-    crowd: tuple  # (static, dynamic) in-gate observations per frame
-    label_mix: np.ndarray  # (2, classes, 2) tracks, then in-gate observations, by first label, static or not
-    path_dist: np.ndarray  # (D,) distance of each detection to the ego path (poses deduplicated)
-    lane_dist: np.ndarray  # (L,) the ego's nearest approach to each lane
-    element_dist: np.ndarray  # (E,) the ego's nearest approach to each of index.elements
-    in_intersection: np.ndarray  # (I, T) ego inside each intersection polygon
-    in_crosswalk: np.ndarray  # (C, T) ego inside each crosswalk polygon
-    match: RouteMatch
-    interactions: tuple  # (near_static, near_dynamic, conflict_traversals, conflict_reachable)
+    ids: list  # the snippets' ids
+    values: np.ndarray  # (n, SNIPPET_DIM) snippet measures
+    valid: np.ndarray  # (n,) bool: the ego matched the map (`sdv.match_route`)
+    frames: np.ndarray  # (T, FRAME_DIM) the snippets' frame matrices, joined
+    ends: list  # (n,) where each snippet's rows end in `frames`
+    label_mix: np.ndarray  # (n, 2, classes, 2) tracks, then in-gate observations, by first label, static or not
 
 
 ZERO_SPREAD = 1e-12  # a std at or below this is zero spread
@@ -163,7 +154,7 @@ def _batches(snippets, index: MapIndex):
 
 
 def batch_arrays(snippets, index: MapIndex, config, zones=None):
-    """Yield the SnippetArrays of each snippet, in order.
+    """Yield the ScoredBatch of each batch of `snippets`, in order.
 
     Snippets go through in batches (`_batches`) of joined columns
     (`scene.concat`). Each batch makes four kernel calls: every ego pose
@@ -172,21 +163,19 @@ def batch_arrays(snippets, index: MapIndex, config, zones=None):
     vehicle-track detections of the snippets with conflict lanes against
     every vehicle lane. The ROI gate, the track groups, the class and crowd
     counts, the polygon tests, the lane and element minima, the route
-    argmin and the interaction counts run once per batch too, and each
-    record is sliced from them: all of it is elementwise, integer or
-    min/argmin work, so no result depends on its batch. So do one ego pass
-    (`ego_pass`), whose arc lengths are row-wise sums, one curve pass
-    (`geometry.curve_complexities`) over every track seen in gate and every
-    ego path of at least `sdv.MIN_PATH_LENGTH`, whose row means are per
-    path, and the means and variances of each track's speeds and of each
-    snippet's track means, gated distances, ego speeds and track curves
-    (`traffic.run_moments`, row-wise too). Only the left-to-right sum of
-    each snippet's track speed variances stays per snippet. `zones` maps
-    each traversed-lane tuple to its ConflictZone, filled as routes come
-    in."""
+    argmin and the interaction counts run once per batch too, as do one
+    ego pass (`ego_pass`), whose arc lengths are row-wise sums, and one
+    curve pass (`geometry.curve_complexities`) over every track seen in gate
+    and every ego path of at least `sdv.MIN_PATH_LENGTH`. The measure
+    blocks, `infra_features`, `traffic_features` and `sdv_features`, and the
+    frame matrix (`assemble_frame_vectors`) are each one call per batch.
+    Their integer, elementwise and min/argmin work and their row-wise or
+    per-path float reductions give no value that depends on the batch.
+    `zones` maps each traversed-lane tuple to its ConflictZone, filled as
+    routes come in."""
     zones = {} if zones is None else zones
     for batch in _batches(snippets, index):
-        yield from _batch_arrays(batch, index, config, zones)
+        yield _batch_arrays(batch, index, config, zones)
 
 
 def _bounds(sizes) -> tuple:
@@ -210,10 +199,8 @@ def ego_pass(pose: np.ndarray, timestamp: np.ndarray, sizes) -> tuple:
     to the row-wise `cumsum`, and the first padded column, or the clamp at
     the widest row, gives each row its one-sided end.
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
-    cols = np.arange(sizes.max())
-    real = cols < sizes[:, None]
-    rows = np.minimum(cols, sizes[:, None] - 1) + (np.cumsum(sizes) - sizes)[:, None]
+    rows, real = traffic.padded_rows(sizes)
+    cols = np.arange(real.shape[1])
     p, t = pose[rows], timestamp[rows]  # (snippets, width, 3) and (snippets, width)
     d = p[:, 1:] - p[:, :-1]
     step = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
@@ -230,12 +217,11 @@ def ego_pass(pose: np.ndarray, timestamp: np.ndarray, sizes) -> tuple:
     return arc[real], keep[real], speed[real], np.abs(curvature[real])
 
 
-def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
+def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> ScoredBatch:
     b, n = concat(batch), len(batch)
     ego = np.ascontiguousarray(b.ego_pose[:, :2])
-    (t0, t1), (d0, d1), (k0, k1) = (
-        _bounds([len(getattr(s, col)) for s in batch]) for col in ("index", "det_frame", "track_ids")
-    )
+    sizes = np.array([(s.num_frames, len(s.det_frame), len(s.track_ids)) for s in batch], dtype=np.intp)
+    (t0, t1), (d0, d1), (k0, k1) = (_bounds(col) for col in sizes.T)
     unknown = np.flatnonzero(b.det_label >= len(DETECTION_CLASSES))
     if len(unknown):  # `load_pool` refuses these; a library caller may not
         i = int(np.searchsorted(d1, unknown[0], side="right"))
@@ -244,14 +230,13 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
             f"snippet {s.snippet_id!r}: frame {s.index[s.det_frame[j]]} track {s.track_ids[s.det_track[j]]} "
             f"has detection class {s.classes[s.det_label[j]]!r}, not one of {', '.join(DETECTION_CLASSES)}"
         )
-    arc, keep, speed, curvature = ego_pass(b.ego_pose, b.timestamp, np.subtract(t1, t0))
+    arc, keep, speed, curvature = ego_pass(b.ego_pose, b.timestamp, sizes[:, 0])
     kept = np.cumsum(keep)[np.subtract(t1, 1)].tolist()[:-1]  # path ends in the kept rows
     ego_dist, ego_arc = geometry.project_to_segments(ego, index.segments)
     elem_dist, _ = geometry.project_to_segments(ego, index.elements)
     # the block-diagonal kernel through the name the per-layer profiler times
     path_dist, _ = geometry.project_points_to_polyline(
-        b.det_center, np.split(ego[keep], kept), np.split(arc[keep], kept),
-        counts=[len(s.det_center) for s in batch],
+        b.det_center, np.split(ego[keep], kept), np.split(arc[keep], kept), counts=sizes[:, 1].tolist()
     )
     det = traffic.detection_arrays(b, config.roi_radius)
     tracks = traffic.build_track_paths(det)
@@ -267,29 +252,14 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
     )
     ego_curve = np.zeros(n)
     ego_curve[moving] = curves[len(seen):]
-    # the tracks whose curves count: seen in gate, three distinct positions
-    kept = ~few[: len(seen)]
-    track_curves = curves[: len(seen)][kept]
-    (s0, s1), (c0, c1) = np.searchsorted(seen, [k0, k1]), np.searchsorted(seen[kept], [k0, k1])
-    path_max, curved = np.zeros(n), c1 > c0
-    if curved.any():
-        path_max[curved] = np.maximum.reduceat(track_curves, c0[curved])
-    actor_path = list(zip(traffic.run_moments(track_curves, c1 - c0)[0].tolist(), path_max.tolist()))
-    spread = traffic.run_moments(tracks.mean_speed[seen], s1 - s0)[1].tolist()
-    inner = tracks.speed_var[seen].tolist()  # summed left to right, as Python's sum
-    speed_div = [v + sum(inner[a:e]) for v, a, e in zip(spread, s0.tolist(), s1.tolist())]
-    gated = np.bincount(np.repeat(np.arange(n), np.subtract(d1, d0))[det.in_roi], minlength=n)
-    dist_var = traffic.run_moments(det.dist[det.in_roi], gated)[1].tolist()
-    sdv_speed_var = traffic.run_moments(np.delete(speed, t0), np.subtract(t1, t0) - 1)[1].tolist()
     # each track's (snippet, first label, motion) cell, motion 0 static and
     # 1 dynamic: the mix counts tracks, then in-gate observations, per cell
-    owner = np.repeat(np.arange(n), np.subtract(k1, k0))
+    owner = np.repeat(np.arange(n), sizes[:, 2])
     cell = (owner * len(DETECTION_CLASSES) + tracks.label) * 2 + ~static
     label_mix = np.stack([
         np.bincount(c, minlength=2 * len(DETECTION_CLASSES) * n).reshape(n, -1, 2)
         for c in (cell, cell[b.det_track[det.in_roi]])
     ], axis=1)
-    crowds = label_mix[:, 1].sum(axis=1) / np.subtract(t1, t0)[:, None]  # integer sums: exact
     inside = [  # (polygons, T): the ego in each intersection, and in each crosswalk
         np.array([geometry.points_in_polygon(ego, p) for p in polys], dtype=bool).reshape(-1, len(ego))
         for polys in (index.intersection_polys, index.crosswalk_polys)
@@ -300,68 +270,41 @@ def _batch_arrays(batch: list, index: MapIndex, config, zones: dict) -> list:
     interacting = sdv.interactions(
         b, tracks, static, path_dist, [zones[m.traversed] for m in matches], k0, index, config
     )
-    return [
-        SnippetArrays(
-            snippet=s,
-            ego_curve=curve,
-            ego_speed=speed[t0[i] + 1:t1[i]],
-            ego_curvature=curvature[t0[i]:t1[i]],
-            sdv_speed_var=sdv_speed_var[i],
-            actor_path=actor_path[i],
-            speed_div=speed_div[i],
-            dist_var=dist_var[i],
-            class_counts=(counts[t0[i]:t1[i]], term[t0[i]:t1[i]]),
-            crowd=tuple(crowd),
-            label_mix=label_mix[i],
-            path_dist=path_dist[d0[i]:d1[i]],
-            lane_dist=lane_dist,
-            element_dist=element_dist,
-            in_intersection=inside[0][:, t0[i]:t1[i]],
-            in_crosswalk=inside[1][:, t0[i]:t1[i]],
-            match=match,
-            interactions=tuple(interactions),
-        )
-        for i, (s, curve, crowd, lane_dist, element_dist, match, interactions) in enumerate(zip(
-            batch, ego_curve.tolist(), crowds.tolist(), np.minimum.reduceat(ego_dist, t0, axis=1).T,
-            np.minimum.reduceat(elem_dist, t0, axis=1).T, matches, interacting.tolist(),
-        ))
-    ]
+    # each snippet's nearest approach to each lane and element, and whether
+    # it entered each intersection and crosswalk
+    reached = [np.minimum.reduceat(d, t0, axis=1).T for d in (ego_dist, elem_dist)]
+    reached += [np.logical_or.reduceat(p, t0, axis=1).T for p in inside]
+    values = np.hstack([
+        infra_features(*reached, index, config),
+        traffic_features(det, tracks, curves[: len(seen)], few[: len(seen)], term, label_mix, sizes, (k0, k1)),
+        sdv_features(ego_curve, speed, (t0, t1), matches, interacting),
+    ])
+    valid = np.array([m.valid for m in matches], dtype=bool)
+    frames = assemble_frame_vectors(counts, term, curvature, speed, inside[0].any(axis=0), b.geo, t1)
+    return ScoredBatch([s.snippet_id for s in batch], values, valid, frames, t1, label_mix)
 
 
-def snippet_arrays(s: Snippet, index: MapIndex, config) -> SnippetArrays:
-    """The SnippetArrays of one snippet: `batch_arrays` of a batch of one."""
-    return next(batch_arrays([s], index, config))
+def assemble_frame_vectors(counts, term, curvature, speed, at_intersection, geo, ends) -> np.ndarray:
+    """(T, FRAME_DIM) per-frame descriptors of a scoring batch's T joined
+    frames, used by the diversity distance: the class counts and term
+    (`traffic.class_counts`), the ego pass's curvature and step speeds
+    (`ego_pass`), whether the ego is in an intersection, and the geo
+    columns, stacked. A frame's speed is that of the step out of it; the
+    last frame of each snippet, which `ends` ends, repeats its last step's,
+    and a one-frame snippet's is its own 0.0."""
+    out, last = np.arange(1, len(speed) + 1), np.subtract(ends, 1)
+    out[last] = last
+    return np.column_stack([counts.sum(axis=1), counts, term, curvature, speed[out], at_intersection, geo])
 
 
-def assemble_frame_vectors(rec: SnippetArrays) -> np.ndarray:
-    """(T, FRAME_DIM) per-frame descriptors used by the diversity distance:
-    the record's columns, stacked; a frame's speed is that of the step out of
-    it, and the last frame repeats the last step's."""
-    counts, term = rec.class_counts  # columns follow DETECTION_CLASSES
-    speed = rec.ego_speed  # 0.0 alone in a one-frame snippet
-    return np.column_stack(
-        [
-            counts.sum(axis=1),
-            counts,
-            term,
-            rec.ego_curvature,
-            np.append(speed, speed[-1:] if len(speed) else 0.0),
-            rec.in_intersection.any(axis=0),
-            rec.snippet.geo,
-        ]
-    )
-
-
-def compute_snippet_features(rec: SnippetArrays, index: MapIndex, config):
-    """(FeatureVector, frame matrix) for one snippet; the infra, traffic, SDV
-    and frame measures all read the one record `batch_arrays` built, and
-    their name-keyed rows go into SNIPPET_FEATURES order."""
-    row = infra_features(rec, index, config)
-    row.update(traffic_features(rec, config))
-    row.update(sdv_features(rec, index, config))
-    values = np.array([row[name] for name in SNIPPET_FEATURE_NAMES], dtype=float)
-    vec = FeatureVector(rec.snippet.snippet_id, values, rec.match.valid)
-    return vec, assemble_frame_vectors(rec)
+def compute_snippet_features(scored: ScoredBatch, i: int):
+    """(FeatureVector, frame matrix) of snippet i of a scored batch: its row
+    of the batch's values and its rows of the joined frame matrix. Scoring
+    passes each snippet through this one call, so a profiler that wraps it
+    sees every snippet and its validity."""
+    lo = scored.ends[i - 1] if i else 0
+    vec = FeatureVector(scored.ids[i], scored.values[i], bool(scored.valid[i]))
+    return vec, scored.frames[lo : scored.ends[i]]
 
 
 _WORKER_STATE: dict = {}
@@ -375,8 +318,9 @@ def _init_worker(scene_map: SceneMap, config) -> None:
 
 def _score(snippets, index: MapIndex, config, zones=None) -> list:
     return [
-        compute_snippet_features(rec, index, config)
-        for rec in batch_arrays(snippets, index, config, zones)
+        compute_snippet_features(scored, i)
+        for scored in batch_arrays(snippets, index, config, zones)
+        for i in range(len(scored.ids))
     ]
 
 

@@ -1,4 +1,5 @@
-"""Ego-behavior complexity measures: route shape, events, interactions.
+"""Ego-behavior complexity measures over a scoring batch: route shape,
+events, interactions.
 
 The ego is matched per frame to the nearest vehicle lane centerline. A
 snippet whose match distance exceeds the gate on more than the allowed
@@ -7,18 +8,17 @@ caller decides what to exclude. Conflict lanes are non-traversed vehicle
 lanes properly crossing a traversed one; reachability walks the lane
 successor graph by along-lane distance. Interactions and nudges use every
 observation of every track; the ROI flag on a track is never read, so
-gated and ungated tracks give the same values.
+gated and ungated tracks give the same values. `match_route`,
+`interactions` and `sdv_features` each take a whole batch.
 """
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
 from .scene import DETECTION_CLASSES, MapIndex, Snippet, runs
-
-if TYPE_CHECKING:
-    from .features import SnippetArrays
+from .traffic import run_moments
 
 MAP_MATCH_GATE = 3.0
 MAP_MATCH_MIN_FRAC = 0.9
@@ -198,20 +198,13 @@ def interactions(b: Snippet, tracks, static, path_dist, zones: list, k0, index: 
     return np.column_stack([np.bincount(owner[f], minlength=n) for f in flags])
 
 
-def sdv_features(rec: "SnippetArrays", index: MapIndex, config) -> dict:
-    """The ego row of one snippet, keyed by feature name; its validity is
-    `rec.match.valid`."""
-    lane_changes, turns, controls, nudges = rec.match.events
-    near_s, near_d, conf_trav, conf_reach = rec.interactions
-    return {
-        "sdv_path": rec.ego_curve,
-        "sdv_speed_var": rec.sdv_speed_var,
-        "lane_changes": float(lane_changes),
-        "turns": float(turns),
-        "controls_on_route": float(controls),
-        "near_path_static": float(near_s),
-        "near_path_dynamic": float(near_d),
-        "conflict_traversals": float(conf_trav),
-        "conflict_reachable": float(conf_reach),
-        "nudges": float(nudges),
-    }
+def sdv_features(curve, speed, frame_bounds, matches: list, counts) -> np.ndarray:
+    """(n, 10) ego block of the n snippets of a scoring batch, in
+    SNIPPET_FEATURES order, from each snippet's ego path curve complexity
+    (0.0 below MIN_PATH_LENGTH), the batch's step speeds (`features.ego_pass`),
+    the (starts, ends) of each snippet's frames, its RouteMatch and its
+    (n, 4) `interactions` counts. The speed variance is one
+    `traffic.run_moments` over each snippet's steps."""
+    (t0, t1), events = frame_bounds, np.array([m.events for m in matches])
+    speed_var = run_moments(np.delete(speed, t0), np.subtract(t1, t0) - 1)[1]
+    return np.column_stack([curve, speed_var, events[:, :3], counts, events[:, 3]])

@@ -10,20 +10,17 @@ them run by run, and `variance` of one run.
 
 `detection_arrays` applies the gate to the detection columns, the one place
 it is applied. `build_track_paths` groups the detections by track into
-columns with one entry per track: the batch's speed and crowd terms are
-reductions over those and the flat detection columns. The track curve
-complexities come from the scoring batch's one curve pass
+columns with one entry per track: `traffic_features`' speed, distance and
+path terms are reductions over those and the flat detection columns. The
+track curve complexities come from the scoring batch's one curve pass
 (`geometry.curve_complexities`, in `features.batch_arrays`).
 """
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .scene import DETECTION_CLASSES, Snippet
-
-if TYPE_CHECKING:
-    from .features import SnippetArrays
 
 STATIC_SPEED = 0.5
 
@@ -85,13 +82,6 @@ def class_counts(det: Detections) -> tuple:
     return counts, term
 
 
-def _frame_mean(term: np.ndarray) -> float:
-    total = 0.0
-    for value in term.tolist():  # frame order; np.sum would regroup
-        total += value
-    return total / len(term) if len(term) else 0.0
-
-
 def _row_moments(block: np.ndarray) -> tuple:
     """(mean, var) of each row of 2-D `block`, of at least one column:
     `np.var`'s float order (the sum by add.reduce over the row, the
@@ -118,22 +108,53 @@ def run_moments(values: np.ndarray, sizes) -> tuple:
     return mean, var
 
 
+def padded_rows(sizes) -> tuple:
+    """(rows, real), two (runs, widest) arrays laying out consecutive runs
+    of `sizes` >= 1 rows side by side: rows[i, j] is the row of run i's
+    j-th entry, clamped to its last, and real[i, j] is whether j < sizes[i]."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    cols = np.arange(sizes.max())
+    starts = np.cumsum(sizes) - sizes
+    return np.minimum(cols, sizes[:, None] - 1) + starts[:, None], cols < sizes[:, None]
+
+
 def variance(x: np.ndarray) -> float:
     """Population variance of 1-D `x`, 0.0 when it is empty: `x` as the one
     row of `run_moments`' row reduction."""
     return float(_row_moments(np.reshape(x, (1, -1)))[1][0]) if len(x) else 0.0
 
 
-def traffic_features(rec: "SnippetArrays", config) -> dict:
-    """The traffic row of one snippet, keyed by feature name, from its
-    record's crowd, class, distance, actor path and speed terms."""
-    path_mean, path_max = rec.actor_path
-    return {
-        "crowd_static": rec.crowd[0],
-        "crowd_dynamic": rec.crowd[1],
-        "class_div": _frame_mean(rec.class_counts[1]),
-        "dist_var": rec.dist_var,
-        "actor_path_mean": path_mean,
-        "actor_path_max": path_max,
-        "speed_div": rec.speed_div,
-    }
+def traffic_features(det: Detections, tracks: Tracks, curves, few, term, label_mix, sizes, track_bounds) -> np.ndarray:
+    """(n, 7) traffic block of the n snippets of a scoring batch, in
+    SNIPPET_FEATURES order, from the batch's `det`, its `tracks`, the
+    `curves` and `few` flags of the tracks seen in gate, in track order
+    (`geometry.curve_complexities`), the class term of each frame
+    (`class_counts`), each snippet's `label_mix` (n, 2, classes, 2), its
+    (n, 3) `sizes`: frames, detections and tracks, and the (starts, ends)
+    of its tracks.
+
+    The crowd terms are the in-gate observations per frame; the class term
+    is each snippet's frame mean, summed in frame order as a row-wise cumsum
+    over its frames padded with 0.0; the distance and path moments run per
+    snippet through `run_moments`, over the curves of the tracks with three
+    distinct positions; and the speed term adds each snippet's seen tracks'
+    speed variances left to right, as Python's sum."""
+    frames, dets, _ = np.asarray(sizes).T
+    n, (k0, k1), (rows, real) = len(frames), track_bounds, padded_rows(frames)
+    seen = np.flatnonzero(tracks.seen)
+    curves = curves[~few]
+    (s0, s1), (c0, c1) = np.searchsorted(seen, [k0, k1]), np.searchsorted(seen[~few], [k0, k1])
+    path_max, curved = np.zeros(n), c1 > c0
+    if curved.any():
+        path_max[curved] = np.maximum.reduceat(curves, c0[curved])
+    spread = run_moments(tracks.mean_speed[seen], s1 - s0)[1].tolist()
+    inner = tracks.speed_var[seen].tolist()
+    gated = np.bincount(np.repeat(np.arange(n), dets)[det.in_roi], minlength=n)
+    return np.column_stack([
+        label_mix[:, 1].sum(axis=1) / frames[:, None],  # integer sums: exact
+        np.cumsum(np.where(real, term[rows], 0.0), axis=1)[:, -1] / frames,
+        run_moments(det.dist[det.in_roi], gated)[1],
+        run_moments(curves, c1 - c0)[0],
+        path_max,
+        [v + sum(inner[a:e]) for v, a, e in zip(spread, s0.tolist(), s1.tolist())],
+    ])

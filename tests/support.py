@@ -211,11 +211,44 @@ def pool_of(snippets, scene_map=None, snippet_length=None):
 
 
 def measure_args(s, m=None, **config):
-    """(record, MapIndex, config) of one snippet on map `m` (empty if None),
-    scored under the default config with the given fields changed."""
+    """The arguments of `features.compute_snippet_features` for one snippet
+    on map `m` (empty if None), scored alone under the default config with
+    the given fields changed: its batch of one, and its place in it."""
     cfg = CurationConfig(**config)
     index = MapIndex(SceneMap() if m is None else m)
-    return features.snippet_arrays(s, index, cfg), index, cfg
+    return next(features.batch_arrays([s], index, cfg)), 0
+
+
+def snippet_values(s, m=None, **config):
+    """{name: value} of the snippet's SNIPPET_FEATURES, scored as in
+    `measure_args`."""
+    vec, _ = features.compute_snippet_features(*measure_args(s, m, **config))
+    return dict(zip(features.SNIPPET_FEATURE_NAMES, vec.values.tolist()))
+
+
+# the infrastructure block of SNIPPET_FEATURES, curve_mean through height_var
+INFRA = features.SNIPPET_FEATURE_NAMES[: features.SNIPPET_FEATURE_NAMES.index("height_var") + 1]
+# the interaction counts of SNIPPET_FEATURES, in `sdv.interactions` order
+INTERACTIONS = ("near_path_static", "near_path_dynamic", "conflict_traversals", "conflict_reachable")
+
+
+def columns(scored, names):
+    """Each snippet's values of `names` in the ScoredBatch `scored`, as tuples."""
+    at = [features.SNIPPET_FEATURE_NAMES.index(name) for name in names]
+    return [tuple(row) for row in scored.values[:, at].tolist()]
+
+
+def calls_of(monkeypatch, module, name):
+    """The list of (args, result) that each later call of `module.name`
+    appends to."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def forecast_rows(fc):

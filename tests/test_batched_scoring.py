@@ -1,25 +1,29 @@
 """Scoring in batches gives the bytes of scoring one snippet at a time.
 
 `features.batch_arrays` projects a whole batch of snippets in four kernel
-calls. A point's projection does not depend on the other points of its call,
+calls and scores it into one record of feature columns. A point's projection does not depend on the other points of its call,
 so the store must not depend on where batches or kernel blocks end: the
 block-diagonal kernel must equal the one-polyline projection and its einsum
 oracle bit for bit, and the feature store must keep its pinned digest at
 every batch cap.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_measures as ref
 from logcurator import features, geometry, sdv, synthgen, traffic
-from logcurator.scene import MapIndex
+from logcurator.scene import MapIndex, snippet_from_obj, snippet_to_obj
 from logcurator.selection import CurationConfig
+from test_measure_equivalence import synth_pool
 from test_store_digests import DIGESTS, _digests, _synth_pool
+
+from support import INTERACTIONS, calls_of, columns, tile_map
 
 # a coarse lattice: points land on vertices and segments, and many are
 # equidistant from two segments
@@ -90,10 +94,9 @@ def test_store_does_not_depend_on_the_batch_cap(cap, monkeypatch, tmp_path):
     pool = _synth_pool()  # four-way intersection: routes with conflict lanes
     cfg = CurationConfig()
     index = MapIndex(pool.scene_map)
-    assert any(
-        sdv._conflict_lanes(index, features.snippet_arrays(s, index, cfg).match.traversed)
-        for s in pool.snippets
-    )
+    routes = calls_of(monkeypatch, sdv, "match_route")
+    list(features.batch_arrays(pool.snippets, index, cfg))
+    assert any(sdv._conflict_lanes(index, m.traversed) for _, matches in routes for m in matches)
     if cap == "one_pair":
         monkeypatch.setattr(geometry, "BLOCK_PAIRS", 1)
     pairs = {"one_pair": 1, "one_snippet": _one_snippet(pool), "whole_pool": 1 << 62}[cap]
@@ -133,10 +136,9 @@ def test_conflict_rows_follow_the_vehicle_table():
     index = MapIndex(pool.scene_map._replace(lanes=lanes[-1:] + lanes[:-1]))
     assert index.vehicle_indices[0] == 1
     cfg = CurationConfig()
-    got = []
-    for rec in features.batch_arrays(pool.snippets, index, cfg):
-        got.append(rec.interactions)
-        assert got[-1] == ref.interactions(rec.snippet, index)
+    got = [row for batch in features.batch_arrays(pool.snippets, index, cfg) for row in columns(batch, INTERACTIONS)]
+    for s, counts in zip(pool.snippets, got, strict=True):
+        assert counts == ref.interactions(s, index)
     assert any(trav or reach for _, _, trav, reach in got)
 
 
@@ -162,11 +164,12 @@ def test_per_snippet_and_per_route_work_runs_once(pairs, monkeypatch):
     mean = np.mean
     monkeypatch.setattr(np, "mean", lambda a, *args, **kw: averaged.append(a) or mean(a, *args, **kw))
     index, cfg = MapIndex(pool.scene_map), CurationConfig()
-    routes, tracks = set(), 0
-    for rec in features.batch_arrays(pool.snippets, index, cfg):
-        features.compute_snippet_features(rec, index, cfg)
-        routes.add(rec.match.traversed)
-        tracks += len(rec.snippet.track_ids)
+    matched = calls_of(monkeypatch, sdv, "match_route")
+    for scored in features.batch_arrays(pool.snippets, index, cfg):
+        for i in range(len(scored.ids)):
+            features.compute_snippet_features(scored, i)
+    routes = {m.traversed for _, matches in matched for m in matches}
+    tracks = sum(len(s.track_ids) for s in pool.snippets)
     # class counts, the track columns, the ego pass and the interaction
     # counts once per batch, and one conflict zone per route
     n = len(pool.snippets)
@@ -217,25 +220,95 @@ def test_records_do_not_depend_on_the_batch_cap(make_pool, pairs, monkeypatch):
     index, cfg = MapIndex(pool.scene_map), CurationConfig()
     if pairs is not None:
         monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
+    calls = calls_of(monkeypatch, sdv, "match_route")
     batched = list(features.batch_arrays(pool.snippets, index, cfg))
-    assert 1 < max(_batch_sizes(pool)) and all(rec.snippet.track_ids for rec in batched)
+    routes = calls[:]
+    calls.clear()
+    assert 1 < max(_batch_sizes(pool)) and all(s.track_ids for s in pool.snippets)
     monkeypatch.setattr(features, "BATCH_PAIRS", 1)
     alone = list(features.batch_arrays(pool.snippets, index, cfg))
-    fields = features.SnippetArrays._fields
-    assert {
-        "ego_speed", "ego_curvature", "crowd", "lane_dist", "in_crosswalk", "ego_curve",
-        "actor_path", "speed_div", "dist_var", "sdv_speed_var", "label_mix",
-    } <= set(fields)
     if make_pool is not _short_pool:  # several curving tracks in one curve pass
-        assert sum(rec.actor_path[1] > 0.0 for rec in batched) > 1
-    for one, many in zip(alone, batched, strict=True):
-        for name in fields:
-            assert _same(getattr(one, name), getattr(many, name)), name
-        # and what the measures read from them: the 28-value row and the
+        assert sum(peak > 0.0 for batch in batched for [peak] in columns(batch, ["actor_path_max"])) > 1
+    # each snippet's route match, and the path distances of its detections
+    # that the match reads
+    assert len(calls) == len(pool.snippets) and len(routes) == len(batched)
+    assert _same([m for _, got in calls for m in got], [m for _, got in routes for m in got])
+    assert _same(np.concatenate([a[3] for a, _ in calls]), np.concatenate([a[3] for a, _ in routes]))
+    many = [(batch, i) for batch in batched for i in range(len(batch.ids))]
+    for one, (batch, i) in zip(alone, many, strict=True):
+        assert _same(one.label_mix[0], batch.label_mix[i])
+        # and what the store reads from them: the 28-value row and the
         # (T, 10) frame matrix
-        vec, mat = features.compute_snippet_features(one, index, cfg)
-        vec_b, mat_b = features.compute_snippet_features(many, index, cfg)
+        vec, mat = features.compute_snippet_features(one, 0)
+        vec_b, mat_b = features.compute_snippet_features(batch, i)
         assert _same(vec, vec_b) and _same(mat, mat_b)
+
+
+@functools.cache
+def _tiled_pool(template, plan):
+    """The synth pool's snippets, and the MapIndex of its map tiled 2 x 2,
+    400 m apart."""
+    pool = synth_pool(template, plan, seed=len(template) + len(plan))
+    return pool.snippets, MapIndex(tile_map(pool.scene_map, 2))
+
+
+def _moved(s, tile, frames):
+    """The first `frames` frames of snippet `s`, driven on `tile` of the
+    tiled map."""
+    obj = snippet_to_obj(s)
+    obj["frames"] = obj["frames"][:frames]
+    obj["frame_range"] = [obj["frames"][0]["index"], obj["frames"][-1]["index"]]
+    for frame in obj["frames"]:
+        for xy in [frame["ego_pose"], *(d["center"] for d in frame["detections"])]:
+            xy[0] += 400.0 * tile[0]
+            xy[1] += 400.0 * tile[1]
+    return snippet_from_obj(obj)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_any_batching_scores_each_snippet_as_alone():
+    distinct = []  # distinct lane and height masks, then values, of each batch drawn
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pool=st.sampled_from([(t, plan) for t in synthgen.TEMPLATES for plan in ("cruise", "turn")]),
+        # each snippet's tile and frame count, up to all 30 of its frames
+        cuts=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(1, 30)), min_size=4, max_size=4),
+        pairs=st.integers(1, 1 << 17),
+        roi_radius=st.sampled_from([75.0, 15.0]),
+    )
+    @example(
+        pool=("hilly", "turn"), cuts=[(0, 0, 30), (1, 0, 7), (0, 0, 1), (1, 1, 12)], pairs=1 << 62, roi_radius=15.0
+    )
+    def check(pool, cuts, pairs, roi_radius):
+        snippets, index = _tiled_pool(*pool)
+        snippets = [_moved(s, (a, b), frames) for s, (a, b, frames) in zip(snippets, cuts, strict=True)]
+        config = CurationConfig(roi_radius=roi_radius)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "BATCH_PAIRS", pairs)
+            calls = calls_of(mp, features, "infra_features")
+            batched = list(features.batch_arrays(snippets, index, config))
+            mp.setattr(features, "BATCH_PAIRS", 1)
+            alone = list(features.batch_arrays(snippets, index, config))
+        for ((lane_dist, element_dist, *_), _), batch in zip(calls[: len(batched)], batched, strict=True):
+            heights = element_dist[:, index.element_rows["height"]]
+            masks = [len(np.unique(d <= roi_radius, axis=0)) for d in (lane_dist, heights)]
+            values = [len(set(column)) for column in zip(*columns(batch, ["curve_mean", "height_var"]))]
+            distinct.append(masks + values)
+        many = [(batch, i) for batch in batched for i in range(len(batch.ids))]
+        for one, (batch, i) in zip(alone, many, strict=True):
+            (vec, mat), (vec_b, mat_b) = (features.compute_snippet_features(*at) for at in ((one, 0), (batch, i)))
+            assert (vec.snippet_id, vec.valid) == (vec_b.snippet_id, vec_b.valid)
+            assert _bits(vec.values) == _bits(vec_b.values) and _bits(mat) == _bits(mat_b)
+            assert _bits(one.label_mix[0]) == _bits(batch.label_mix[i])
+
+    check()
+    # some batch reduces over two or more distinct lane and height masks,
+    # and some batch's rows differ in `curve_mean` and in `height_var`
+    assert all(most >= 2 for most in np.max(distinct, axis=0))
 
 
 def test_worker_chunks_give_the_same_bundle(monkeypatch):

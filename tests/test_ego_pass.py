@@ -7,6 +7,7 @@ column. `reference_measures` keeps the per-snippet code (`Path.from_points`,
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from logcurator import features, geometry, sdv
 from logcurator.scene import MapIndex, SceneMap, concat
 from logcurator.selection import CurationConfig
 
-from support import make_detection, make_frame, make_snippet
+from support import calls_of, make_detection, make_frame, make_snippet
 
 # a coarse lattice, so poses repeat and steps tie; a step of 1e-10 m is
 # below the curvature's 1e-9 m arc gate
@@ -99,22 +100,32 @@ def test_ego_pass_equals_per_snippet_measures(drawn):
 @given(st.lists(egos(), min_size=1, max_size=5))
 @example(BATCH)
 def test_records_read_the_ego_pass(drawn):
-    # what the measures read: the record's ego columns, the path distances,
-    # the ego curve and the frame matrix's curvature and speed columns
+    # what the measures read: the batch's ego step speeds, the path
+    # distances, the ego curve and the frame matrix's curvature and speed
+    # columns
     snippets = _snippets(drawn)
     index, cfg = MapIndex(SceneMap()), CurationConfig()
     assert len(list(features._batches(snippets, index))) == 1
-    for s, rec in zip(snippets, features.batch_arrays(snippets, index, cfg), strict=True):
+    with pytest.MonkeyPatch.context() as mp:
+        ego_calls = calls_of(mp, features, "sdv_features")
+        route_calls = calls_of(mp, sdv, "match_route")
+        [scored] = features.batch_arrays(snippets, index, cfg)
+    [((_, ego_speed, *_), _)], [((_, _, _, path_dist, *_), _)] = ego_calls, route_calls
+    lo = d0 = 0
+    for i, s in enumerate(snippets):
+        hi, d1 = lo + s.num_frames, d0 + len(s.det_frame)
         ego = s.ego_pose[:, :2]
         path = ref.Path.from_points(ego)
         speeds = ref.ego_step_speeds(ego, s.timestamp)
         curvature = ref.ego_instant_curvature(ego, s.ego_pose[:, 2])
-        assert np.array_equal(rec.ego_speed, speeds)
-        assert np.array_equal(rec.ego_curvature, curvature)
+        assert np.array_equal(ego_speed[lo + 1 : hi], speeds)
         dist, _ = geometry.project_points_to_polyline(s.det_center, path.points, path.arclength)
-        assert np.array_equal(rec.path_dist, dist)
+        assert np.array_equal(path_dist[d0:d1], dist)
+        vec, mat = features.compute_snippet_features(scored, i)
         curve = ref.curve_complexity(path, cfg.resample_points)
-        assert rec.ego_curve == (curve if path.length >= sdv.MIN_PATH_LENGTH else 0.0)
-        mat = features.assemble_frame_vectors(rec)
+        assert vec.values[features.SNIPPET_FEATURE_NAMES.index("sdv_path")] == (
+            curve if path.length >= sdv.MIN_PATH_LENGTH else 0.0
+        )
         frame_speed = np.append(speeds, speeds[-1]) if len(speeds) else np.zeros(1)
         assert np.array_equal(mat[:, 5], curvature) and np.array_equal(mat[:, 6], frame_speed)
+        lo, d0 = hi, d1

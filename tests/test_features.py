@@ -10,7 +10,7 @@ from logcurator import features, scene, synthgen, traffic
 from logcurator.scene import MapIndex, PoolFormatError, SceneMap, TrafficControl
 from logcurator.selection import CurationConfig
 
-from support import constant_detections, drive, make_detection, measure_args, pool_of, straight_lane
+from support import calls_of, constant_detections, drive, make_detection, measure_args, pool_of, straight_lane
 
 CFG = CurationConfig()
 
@@ -32,8 +32,7 @@ def snippet_vector(s, m):
 
 
 def frame_vectors(s, roi_radius=CFG.roi_radius):
-    rec, _, _ = measure_args(s, lane_map(), roi_radius=roi_radius)
-    return features.assemble_frame_vectors(rec)
+    return features.compute_snippet_features(*measure_args(s, lane_map(), roi_radius=roi_radius))[1]
 
 
 class TestSnippetVector:
@@ -50,17 +49,15 @@ class TestSnippetVector:
         assert [d["name"] for d in desc["frame"]] == list(features.FRAME_FEATURE_NAMES)
         assert all(d["unit"] for d in desc["snippet"] + desc["frame"])
 
-    def test_family_rows_partition_the_schema(self):
-        rec, index, cfg = measure_args(cruise(), lane_map())
-        rows = (
-            features.infra_features(rec, index, cfg),
-            features.traffic_features(rec, cfg),
-            features.sdv_features(rec, index, cfg),
-        )
-        names = [name for row in rows for name in row]
-        assert len(names) == len(set(names))  # no name in two families
-        assert set(names) == set(features.SNIPPET_FEATURE_NAMES)
-        assert len(names) == features.SNIPPET_DIM
+    def test_family_rows_partition_the_schema(self, monkeypatch):
+        # one block per family, each called once, side by side in schema order
+        families = ("infra_features", "traffic_features", "sdv_features")
+        calls = [calls_of(monkeypatch, features, name) for name in families]
+        scored, _ = measure_args(cruise(), lane_map())
+        blocks = [block for [(_, block)] in calls]
+        assert [block.shape for block in blocks] == [(1, 11), (1, 7), (1, 10)]
+        assert np.array_equal(np.hstack(blocks), scored.values)
+        assert scored.values.shape == (1, features.SNIPPET_DIM)
 
     def test_static_flag_reads_the_track_columns_once(self, monkeypatch):
         built = []

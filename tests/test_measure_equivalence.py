@@ -16,7 +16,7 @@ from logcurator import features, geometry, sdv, synthgen, traffic
 from logcurator.scene import DETECTION_CLASSES, MapIndex, SceneMap
 from logcurator.selection import CurationConfig
 
-from support import drive, make_detection, measure_args, straight_lane, vertical_lane
+from support import INTERACTIONS, calls_of, columns, drive, make_detection, measure_args, straight_lane, vertical_lane
 
 # 75 m keeps every synthetic actor; 15 m drops some and 5 m nearly all
 RADII = (None, 75.0, 15.0, 5.0)
@@ -58,7 +58,7 @@ def random_snippet(rng, n_frames=12, n_tracks=7):
 def assert_matches_reference(s, m, roi_radius):
     # a roi_radius of None keeps every detection in the gate
     index, config = MapIndex(m), CurationConfig(roi_radius=roi_radius)
-    rec = features.snippet_arrays(s, index, config)
+    vec, mat = features.compute_snippet_features(next(features.batch_arrays([s], index, config)), 0)
     det = traffic.detection_arrays(s, roi_radius)
     tracks = traffic.build_track_paths(det)
 
@@ -76,13 +76,12 @@ def assert_matches_reference(s, m, roi_radius):
         speeds = np.array([r[2] for r in obs])
         assert (tracks.mean_speed[k], tracks.speed_var[k]) == (np.mean(speeds), np.var(speeds))
 
-    row = traffic.traffic_features(rec, config)
+    row = dict(zip(features.SNIPPET_FEATURE_NAMES, vec.values.tolist()))
     assert (row["crowd_static"], row["crowd_dynamic"]) == ref.crowdedness(s, roi_radius)
     assert row["class_div"] == ref.class_diversity(s, roi_radius)
     assert row["dist_var"] == ref.spatial_variance(s, roi_radius)
     assert row["speed_div"] == ref.speed_diversity(s, roi_radius)
 
-    mat = features.assemble_frame_vectors(rec)
     assert np.array_equal(mat[:, :5], ref.frame_class_columns(s, roi_radius))
     return det
 
@@ -177,13 +176,14 @@ def test_hand_built_batch_matches_reference(pairs, monkeypatch):
     sizes = np.bincount(np.concatenate([np.bincount(s.det_track) for s in snippets if s.track_ids]))
     assert np.count_nonzero(sizes) == 6
     totals = np.zeros(4, dtype=int)
-    for s, rec in zip(snippets, features.batch_arrays(snippets, index, config), strict=True):
-        row = traffic.traffic_features(rec, config)
-        assert (row["crowd_static"], row["crowd_dynamic"]) == ref.crowdedness(s, config.roi_radius)
-        assert row["speed_div"] == ref.speed_diversity(s, config.roi_radius)
-        assert row["dist_var"] == ref.spatial_variance(s, config.roi_radius)
-        assert rec.interactions == ref.interactions(s, index)
-        totals += rec.interactions
+    names = ("crowd_static", "crowd_dynamic", "speed_div", "dist_var", *INTERACTIONS)
+    rows = [row for batch in features.batch_arrays(snippets, index, config) for row in columns(batch, names)]
+    for s, (crowd_s, crowd_d, speed_div, dist_var, *counts) in zip(snippets, rows, strict=True):
+        assert (crowd_s, crowd_d) == ref.crowdedness(s, config.roi_radius)
+        assert speed_div == ref.speed_diversity(s, config.roi_radius)
+        assert dist_var == ref.spatial_variance(s, config.roi_radius)
+        assert tuple(counts) == ref.interactions(s, index)
+        totals += np.array(counts, dtype=int)
     # near, traversing and reaching tracks are all hit; "far" is never seen
     assert np.all(totals > 0)
     det = traffic.detection_arrays(snippets[0], config.roi_radius)
@@ -197,33 +197,38 @@ def route_oracle(s, index, config, path_dist):
     return (*ref.route_events(rec, index, config), ref.detect_nudges(rec, index, config))
 
 
-def assert_lanes_match_reference(s, index, roi_radius):
+def assert_lanes_match_reference(s, index, roi_radius, monkeypatch):
     """Lane mask, route match, route events and interactions against the
     per-lane loops; returns the interactions tuple."""
     config = CurationConfig(roi_radius=roi_radius)
-    rec = features.snippet_arrays(s, index, config)
+    lanes = calls_of(monkeypatch, features, "infra_features")
+    routes = calls_of(monkeypatch, sdv, "match_route")
+    interacting = calls_of(monkeypatch, sdv, "interactions")
+    next(features.batch_arrays([s], index, config))
+    monkeypatch.undo()
+    [((lane_dist, *_), _)], [(route_args, [match])], [(_, [got])] = lanes, routes, interacting
     if roi_radius is not None:
         # the ROI lane gate of infra_features
-        mask = rec.lane_dist <= roi_radius
+        mask = lane_dist[0] <= roi_radius
         assert np.array_equal(mask, ref.included_lanes(index, ref.ego_xy(s), roi_radius))
 
     want = ref.match_route(s, index)
-    assert (rec.match.valid, rec.match.traversed) == (want.valid, want.traversed)
-    assert rec.match.events == route_oracle(s, index, config, rec.path_dist)
+    assert (match.valid, match.traversed) == (want.valid, want.traversed)
+    assert match.events == route_oracle(s, index, config, route_args[3])
 
-    got = rec.interactions
+    got = tuple(got.tolist())
     assert got == ref.interactions(s, index)
     return got
 
 
 @pytest.mark.parametrize("roi_radius", RADII)
-def test_lane_projections_match_loop_reference(roi_radius):
+def test_lane_projections_match_loop_reference(roi_radius, monkeypatch):
     totals = np.zeros(4, dtype=int)
     for template, plan in POOLS:
         pool = synth_pool(template, plan, seed=len(template) + len(plan))
         index = MapIndex(pool.scene_map)
         for s in pool.snippets:
-            totals += assert_lanes_match_reference(s, index, roi_radius)
+            totals += assert_lanes_match_reference(s, index, roi_radius, monkeypatch)
     # every interaction count, the traversal and reachability loops included, is hit
     assert np.all(totals > 0)
 
@@ -249,8 +254,7 @@ def test_scoring_projects_the_ego_onto_each_lane_once(monkeypatch):
         return real(points, table)
 
     monkeypatch.setattr(geometry, "project_to_segments", counting)
-    config = CurationConfig()
-    features.compute_snippet_features(features.snippet_arrays(s, index, config), index, config)
+    features.compute_snippet_features(next(features.batch_arrays([s], index, CurationConfig())), 0)
     assert len(hits) > len(index.vehicle_indices) > 0
     assert hits == [1] * len(index.lane_pts)
 
@@ -269,17 +273,23 @@ ROUTE_POOLS = (
 def test_route_events_match_per_snippet_loops(batch_pairs, monkeypatch):
     monkeypatch.setattr(features, "BATCH_PAIRS", batch_pairs)
     config = CurationConfig()
+    routes = calls_of(monkeypatch, sdv, "match_route")
     totals = np.zeros(4, dtype=int)
     for template, plan, frames, jitter in ROUTE_POOLS:
         spec = dict(seed=3, n_snippets=6, num_frames=frames, jitter=jitter)
         pool = synthgen.generate_pool(synthgen.default_spec(template, plan, **spec))[0]
         index = MapIndex(pool.scene_map)
-        recs = list(features.batch_arrays(pool.snippets, index, config))
+        routes.clear()
+        list(features.batch_arrays(pool.snippets, index, config))
         if batch_pairs > features.BATCH_PAIRS:
             assert len(list(features._batches(pool.snippets, index))) == 1
-        for s, rec in zip(pool.snippets, recs):
-            want = route_oracle(s, index, config, rec.path_dist)
-            assert rec.match.events == want
+        # each snippet's match and the distances of its detections to its ego path
+        matches = [m for _, batch in routes for m in batch]
+        path_dist = np.concatenate([args[3] for args, _ in routes])
+        path_dists = np.split(path_dist, np.cumsum([len(s.det_frame) for s in pool.snippets])[:-1])
+        for s, match, dist in zip(pool.snippets, matches, path_dists, strict=True):
+            want = route_oracle(s, index, config, dist)
+            assert match.events == want
             totals += want
             if plan == "nudge":
                 assert want[3] == 1

@@ -25,7 +25,7 @@ def test_every_record_type_is_found():
     assert {r.__name__ for r in RECORDS} >= {
         "Finding", "ValidationReport", "Snippet", "Lane", "Intersection", "TrafficControl",
         "SceneMap", "SnippetPool", "TaskConfig", "CurationConfig", "AuditEntry",
-        "CurationResult", "FeatureVector", "SnippetArrays", "NormalizationStats",
+        "CurationResult", "FeatureVector", "ScoredBatch", "NormalizationStats",
         "FeatureBundle", "SegmentTable", "RouteMatch",
         "ConflictZone", "Detections", "Tracks", "ForecastEntry", "GaussianForecast",
     }

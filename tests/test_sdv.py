@@ -8,11 +8,15 @@ from logcurator.selection import CurationConfig
 
 from support import (
     DT,
+    INTERACTIONS,
     arc_points,
     constant_detections,
     drive,
+    calls_of,
+    columns,
     make_detection,
     measure_args,
+    snippet_values,
     straight_lane,
     vertical_lane,
 )
@@ -23,27 +27,28 @@ def straight_drive(n=60, speed=5.0, y=0.0, x0=-30.0):
 
 
 def path_complexity(s):
-    rec, index, cfg = measure_args(s)
-    return sdv.sdv_features(rec, index, cfg)["sdv_path"]
+    return snippet_values(s)["sdv_path"]
 
 
 def speed_variance(s):
-    return measure_args(s)[0].sdv_speed_var
+    return snippet_values(s)["sdv_speed_var"]
 
 
 def interactions(s, m=None, **config):
-    """The record's (near_static, near_dynamic, traversals, reachable)."""
-    return measure_args(s, m, **config)[0].interactions
+    """The snippet's (near_static, near_dynamic, traversals, reachable)."""
+    values = snippet_values(s, m, **config)
+    return tuple(values[name] for name in INTERACTIONS)
 
 
 def route_events(s, m=None, **config):
-    """The record's (lane_changes, turns, controls_on_route)."""
-    return measure_args(s, m, **config)[0].match.events[:3]
+    """The snippet's (lane_changes, turns, controls_on_route)."""
+    values = snippet_values(s, m, **config)
+    return tuple(values[name] for name in ("lane_changes", "turns", "controls_on_route"))
 
 
 def nudges(s, m=None, **config):
-    """The record's nudge count."""
-    return measure_args(s, m, **config)[0].match.events[3]
+    """The snippet's nudge count."""
+    return snippet_values(s, m, **config)["nudges"]
 
 
 def two_lane_map():
@@ -250,12 +255,14 @@ class TestInteractions:
         index, cfg = MapIndex(self.conflict_map()), CurationConfig()
         monkeypatch.setattr(features, "BATCH_PAIRS", 1 << 62)
         assert [len(b) for b in features._batches(snippets, index)] == [5]
-        batched = list(features.batch_arrays(snippets, index, cfg))
-        assert [sdv._conflict_lanes(index, rec.match.traversed) for rec in batched] == [[1], [1], [0], [1], []]
-        got = [rec.interactions for rec in batched]
+        routes = calls_of(monkeypatch, sdv, "match_route")
+        [batched] = features.batch_arrays(snippets, index, cfg)
+        [(_, matches)] = routes
+        assert [sdv._conflict_lanes(index, m.traversed) for m in matches] == [[1], [1], [0], [1], []]
+        got = columns(batched, INTERACTIONS)
         assert got == [(0, 1, 1, 0), (0, 0, 0, 1), (0, 2, 1, 0), (0, 0, 0, 0), (1, 0, 0, 0)]
-        for s, rec, counts in zip(snippets, batched, got):
-            assert features.snippet_arrays(s, index, cfg).interactions == counts
+        for s, counts in zip(snippets, got):
+            assert interactions(s, index.scene_map) == counts
             assert ref.interactions(s, index) == counts
 
 
@@ -346,8 +353,7 @@ class TestKernelCalls:
             return real(points, table)
 
         monkeypatch.setattr(geometry, "project_to_segments", counting)
-        rec, index, cfg = measure_args(s, TestInteractions().conflict_map())
-        vec, _ = features.compute_snippet_features(rec, index, cfg)
+        vec, _ = features.compute_snippet_features(*measure_args(s, TestInteractions().conflict_map()))
         return len(calls), dict(zip(features.SNIPPET_FEATURE_NAMES, vec.values))
 
     def test_call_count_does_not_grow_with_tracks(self, monkeypatch):
@@ -363,7 +369,7 @@ class TestFeatureBundle:
     def test_quiet_scene_all_zero_and_valid(self):
         m = SceneMap(lanes=(straight_lane(),))
         args = measure_args(straight_drive(), m)
-        out = sdv.sdv_features(*args)
+        out = snippet_values(straight_drive(), m)
         assert features.compute_snippet_features(*args)[0].valid
         assert out["sdv_path"] == 0.0
         assert out["lane_changes"] == 0.0

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from logcurator import geometry, traffic
 
-from support import arc_points, constant_detections, drive, make_detection, measure_args
+from support import arc_points, constant_detections, drive, make_detection, snippet_values
 
 VEH = "vehicle"
 PED = "pedestrian"
@@ -22,14 +22,14 @@ def snippet_with(det_lists, sid="s0"):
 
 
 def traffic_row(s, roi_radius=None):
-    """The snippet's traffic row, every detection in the gate by default."""
-    rec, _, cfg = measure_args(s, roi_radius=roi_radius)
-    return traffic.traffic_features(rec, cfg)
+    """The snippet's measures by name, every detection in the gate by default."""
+    return snippet_values(s, roi_radius=roi_radius)
 
 
 def actor_paths(s):
-    """(mean, max) actor path complexity of the snippet's scoring record."""
-    return measure_args(s)[0].actor_path
+    """(mean, max) actor path complexity of the snippet."""
+    row = snippet_values(s)
+    return row["actor_path_mean"], row["actor_path_max"]
 
 
 def crowdedness(s, roi_radius=None):
@@ -319,8 +319,7 @@ def test_traffic_features_bundles_consistently():
         4,
     )
     s = snippet_with(frames)
-    rec, _, cfg = measure_args(s, roi_radius=75.0)
-    out = traffic.traffic_features(rec, cfg)
+    out = snippet_values(s, roi_radius=75.0)
     assert out["crowd_static"] == 1.0
     assert out["crowd_dynamic"] == 1.0
     assert out["class_div"] == pytest.approx(2.0, abs=1e-12)
