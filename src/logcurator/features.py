@@ -131,42 +131,52 @@ def fit_normalization(matrix: np.ndarray, mode: str) -> NormalizationStats:
     return NormalizationStats(mean, std, flagged)
 
 
-# point x segment pairs per scoring batch: each snippet counts its ego poses
-# against every lane and map element segment, and its detections against
-# every vehicle lane segment and against its own ego path. A batch holds at
-# least one snippet, so the tables of a batch stay bounded however large
-# the pool or the map.
-BATCH_PAIRS = 1 << 15
+# What a scoring batch holds, in float64 values: each ego pose and each
+# detection is one row of the joined columns and of what is derived from
+# them, and the kernels return a distance and an arc length per ego pose
+# for every lane and element polyline, and per detection for every vehicle
+# lane. With the kernel blocks cut to 512 pairs, a batch's tracemalloc peak
+# less those outputs was 190-390 B per row on the benchmark pools, so a row
+# counts ROW_VALUES = 64 values (512 B). The kernels' pairwise temporaries
+# have bounds of their own (`geometry.BLOCK_PAIRS` pairs, and
+# `geometry.CURVE_VALUES` values in the curve pass), so a batch is bounded
+# at a few kernel blocks' worth of values. A batch holds at least one
+# snippet, so its tables stay bounded however large the pool or the map.
+ROW_VALUES = 64
+BATCH_VALUES = 4 * geometry.BLOCK_PAIRS
 
 
-def _snippet_pairs(s: Snippet, index: MapIndex) -> int:
-    """The pairs one snippet adds to a batch (`BATCH_PAIRS`); its ego path
-    has at most max(T - 1, 1) segments."""
-    path_segs = max(s.num_frames - 1, 1)
-    ego_segs = len(index.segments.x0) + len(index.elements.x0)
-    det_segs = len(index.vehicle_segments.x0) + path_segs
-    return s.num_frames * ego_segs + len(s.det_center) * det_segs
+def _snippet_values(s: Snippet, index: MapIndex) -> int:
+    """The float64 values one snippet adds to a batch (`BATCH_VALUES`)."""
+    poses, dets = s.num_frames, len(s.det_center)
+    polylines = len(index.segments.starts) + len(index.elements.starts)
+    tables = poses * polylines + dets * len(index.vehicle_segments.starts)
+    return ROW_VALUES * (poses + dets) + 2 * tables
 
 
 def _batches(snippets, index: MapIndex):
-    """`snippets` in order, in runs of at most BATCH_PAIRS pairs."""
-    return chunks(snippets, lambda s: _snippet_pairs(s, index), BATCH_PAIRS)
+    """`snippets` in order, in runs of at most BATCH_VALUES values
+    (`_snippet_values`); a run holds at least one snippet."""
+    return chunks(snippets, lambda s: _snippet_values(s, index), BATCH_VALUES)
 
 
 def batch_arrays(snippets, index: MapIndex, config, zones=None):
     """Yield the ScoredBatch of each batch of `snippets`, in order.
 
     Snippets go through in batches (`_batches`) of joined columns
-    (`scene.concat`). Each batch makes four kernel calls: every ego pose
-    against every lane and against every non-lane map element, every
-    detection against its own ego path, and, in `sdv.interactions`, the
-    vehicle-track detections of the snippets with conflict lanes against
-    every vehicle lane. The ROI gate, the track groups, the class and crowd
-    counts, the polygon tests, the lane and element minima, the route
-    argmin and the interaction counts run once per batch too, as do one
-    ego pass (`ego_pass`), whose arc lengths are row-wise sums, and one
-    curve pass (`geometry.curve_complexities`) over every track seen in gate
-    and every ego path of at least `sdv.MIN_PATH_LENGTH`. The measure
+    (`scene.concat`), each bounded by what it holds: its rows and its
+    kernel outputs, at most BATCH_VALUES float64 values. Each batch makes
+    four kernel calls: every ego pose against every lane and against every
+    non-lane map element, every detection against its own ego path, and,
+    in `sdv.interactions`, the vehicle-track detections of the snippets
+    with conflict lanes against every vehicle lane. The ROI gate, the
+    track groups, the class and crowd counts, the polygon tests, the lane
+    and element minima, the route argmin and the interaction counts run
+    once per batch too, as do one ego pass (`ego_pass`), whose arc lengths
+    are row-wise sums, and one curve pass (`geometry.curve_complexities`)
+    over every track seen in gate and every ego path of at least
+    `sdv.MIN_PATH_LENGTH`. The kernels and the curve pass work in blocks of
+    their own (`geometry.BLOCK_PAIRS`, `geometry.CURVE_VALUES`). The measure
     blocks, `infra_features`, `traffic_features` and `sdv_features`, and the
     frame matrix (`assemble_frame_vectors`) are each one call per batch.
     Their integer, elementwise and min/argmin work and their row-wise or

@@ -86,7 +86,7 @@ def _batch_sizes(pool):
 
 def _one_snippet(pool):
     index = MapIndex(pool.scene_map)
-    return max(features._snippet_pairs(s, index) for s in pool.snippets)
+    return max(features._snippet_values(s, index) for s in pool.snippets)
 
 
 @pytest.mark.parametrize("cap", ["one_pair", "one_snippet", "whole_pool"])
@@ -99,8 +99,8 @@ def test_store_does_not_depend_on_the_batch_cap(cap, monkeypatch, tmp_path):
     assert any(sdv._conflict_lanes(index, m.traversed) for _, matches in routes for m in matches)
     if cap == "one_pair":
         monkeypatch.setattr(geometry, "BLOCK_PAIRS", 1)
-    pairs = {"one_pair": 1, "one_snippet": _one_snippet(pool), "whole_pool": 1 << 62}[cap]
-    monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
+    values = {"one_pair": 1, "one_snippet": _one_snippet(pool), "whole_pool": 1 << 62}[cap]
+    monkeypatch.setattr(features, "BATCH_VALUES", values)
     sizes = _batch_sizes(pool)
     n = len(pool.snippets)
     assert sizes == {"one_pair": [1] * n, "whole_pool": [n]}.get(cap, sizes)
@@ -111,7 +111,7 @@ def test_store_does_not_depend_on_the_batch_cap(cap, monkeypatch, tmp_path):
 
 def test_a_batch_makes_one_kernel_call_per_table(monkeypatch):
     pool = _synth_pool()
-    monkeypatch.setattr(features, "BATCH_PAIRS", 1 << 62)
+    monkeypatch.setattr(features, "BATCH_VALUES", 1 << 62)
     calls = []
 
     def counted(name, kernel):
@@ -142,11 +142,10 @@ def test_conflict_rows_follow_the_vehicle_table():
     assert any(trav or reach for _, _, trav, reach in got)
 
 
-@pytest.mark.parametrize("pairs", [None, 1 << 62])
-def test_per_snippet_and_per_route_work_runs_once(pairs, monkeypatch):
+@pytest.mark.parametrize("values", [1, 1 << 62])  # one snippet per batch, and one batch
+def test_per_snippet_and_per_route_work_runs_once(values, monkeypatch):
     pool = _synth_pool()
-    if pairs is not None:
-        monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
+    monkeypatch.setattr(features, "BATCH_VALUES", values)
     calls = {"class_counts": 0, "build_track_paths": 0, "conflict_zone": 0, "ego_pass": 0, "interactions": 0}
     counted = (
         (traffic, "class_counts"), (traffic, "build_track_paths"), (sdv, "conflict_zone"),
@@ -194,38 +193,39 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _short_pool():
-    """Short straight-road snippets: many fill one batch at the default cap."""
+def _spec_pool(template, plan, n_snippets, num_frames, **traffic):
     spec = synthgen.default_spec(
-        "straight_road", "cruise", seed=3, n_snippets=12, num_frames=20, jitter=True
+        template, plan, seed=3, n_snippets=n_snippets, num_frames=num_frames, jitter=True, **traffic
     )
     return synthgen.generate_pool(spec)[0]
+
+
+def _short_pool():
+    """Short straight-road snippets: many fill one batch at the default cap."""
+    return _spec_pool("straight_road", "cruise", 12, 20)
 
 
 def _curved_pool():
     """Short curved-road snippets: every track and every ego path curves."""
-    spec = synthgen.default_spec(
-        "curved_road", "cruise", seed=3, n_snippets=12, num_frames=20, jitter=True
-    )
-    return synthgen.generate_pool(spec)[0]
+    return _spec_pool("curved_road", "cruise", 12, 20)
 
 
 @pytest.mark.parametrize(
-    "make_pool,pairs", [(_short_pool, None), (_synth_pool, 1 << 62), (_curved_pool, 1 << 62)]
+    "make_pool,values", [(_short_pool, None), (_synth_pool, 1 << 62), (_curved_pool, 1 << 62)]
 )
-def test_records_do_not_depend_on_the_batch_cap(make_pool, pairs, monkeypatch):
+def test_records_do_not_depend_on_the_batch_cap(make_pool, values, monkeypatch):
     # the four-way pool has crosswalks, an intersection and conflict lanes;
     # the curved pool puts many curving tracks in one curve pass
     pool = make_pool()
     index, cfg = MapIndex(pool.scene_map), CurationConfig()
-    if pairs is not None:
-        monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
+    if values is not None:
+        monkeypatch.setattr(features, "BATCH_VALUES", values)
     calls = calls_of(monkeypatch, sdv, "match_route")
     batched = list(features.batch_arrays(pool.snippets, index, cfg))
     routes = calls[:]
     calls.clear()
     assert 1 < max(_batch_sizes(pool)) and all(s.track_ids for s in pool.snippets)
-    monkeypatch.setattr(features, "BATCH_PAIRS", 1)
+    monkeypatch.setattr(features, "BATCH_VALUES", 1)
     alone = list(features.batch_arrays(pool.snippets, index, cfg))
     if make_pool is not _short_pool:  # several curving tracks in one curve pass
         assert sum(peak > 0.0 for batch in batched for [peak] in columns(batch, ["actor_path_max"])) > 1
@@ -277,21 +277,21 @@ def test_any_batching_scores_each_snippet_as_alone():
         pool=st.sampled_from([(t, plan) for t in synthgen.TEMPLATES for plan in ("cruise", "turn")]),
         # each snippet's tile and frame count, up to all 30 of its frames
         cuts=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(1, 30)), min_size=4, max_size=4),
-        pairs=st.integers(1, 1 << 17),
+        values=st.integers(1, features.BATCH_VALUES),
         roi_radius=st.sampled_from([75.0, 15.0]),
     )
     @example(
-        pool=("hilly", "turn"), cuts=[(0, 0, 30), (1, 0, 7), (0, 0, 1), (1, 1, 12)], pairs=1 << 62, roi_radius=15.0
+        pool=("hilly", "turn"), cuts=[(0, 0, 30), (1, 0, 7), (0, 0, 1), (1, 1, 12)], values=1 << 62, roi_radius=15.0
     )
-    def check(pool, cuts, pairs, roi_radius):
+    def check(pool, cuts, values, roi_radius):
         snippets, index = _tiled_pool(*pool)
         snippets = [_moved(s, (a, b), frames) for s, (a, b, frames) in zip(snippets, cuts, strict=True)]
         config = CurationConfig(roi_radius=roi_radius)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(features, "BATCH_PAIRS", pairs)
+            mp.setattr(features, "BATCH_VALUES", values)
             calls = calls_of(mp, features, "infra_features")
             batched = list(features.batch_arrays(snippets, index, config))
-            mp.setattr(features, "BATCH_PAIRS", 1)
+            mp.setattr(features, "BATCH_VALUES", 1)
             alone = list(features.batch_arrays(snippets, index, config))
         for ((lane_dist, element_dist, *_), _), batch in zip(calls[: len(batched)], batched, strict=True):
             heights = element_dist[:, index.element_rows["height"]]
@@ -311,12 +311,53 @@ def test_any_batching_scores_each_snippet_as_alone():
     assert all(most >= 2 for most in np.max(distinct, axis=0))
 
 
-def test_worker_chunks_give_the_same_bundle(monkeypatch):
+def test_worker_chunks_give_the_same_bundle():
     pool = _synth_pool()
-    monkeypatch.setattr(features, "BATCH_PAIRS", _one_snippet(pool))
+    # two workers take chunks of len // 8 snippets, and some chunk ends inside
+    # a batch of the one-worker run
+    n, ends = len(pool.snippets), np.cumsum(_batch_sizes(pool)).tolist()
+    size = max(1, n // 8)
+    assert set(range(size, n, size)) - set(ends)
     one, two = (features.score_pool(pool, CurationConfig(), jobs=jobs) for jobs in (1, 2))
     assert one.ids == two.ids and np.array_equal(one.matrix, two.matrix)
     assert all(np.array_equal(one.frame_mats[sid], two.frame_mats[sid]) for sid in one.ids)
+
+
+# sparse traffic: one mover and one parked car
+SPARSE = dict(n_movers=1, n_parked=1, n_pedestrians=0, with_circle=False, crossing_actors=False)
+
+
+@pytest.mark.parametrize(
+    "pool,traffic,least",
+    [
+        (("four_way_intersection", "turn", 8, 125), dict(bicycle_every=5), 4),  # long turns with bicyclists
+        (("straight_road", "cruise", 80, 20), SPARSE, 40),  # short cruises in sparse traffic
+    ],
+    ids=["long_turns", "short_cruises"],
+)
+def test_batches_hold_several_snippets(pool, traffic, least):
+    # every batch but the last holds at least `least` snippets: a batch pays
+    # a fixed cost of about 200 numpy calls, so one-snippet batches would pay
+    # it once per snippet
+    sizes = _batch_sizes(_spec_pool(*pool, **traffic))
+    assert len(sizes) > 1 and min(sizes[:-1]) >= least
+
+
+def test_a_batch_on_a_city_map_holds_its_memory():
+    # on the four-way map tiled 8 x 8 (320 lanes), one long turn's lane,
+    # element and vehicle tables fill a batch on their own: its call peaks
+    # at about 6.2 MiB, where two turns in one batch peak at 8.0 MiB and
+    # four, as a bound on rows alone would batch them, at 18 MiB
+    pool = _spec_pool("four_way_intersection", "turn", 4, 125, bicycle_every=5)
+    index = MapIndex(tile_map(pool.scene_map, 8))
+    batch = next(features._batches(pool.snippets, index))
+    tracemalloc.start()
+    try:
+        features._batch_arrays(batch, index, CurationConfig(), {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
 
 
 def ring(n):

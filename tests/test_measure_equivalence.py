@@ -166,13 +166,13 @@ def hand_built_batch():
     return snippets, SceneMap(lanes=lanes)
 
 
-@pytest.mark.parametrize("pairs", [1 << 62, 1])
-def test_hand_built_batch_matches_reference(pairs, monkeypatch):
+@pytest.mark.parametrize("values", [1 << 62, 1])
+def test_hand_built_batch_matches_reference(values, monkeypatch):
     # joined in one batch, and one snippet at a time
     snippets, m = hand_built_batch()
     index, config = MapIndex(m), CurationConfig()
-    monkeypatch.setattr(features, "BATCH_PAIRS", pairs)
-    assert [len(b) for b in features._batches(snippets, index)] == ([3] if pairs > 1 else [1, 1, 1])
+    monkeypatch.setattr(features, "BATCH_VALUES", values)
+    assert [len(b) for b in features._batches(snippets, index)] == ([3] if values > 1 else [1, 1, 1])
     sizes = np.bincount(np.concatenate([np.bincount(s.det_track) for s in snippets if s.track_ids]))
     assert np.count_nonzero(sizes) == 6
     totals = np.zeros(4, dtype=int)
@@ -269,9 +269,10 @@ ROUTE_POOLS = (
 )
 
 
-@pytest.mark.parametrize("batch_pairs", [features.BATCH_PAIRS, 1 << 62])
-def test_route_events_match_per_snippet_loops(batch_pairs, monkeypatch):
-    monkeypatch.setattr(features, "BATCH_PAIRS", batch_pairs)
+@pytest.mark.parametrize("values", [features.BATCH_VALUES, 1 << 62])
+def test_route_events_match_per_snippet_loops(values, monkeypatch):
+    one_batch = values > features.BATCH_VALUES
+    monkeypatch.setattr(features, "BATCH_VALUES", values)
     config = CurationConfig()
     routes = calls_of(monkeypatch, sdv, "match_route")
     totals = np.zeros(4, dtype=int)
@@ -281,7 +282,7 @@ def test_route_events_match_per_snippet_loops(batch_pairs, monkeypatch):
         index = MapIndex(pool.scene_map)
         routes.clear()
         list(features.batch_arrays(pool.snippets, index, config))
-        if batch_pairs > features.BATCH_PAIRS:
+        if one_batch:
             assert len(list(features._batches(pool.snippets, index))) == 1
         # each snippet's match and the distances of its detections to its ego path
         matches = [m for _, batch in routes for m in batch]

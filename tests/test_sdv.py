@@ -253,7 +253,7 @@ class TestInteractions:
             drive(on_feed, "e", detections=parked),
         ]
         index, cfg = MapIndex(self.conflict_map()), CurationConfig()
-        monkeypatch.setattr(features, "BATCH_PAIRS", 1 << 62)
+        monkeypatch.setattr(features, "BATCH_VALUES", 1 << 62)
         assert [len(b) for b in features._batches(snippets, index)] == [5]
         routes = calls_of(monkeypatch, sdv, "match_route")
         [batched] = features.batch_arrays(snippets, index, cfg)
