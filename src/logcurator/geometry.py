@@ -338,23 +338,6 @@ class SegmentTable(NamedTuple):
             starts=np.cumsum(counts) - counts,
         )
 
-    def take(self, polylines) -> "SegmentTable":
-        """Table of the listed polylines, in the listed order."""
-        which = np.asarray(polylines, dtype=np.intp)
-        counts = np.diff(np.append(self.starts, len(self.x0)))[which]
-        starts = np.cumsum(counts) - counts
-        cols = np.arange(int(counts.sum())) + np.repeat(self.starts[which] - starts, counts)
-        return SegmentTable(
-            self.x0[cols],
-            self.y0[cols],
-            self.dx[cols],
-            self.dy[cols],
-            self.len2[cols],
-            self.length[cols],
-            self.arc0[cols],
-            starts,
-        )
-
 
 # point x segment pairs per kernel pass: every temporary of a pass holds at
 # most 512 KiB, however large the map. On dense-score, passes of 2^14 pairs
@@ -414,17 +397,15 @@ def _project_block(pts: np.ndarray, table: SegmentTable):
     e, t = _foot_distances(
         pts[:, 0, None], pts[:, 1, None], table.x0, table.y0, table.dx, table.dy, table.len2
     )
-    if len(table.starts) == 1:  # the same first minimum, in one pass
-        j = np.argmin(e, axis=1)[:, None]
-    else:
-        # first minimum per slice: of the segments that reach the slice
-        # minimum, keep the one farthest from the end of the table
-        low = np.minimum.reduceat(e, table.starts, axis=1)
-        hit = e == np.repeat(low, np.diff(np.append(table.starts, n_seg)), axis=1)
-        if np.isnan(low).any():
-            hit |= np.isnan(e)
-        from_end = np.arange(n_seg, 0, -1)
-        j = n_seg - np.maximum.reduceat(hit * from_end, table.starts, axis=1)
+    # first minimum per slice, as np.argmin takes it (a NaN slice its first
+    # NaN): of the segments that reach the slice minimum, keep the one
+    # farthest from the end of the table
+    low = np.minimum.reduceat(e, table.starts, axis=1)
+    hit = e == np.repeat(low, np.diff(np.append(table.starts, n_seg)), axis=1)
+    if np.isnan(low).any():
+        hit |= np.isnan(e)
+    from_end = np.arange(n_seg, 0, -1)
+    j = n_seg - np.maximum.reduceat(hit * from_end, table.starts, axis=1)
     rows = np.arange(len(pts))[:, None]
     dist = np.sqrt(e[rows, j])
     arc = table.arc0[j] + t[rows, j] * table.length[j]
@@ -436,7 +417,7 @@ def project_to_own_polylines(points: np.ndarray, table: SegmentTable, counts):
     of the table only: the first counts[0] points against polyline 0, the
     next counts[1] against polyline 1, and so on. The block-diagonal form
     of `project_to_segments`, with the same float work and the same first
-    nearest segment, so each result equals the one-polyline call's.
+    nearest segment, so each result equals its row of that polyline.
 
     A block pads its polylines to its widest and its point runs to its
     longest, and broadcasts over (polyline, point, segment); a polyline's
@@ -493,17 +474,11 @@ def _project_own_block(pts, block, table, dist, arc) -> None:
     arc[p[p_ok]] = (table.arc0[j] + foot * table.length[j])[p_ok]
 
 
-def project_points_to_polyline(points: np.ndarray, poly_points, cumlen=None, counts=None):
-    """Distance from each point to a polyline plus the foot's arc position.
-
-    Returns (dist, arc) arrays of shape (N,). A single-point polyline acts as
-    a degenerate path: plain point distances, arc position 0.
-
-    With `counts`, `poly_points` lists several polylines and `cumlen` their
-    cumulative arc lengths (each may be None): the first counts[0] points go
-    onto the first polyline only, the next counts[1] onto the second, and so
-    on (`project_to_own_polylines`), each as the one-polyline call would.
-    """
-    if counts is None:
-        poly_points, cumlen, counts = [poly_points], [cumlen], [len(np.atleast_2d(points))]
+def project_points_to_polyline(points: np.ndarray, poly_points, cumlen, counts):
+    """(N,) distance from each point to its own polyline, and the foot's arc
+    position: the first counts[0] points go onto poly_points[0] only, the
+    next counts[1] onto poly_points[1], and so on. `cumlen` lists each
+    polyline's cumulative arc length, and each entry may be None. A
+    single-point polyline acts as a degenerate path: plain point distances,
+    arc position 0. `project_to_own_polylines` on the polylines' table."""
     return project_to_own_polylines(points, SegmentTable.from_polylines(poly_points, cumlen), counts)

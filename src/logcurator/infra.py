@@ -23,10 +23,9 @@ def infra_features(lane_dist, element_dist, in_intersection, in_crosswalk, index
     SNIPPET_FEATURES order, from each snippet's nearest ego approach to each
     lane (n, L) and to each of index.elements (n, E), and whether its ego
     entered each intersection (n, I) and each crosswalk (n, C). A
-    `config.roi_radius` of None puts every lane and element in the ROI, as
-    it puts every detection in the traffic gate."""
-    roi_radius = np.inf if config.roi_radius is None else config.roi_radius
-    lane_in = lane_dist <= roi_radius
+    `config.roi_radius` of math.inf puts every lane and element in the ROI,
+    as it puts every detection in the traffic gate."""
+    lane_in = lane_dist <= config.roi_radius
     vehicle_in = lane_in & ~index.lane_is_bike
     bike_in = lane_in & index.lane_is_bike
     curves = index.lane_curve_complexity(config.resample_points)
@@ -37,7 +36,7 @@ def infra_features(lane_dist, element_dist, in_intersection, in_crosswalk, index
     # an element is in the ROI when some ego pose is within roi_radius of
     # it, or, for a ring, inside it
     rows = index.element_rows
-    near = element_dist <= roi_radius
+    near = element_dist <= config.roi_radius
     near[:, rows["intersection"]] |= in_intersection
     near[:, rows["crosswalk"]] |= in_crosswalk
     cm = index.crossing_matrix  # int counts: the mask products below are exact sums

@@ -68,14 +68,6 @@ class Finding(NamedTuple):
         return f"{where}: {self.rule}: {self.detail}"
 
 
-class ValidationReport(NamedTuple):
-    findings: tuple = ()
-
-    @property
-    def ok(self):
-        return not self.findings
-
-
 def _empty(*shape, dtype=float):
     """An empty column that every Snippet built without it shares, so it is
     read-only."""
@@ -557,7 +549,8 @@ def map_to_obj(m: SceneMap):
     }
 
 
-def validate_map(m: SceneMap) -> ValidationReport:
+def validate_map(m: SceneMap) -> tuple:
+    """The map's Findings, in rule order; empty when the map is valid."""
     findings = []
 
     def bad(rule, detail):
@@ -606,7 +599,7 @@ def validate_map(m: SceneMap) -> ValidationReport:
         ring("map.crosswalk", f"crosswalk {j}", poly)
     for j, sample in enumerate(m.height_samples):
         finite(f"height sample {j}", sample)
-    return ValidationReport(tuple(findings))
+    return tuple(findings)
 
 
 def concat(snippets) -> Snippet:
@@ -724,9 +717,9 @@ def load_map(path: str, digest=None) -> SceneMap:
         m = map_from_obj(obj)
     except (TypeError, ValueError, OverflowError) as exc:  # PoolFormatError included
         raise PoolFormatError(f"map file {path}: {exc}") from exc
-    report = validate_map(m)
-    if not report.ok:
-        raise PoolValidationError(report.findings, f"map file {path}")
+    findings = validate_map(m)
+    if findings:
+        raise PoolValidationError(findings, f"map file {path}")
     return m
 
 
@@ -829,7 +822,10 @@ class MapIndex:
         self.segments = geometry.SegmentTable.from_polylines(self.lane_pts, self.lane_cumlen)
         self.lane_is_bike = np.array([l.is_bike_lane for l in scene_map.lanes], dtype=bool)
         self.vehicle_indices = [i for i, b in enumerate(self.lane_is_bike) if not b]
-        self.vehicle_segments = self.segments.take(self.vehicle_indices)
+        self.vehicle_segments = geometry.SegmentTable.from_polylines(
+            [self.lane_pts[i] for i in self.vehicle_indices],
+            [self.lane_cumlen[i] for i in self.vehicle_indices],
+        )
         self.successor_indices = [
             [id_to_index[s] for s in lane.successors if s in id_to_index]
             for lane in scene_map.lanes

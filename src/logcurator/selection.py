@@ -363,21 +363,24 @@ def walk(orders: dict, budgets: dict, alive: set, adjacency) -> list:
 def select_challenging(ids, matrix, valid, tasks, adjacency):
     """Greedy round-robin task picks; returns (per-task id lists, audit).
 
-    A task's scores do not change between rounds, so each task ranks the
-    rankable snippets once by (-score, id), a NaN score first as `np.argmax`
-    would take it, and `walk` takes each round's first one still alive."""
-    alive = {sid for sid, ok in zip(ids, valid) if ok}
-    index_of = {sid: i for i, sid in enumerate(ids)}
+    A task's scores do not change between rounds, so each task with budget
+    scores the rankable snippets once, ranks them by (-score, id), and
+    `walk` takes each round's first one still alive. A score that is not
+    finite raises ConfigError naming the task and the first such snippet
+    in `ids` order."""
+    rankable = [(sid, row) for sid, row, ok in zip(ids, matrix, valid) if ok]
+    alive = {sid for sid, _ in rankable}
     scores, orders, budgets = {}, {}, {}
     for t in tasks:
         if t.budget > 0:
-            score = {sid: float(matrix[index_of[sid]] @ t.weights) for sid in alive}
-
-            def rank(sid):
-                s = score[sid]
-                return (0, 0.0, sid) if math.isnan(s) else (1, -s, sid)
-
-            scores[t.name], orders[t.name] = score, iter(sorted(alive, key=rank))
+            with np.errstate(over="ignore", invalid="ignore"):
+                score = {sid: float(row @ t.weights) for sid, row in rankable}
+            bad = [sid for sid, value in score.items() if not math.isfinite(value)]
+            if bad:
+                raise ConfigError(
+                    f"task {t.name!r}: its weights give snippet {bad[0]} a score that is not finite"
+                )
+            scores[t.name], orders[t.name] = score, iter(sorted(alive, key=lambda sid: (-score[sid], sid)))
             budgets[t.name] = t.budget
     picked = {t.name: [] for t in tasks}
     audit = []
@@ -517,15 +520,6 @@ def curate(records, bundle: FeatureBundle, config: CurationConfig) -> CurationRe
         warnings.append(
             f"requested {total_budget} snippet(s) from a pool of {len(ids)}; selection may fall short"
         )
-    rankable = [(sid, row) for sid, row, ok in zip(ids, bundle.matrix, bundle.valid) if ok]
-    for t in config.tasks:
-        if t.budget > 0:
-            with np.errstate(over="ignore", invalid="ignore"):  # the score select_challenging takes
-                bad = [sid for sid, row in rankable if not math.isfinite(row @ t.weights)]
-            if bad:
-                raise ConfigError(
-                    f"task {t.name!r}: its weights give snippet {bad[0]} a score that is not finite"
-                )
     picked, audit = select_challenging(ids, bundle.matrix, bundle.valid, config.tasks, adjacency)
     selected = [sid for t in config.tasks for sid in picked[t.name]]
     normalized = {sid: bundle.frame_stats.apply(bundle.frame_mats[sid]) for sid in ids}

@@ -45,13 +45,12 @@ class Tracks(NamedTuple):
     speed_var: np.ndarray  # (K,) population variance of each track's speeds
 
 
-def detection_arrays(s: Snippet, roi_radius: float | None = None) -> Detections:
-    """The snippet's detection columns gated at `roi_radius`; None puts every
-    detection in the gate."""
+def detection_arrays(s: Snippet, roi_radius: float) -> Detections:
+    """The snippet's detection columns gated at `roi_radius` (math.inf puts
+    every detection in the gate)."""
     delta = s.det_center - s.ego_pose[s.det_frame, :2]
     d2 = delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1]
-    in_roi = np.ones(len(d2), dtype=bool) if roi_radius is None else d2 <= roi_radius * roi_radius
-    return Detections(s, in_roi, np.sqrt(d2))
+    return Detections(s, d2 <= roi_radius * roi_radius, np.sqrt(d2))
 
 
 def build_track_paths(det: Detections) -> Tracks:

@@ -68,7 +68,7 @@ import numpy as np
 from logcurator import geometry, sdv
 from logcurator.baselines import LOG_2PI_E, ForecastError
 from logcurator.geometry import _cross, cumulative_arclength, dedupe_points, points_in_polygon
-from logcurator.scene import DETECTION_CLASSES, Finding, ValidationReport, read_rows
+from logcurator.scene import DETECTION_CLASSES, Finding, read_rows
 from logcurator.selection import AuditEntry, dissimilarity, take_pick
 from logcurator.traffic import STATIC_SPEED
 
@@ -155,7 +155,7 @@ def validate_snippet(s, m):
                 track_label[d.track_id] = d.label
             elif seen != d.label:
                 bad("track_class", f"track {d.track_id} switches class {seen} -> {d.label}")
-    return ValidationReport(tuple(findings))
+    return tuple(findings)
 
 
 # The einsum projection the library used before its flat segment-table
@@ -529,7 +529,7 @@ def _polygon_in_roi(poly, ego, radius) -> bool:
     if np.any(points_in_polygon(ego, poly)):
         return True
     ring = np.vstack([poly, poly[:1]])
-    dist, _ = geometry.project_points_to_polyline(ego, ring)
+    dist, _ = project_points_to_polyline(ego, ring)
     return bool(np.min(dist) <= radius)
 
 

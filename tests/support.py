@@ -194,6 +194,12 @@ def tile_map(m, k, spacing=400.0):
     return SceneMap(*map(tuple, (lanes, intersections, controls, crosswalks, heights)))
 
 
+def project_one(points, poly, cumlen=None):
+    """(dist, arc) of every point against the one polyline `poly`, through
+    the library's block-diagonal kernel (`geometry.project_points_to_polyline`)."""
+    return geometry.project_points_to_polyline(points, [poly], [cumlen], [len(np.atleast_2d(points))])
+
+
 def curve_complexity(points, K=100):
     """The library's curve pass (`geometry.curve_complexities`) on one path."""
     return float(geometry.curve_complexities([np.asarray(points, dtype=float)], K)[0][0])

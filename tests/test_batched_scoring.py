@@ -23,7 +23,7 @@ from logcurator.selection import CurationConfig
 from test_measure_equivalence import synth_pool
 from test_store_digests import DIGESTS, _digests, _synth_pool
 
-from support import INTERACTIONS, calls_of, columns, tile_map
+from support import INTERACTIONS, calls_of, columns, project_one, tile_map
 
 # a coarse lattice: points land on vertices and segments, and many are
 # equidistant from two segments
@@ -67,7 +67,7 @@ def test_block_diagonal_kernel_equals_per_polyline_projection(sets, block_pairs)
     finally:
         geometry.BLOCK_PAIRS = saved
     for (path, cumlen, pts), (d, a) in zip(sets, got):
-        one = geometry.project_points_to_polyline(pts, path, cumlen)
+        one = project_one(pts, path, cumlen)
         want = ref.project_points_to_polyline(pts, path, cumlen) if len(pts) else one
         assert np.array_equal(d, one[0]) and np.array_equal(a, one[1])
         assert np.array_equal(d, want[0]) and np.array_equal(a, want[1])

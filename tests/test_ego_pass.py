@@ -16,7 +16,7 @@ from logcurator import features, geometry, sdv
 from logcurator.scene import MapIndex, SceneMap, concat
 from logcurator.selection import CurationConfig
 
-from support import calls_of, make_detection, make_frame, make_snippet
+from support import calls_of, make_detection, make_frame, make_snippet, project_one
 
 # a coarse lattice, so poses repeat and steps tie; a step of 1e-10 m is
 # below the curvature's 1e-9 m arc gate
@@ -119,7 +119,7 @@ def test_records_read_the_ego_pass(drawn):
         speeds = ref.ego_step_speeds(ego, s.timestamp)
         curvature = ref.ego_instant_curvature(ego, s.ego_pose[:, 2])
         assert np.array_equal(ego_speed[lo + 1 : hi], speeds)
-        dist, _ = geometry.project_points_to_polyline(s.det_center, path.points, path.arclength)
+        dist, _ = project_one(s.det_center, path.points, path.arclength)
         assert np.array_equal(path_dist[d0:d1], dist)
         vec, mat = features.compute_snippet_features(scored, i)
         curve = ref.curve_complexity(path, cfg.resample_points)

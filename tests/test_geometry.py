@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import reference_measures as ref
 from logcurator import geometry
 
-from support import circle_points, curve_complexity
+from support import circle_points, curve_complexity, project_one
 
 
 def clothoid_points(kappa_rate=0.004, length=50.0, n=2001):
@@ -283,7 +283,7 @@ class TestSegmentsIntersect:
 
 
 def point_distance(point, poly):
-    dist, _ = geometry.project_points_to_polyline(np.array([point], dtype=float), poly)
+    dist, _ = project_one(np.array([point], dtype=float), poly)
     return float(dist[0])
 
 
@@ -304,14 +304,12 @@ class TestPointDistances:
     def test_min_distance_over_batch(self):
         seg = np.array([(0.0, 0.0), (10.0, 0.0)])
         pts = np.array([(5.0, 7.0), (2.0, 3.0), (20.0, 0.0)])
-        dist, _ = geometry.project_points_to_polyline(pts, seg)
+        dist, _ = project_one(pts, seg)
         assert float(np.min(dist)) == pytest.approx(3.0)
 
     def test_projection_arc_position(self):
         corner = np.array([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)])
-        dist, arc = geometry.project_points_to_polyline(
-            np.array([(11.0, 4.0)]), corner
-        )
+        dist, arc = project_one(np.array([(11.0, 4.0)]), corner)
         assert dist[0] == pytest.approx(1.0)
         assert arc[0] == pytest.approx(14.0)
 

@@ -4,6 +4,7 @@ Every comparison is exact (`==`): the measures must keep the float order of
 the per-detection and per-lane loops, not merely approximate them.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from logcurator.selection import CurationConfig
 from support import INTERACTIONS, calls_of, columns, drive, make_detection, measure_args, straight_lane, vertical_lane
 
 # 75 m keeps every synthetic actor; 15 m drops some and 5 m nearly all
-RADII = (None, 75.0, 15.0, 5.0)
+RADII = (math.inf, 75.0, 15.0, 5.0)
 
 
 def synth_pool(template, plan, seed):
@@ -56,7 +57,7 @@ def random_snippet(rng, n_frames=12, n_tracks=7):
 
 
 def assert_matches_reference(s, m, roi_radius):
-    # a roi_radius of None keeps every detection in the gate
+    # a roi_radius of math.inf keeps every detection in the gate
     index, config = MapIndex(m), CurationConfig(roi_radius=roi_radius)
     vec, mat = features.compute_snippet_features(next(features.batch_arrays([s], index, config)), 0)
     det = traffic.detection_arrays(s, roi_radius)

@@ -12,7 +12,7 @@ import reference_measures as ref
 from logcurator import geometry, synthgen
 from logcurator.scene import MapIndex, SceneMap
 
-from support import straight_lane, vertical_lane
+from support import project_one, straight_lane, vertical_lane
 
 
 def assert_same(got, want):
@@ -35,7 +35,7 @@ def test_kernel_matches_einsum_copy_on_random_point_sets():
         pts = pts + rng.normal(size=pts.shape) * rng.uniform(0.0, 20.0)
         cumlen = geometry.cumulative_arclength(poly) if rng.random() < 0.5 else None
         assert_same(
-            geometry.project_points_to_polyline(pts, poly, cumlen),
+            project_one(pts, poly, cumlen),
             ref.project_points_to_polyline(pts, poly, cumlen),
         )
 
@@ -81,14 +81,14 @@ DEGENERATE = {
 def test_kernel_matches_einsum_copy_on_degenerate_polylines(name):
     poly, pts = (np.array(a, dtype=float) for a in DEGENERATE[name])
     assert_same(
-        geometry.project_points_to_polyline(pts, poly),
+        project_one(pts, poly),
         ref.project_points_to_polyline(pts, poly),
     )
 
 
 def test_equidistant_points_take_the_first_segment():
     poly = np.array(DEGENERATE["equidistant_u"][0])
-    dist, arc = geometry.project_points_to_polyline(np.array([(5.0, 2.0)]), poly)
+    dist, arc = project_one(np.array([(5.0, 2.0)]), poly)
     assert dist.tolist() == [2.0] and arc.tolist() == [5.0]
 
 
@@ -105,7 +105,8 @@ def test_multi_polyline_table_matches_per_polyline_copy():
         for row, poly in enumerate(polys):
             assert_same((dist[row], arc[row]), ref.project_points_to_polyline(pts, poly))
         rows = rng.permutation(len(polys))[:3]
-        assert_same(geometry.project_to_segments(pts, table.take(rows)), (dist[rows], arc[rows]))
+        subset = geometry.SegmentTable.from_polylines([polys[i] for i in rows], [None] * len(rows))
+        assert_same(geometry.project_to_segments(pts, subset), (dist[rows], arc[rows]))
 
 
 
@@ -153,7 +154,9 @@ def test_project_to_lanes_matches_per_lane_copy(template):
     pts = np.vstack([rng.uniform(lo - 5.0, hi + 5.0, size=(40, 2)), index.lane_pts[0][:5]])
     n = len(index.lane_pts)
     tables = [(range(n), index.segments), (index.vehicle_indices, index.vehicle_segments)]
-    tables += [(lanes, index.segments.take(lanes)) for lanes in (rng.permutation(n), [n - 1, 0])]
+    for lanes in (rng.permutation(n), [n - 1, 0]):
+        pts_of, cumlen_of = ([lane[i] for i in lanes] for lane in (index.lane_pts, index.lane_cumlen))
+        tables.append((lanes, geometry.SegmentTable.from_polylines(pts_of, cumlen_of)))
     for lanes, table in tables:
         dist, arc = geometry.project_to_segments(pts, table)
         for row, li in enumerate(lanes):

@@ -23,7 +23,7 @@ RECORDS = [
 
 def test_every_record_type_is_found():
     assert {r.__name__ for r in RECORDS} >= {
-        "Finding", "ValidationReport", "Snippet", "Lane", "Intersection", "TrafficControl",
+        "Finding", "Snippet", "Lane", "Intersection", "TrafficControl",
         "SceneMap", "SnippetPool", "TaskConfig", "CurationConfig", "AuditEntry",
         "CurationResult", "FeatureVector", "ScoredBatch", "NormalizationStats",
         "FeatureBundle", "SegmentTable", "RouteMatch",

@@ -160,51 +160,46 @@ class TestRuns:
 
 
 def validate(s):
-    """The snippet's report by the loader's column rules, as a chunk of one."""
-    return scene.ValidationReport(tuple(scene._check([s])[0]))
+    """The snippet's findings by the loader's column rules, as a chunk of one."""
+    return tuple(scene._check([s])[0])
 
 
 class TestValidation:
     def test_valid_snippet_empty_report(self):
         s = drive([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-        report = validate(s)
-        assert report.ok
+        assert validate(s) == ()
 
     def test_non_monotone_timestamp(self):
         frames = [make_frame(0), make_frame(1), make_frame(2)]
         frames[2]["timestamp"] = 0.05
-        report = validate(make_snippet(frames))
-        assert [f.rule for f in report.findings] == ["timestamps"]
+        findings = validate(make_snippet(frames))
+        assert [f.rule for f in findings] == ["timestamps"]
 
     def test_unknown_detection_class(self):
         det = make_detection(label="unicycle")
         s = make_snippet([make_frame(0, detections=(det,))])
-        report = validate(s)
-        assert any(f.rule == "class" for f in report.findings)
+        assert any(f.rule == "class" for f in validate(s))
 
     def test_heading_outside_range(self):
         s = make_snippet([make_frame(0, ego=(0.0, 0.0, np.pi))])
-        report = validate(s)
-        assert any(f.rule == "heading" for f in report.findings)
+        assert any(f.rule == "heading" for f in validate(s))
 
     def test_frame_range_mismatch(self):
         s = scene.snippet_from_obj(
             {"snippet_id": "s0", "log_id": "L", "frame_range": [0, 5], "frames": [make_frame(0), make_frame(1)]}
         )
-        report = validate(s)
-        assert any(f.rule == "frame_range" for f in report.findings)
+        assert any(f.rule == "frame_range" for f in validate(s))
 
     def test_track_switching_class(self):
         f0 = make_frame(0, detections=(make_detection("t1", "vehicle"),))
         f1 = make_frame(1, detections=(make_detection("t1", "pedestrian"),))
-        report = validate(make_snippet([f0, f1]))
-        assert any(f.rule == "track_class" for f in report.findings)
+        assert any(f.rule == "track_class" for f in validate(make_snippet([f0, f1])))
 
     def test_findings_name_the_snippet(self):
         det = make_detection(speed=-1.0)
         s = make_snippet([make_frame(0, detections=(det,))], snippet_id="bad_one")
-        report = validate(s)
-        assert report.findings and all(f.snippet_id == "bad_one" for f in report.findings)
+        findings = validate(s)
+        assert findings and all(f.snippet_id == "bad_one" for f in findings)
 
     @settings(max_examples=600, deadline=None)
     @given(st.lists(damage_steps(), min_size=1, max_size=4))
@@ -213,8 +208,7 @@ class TestValidation:
         for step in steps:
             step(record)
         s = scene.snippet_from_obj(record)
-        got = validate(s).findings
-        assert got == ref.validate_snippet(s, scene.SceneMap()).findings
+        assert validate(s) == ref.validate_snippet(s, scene.SceneMap())
 
     @pytest.mark.parametrize("rows", [1, scene.VALIDATE_ROWS])
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -231,7 +225,7 @@ class TestValidation:
             if s.num_frames != 6:
                 detail = f"{s.num_frames} frames, header says 6"
                 want.append(scene.Finding(s.snippet_id, "pool.length", detail))
-            want += ref.validate_snippet(s, scene.SceneMap()).findings
+            want += ref.validate_snippet(s, scene.SceneMap())
         with tempfile.TemporaryDirectory() as d:
             scene.save_map(scene.SceneMap(), os.path.join(d, "scene.map.json"))
             header = {"kind": "pool_header", "schema_version": 1, "map_path": "scene.map.json",
@@ -248,19 +242,19 @@ class TestValidation:
 
     def test_map_duplicate_lane_ids(self):
         lane = scene.Lane("same", ((0.0, 0.0), (1.0, 0.0)))
-        report = scene.validate_map(scene.SceneMap(lanes=(lane, lane)))
-        assert any(f.rule == "map.lane_ids" for f in report.findings)
+        findings = scene.validate_map(scene.SceneMap(lanes=(lane, lane)))
+        assert any(f.rule == "map.lane_ids" for f in findings)
 
     def test_map_dangling_successor(self):
         lane = scene.Lane("a", ((0.0, 0.0), (1.0, 0.0)), successors=("ghost",))
-        report = scene.validate_map(scene.SceneMap(lanes=(lane,)))
-        assert any(f.rule == "map.reference" for f in report.findings)
+        findings = scene.validate_map(scene.SceneMap(lanes=(lane,)))
+        assert any(f.rule == "map.reference" for f in findings)
 
     def test_map_self_intersecting_polygon(self):
         bowtie = ((0.0, 0.0), (4.0, 4.0), (4.0, 0.0), (0.0, 4.0))
         inter = scene.Intersection(bowtie, 2, (1, 1))
-        report = scene.validate_map(scene.SceneMap(intersections=(inter,)))
-        assert any(f.rule == "map.polygon" for f in report.findings)
+        findings = scene.validate_map(scene.SceneMap(intersections=(inter,)))
+        assert any(f.rule == "map.polygon" for f in findings)
 
     def test_valid_map_passes(self):
         m = cross_map(sign=True, light=True)
@@ -271,7 +265,7 @@ class TestValidation:
             crosswalks=(((-2.0, -8.0), (2.0, -8.0), (2.0, -6.0), (-2.0, -6.0)),),
             height_samples=((0.0, 0.0, 0.0), (5.0, 5.0, 1.0)),
         )
-        assert scene.validate_map(m).ok
+        assert scene.validate_map(m) == ()
 
 
 def build_pool():

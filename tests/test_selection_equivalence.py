@@ -11,6 +11,7 @@ baselines on `selection.walk` the same as their own walk.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ import reference_measures as ref
 from logcurator import baselines, selection, synthgen
 from logcurator.features import score_pool
 from logcurator.selection import (
+    ConfigError,
     TaskConfig,
     config_from_obj,
     dissimilarity,
@@ -136,17 +138,17 @@ def test_challenging_matches_rescoring(case):
     assert select_challenging(*case) == ref.select_challenging(*case)
 
 
-def test_challenging_nan_scores_rank_first_like_argmax():
-    # finite rows and weights can still score NaN: products that overflow
-    # to inf in different partial sums of the dot product
+def test_challenging_refuses_a_score_that_is_not_finite():
+    # finite rows and weights can still score NaN or inf: products that
+    # overflow in the dot product. The invalid s1 is never scored, and a
+    # task without budget scores nothing.
     ids = ["s0", "s1", "s2", "s3", "s4"]
-    matrix = np.array([[1.0], [math.nan], [math.inf], [math.nan], [-math.inf]])
-    tasks = (TaskConfig("t", np.array([1.0]), 5),)
-    args = (ids, matrix, [True] * 5, tasks, {sid: set() for sid in ids})
-    picked, audit = select_challenging(*args)
-    ref_picked, ref_audit = ref.select_challenging(*args)
-    assert picked == ref_picked == {"t": ["s1", "s3", "s2", "s0", "s4"]}
-    assert repr(audit) == repr(ref_audit)
+    matrix = np.array([[1.0, 0.0], [math.nan, 0.0], [1e308, 1e308], [1e308, -1e308], [1.0, 1.0]])
+    tasks = (TaskConfig("idle", np.array([math.inf, 1.0]), 0), TaskConfig("t", np.array([10.0, 10.0]), 5))
+    valid = [True, False, True, True, True]
+    with pytest.raises(ConfigError) as err:
+        select_challenging(ids, matrix, valid, tasks, {sid: set() for sid in ids})
+    assert str(err.value) == "task 't': its weights give snippet s2 a score that is not finite"
 
 
 # s0 and s1 overlap, and so do s1 and s2

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from logcurator import baselines, features, synthgen
-from logcurator.scene import load_pool, save_pool
+from logcurator.scene import MapIndex, load_pool, save_pool
 from logcurator.selection import CurationConfig
 
 GOLDEN_POOL = os.path.join(os.path.dirname(__file__), "data", "golden", "pool.jsonl")
@@ -35,6 +35,13 @@ DIGESTS = {
         "frame_features.jsonl": "1929a30dc4a99acde35cd576eb06f617efdf21f62fbc33b0f5d76a78b38413dd",
         "normalization.json": "c3565e6c2b77460faed8b2ba7c1082be3d847b52a29ab56a3e525bd016c9f092",
         "snippet_features.jsonl": "c2bb56ddcd8ab47f16aeda33d3cd7ff4ab9b9ca23ec0fc4427d0b40ec11cb9d8",
+    },
+    # turns on a straight road: the map's one element, a traffic light, makes
+    # an element table of one polyline
+    "straight_turn": {
+        "frame_features.jsonl": "b0a7cc98c62bfd8b4bb8621d0b3e60fe239ad07f10ffdabd5b88b8951ded2f2e",
+        "normalization.json": "6ddc100afdbbb0e23c721844cc124ebef83cb769bead3c41a23745ebba0eb35c",
+        "snippet_features.jsonl": "b1df54346c48cb8ba525df071a99556b6714a28651ad06e8ec66ade260ffc4ec",
     },
 }
 
@@ -66,10 +73,19 @@ def _synth_pool():
     return synthgen.generate_pool(spec)[0]
 
 
+def _straight_turn_pool():
+    spec = synthgen.default_spec("straight_road", "turn", seed=11, n_snippets=6, num_frames=40, jitter=True)
+    pool = synthgen.generate_pool(spec)[0]
+    assert len(MapIndex(pool.scene_map).elements.starts) == 1
+    return pool
+
+
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_feature_store_digests(case, tmp_path):
     if case == "golden":
         pool, cfg = load_pool(GOLDEN_POOL), CurationConfig()
+    elif case == "straight_turn":
+        pool, cfg = _straight_turn_pool(), CurationConfig()
     else:
         pool = _synth_pool()
         cfg = CurationConfig(roi_radius=5.0) if case == "synth_roi5" else CurationConfig()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,7 @@ def snippet_with(det_lists, sid="s0"):
     return drive(ego, sid, detections=det_lists)
 
 
-def traffic_row(s, roi_radius=None):
+def traffic_row(s, roi_radius=math.inf):
     """The snippet's measures by name, every detection in the gate by default."""
     return snippet_values(s, roi_radius=roi_radius)
 
@@ -32,7 +34,7 @@ def actor_paths(s):
     return row["actor_path_mean"], row["actor_path_max"]
 
 
-def crowdedness(s, roi_radius=None):
+def crowdedness(s, roi_radius=math.inf):
     row = traffic_row(s, roi_radius)
     return row["crowd_static"], row["crowd_dynamic"]
 
@@ -89,7 +91,7 @@ class TestCrowdedness:
         far = make_detection("t1", VEH, (200.0, 0.0), 3.0)
         s = snippet_with(constant_detections([near, far], 2))
         assert crowdedness(s, roi_radius=75.0) == (0.0, 1.0)
-        assert crowdedness(s, roi_radius=None) == (0.0, 2.0)
+        assert crowdedness(s, roi_radius=math.inf) == (0.0, 2.0)
 
     def test_split_sums_to_total_presence(self):
         frames = [
